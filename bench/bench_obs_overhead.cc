@@ -5,17 +5,21 @@
  * so the cost of the instrumentation is a measured number, not a
  * promise.
  *
- * The disabled path is the contract that matters: every metric site
- * is one predicted-not-taken branch on a relaxed atomic load, every
- * span site one branch with no clock read, so a run without
- * --metrics-out/--trace-out should sit inside run-to-run noise
- * (reported as disabled.noise_fraction from two back-to-back disabled
- * runs). The enabled phases also *reconcile*: the live counters must
- * agree exactly with the pipeline report and the engine's own traffic
- * ledger, and the trace dump must validate as Chrome-trace JSON with
- * spans from both pipeline stages — these are the hard CI gates
- * (--smoke), because correctness regressions hide behind noisy
- * percentages but reconciliation failures do not.
+ * The disabled path is the contract that matters: every pushed metric
+ * site is one predicted-not-taken branch on a relaxed atomic load,
+ * every span site one branch with no clock read, and the pulled
+ * oram.* / storage.* series cost nothing beyond the ledgers the
+ * engine keeps anyway, so a run without --metrics-out/--trace-out
+ * should sit inside run-to-run noise (reported as
+ * disabled.noise_fraction from two back-to-back disabled runs). The
+ * enabled phases also *reconcile*: the live counters must agree
+ * exactly with the pipeline report and the engine's own traffic
+ * ledger — oram.logical_accesses is read after the engine is gone,
+ * so this checks that a destroyed meter retires its counts — and the
+ * trace dump must validate as Chrome-trace JSON with spans from both
+ * pipeline stages. These are the hard CI gates (--smoke), because
+ * correctness regressions hide behind noisy percentages but
+ * reconciliation failures do not.
  */
 
 #include <algorithm>

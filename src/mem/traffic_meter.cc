@@ -1,29 +1,46 @@
 #include "mem/traffic_meter.hh"
 
 #include <ostream>
+#include <vector>
 
 namespace laoram::mem {
 
-MeterObs &
-meterObs()
+namespace {
+using C = TrafficCounters;
+} // namespace
+
+const C::Field C::kFields[11] = {
+    {"logical_accesses", "application block requests", &C::logicalAccesses},
+    {"path_reads", "real path fetches", &C::pathReads},
+    {"path_writes", "path write-backs", &C::pathWrites},
+    {"dummy_reads", "background-eviction accesses", &C::dummyReads},
+    {"blocks_read", "physical block slots read", &C::blocksRead},
+    {"blocks_written", "physical block slots written", &C::blocksWritten},
+    {"bytes_read", "server bytes read", &C::bytesRead},
+    {"bytes_written", "server bytes written", &C::bytesWritten},
+    {"stash_peak", "stash high-water mark over all engines", &C::stashPeak},
+    {"stash_hits", "requests served from stash", &C::stashHits},
+    {"reshuffles", "RingORAM bucket reshuffles", &C::reshuffles},
+};
+
+namespace {
+
+/** Every meter's counters, pulled as the live oram.* series. */
+obs::LedgerSet<C> &
+liveTraffic()
 {
-    auto &reg = obs::MetricsRegistry::instance();
-    static MeterObs m{
-        reg.counter("oram.logical_accesses",
-                    "application block requests"),
-        reg.counter("oram.path_reads", "real path fetches"),
-        reg.counter("oram.path_writes", "path write-backs"),
-        reg.counter("oram.dummy_reads",
-                    "background-eviction accesses"),
-        reg.counter("oram.bytes_read", "server bytes read"),
-        reg.counter("oram.bytes_written", "server bytes written"),
-        reg.counter("oram.stash_hits", "requests served from stash"),
-        reg.counter("oram.reshuffles", "RingORAM bucket reshuffles"),
-        reg.gauge("oram.stash_peak",
-                  "stash high-water mark over all engines"),
-    };
-    return m;
+    static obs::LedgerSet<C> &set = []() -> obs::LedgerSet<C> & {
+        std::vector<obs::LedgerField<C>> fields;
+        for (const C::Field &f : C::kFields)
+            fields.emplace_back(f.name, f.help, f.member,
+                                f.member == &C::stashPeak);
+        return obs::MetricsRegistry::instance().ledgers(
+            "oram.", std::move(fields));
+    }();
+    return set;
 }
+
+} // namespace
 
 double
 TrafficCounters::dummyReadsPerAccess() const
@@ -47,65 +64,28 @@ TrafficCounters
 TrafficCounters::since(const TrafficCounters &start) const
 {
     TrafficCounters d;
-    d.logicalAccesses = logicalAccesses - start.logicalAccesses;
-    d.pathReads = pathReads - start.pathReads;
-    d.pathWrites = pathWrites - start.pathWrites;
-    d.dummyReads = dummyReads - start.dummyReads;
-    d.blocksRead = blocksRead - start.blocksRead;
-    d.blocksWritten = blocksWritten - start.blocksWritten;
-    d.bytesRead = bytesRead - start.bytesRead;
-    d.bytesWritten = bytesWritten - start.bytesWritten;
+    for (const Field &f : kFields)
+        d.*f.member = this->*f.member - start.*f.member;
     d.stashPeak = stashPeak; // high-water mark is not interval-additive
-    d.stashHits = stashHits - start.stashHits;
-    d.reshuffles = reshuffles - start.reshuffles;
     return d;
 }
 
 TrafficCounters &
 TrafficCounters::operator+=(const TrafficCounters &other)
 {
-    logicalAccesses += other.logicalAccesses;
-    pathReads += other.pathReads;
-    pathWrites += other.pathWrites;
-    dummyReads += other.dummyReads;
-    blocksRead += other.blocksRead;
-    blocksWritten += other.blocksWritten;
-    bytesRead += other.bytesRead;
-    bytesWritten += other.bytesWritten;
-    stashPeak += other.stashPeak;
-    stashHits += other.stashHits;
-    reshuffles += other.reshuffles;
+    for (const Field &f : kFields)
+        this->*f.member += other.*f.member;
     return *this;
 }
 
-TrafficMeter::TrafficMeter(const CostModel &model) : model(model) {}
-
-void
-TrafficMeter::recordPathRead(std::uint64_t bytes, std::uint64_t blocks)
+TrafficMeter::TrafficMeter(const CostModel &model) : model(model)
 {
-    ++c.pathReads;
-    c.blocksRead += blocks;
-    c.bytesRead += bytes;
-    clk.advanceNs(model.pathReadNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathReads.inc();
-        m.bytesRead.add(bytes);
-    }
+    liveTraffic().attach(&c);
 }
 
-void
-TrafficMeter::recordPathWrite(std::uint64_t bytes, std::uint64_t blocks)
+TrafficMeter::~TrafficMeter()
 {
-    ++c.pathWrites;
-    c.blocksWritten += blocks;
-    c.bytesWritten += bytes;
-    clk.advanceNs(model.pathWriteNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathWrites.inc();
-        m.bytesWritten.add(bytes);
-    }
+    liveTraffic().detach(&c);
 }
 
 void
@@ -117,11 +97,6 @@ TrafficMeter::recordBatchedPathReads(std::uint64_t paths,
     c.blocksRead += blocks;
     c.bytesRead += bytes;
     clk.advanceNs(model.pathReadNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathReads.add(paths);
-        m.bytesRead.add(bytes);
-    }
 }
 
 void
@@ -133,11 +108,6 @@ TrafficMeter::recordBatchedPathWrites(std::uint64_t paths,
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
     clk.advanceNs(model.pathWriteNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathWrites.add(paths);
-        m.bytesWritten.add(bytes);
-    }
 }
 
 void
@@ -149,12 +119,6 @@ TrafficMeter::recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks)
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
     clk.advanceNs(model.dummyAccessNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.dummyReads.inc();
-        m.bytesRead.add(bytes);
-        m.bytesWritten.add(bytes);
-    }
 }
 
 void
@@ -170,12 +134,6 @@ TrafficMeter::recordReshuffle(std::uint64_t bytesRead,
     c.bytesWritten += bytesWritten;
     clk.advanceNs(model.pathReadNs(bytesRead, blocksRead)
                   + model.pathWriteNs(bytesWritten, blocksWritten));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.reshuffles.inc();
-        m.bytesRead.add(bytesRead);
-        m.bytesWritten.add(bytesWritten);
-    }
 }
 
 void
@@ -183,16 +141,12 @@ TrafficMeter::observeStashSize(std::uint64_t blocks)
 {
     if (blocks > c.stashPeak)
         c.stashPeak = blocks;
-    if (obs::metricsEnabled()) {
-        meterObs().stashPeak.setMax(
-            static_cast<std::int64_t>(blocks));
-    }
 }
 
 void
 TrafficMeter::reset()
 {
-    c = TrafficCounters{};
+    liveTraffic().rebase(&c, TrafficCounters{});
     clk.reset();
 }
 
@@ -200,55 +154,9 @@ void
 TrafficMeter::restoreState(const TrafficCounters &counters,
                            std::uint64_t clockPs)
 {
-    c = counters;
+    liveTraffic().rebase(&c, counters);
     clk.reset();
     clk.advancePs(clockPs);
-}
-
-void
-TrafficMeter::registerStats(StatRegistry &registry,
-                            const std::string &prefix) const
-{
-    auto formula = [&registry, this, &prefix](
-                       const char *name, const char *desc,
-                       auto getter) {
-        registry.formula(prefix + name, desc,
-                         [this, getter] { return getter(c); });
-    };
-    formula("logicalAccesses", "application block requests",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.logicalAccesses);
-            });
-    formula("pathReads", "real path fetches",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.pathReads);
-            });
-    formula("pathWrites", "path write-backs",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.pathWrites);
-            });
-    formula("dummyReads", "background-eviction accesses",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.dummyReads);
-            });
-    formula("bytesMoved", "total server bytes read+written",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.totalBytes());
-            });
-    formula("stashPeak", "stash high-water mark",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.stashPeak);
-            });
-    formula("dummyReadsPerAccess", "Table II metric",
-            [](const TrafficCounters &x) {
-                return x.dummyReadsPerAccess();
-            });
-    formula("pathReadsPerAccess", "look-ahead coalescing metric",
-            [](const TrafficCounters &x) {
-                return x.pathReadsPerAccess();
-            });
-    registry.formula(prefix + "simMs", "simulated milliseconds",
-                     [this] { return clk.milliseconds(); });
 }
 
 void

@@ -6,6 +6,11 @@
  * through it; the meter feeds both the cost model (simulated time) and
  * the paper's traffic metrics (Fig. 9 bandwidth reduction, Table II
  * dummy reads per access, Fig. 8 stash growth).
+ *
+ * The counters are also the live oram.* metrics: every meter attaches
+ * its TrafficCounters to the registry's "oram." LedgerSet for its
+ * lifetime, and the sampler pulls them at snapshot time. There is no
+ * second copy to keep in step.
  */
 
 #ifndef LAORAM_MEM_TRAFFIC_METER_HH
@@ -13,50 +18,48 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "mem/cost_model.hh"
 #include "mem/sim_clock.hh"
 #include "obs/metrics.hh"
-#include "util/stats.hh"
 
 namespace laoram::mem {
 
 /**
- * Live mirror of the traffic counters, shared by every meter in the
- * process (shard engines register the same oram.* names), so the
- * metrics sampler sees process-wide ORAM traffic mid-run.
+ * All traffic counters (value type; freely copyable). Single-writer
+ * relaxed fields, so the metrics sampler may read a live meter's
+ * counters from another thread.
  */
-struct MeterObs
-{
-    obs::Counter &logicalAccesses;
-    obs::Counter &pathReads;
-    obs::Counter &pathWrites;
-    obs::Counter &dummyReads;
-    obs::Counter &bytesRead;
-    obs::Counter &bytesWritten;
-    obs::Counter &stashHits;
-    obs::Counter &reshuffles;
-    obs::Gauge &stashPeak; ///< high-water mark across all stashes
-};
-
-/** The process-wide handle set (registered on first use). */
-MeterObs &meterObs();
-
-/** Snapshot of all traffic counters (value-type; freely copyable). */
 struct TrafficCounters
 {
-    std::uint64_t logicalAccesses = 0; ///< application block requests
-    std::uint64_t pathReads = 0;       ///< real path fetches
-    std::uint64_t pathWrites = 0;      ///< path write-backs
-    std::uint64_t dummyReads = 0;      ///< background-eviction accesses
-    std::uint64_t blocksRead = 0;      ///< physical block slots read
-    std::uint64_t blocksWritten = 0;   ///< physical block slots written
-    std::uint64_t bytesRead = 0;
-    std::uint64_t bytesWritten = 0;
-    std::uint64_t stashPeak = 0;       ///< max blocks resident in stash
-    std::uint64_t stashHits = 0;       ///< requests served from stash
-    std::uint64_t reshuffles = 0;      ///< RingORAM bucket reshuffles
+    using Count = obs::Relaxed<std::uint64_t>;
+
+    Count logicalAccesses = 0; ///< application block requests
+    Count pathReads = 0;       ///< real path fetches
+    Count pathWrites = 0;      ///< path write-backs
+    Count dummyReads = 0;      ///< background-eviction accesses
+    Count blocksRead = 0;      ///< physical block slots read
+    Count blocksWritten = 0;   ///< physical block slots written
+    Count bytesRead = 0;
+    Count bytesWritten = 0;
+    Count stashPeak = 0;       ///< max blocks resident in stash
+    Count stashHits = 0;       ///< requests served from stash
+    Count reshuffles = 0;      ///< RingORAM bucket reshuffles
+
+    /** One counter: its snake_case name and help text. */
+    struct Field
+    {
+        const char *name;
+        const char *help;
+        Count TrafficCounters::*member;
+    };
+
+    /**
+     * Every counter in declaration order, which is also the
+     * checkpoint and run-report order: since(), +=, the snapshot
+     * codec, the run report and the live oram.* series all walk it.
+     */
+    static const Field kFields[11];
 
     std::uint64_t totalBytes() const { return bytesRead + bytesWritten; }
 
@@ -84,36 +87,31 @@ class TrafficMeter
 {
   public:
     explicit TrafficMeter(const CostModel &model);
+    ~TrafficMeter();
 
-    void
-    recordLogicalAccess()
-    {
-        ++c.logicalAccesses;
-        if (obs::metricsEnabled())
-            meterObs().logicalAccesses.inc();
-    }
+    TrafficMeter(const TrafficMeter &) = delete;
+    TrafficMeter &operator=(const TrafficMeter &) = delete;
+
+    void recordLogicalAccess() { ++c.logicalAccesses; }
 
     /** Credit @p n logical accesses at once (superblock bins). */
-    void
-    recordLogicalAccesses(std::uint64_t n)
-    {
-        c.logicalAccesses += n;
-        if (obs::metricsEnabled())
-            meterObs().logicalAccesses.add(n);
-    }
+    void recordLogicalAccesses(std::uint64_t n) { c.logicalAccesses += n; }
 
-    void
-    recordStashHit()
-    {
-        ++c.stashHits;
-        if (obs::metricsEnabled())
-            meterObs().stashHits.inc();
-    }
+    void recordStashHit() { ++c.stashHits; }
 
     /** A real path read of @p blocks slots totalling @p bytes. */
-    void recordPathRead(std::uint64_t bytes, std::uint64_t blocks);
+    void
+    recordPathRead(std::uint64_t bytes, std::uint64_t blocks)
+    {
+        recordBatchedPathReads(1, bytes, blocks);
+    }
+
     /** A path write-back. */
-    void recordPathWrite(std::uint64_t bytes, std::uint64_t blocks);
+    void
+    recordPathWrite(std::uint64_t bytes, std::uint64_t blocks)
+    {
+        recordBatchedPathWrites(1, bytes, blocks);
+    }
 
     /**
      * A batched read of @p paths paths whose node-union totalled
@@ -143,26 +141,21 @@ class TrafficMeter
     const SimClock &clock() const { return clk; }
     const CostModel &costModel() const { return model; }
 
+    /** Zero the counters and clock (live oram.* totals keep theirs). */
     void reset();
 
     /**
      * Checkpoint support: overwrite all counters and rewind the
      * simulated clock to @p clockPs picoseconds, so a restored
      * engine's meter continues exactly where the snapshot left off.
+     * The live oram.* totals neither jump nor rewind: they count only
+     * what this process executed.
      */
     void restoreState(const TrafficCounters &counters,
                       std::uint64_t clockPs);
 
     /** Human-readable one-block summary. */
     void printSummary(std::ostream &os, const char *label) const;
-
-    /**
-     * Publish this meter into a StatRegistry under @p prefix (e.g.
-     * "laoram."): counters are exported as formulas evaluated at dump
-     * time, so one registration stays live for the whole run.
-     */
-    void registerStats(StatRegistry &registry,
-                       const std::string &prefix) const;
 
   private:
     CostModel model;

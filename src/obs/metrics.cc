@@ -73,6 +73,21 @@ struct MetricsRegistry::Entry
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+    // A pulled name's exported value comes from its collector; the
+    // handle above then holds only what retired ledgers left.
+    Collector *pull = nullptr;
+    std::size_t field = 0;
+
+    /** The exported value of a counter or gauge. */
+    std::int64_t
+    value() const
+    {
+        if (pull != nullptr)
+            return static_cast<std::int64_t>(pull->value(field));
+        return kind == Kind::Counter
+                   ? static_cast<std::int64_t>(counter->get())
+                   : gauge->get();
+    }
 };
 
 MetricsRegistry &
@@ -133,11 +148,17 @@ MetricsRegistry::histogram(const std::string &name,
     return *findOrCreate(name, help, Kind::Histogram).histogram;
 }
 
-std::size_t
-MetricsRegistry::size() const
+void
+MetricsRegistry::pull(const std::string &name, Collector &from,
+                      std::size_t field)
 {
     std::lock_guard<std::mutex> lock(mu);
-    return entries.size();
+    for (const std::unique_ptr<Entry> &e : entries) {
+        if (e->name == name) {
+            e->pull = &from;
+            e->field = field;
+        }
+    }
 }
 
 void
@@ -174,13 +195,9 @@ MetricsRegistry::snapshot() const
     for (const std::unique_ptr<Entry> &e : entries) {
         switch (e->kind) {
           case Kind::Counter:
-            snap.values.push_back(
-                {e->name,
-                 static_cast<double>(e->counter->get())});
-            break;
           case Kind::Gauge:
             snap.values.push_back(
-                {e->name, static_cast<double>(e->gauge->get())});
+                {e->name, static_cast<double>(e->value())});
             break;
           case Kind::Histogram: {
             const Histogram &h = *e->histogram;
@@ -245,12 +262,8 @@ MetricsRegistry::prometheusText() const
         }
         if (!e->help.empty())
             os << "# HELP " << base << " " << e->help << "\n";
-        os << "# TYPE " << base << " " << type << "\n" << base << " ";
-        if (e->kind == Kind::Counter)
-            os << e->counter->get();
-        else
-            os << e->gauge->get();
-        os << "\n";
+        os << "# TYPE " << base << " " << type << "\n"
+           << base << " " << e->value() << "\n";
     }
     return os.str();
 }

@@ -4,34 +4,32 @@
  * with relaxed-atomic hot-path updates, snapshot-able from a
  * background sampler thread while traffic is flowing.
  *
- * Design contract:
+ *  - Pulled names (oram.*, storage.<kind>.*) have one counting path:
+ *    the owner's TrafficCounters or IoStats ledger of Relaxed<T>
+ *    fields. Each ledger joins a LedgerSet for its lifetime and
+ *    snapshot() sums the live ledgers plus what destroyed ones
+ *    retired. They need no gate and cost nothing extra.
+ *  - Pushed names (pipeline.*, node.*, frontend.*, reorder.*,
+ *    cache.*, lanes) have no twin struct. Each site wraps its update
+ *    block in one branch on metricsEnabled(), so a run without
+ *    --metrics-out pays one predicted-not-taken branch per site
+ *    (verified by bench_obs_overhead).
  *
- *  - Handles are registered once (at subsystem construction, or
- *    lazily behind a function-local static) and returned as stable
- *    references into the singleton MetricsRegistry; registration
- *    takes a mutex, updates never do.
- *  - Every instrumentation site guards its whole update block with a
- *    single branch on metricsEnabled() — one relaxed atomic-bool load
- *    — so a run without --metrics-out pays one predicted-not-taken
- *    branch per site (verified by bench_obs_overhead).
- *  - Counters registered under one name aggregate naturally: every
- *    shard engine's TrafficMeter and every SlotBackend of one kind
- *    shares the same handle, so the sampled series is the live
- *    process-wide total that reconciles with the end-of-run report
- *    sums.
- *
- * This registry is deliberately separate from util/stats.hh's
- * StatRegistry: that one is a single-threaded end-of-run formula
- * dump, this one is the thread-safe live surface the sampler reads
- * mid-run.
+ * Handles are registered once and returned as stable references;
+ * registration takes a mutex, updates never do. One name is one
+ * handle everywhere, so sampled series are process-wide totals that
+ * reconcile with the end-of-run report sums.
  */
 
 #ifndef LAORAM_OBS_METRICS_HH
 #define LAORAM_OBS_METRICS_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +55,43 @@ metricsEnabled()
 
 /** Flip the gate (ObsSession at startup; tests). */
 void setMetricsEnabled(bool on);
+
+/**
+ * One field of a single-writer ledger that any thread may read. The
+ * owner updates it with a relaxed load plus a relaxed store (not a
+ * fetch_add), which compiles to the same plain mov/add/mov as a bare
+ * integer, so a ledger struct of these stays a copyable value type
+ * that a sampler thread reads race-free mid-run. Two concurrent
+ * writers would lose updates: a ledger has one writer at a time.
+ */
+template <typename T>
+class Relaxed
+{
+  public:
+    Relaxed(T x = T{}) noexcept : v(x) {}
+    Relaxed(const Relaxed &o) noexcept : v(T(o)) {}
+
+    Relaxed &
+    operator=(const Relaxed &o) noexcept
+    {
+        v.store(T(o), std::memory_order_relaxed);
+        return *this;
+    }
+
+    operator T() const noexcept { return v.load(std::memory_order_relaxed); }
+
+    Relaxed &
+    operator+=(T d) noexcept
+    {
+        v.store(T(*this) + d, std::memory_order_relaxed);
+        return *this;
+    }
+
+    Relaxed &operator++() noexcept { return *this += T{1}; }
+
+  private:
+    std::atomic<T> v;
+};
 
 /** Monotonic counter (relaxed increments; no hot-path gate inside). */
 class Counter
@@ -167,6 +202,38 @@ class Histogram
     std::atomic<std::uint64_t> maxV{0};
 };
 
+/** Registry side of a pulled family (see LedgerSet). */
+class Collector
+{
+  public:
+    virtual ~Collector() = default;
+
+    /** Process-wide value of field @p i: retired plus live. */
+    virtual std::uint64_t value(std::size_t i) const = 0;
+};
+
+/** One exported field of ledger type L: reads member @p m. */
+template <typename L>
+struct LedgerField
+{
+    template <typename T>
+    LedgerField(std::string name, std::string help, Relaxed<T> L::*m,
+                bool peak = false)
+        : name(std::move(name)), help(std::move(help)),
+          read([m](const L &l) { return std::uint64_t(T(l.*m)); }),
+          peak(peak)
+    {
+    }
+
+    std::string name; ///< appended to the family prefix
+    std::string help;
+    std::function<std::uint64_t(const L &)> read;
+    bool peak; ///< a level: max over ledgers, a gauge
+};
+
+template <typename L>
+class LedgerSet;
+
 /** One flattened sample of the registry (histograms expanded). */
 struct MetricsSnapshot
 {
@@ -209,12 +276,34 @@ class MetricsRegistry
      */
     std::string prometheusText() const;
 
-    /** Registered metric count (tests). */
-    std::size_t size() const;
+    /**
+     * The pulled family under @p prefix, created on first use from
+     * @p fields (later calls ignore @p fields). Each field registers
+     * prefix+name as a counter, or a gauge when peak, whose handle
+     * holds the retired total.
+     */
+    template <typename L>
+    LedgerSet<L> &
+    ledgers(const std::string &prefix, std::vector<LedgerField<L>> fields)
+    {
+        std::lock_guard<std::mutex> lock(setsMu);
+        std::unique_ptr<Collector> &set = sets[prefix];
+        if (set == nullptr) {
+            set = std::make_unique<LedgerSet<L>>(*this, prefix,
+                                                 std::move(fields));
+        }
+        return static_cast<LedgerSet<L> &>(*set);
+    }
+
+    /**
+     * Export the registered counter or gauge @p name as field @p field
+     * of @p from; its own handle then holds only the retired part.
+     */
+    void pull(const std::string &name, Collector &from, std::size_t field);
 
     /**
      * Test hook: zero every registered metric (handles stay valid).
-     * Callers must quiesce updaters first.
+     * Callers must quiesce updaters and hold no live ledgers.
      */
     void resetForTest();
 
@@ -230,6 +319,95 @@ class MetricsRegistry
 
     mutable std::mutex mu;
     std::vector<std::unique_ptr<Entry>> entries;
+
+    std::mutex setsMu; ///< taken before `mu`, never after
+    std::map<std::string, std::unique_ptr<Collector>> sets;
+};
+
+/**
+ * The live ledgers of one type under one name prefix ("oram.",
+ * "storage.dram."). An owner attaches its ledger for its lifetime.
+ * A count field exports its registered counter, which holds what
+ * detached ledgers retired, plus each live ledger's growth since its
+ * base; a peak field exports the max over all ledgers. rebase()
+ * (checkpoint restore, reset) retires the growth so far before it
+ * overwrites the ledger, so exported counters count only events this
+ * process executed and never move backwards. Every method locks; the
+ * ledgers' own updates never do.
+ */
+template <typename L>
+class LedgerSet final : public Collector
+{
+  public:
+    LedgerSet(MetricsRegistry &reg, const std::string &prefix,
+              std::vector<LedgerField<L>> fieldList)
+        : fields(std::move(fieldList))
+    {
+        for (const LedgerField<L> &f : fields) {
+            const std::string name = prefix + f.name;
+            retired.push_back(f.peak ? nullptr : &reg.counter(name, f.help));
+            peaks.push_back(f.peak ? &reg.gauge(name, f.help) : nullptr);
+        }
+        // Only now may a snapshot reach value(): both tables are built.
+        for (std::size_t i = 0; i < fields.size(); ++i)
+            reg.pull(prefix + fields[i].name, *this, i);
+    }
+
+    void
+    attach(const L *ledger)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        live.emplace(ledger, *ledger);
+    }
+
+    void
+    detach(const L *ledger)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        retire(*ledger, live.at(ledger));
+        live.erase(ledger);
+    }
+
+    /** Overwrite the attached @p ledger with @p value. */
+    void
+    rebase(L *ledger, const L &value)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        L &base = live.at(ledger);
+        retire(*ledger, base);
+        *ledger = base = value;
+    }
+
+    std::uint64_t
+    value(std::size_t i) const override
+    {
+        const LedgerField<L> &f = fields[i];
+        std::lock_guard<std::mutex> lock(mu);
+        std::uint64_t v = f.peak ? peaks[i]->get() : retired[i]->get();
+        for (const auto &[ledger, base] : live)
+            v = f.peak ? std::max(v, f.read(*ledger))
+                       : v + f.read(*ledger) - f.read(base);
+        return v;
+    }
+
+  private:
+    void
+    retire(const L &ledger, const L &base)
+    {
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+            const std::uint64_t now = fields[i].read(ledger);
+            if (fields[i].peak)
+                peaks[i]->setMax(static_cast<std::int64_t>(now));
+            else
+                retired[i]->add(now - fields[i].read(base));
+        }
+    }
+
+    const std::vector<LedgerField<L>> fields;
+    std::vector<Counter *> retired; ///< per field; null for peaks
+    std::vector<Gauge *> peaks;     ///< per field; null for counts
+    mutable std::mutex mu;
+    std::map<const L *, L> live; ///< ledger -> its base
 };
 
 } // namespace laoram::obs

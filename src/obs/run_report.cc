@@ -49,17 +49,8 @@ writeTrafficCounters(util::JsonWriter &w,
                      const mem::TrafficCounters &c)
 {
     w.beginObject();
-    w.field("logical_accesses", c.logicalAccesses);
-    w.field("path_reads", c.pathReads);
-    w.field("path_writes", c.pathWrites);
-    w.field("dummy_reads", c.dummyReads);
-    w.field("blocks_read", c.blocksRead);
-    w.field("blocks_written", c.blocksWritten);
-    w.field("bytes_read", c.bytesRead);
-    w.field("bytes_written", c.bytesWritten);
-    w.field("stash_peak", c.stashPeak);
-    w.field("stash_hits", c.stashHits);
-    w.field("reshuffles", c.reshuffles);
+    for (const mem::TrafficCounters::Field &f : c.kFields)
+        w.field(f.name, c.*f.member);
     w.endObject();
 }
 

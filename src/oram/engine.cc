@@ -129,41 +129,6 @@ requireFreshStorage(const ServerStorage &storage, const char *engineName)
 
 namespace {
 
-/** Snapshot section: the 11 traffic counters in declaration order. */
-void
-saveCounters(serde::Serializer &s, const mem::TrafficCounters &c)
-{
-    s.u64(c.logicalAccesses);
-    s.u64(c.pathReads);
-    s.u64(c.pathWrites);
-    s.u64(c.dummyReads);
-    s.u64(c.blocksRead);
-    s.u64(c.blocksWritten);
-    s.u64(c.bytesRead);
-    s.u64(c.bytesWritten);
-    s.u64(c.stashPeak);
-    s.u64(c.stashHits);
-    s.u64(c.reshuffles);
-}
-
-mem::TrafficCounters
-restoreCounters(serde::Deserializer &d)
-{
-    mem::TrafficCounters c;
-    c.logicalAccesses = d.u64();
-    c.pathReads = d.u64();
-    c.pathWrites = d.u64();
-    c.dummyReads = d.u64();
-    c.blocksRead = d.u64();
-    c.blocksWritten = d.u64();
-    c.bytesRead = d.u64();
-    c.bytesWritten = d.u64();
-    c.stashPeak = d.u64();
-    c.stashHits = d.u64();
-    c.reshuffles = d.u64();
-    return c;
-}
-
 void
 checkField(const char *name, std::uint64_t want, std::uint64_t got)
 {
@@ -190,7 +155,8 @@ OramEngine::saveClientState(serde::Serializer &s) const
     s.u8(cfg.encrypt ? 1 : 0);
     s.u64(cfg.seed);
 
-    saveCounters(s, mtr.counters());
+    for (const mem::TrafficCounters::Field &f : mem::TrafficCounters::kFields)
+        s.u64(mtr.counters().*f.member);
     s.u64(mtr.clock().picoseconds());
     rng.save(s);
 }
@@ -206,7 +172,9 @@ OramEngine::restoreClientState(serde::Deserializer &d)
     checkField("encrypt", cfg.encrypt ? 1 : 0, d.u8());
     checkField("seed", cfg.seed, d.u64());
 
-    const mem::TrafficCounters counters = restoreCounters(d);
+    mem::TrafficCounters counters;
+    for (const mem::TrafficCounters::Field &f : counters.kFields)
+        counters.*f.member = d.u64();
     const std::uint64_t clockPs = d.u64();
     mtr.restoreState(counters, clockPs);
     rng.restore(d);

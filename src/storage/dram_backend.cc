@@ -5,7 +5,7 @@
 namespace laoram::storage {
 
 DramBackend::DramBackend(std::uint64_t slots, std::uint64_t recordBytes)
-    : SlotBackend(slots, recordBytes), raw(slots * recordBytes, 0)
+    : SlotBackend(slots, recordBytes, "dram"), raw(slots * recordBytes, 0)
 {
 }
 

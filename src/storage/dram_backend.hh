@@ -23,8 +23,6 @@ class DramBackend final : public SlotBackend
   public:
     DramBackend(std::uint64_t slots, std::uint64_t recordBytes);
 
-    std::string name() const override { return "dram"; }
-
     std::uint8_t *mappedBase() override { return raw.data(); }
 
     std::uint64_t residentBytes() const override { return raw.size(); }

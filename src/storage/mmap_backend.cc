@@ -46,7 +46,7 @@ MmapFileBackend::MmapFileBackend(const StorageConfig &cfg,
                                  std::uint64_t slots,
                                  std::uint64_t recordBytes,
                                  std::uint64_t metaBytesWanted)
-    : SlotBackend(slots, recordBytes),
+    : SlotBackend(slots, recordBytes, "mmap"),
       filePath(cfg.path),
       durability(cfg.durability),
       metaBytes(metaBytesWanted)

@@ -46,8 +46,6 @@ class MmapFileBackend final : public SlotBackend
                     std::uint64_t recordBytes, std::uint64_t metaBytes);
     ~MmapFileBackend() override;
 
-    std::string name() const override { return "mmap"; }
-
     std::uint8_t *mappedBase() override { return slotBase; }
 
     void willNeed(const std::uint64_t *slots, std::size_t n) override;

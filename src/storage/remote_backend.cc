@@ -567,7 +567,7 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
                                  std::uint64_t slots,
                                  std::uint64_t recordBytes,
                                  std::uint64_t metaBytes)
-    : SlotBackend(slots, recordBytes),
+    : SlotBackend(slots, recordBytes, "remote"),
       cfg(cfg.remote),
       jitterRng(entropy64())
 {
@@ -606,7 +606,7 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
 RemoteKvBackend::RemoteKvBackend(int fd, std::uint64_t slots,
                                  std::uint64_t recordBytes,
                                  const RemoteKvConfig &cfg)
-    : SlotBackend(slots, recordBytes),
+    : SlotBackend(slots, recordBytes, "remote"),
       cfg(cfg),
       fd(fd),
       jitterRng(entropy64())

@@ -239,8 +239,6 @@ class RemoteKvBackend final : public SlotBackend
 
     ~RemoteKvBackend() override;
 
-    std::string name() const override { return "remote"; }
-
     std::uint64_t residentBytes() const override;
     bool persistent() const override { return serverPersistent; }
     bool openedExisting() const override { return serverReopened; }

@@ -1,8 +1,5 @@
 #include "storage/slot_backend.hh"
 
-#include <map>
-#include <mutex>
-
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "storage/dram_backend.hh"
@@ -13,95 +10,58 @@
 
 namespace laoram::storage {
 
-/**
- * Live mirror of the IoStats ledger, one handle set per backend
- * *kind*: every instance of a kind (shard engines, the remote
- * server's inner store) shares the same storage.<kind>.* series, so
- * the sampled totals are process-wide.
- */
-struct BackendObs
-{
-    obs::Counter &readOps;
-    obs::Counter &writeOps;
-    obs::Counter &slotsRead;
-    obs::Counter &slotsWritten;
-    obs::Counter &bytesRead;
-    obs::Counter &bytesWritten;
-    obs::Counter &flushes;
-    obs::Counter &readNs;
-    obs::Counter &writeNs;
-};
-
 namespace {
 
-BackendObs &
-backendObsFor(const std::string &kind)
+/** Every backend of @p kind, pulled as its storage.<kind>.* series. */
+obs::LedgerSet<IoStats> &
+liveIo(const std::string &kind)
 {
-    static std::mutex mu;
-    static std::map<std::string, std::unique_ptr<BackendObs>> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(kind);
-    if (it == cache.end()) {
-        auto &reg = obs::MetricsRegistry::instance();
-        const std::string p = "storage." + kind + ".";
-        it = cache
-                 .emplace(kind,
-                          std::unique_ptr<BackendObs>(new BackendObs{
-                              reg.counter(p + "read_ops"),
-                              reg.counter(p + "write_ops"),
-                              reg.counter(p + "slots_read"),
-                              reg.counter(p + "slots_written"),
-                              reg.counter(p + "bytes_read"),
-                              reg.counter(p + "bytes_written"),
-                              reg.counter(p + "flushes"),
-                              reg.counter(p + "read_ns"),
-                              reg.counter(p + "write_ns"),
-                          }))
-                 .first;
-    }
-    return *it->second;
+    using S = IoStats;
+    return obs::MetricsRegistry::instance().ledgers<S>(
+        "storage." + kind + ".",
+        {
+            {"read_ops", "read calls", &S::readOps},
+            {"write_ops", "write calls", &S::writeOps},
+            {"slots_read", "slots read", &S::slotsRead},
+            {"slots_written", "slots written", &S::slotsWritten},
+            {"bytes_read", "bytes read", &S::bytesRead},
+            {"bytes_written", "bytes written", &S::bytesWritten},
+            {"flushes", "flush calls", &S::flushes},
+            {"read_ns", "measured ns inside reads", &S::readNs},
+            {"write_ns", "measured ns inside writes", &S::writeNs},
+            {"flush_ns", "measured ns inside flushes", &S::flushNs},
+        });
 }
+
+/** Every IoStats member, by type, for the element-wise operators. */
+constexpr IoStats::Count IoStats::*kCounts[] = {
+    &IoStats::readOps,      &IoStats::writeOps,  &IoStats::slotsRead,
+    &IoStats::slotsWritten, &IoStats::bytesRead, &IoStats::bytesWritten,
+    &IoStats::flushes,
+};
+constexpr IoStats::Nanos IoStats::*kNanos[] = {
+    &IoStats::readNs, &IoStats::writeNs, &IoStats::flushNs};
 
 } // namespace
-
-BackendObs &
-SlotBackend::boundObs()
-{
-    if (obs_ == nullptr)
-        obs_ = &backendObsFor(name());
-    return *obs_;
-}
 
 IoStats
 IoStats::since(const IoStats &start) const
 {
     IoStats d;
-    d.readOps = readOps - start.readOps;
-    d.writeOps = writeOps - start.writeOps;
-    d.slotsRead = slotsRead - start.slotsRead;
-    d.slotsWritten = slotsWritten - start.slotsWritten;
-    d.bytesRead = bytesRead - start.bytesRead;
-    d.bytesWritten = bytesWritten - start.bytesWritten;
-    d.flushes = flushes - start.flushes;
-    d.readNs = readNs - start.readNs;
-    d.writeNs = writeNs - start.writeNs;
-    d.flushNs = flushNs - start.flushNs;
+    for (Count IoStats::*m : kCounts)
+        d.*m = this->*m - start.*m;
+    for (Nanos IoStats::*m : kNanos)
+        d.*m = this->*m - start.*m;
     return d;
 }
 
 IoStats &
 IoStats::operator+=(const IoStats &other)
 {
-    readOps += other.readOps;
-    writeOps += other.writeOps;
-    slotsRead += other.slotsRead;
-    slotsWritten += other.slotsWritten;
-    bytesRead += other.bytesRead;
-    bytesWritten += other.bytesWritten;
-    flushes += other.flushes;
-    readNs += other.readNs;
-    writeNs += other.writeNs;
-    flushNs += other.flushNs;
+    for (Count IoStats::*m : kCounts)
+        this->*m += other.*m;
+    for (Nanos IoStats::*m : kNanos)
+        this->*m += other.*m;
     return *this;
 }
 
@@ -119,10 +79,18 @@ backendKindName(BackendKind kind)
     return "?";
 }
 
-SlotBackend::SlotBackend(std::uint64_t slots, std::uint64_t recordBytes)
-    : nSlots(slots), recBytes(recordBytes)
+SlotBackend::SlotBackend(std::uint64_t slots, std::uint64_t recordBytes,
+                         std::string kind)
+    : nSlots(slots), recBytes(recordBytes), kind(std::move(kind)),
+      live(liveIo(this->kind))
 {
     LAORAM_ASSERT(recBytes > 0, "slot records cannot be empty");
+    live.attach(&stats);
+}
+
+SlotBackend::~SlotBackend()
+{
+    live.detach(&stats);
 }
 
 void
@@ -131,18 +99,7 @@ SlotBackend::readSlot(std::uint64_t slot, std::uint8_t *dst)
     LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
     const WallClock::time_point t0 = WallClock::now();
     doReadSlot(slot, dst);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.readNs += ns;
-    ++stats.readOps;
-    ++stats.slotsRead;
-    stats.bytesRead += recBytes;
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.inc();
-        o.bytesRead.add(recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
+    noteMappedRead(1, elapsedNs(t0));
 }
 
 void
@@ -151,18 +108,7 @@ SlotBackend::writeSlot(std::uint64_t slot, const std::uint8_t *src)
     LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlot(slot, src);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.writeNs += ns;
-    ++stats.writeOps;
-    ++stats.slotsWritten;
-    stats.bytesWritten += recBytes;
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.inc();
-        o.bytesWritten.add(recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
+    noteMappedWrite(1, elapsedNs(t0));
 }
 
 void
@@ -173,19 +119,7 @@ SlotBackend::readSlots(const std::uint64_t *slots, std::size_t n,
         return;
     const WallClock::time_point t0 = WallClock::now();
     doReadSlots(slots, n, dst);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.readNs += ns;
-    ++stats.readOps;
-    stats.slotsRead += n;
-    stats.bytesRead += n * recBytes;
-    obs::traceRecordEndingNow("path-read", ns, n);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.add(n);
-        o.bytesRead.add(n * recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
+    noteMappedRead(n, elapsedNs(t0));
 }
 
 void
@@ -196,19 +130,7 @@ SlotBackend::writeSlots(const std::uint64_t *slots, std::size_t n,
         return;
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlots(slots, n, src);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.writeNs += ns;
-    ++stats.writeOps;
-    stats.slotsWritten += n;
-    stats.bytesWritten += n * recBytes;
-    obs::traceRecordEndingNow("path-write", ns, n);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.add(n);
-        o.bytesWritten.add(n * recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
+    noteMappedWrite(n, elapsedNs(t0));
 }
 
 void
@@ -218,8 +140,6 @@ SlotBackend::flush()
     doFlush();
     stats.flushNs += elapsedNs(t0);
     ++stats.flushes;
-    if (obs::metricsEnabled())
-        boundObs().flushes.inc();
 }
 
 void
@@ -232,13 +152,6 @@ SlotBackend::noteMappedRead(std::uint64_t slotCount, std::int64_t ns)
     // The mapped fast path only measures a duration, so the span is
     // back-dated to end at the report point.
     obs::traceRecordEndingNow("path-read", ns, slotCount);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.add(slotCount);
-        o.bytesRead.add(slotCount * recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void
@@ -249,13 +162,6 @@ SlotBackend::noteMappedWrite(std::uint64_t slotCount, std::int64_t ns)
     stats.bytesWritten += slotCount * recBytes;
     stats.writeNs += ns;
     obs::traceRecordEndingNow("path-write", ns, slotCount);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.add(slotCount);
-        o.bytesWritten.add(slotCount * recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void

@@ -20,7 +20,9 @@
  *
  * Every backend keeps an IoStats ledger (ops, slots, bytes, measured
  * nanoseconds) that the pipeline reports as the serving thread's
- * genuine I/O stall component.
+ * genuine I/O stall component. The same ledger is the live
+ * storage.<kind>.* metric series: each backend attaches it to its
+ * kind's LedgerSet for its lifetime and the sampler pulls it.
  */
 
 #ifndef LAORAM_STORAGE_SLOT_BACKEND_HH
@@ -31,24 +33,30 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.hh"
+
 namespace laoram::storage {
 
-/** Per-backend-kind live metric handles (see slot_backend.cc). */
-struct BackendObs;
-
-/** Monotonic I/O ledger of one backend (value type; freely copyable). */
+/**
+ * Monotonic I/O ledger of one backend (value type; freely copyable).
+ * Single-writer relaxed fields, so the metrics sampler may read a
+ * live backend's ledger from another thread.
+ */
 struct IoStats
 {
-    std::uint64_t readOps = 0;   ///< read calls issued (vectored = 1)
-    std::uint64_t writeOps = 0;  ///< write calls issued (vectored = 1)
-    std::uint64_t slotsRead = 0;
-    std::uint64_t slotsWritten = 0;
-    std::uint64_t bytesRead = 0;
-    std::uint64_t bytesWritten = 0;
-    std::uint64_t flushes = 0;
-    std::int64_t readNs = 0;  ///< measured wall time inside reads
-    std::int64_t writeNs = 0; ///< measured wall time inside writes
-    std::int64_t flushNs = 0; ///< measured wall time inside flush()
+    using Count = obs::Relaxed<std::uint64_t>;
+    using Nanos = obs::Relaxed<std::int64_t>;
+
+    Count readOps = 0;  ///< read calls issued (vectored = 1)
+    Count writeOps = 0; ///< write calls issued (vectored = 1)
+    Count slotsRead = 0;
+    Count slotsWritten = 0;
+    Count bytesRead = 0;
+    Count bytesWritten = 0;
+    Count flushes = 0;
+    Nanos readNs = 0;  ///< measured wall time inside reads
+    Nanos writeNs = 0; ///< measured wall time inside writes
+    Nanos flushNs = 0; ///< measured wall time inside flush()
 
     /** Total measured backend time (read + write + flush). */
     std::int64_t totalNs() const { return readNs + writeNs + flushNs; }
@@ -211,13 +219,15 @@ struct CheckpointConfig
 class SlotBackend
 {
   public:
-    SlotBackend(std::uint64_t slots, std::uint64_t recordBytes);
-    virtual ~SlotBackend() = default;
+    /** @p kind names the backend and its storage.<kind>.* series. */
+    SlotBackend(std::uint64_t slots, std::uint64_t recordBytes,
+                std::string kind);
+    virtual ~SlotBackend();
 
     SlotBackend(const SlotBackend &) = delete;
     SlotBackend &operator=(const SlotBackend &) = delete;
 
-    virtual std::string name() const = 0;
+    const std::string &name() const { return kind; }
 
     std::uint64_t slots() const { return nSlots; }
     std::uint64_t recordBytes() const { return recBytes; }
@@ -270,7 +280,8 @@ class SlotBackend
     /**
      * Accounting entry points for the mapped fast path: ServerStorage
      * decodes/encodes records directly in mapped memory and reports
-     * the op here so IoStats stays complete for every backend.
+     * the op here so IoStats stays complete for every backend. The
+     * staged calls above count through them too.
      */
     void noteMappedRead(std::uint64_t slotCount, std::int64_t ns);
     void noteMappedWrite(std::uint64_t slotCount, std::int64_t ns);
@@ -335,14 +346,8 @@ class SlotBackend
     IoStats stats;
 
   private:
-    /**
-     * Live metric handles for this backend's kind, bound lazily on
-     * the first enabled update — name() is virtual, so binding in
-     * the base constructor would dispatch to the wrong class.
-     */
-    BackendObs &boundObs();
-
-    BackendObs *obs_ = nullptr; ///< points into a process-wide cache
+    const std::string kind;
+    obs::LedgerSet<IoStats> &live; ///< this kind's pulled series
 };
 
 /**

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "core/laoram_client.hh"
@@ -298,12 +299,18 @@ TEST(Laoram, SuperblockSizeOneMatchesPathOramTraffic)
               path.meter().counters().bytesRead);
 }
 
-/** Sweep correctness across superblock sizes and tree profiles. */
+/**
+ * Sweep correctness across superblock sizes and tree profiles. gtest
+ * names each case after the raw bytes of its parameter, so the padding
+ * is spelled out and zeroed to keep those names build-stable.
+ */
 struct LaoramCase
 {
     std::uint64_t superblock;
     bool fat;
+    std::uint8_t zeroPad[7]{};
 };
+static_assert(std::has_unique_object_representations_v<LaoramCase>);
 
 class LaoramSweep : public ::testing::TestWithParam<LaoramCase>
 {

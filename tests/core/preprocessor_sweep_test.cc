@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,12 +18,21 @@
 namespace laoram::core {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the
+// padding is spelled out and zeroed to keep those names build-stable.
 struct SweepCase
 {
+    SweepCase(std::uint64_t s, workload::DatasetKind k, std::uint64_t n)
+        : superblock(s), kind(k), numBlocks(n)
+    {
+    }
+
     std::uint64_t superblock;
     workload::DatasetKind kind;
+    std::uint32_t zeroPad = 0;
     std::uint64_t numBlocks;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class PrepSweep : public ::testing::TestWithParam<SweepCase>
 {

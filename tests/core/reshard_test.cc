@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "util/rng.hh"
 #include "util/serde.hh"
 
+#include "../common/scratch_dir.hh"
 // Engine-snapshot helpers (diffSeed) live with the integration suite.
 #include "../integration/engine_snapshot.hh"
 
@@ -29,12 +29,6 @@ namespace {
 
 constexpr std::uint64_t kBlocks = 96;
 constexpr std::uint64_t kPayloadBytes = 32;
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_reshard_" + tag;
-}
 
 ShardedLaoramConfig
 dramConfig(std::uint32_t numShards, std::uint64_t seed)
@@ -163,30 +157,6 @@ TEST(Reshard, TouchCallbackSurvivesReshard)
 class ShardedCheckpoint : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        base = tempPath("ckpt");
-        cleanup();
-    }
-
-    void TearDown() override { cleanup(); }
-
-    void
-    cleanup()
-    {
-        std::remove(base.c_str());
-        // Shard-suffixed tree + sidecar files for every shard count a
-        // test might have used.
-        for (std::uint32_t s = 0; s < 4; ++s) {
-            const std::string suffix =
-                ".shard-"
-                + std::to_string(ShardedLaoram::shardSeed(kSeed, s));
-            std::remove((treeBase() + suffix).c_str());
-            std::remove((base + suffix).c_str());
-        }
-    }
-
     std::string
     treeBase() const
     {
@@ -203,7 +173,8 @@ class ShardedCheckpoint : public ::testing::Test
     }
 
     static constexpr std::uint64_t kSeed = 23;
-    std::string base;
+    const test::ScratchDir scratch;
+    const std::string base = scratch.file("ckpt");
 };
 
 TEST_F(ShardedCheckpoint, ManifestAndShardSidecarsRoundTrip)

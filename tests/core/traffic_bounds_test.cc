@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "core/laoram_client.hh"
@@ -19,11 +20,15 @@
 namespace laoram::core {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the
+// padding is spelled out and zeroed to keep those names build-stable.
 struct BoundCase
 {
     std::uint64_t superblock;
     bool fat;
+    std::uint8_t zeroPad[7]{};
 };
+static_assert(std::has_unique_object_representations_v<BoundCase>);
 
 class TrafficBounds : public ::testing::TestWithParam<BoundCase>
 {

@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "core/laoram_client.hh"
 #include "engine_snapshot.hh"
 #include "util/rng.hh"
@@ -27,12 +27,6 @@
 
 namespace laoram::core {
 namespace {
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_checkpoint_" + tag;
-}
 
 LaoramConfig
 mmapConfig(const std::string &treePath, bool encrypt,
@@ -79,25 +73,9 @@ fillPayloads(Laoram &engine, const LaoramConfig &cfg)
 class CheckpointRoundTrip : public ::testing::TestWithParam<bool>
 {
   protected:
-    void
-    SetUp() override
-    {
-        const char *leg = GetParam() ? "enc" : "plain";
-        tree = tempPath(std::string("roundtrip_") + leg + ".tree");
-        sidecar = tempPath(std::string("roundtrip_") + leg + ".ckpt");
-        std::remove(tree.c_str());
-        std::remove(sidecar.c_str());
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(tree.c_str());
-        std::remove(sidecar.c_str());
-    }
-
-    std::string tree;
-    std::string sidecar;
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("roundtrip.tree");
+    const std::string sidecar = scratch.file("roundtrip.ckpt");
 };
 
 TEST_P(CheckpointRoundTrip, RestoredEngineIsByteIdentical)
@@ -391,8 +369,8 @@ TEST_F(CheckpointHotCache, CachelessSnapshotRestoresColdIntoCachedEngine)
 
 TEST(CheckpointFreshness, ReopenedTreeWithoutRestoreIsFatal)
 {
-    const std::string tree = tempPath("freshness.tree");
-    std::remove(tree.c_str());
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("freshness.tree");
     LaoramConfig cfg = mmapConfig(tree, false, 3);
     { Laoram first(cfg); } // creates + persists the tree
 
@@ -402,14 +380,13 @@ TEST(CheckpointFreshness, ReopenedTreeWithoutRestoreIsFatal)
     // flow: --restore --checkpoint-path.
     EXPECT_DEATH({ Laoram dead(again); (void)dead; },
                  "--restore --checkpoint-path");
-    std::remove(tree.c_str());
 }
 
 TEST(CheckpointFreshness, RestoreAgainstFreshTreeIsFatal)
 {
-    const std::string tree = tempPath("fresh_restore.tree");
-    const std::string sidecar = tempPath("fresh_restore.ckpt");
-    std::remove(tree.c_str());
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("fresh_restore.tree");
+    const std::string sidecar = scratch.file("fresh_restore.ckpt");
     serde::writeFileAtomic(sidecar,
                            serde::seal(serde::SnapshotKind::Engine,
                                        {}));
@@ -418,16 +395,13 @@ TEST(CheckpointFreshness, RestoreAgainstFreshTreeIsFatal)
     cfg.base.checkpoint.restore = true;
     EXPECT_DEATH({ Laoram dead(cfg); (void)dead; },
                  "initialised fresh");
-    std::remove(tree.c_str());
-    std::remove(sidecar.c_str());
 }
 
 TEST(CheckpointFreshness, MissingSidecarIsFatal)
 {
-    const std::string tree = tempPath("missing_sidecar.tree");
-    const std::string sidecar = tempPath("missing_sidecar.ckpt");
-    std::remove(tree.c_str());
-    std::remove(sidecar.c_str());
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("missing_sidecar.tree");
+    const std::string sidecar = scratch.file("missing_sidecar.ckpt");
     LaoramConfig cfg = mmapConfig(tree, false, 3);
     { Laoram first(cfg); }
 
@@ -437,7 +411,6 @@ TEST(CheckpointFreshness, MissingSidecarIsFatal)
     again.base.checkpoint.restore = true;
     EXPECT_DEATH({ Laoram dead(again); (void)dead; },
                  "genuinely unrestorable");
-    std::remove(tree.c_str());
 }
 
 } // namespace

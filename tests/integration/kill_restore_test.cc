@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "core/pipeline.hh"
 #include "engine_snapshot.hh"
 #include "storage/slot_backend.hh"
@@ -32,12 +33,6 @@ namespace {
 
 constexpr std::uint64_t kWindow = 24;
 constexpr std::uint64_t kWindows = 6;
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_kill_restore_" + tag;
-}
 
 LaoramConfig
 baseConfig(bool encrypt, std::uint64_t seed)
@@ -89,19 +84,7 @@ class KillRestore
     : public ::testing::TestWithParam<storage::BackendKind>
 {
   protected:
-    void
-    SetUp() override
-    {
-        const char *leg =
-            GetParam() == storage::BackendKind::MmapFile ? "mmap"
-                                                         : "remote";
-        tree = tempPath(std::string(leg) + ".tree");
-        sidecar = tempPath(std::string(leg) + ".ckpt");
-        cleanup();
-    }
-
-    void TearDown() override { cleanup(); }
-
+    /** Start an iteration from no tree and no sidecar. */
     void
     cleanup()
     {
@@ -119,8 +102,9 @@ class KillRestore
         return sc;
     }
 
-    std::string tree;
-    std::string sidecar;
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("kill.tree");
+    const std::string sidecar = scratch.file("kill.ckpt");
 };
 
 TEST_P(KillRestore, RestoredRunFinishesByteIdentically)

@@ -117,24 +117,6 @@ TEST(TrafficMeter, ResetClearsEverything)
     EXPECT_EQ(m.clock().picoseconds(), 0u);
 }
 
-TEST(TrafficMeter, RegisterStatsPublishesLiveFormulas)
-{
-    TrafficMeter m{CostModel{}};
-    StatRegistry reg;
-    m.registerStats(reg, "engine.");
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.pathReads"), 0.0);
-    m.recordLogicalAccesses(4);
-    m.recordPathRead(100, 2);
-    m.recordDummyAccess(100, 2);
-    // Formulas see post-registration updates (live view).
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.pathReads"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.dummyReads"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.dummyReadsPerAccess"),
-                     0.25);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.bytesMoved"), 300.0);
-    EXPECT_GT(reg.formulaAt("engine.simMs"), 0.0);
-}
-
 TEST(TrafficMeter, SummaryMentionsLabel)
 {
     TrafficMeter m{CostModel{}};

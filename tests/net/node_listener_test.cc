@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "net/node_server.hh"
 #include "storage/remote_backend.hh"
 #include "storage/slot_backend.hh"
@@ -80,7 +81,9 @@ TEST(NodeListener, ServesManyConcurrentClients)
     constexpr int kClients = 4;
     constexpr std::uint64_t kPerClient = 16;
     std::vector<std::thread> threads;
-    std::vector<bool> ok(kClients, false);
+    // char, not bool: vector<bool> packs the flags into shared words,
+    // so one thread's write would race with its neighbours'.
+    std::vector<char> ok(kClients, 0);
     for (int c = 0; c < kClients; ++c) {
         threads.emplace_back([&, c] {
             RemoteKvBackend client(dialConfig(ep), kSlots, kRecBytes,
@@ -110,8 +113,8 @@ TEST(NodeListener, ServesManyConcurrentClients)
 
 TEST(NodeListener, ReclaimsStaleUdsSocketFile)
 {
-    const std::string sock =
-        ::testing::TempDir() + "laoram_listener_stale.sock";
+    const test::ScratchDir scratch;
+    const std::string sock = scratch.file("stale.sock");
     Endpoint ep;
     ASSERT_TRUE(parseEndpoint("unix:" + sock, &ep));
 

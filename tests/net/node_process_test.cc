@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "../integration/engine_snapshot.hh"
 #include "core/pipeline.hh"
 #include "net/endpoint.hh"
@@ -56,11 +58,24 @@ nodeBinaryPath()
     return dir + "/laoram_node";
 }
 
-/** fork/exec a laoram_node; owns the pid for kill/reap. */
+/**
+ * fork/exec a laoram_node; owns the pid for kill/reap. A node never
+ * outlives its test: the child asks for SIGKILL when the forking
+ * thread dies (PR_SET_PDEATHSIG, which also covers a test process
+ * that aborts without unwinding; every start() runs on the test's
+ * main thread), and the destructor SIGKILLs and reaps a node still
+ * running when a failed ASSERT unwinds the test.
+ */
 class NodeProcess
 {
   public:
-    ~NodeProcess() { terminate(); }
+    ~NodeProcess()
+    {
+        if (pid != -1) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
 
     void
     start(const std::vector<std::string> &args)
@@ -72,9 +87,15 @@ class NodeProcess
         for (const auto &a : args)
             argv.push_back(a.c_str());
         argv.push_back(nullptr);
+        const pid_t parent = ::getpid();
         pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
+            // A parent that died before prctl took effect has already
+            // reparented us, so the death signal would never come.
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                ::_exit(127);
             ::execv(bin.c_str(),
                     const_cast<char *const *>(argv.data()));
             ::_exit(127); // exec failed
@@ -178,21 +199,7 @@ pipelineConfig()
 class NodeProcessTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        sock = ::testing::TempDir() + "laoram_nodeproc.sock";
-        tree = ::testing::TempDir() + "laoram_nodeproc.tree";
-        cleanup();
-    }
-
-    void
-    TearDown() override
-    {
-        node.terminate();
-        cleanup();
-    }
-
+    /** Start an iteration from no socket file and no tree. */
     void
     cleanup()
     {
@@ -215,9 +222,10 @@ class NodeProcessTest : public ::testing::Test
         return args;
     }
 
-    std::string sock;
-    std::string tree;
-    NodeProcess node;
+    const test::ScratchDir scratch;
+    const std::string sock = scratch.file("node.sock");
+    const std::string tree = scratch.file("node.tree");
+    NodeProcess node; ///< reaped before the scratch directory goes
 };
 
 TEST_F(NodeProcessTest, SigtermDrainsAndExitsCleanly)

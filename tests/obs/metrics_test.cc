@@ -1,17 +1,23 @@
 /**
  * @file
  * MetricsRegistry tests: handle identity, snapshot/exposition shape,
- * and the concurrent increment-while-sampling contract the background
- * sampler relies on (runs under TSan in CI).
+ * the concurrent increment-while-sampling contract the background
+ * sampler relies on, and the pull model behind the oram.* and
+ * storage.<kind>.* series (the suites run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/laoram_client.hh"
+#include "core/sharded_laoram.hh"
 #include "obs/metrics.hh"
+#include "util/rng.hh"
 
 namespace laoram::obs {
 namespace {
@@ -155,6 +161,210 @@ TEST_F(ObsMetricsTest, ConcurrentIncrementsSurviveSampling)
 
     EXPECT_EQ(c.get(), kThreads * kPerThread);
     EXPECT_EQ(h.count(), kThreads * kPerThread);
+}
+
+// ------------------------------------------------------ pulled ledgers
+
+/** Every pulled series (oram.*, storage.*) in one snapshot. */
+std::map<std::string, double>
+pulledSeries()
+{
+    std::map<std::string, double> out;
+    for (const auto &v : MetricsRegistry::instance().snapshot().values) {
+        if (v.name.rfind("oram.", 0) == 0
+            || v.name.rfind("storage.", 0) == 0)
+            out[v.name] = v.value;
+    }
+    return out;
+}
+
+/** @p name in @p series; 0 before any ledger registered it. */
+double
+at(const std::map<std::string, double> &series, const std::string &name)
+{
+    const auto it = series.find(name);
+    return it == series.end() ? 0.0 : it->second;
+}
+
+std::vector<oram::BlockId>
+randomTrace(std::uint64_t n, std::uint64_t blocks, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<oram::BlockId> trace;
+    trace.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        trace.push_back(rng.nextBounded(blocks));
+    return trace;
+}
+
+core::LaoramConfig
+smallEngine(std::uint64_t seed)
+{
+    core::LaoramConfig cfg;
+    cfg.base.numBlocks = 256;
+    cfg.base.blockBytes = 64;
+    cfg.base.seed = seed;
+    cfg.superblockSize = 4;
+    cfg.lookaheadWindow = 64;
+    return cfg;
+}
+
+class ObsMetricsPull : public ::testing::Test
+{
+  protected:
+    void SetUp() override { setMetricsEnabled(false); }
+    void TearDown() override { setMetricsEnabled(false); }
+};
+
+/**
+ * A sampler snapshots while a 2-shard concurrent pipeline writes its
+ * ledgers (the race TSan watches), and no sample ever sees a pulled
+ * counter go down. Once the engines are destroyed, the exported
+ * deltas equal what their own ledgers and the run report counted:
+ * the retire path loses nothing.
+ */
+TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
+{
+    setMetricsEnabled(true);
+    const auto before = pulledSeries();
+
+    core::ShardedLaoramConfig cfg;
+    cfg.engine = smallEngine(31);
+    cfg.numShards = 2;
+    cfg.pipeline.windowAccesses = 64;
+    cfg.pipeline.prepThreads = 2;
+    cfg.pipeline.mode = core::PipelineMode::Concurrent;
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> samples{0};
+    std::thread sampler([&] {
+        double lastAccesses = 0.0;
+        double lastSlots = 0.0;
+        while (!stop.load(std::memory_order_relaxed)) {
+            const auto now = pulledSeries();
+            const double accesses = at(now, "oram.logical_accesses");
+            const double slots = at(now, "storage.dram.slots_read");
+            EXPECT_GE(accesses, lastAccesses);
+            EXPECT_GE(slots, lastSlots);
+            lastAccesses = accesses;
+            lastSlots = slots;
+            samples.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+
+    core::ShardedPipelineReport rep;
+    std::uint64_t ledgerAccesses = 0;
+    std::uint64_t ledgerSlotsRead = 0;
+    {
+        core::ShardedLaoram engine(cfg);
+        rep = engine.runTrace(randomTrace(16384, 256, 7));
+        for (std::uint32_t s = 0; s < cfg.numShards; ++s) {
+            ledgerAccesses +=
+                engine.shard(s).meter().counters().logicalAccesses;
+            ledgerSlotsRead +=
+                engine.shard(s).storageForAudit().ioStats().slotsRead;
+        }
+    }
+    stop.store(true, std::memory_order_relaxed);
+    sampler.join();
+    EXPECT_GT(samples.load(), 0);
+
+    const auto after = pulledSeries();
+    const double accesses = at(after, "oram.logical_accesses")
+                            - at(before, "oram.logical_accesses");
+    const double slots = at(after, "storage.dram.slots_read")
+                         - at(before, "storage.dram.slots_read");
+    EXPECT_EQ(accesses, static_cast<double>(ledgerAccesses));
+    EXPECT_EQ(accesses, static_cast<double>(rep.traffic.logicalAccesses));
+    EXPECT_EQ(slots, static_cast<double>(ledgerSlotsRead));
+    EXPECT_GT(slots, 0.0);
+
+    for (const char *name :
+         {"oram.logical_accesses", "oram.path_reads", "oram.path_writes",
+          "oram.dummy_reads", "oram.bytes_read", "oram.bytes_written",
+          "oram.stash_hits", "oram.reshuffles", "oram.stash_peak",
+          "storage.dram.read_ops", "storage.dram.write_ops",
+          "storage.dram.slots_read", "storage.dram.slots_written",
+          "storage.dram.bytes_read", "storage.dram.bytes_written",
+          "storage.dram.flushes", "storage.dram.read_ns",
+          "storage.dram.write_ns"})
+        EXPECT_EQ(after.count(name), 1u) << name << " not exported";
+}
+
+/**
+ * Restoring a checkpoint in place rewinds (or advances) the engine's
+ * own counters, but the exported series count what this process
+ * executed: they neither move on a restore nor double-count on the
+ * way forward. reset() obeys the same rule.
+ */
+TEST_F(ObsMetricsPull, RestoreNeverLowersExportedCounters)
+{
+    core::Laoram engine(smallEngine(41));
+    engine.runTrace(randomTrace(256, 256, 1));
+    const std::vector<std::uint8_t> early = engine.checkpoint();
+    const std::uint64_t atEarly =
+        engine.meter().counters().logicalAccesses;
+    engine.runTrace(randomTrace(256, 256, 2));
+    // The DRAM tree stays at this boundary, so only `late` can be
+    // served from; `early` is restored just to rewind the counters.
+    const std::vector<std::uint8_t> late = engine.checkpoint();
+    const std::uint64_t atLate =
+        engine.meter().counters().logicalAccesses;
+    const double exported = at(pulledSeries(), "oram.logical_accesses");
+
+    engine.restoreFrom(early);
+    EXPECT_EQ(engine.meter().counters().logicalAccesses, atEarly);
+    EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"), exported);
+    engine.restoreFrom(late);
+    EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"), exported);
+
+    engine.runTrace(randomTrace(256, 256, 3));
+    const std::uint64_t resumed =
+        engine.meter().counters().logicalAccesses - atLate;
+    EXPECT_GT(resumed, 0u);
+    EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"),
+              exported + static_cast<double>(resumed));
+
+    mem::TrafficMeter meter{mem::CostModel{}};
+    meter.recordLogicalAccesses(5);
+    const double beforeReset =
+        at(pulledSeries(), "oram.logical_accesses");
+    meter.reset();
+    meter.recordLogicalAccesses(2);
+    EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"),
+              beforeReset + 2.0);
+}
+
+/**
+ * The pulled series have no gate: the same run exports the same
+ * totals whether or not metrics were enabled while it ran.
+ */
+TEST_F(ObsMetricsPull, TotalsIgnoreTheGate)
+{
+    auto runDelta = [](bool gate) {
+        setMetricsEnabled(gate);
+        const auto before = pulledSeries();
+        {
+            core::Laoram engine(smallEngine(51));
+            engine.runTrace(randomTrace(1024, 256, 9));
+        }
+        setMetricsEnabled(false);
+        std::map<std::string, double> delta;
+        for (const auto &[name, value] : pulledSeries()) {
+            // Measured nanoseconds differ run to run; peaks are levels.
+            const bool timed = name.size() > 3
+                               && name.compare(name.size() - 3, 3, "_ns")
+                                      == 0;
+            if (!timed && name != "oram.stash_peak")
+                delta[name] = value - at(before, name);
+        }
+        return delta;
+    };
+    const auto off = runDelta(false);
+    const auto on = runDelta(true);
+    EXPECT_EQ(off, on);
+    EXPECT_GT(at(on, "oram.logical_accesses"), 0.0);
+    EXPECT_GT(at(on, "storage.dram.slots_written"), 0.0);
 }
 
 } // namespace

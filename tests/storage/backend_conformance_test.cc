@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -25,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "../net/flaky_proxy.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
@@ -49,11 +49,11 @@ class StagedBackend final : public SlotBackend
 {
   public:
     StagedBackend(std::uint64_t slots, std::uint64_t recordBytes)
-        : SlotBackend(slots, recordBytes), raw(slots * recordBytes, 0)
+        : SlotBackend(slots, recordBytes, "staged"),
+          raw(slots * recordBytes, 0)
     {
     }
 
-    std::string name() const override { return "staged"; }
     std::uint64_t residentBytes() const override { return raw.size(); }
 
   protected:
@@ -115,12 +115,6 @@ TreeGeometry
 smallGeom()
 {
     return TreeGeometry(64, 64, BucketProfile::uniform(4));
-}
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_conformance_" + tag + ".tree";
 }
 
 class BackendConformance : public ::testing::TestWithParam<Param>
@@ -192,16 +186,6 @@ class BackendConformance : public ::testing::TestWithParam<Param>
         return nullptr;
     }
 
-    void
-    SetUp() override
-    {
-        path = tempPath(paramName(
-            ::testing::TestParamInfo<Param>(GetParam(), 0)));
-        std::remove(path.c_str());
-    }
-
-    void TearDown() override { std::remove(path.c_str()); }
-
     std::vector<std::uint8_t>
     somePayload(std::uint8_t fill) const
     {
@@ -210,7 +194,8 @@ class BackendConformance : public ::testing::TestWithParam<Param>
     }
 
     static constexpr std::uint64_t kSeed = 77;
-    std::string path;
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("slots.tree");
 
     // Proxied flavour only; declared on the fixture so they outlive
     // the test body's ServerStorage (whose teardown still talks to
@@ -370,14 +355,6 @@ INSTANTIATE_TEST_SUITE_P(
 class MmapReopen : public ::testing::TestWithParam<bool /*encrypt*/>
 {
   protected:
-    void
-    SetUp() override
-    {
-        path = tempPath(GetParam() ? "reopen_enc" : "reopen_plain");
-        std::remove(path.c_str());
-    }
-    void TearDown() override { std::remove(path.c_str()); }
-
     StorageConfig
     mmapConfig(bool keepExisting) const
     {
@@ -388,7 +365,8 @@ class MmapReopen : public ::testing::TestWithParam<bool /*encrypt*/>
         return scfg;
     }
 
-    std::string path;
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("slots.tree");
 };
 
 TEST_P(MmapReopen, ByteIdenticalAfterCloseAndReopen)
@@ -445,8 +423,8 @@ INSTANTIATE_TEST_SUITE_P(EncryptOnOff, MmapReopen, ::testing::Bool(),
 
 TEST(MmapBackend, ReopenRejectsIncompatibleGeometry)
 {
-    const std::string path = tempPath("incompatible");
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("incompatible.tree");
     auto g = smallGeom();
     {
         ServerStorage s(g, 16, false, 0,
@@ -464,13 +442,12 @@ TEST(MmapBackend, ReopenRejectsIncompatibleGeometry)
     c.keepExisting = true;
     EXPECT_THROW(ServerStorage(g, 48, false, 0, c),
                  std::runtime_error);
-    std::remove(path.c_str());
 }
 
 TEST(MmapBackend, ReopenRejectsWrongEncryptionKey)
 {
-    const std::string path = tempPath("wrongkey");
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("wrongkey.tree");
     auto g = smallGeom();
     StorageConfig c;
     c.kind = BackendKind::MmapFile;
@@ -491,13 +468,12 @@ TEST(MmapBackend, ReopenRejectsWrongEncryptionKey)
     StoredBlock b;
     s.readSlot(0, b);
     EXPECT_EQ(b.id, 7u);
-    std::remove(path.c_str());
 }
 
 TEST(MmapBackend, KeepExistingOnMissingFileInitialisesFresh)
 {
-    const std::string path = tempPath("fresh");
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("fresh.tree");
     auto g = smallGeom();
     StorageConfig c;
     c.kind = BackendKind::MmapFile;
@@ -508,13 +484,12 @@ TEST(MmapBackend, KeepExistingOnMissingFileInitialisesFresh)
     StoredBlock b;
     s.readSlot(0, b);
     EXPECT_TRUE(b.isDummy());
-    std::remove(path.c_str());
 }
 
 TEST(MmapBackend, DropPageCacheKeepsDataReadable)
 {
-    const std::string path = tempPath("coldcache");
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("coldcache.tree");
     auto g = smallGeom();
     StorageConfig c;
     c.kind = BackendKind::MmapFile;
@@ -533,7 +508,6 @@ TEST(MmapBackend, DropPageCacheKeepsDataReadable)
     s.readSlot(5, b); // faults back in from the file
     EXPECT_EQ(b.id, 42u);
     EXPECT_EQ(b.payload, payload);
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------- engine-level equivalence
@@ -545,8 +519,8 @@ TEST(MmapBackend, DropPageCacheKeepsDataReadable)
  */
 TEST(BackendEquivalence, PathOramIdenticalAcrossBackends)
 {
-    const std::string path = tempPath("equivalence");
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("equivalence.tree");
 
     auto run = [](const StorageConfig &scfg) {
         EngineConfig cfg;
@@ -591,7 +565,6 @@ TEST(BackendEquivalence, PathOramIdenticalAcrossBackends)
     const auto [mmapTrace, mmapPayloads] = run(mmap);
     EXPECT_EQ(dramTrace, mmapTrace);
     EXPECT_EQ(dramPayloads, mmapPayloads);
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
 #include "storage/dram_backend.hh"
@@ -245,9 +246,8 @@ TEST(RemoteBackend, ShaperChangesOnlyMeasuredTimeNeverCounts)
 
 TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_remote_reopen.tree";
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("remote_reopen.tree");
 
     StorageConfig scfg;
     scfg.kind = BackendKind::Remote;
@@ -284,7 +284,6 @@ TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
         EXPECT_EQ(b.leaf, expect[slot].leaf) << "slot " << slot;
         EXPECT_EQ(b.payload, expect[slot].payload) << "slot " << slot;
     }
-    std::remove(path.c_str());
 }
 
 /**

@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "../common/scratch_dir.hh"
 #include "util/serde.hh"
 
 namespace laoram::serde {
@@ -132,9 +133,8 @@ TEST(Serde, TrailingGarbageIsRejected)
 
 TEST(Serde, FileRoundTripIsAtomicAndExact)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_serde_file_test.bin";
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("serde_file_test.bin");
 
     const std::vector<std::uint8_t> data =
         seal(SnapshotKind::Engine, {42, 0, 255});
@@ -210,9 +210,8 @@ tempFilesFor(const std::string &path)
 
 TEST(SerdeDurability, ForcedStepFailuresKeepOldContentsAndNoTemp)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_serde_fault_test.bin";
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("serde_fault_test.bin");
 
     const auto oldData = seal(SnapshotKind::Engine, {1, 2, 3});
     const auto newData = seal(SnapshotKind::Engine, {4, 5, 6, 7});
@@ -253,16 +252,12 @@ TEST(SerdeDurability, ForcedStepFailuresKeepOldContentsAndNoTemp)
         EXPECT_TRUE(tempFilesFor(path).empty());
     }
 
-    std::remove(path.c_str());
 }
 
 TEST(SerdeDurability, CrashAtAnyStepNeverYieldsTruncatedSnapshot)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_serde_crash_test.bin";
-    std::remove(path.c_str());
-    for (const auto &tmp : tempFilesFor(path))
-        std::remove(tmp.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("serde_crash_test.bin");
 
     const auto oldData = seal(SnapshotKind::Engine, {0xAA, 0xBB});
     const auto newData =
@@ -309,14 +304,12 @@ TEST(SerdeDurability, CrashAtAnyStepNeverYieldsTruncatedSnapshot)
         writeFileAtomic(path, oldData); // reset for the next point
     }
 
-    std::remove(path.c_str());
 }
 
 TEST(SerdeDurability, ConcurrentWritersToOneBasePathNeverCollide)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_serde_race_test.bin";
-    std::remove(path.c_str());
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("serde_race_test.bin");
 
     const auto a =
         seal(SnapshotKind::Engine, std::vector<std::uint8_t>(512, 0xA5));
@@ -342,7 +335,6 @@ TEST(SerdeDurability, ConcurrentWritersToOneBasePathNeverCollide)
     EXPECT_TRUE(onDisk == a || onDisk == b);
     unseal(SnapshotKind::Engine, onDisk); // complete, uncorrupted
     EXPECT_TRUE(tempFilesFor(path).empty());
-    std::remove(path.c_str());
 }
 
 } // namespace
