@@ -197,10 +197,10 @@ main(int argc, char **argv)
         variants.push_back(shaped);
     }
 
-    // Real-loopback node: the same protocol over an accepted TCP
-    // connection (kernel socket path, Nagle off) instead of the
-    // self-hosted socketpair — what a laoram_node deployment pays on
-    // a one-host testbed.
+    // Real-loopback node: the same protocol and client path over an
+    // accepted TCP connection (kernel socket path, Nagle off) — only
+    // the dial differs from the self-hosted node's socketpair. This
+    // is what a laoram_node deployment pays on a one-host testbed.
     const oram::TreeGeometry nodeGeom(
         nBlocks, payloadBytes > 0 ? payloadBytes : 128,
         oram::BucketProfile::uniform(4));

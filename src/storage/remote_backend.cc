@@ -130,11 +130,40 @@ sendAll(int fd, const std::uint8_t *data, std::size_t len)
     return true;
 }
 
-/** Receive exactly @p len bytes; false on EOF or a dead peer. */
+using Clock = std::chrono::steady_clock;
+
+/**
+ * Receive exactly @p len bytes; false on EOF, a dead peer, or
+ * @p deadline passing first. The default (epoch) deadline means none:
+ * no poll, just blocking recv calls.
+ */
 bool
-recvAll(int fd, std::uint8_t *data, std::size_t len)
+recvAll(int fd, std::uint8_t *data, std::size_t len,
+        Clock::time_point deadline)
 {
+    const bool timed = deadline != Clock::time_point{};
     while (len > 0) {
+        if (timed) {
+            const auto now = Clock::now();
+            if (now >= deadline)
+                return false;
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - now)
+                    .count();
+            pollfd pfd{};
+            pfd.fd = fd;
+            pfd.events = POLLIN;
+            const int ready = ::poll(
+                &pfd, 1, static_cast<int>(left > 0 ? left : 1));
+            if (ready < 0) {
+                if (errno == EINTR)
+                    continue;
+                return false;
+            }
+            if (ready == 0)
+                return false; // deadline expired: the server is hung
+        }
         const ssize_t n = ::recv(fd, data, len, 0);
         if (n < 0) {
             if (errno == EINTR)
@@ -150,82 +179,27 @@ recvAll(int fd, std::uint8_t *data, std::size_t len)
 }
 
 /**
- * Receive one frame into @p body (replacing its contents); false when
- * the connection is gone.
+ * Receive one frame into @p body (replacing its contents) under an
+ * optional whole-frame deadline (@p timeoutMs <= 0 waits forever).
+ * False when the connection is gone; a timeout is indistinguishable
+ * from a dead peer to the caller — both mean "this connection is not
+ * going to answer".
  */
 bool
-recvFrame(int fd, std::vector<std::uint8_t> &body)
+recvFrame(int fd, std::vector<std::uint8_t> &body,
+          std::int64_t timeoutMs)
 {
+    const Clock::time_point deadline =
+        timeoutMs > 0 ? Clock::now() + std::chrono::milliseconds(timeoutMs)
+                      : Clock::time_point{};
     std::uint32_t len = 0;
     if (!recvAll(fd, reinterpret_cast<std::uint8_t *>(&len),
-                 sizeof(len)))
+                 sizeof(len), deadline))
         return false;
     if (len > kMaxFrameBytes)
         return false; // protocol corruption; drop the connection
     body.resize(len);
-    return recvAll(fd, body.data(), len);
-}
-
-/** recvAll under an absolute deadline; false on EOF, error or timeout. */
-bool
-recvAllDeadline(int fd, std::uint8_t *data, std::size_t len,
-                std::chrono::steady_clock::time_point deadline)
-{
-    while (len > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline)
-            return false;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - now)
-                .count();
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int ready = ::poll(
-            &pfd, 1, static_cast<int>(left > 0 ? left : 1));
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (ready == 0)
-            return false; // deadline expired: the server is hung
-        const ssize_t n = ::recv(fd, data, len, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return false;
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/**
- * recvFrame with an optional whole-frame deadline (@p timeoutMs <= 0
- * waits forever). A timeout is indistinguishable from a dead peer to
- * the caller — both mean "this connection is not going to answer".
- */
-bool
-recvFrameDeadline(int fd, std::vector<std::uint8_t> &body,
-                  std::int64_t timeoutMs)
-{
-    if (timeoutMs <= 0)
-        return recvFrame(fd, body);
-    const auto deadline = std::chrono::steady_clock::now()
-                          + std::chrono::milliseconds(timeoutMs);
-    std::uint32_t len = 0;
-    if (!recvAllDeadline(fd, reinterpret_cast<std::uint8_t *>(&len),
-                         sizeof(len), deadline))
-        return false;
-    if (len > kMaxFrameBytes)
-        return false;
-    body.resize(len);
-    return recvAllDeadline(fd, body.data(), len, deadline);
+    return recvAll(fd, body.data(), len, deadline);
 }
 
 /** Frame + send @p body; false when the connection is gone. */
@@ -265,18 +239,7 @@ RemoteKvServer::connectClient()
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
         LAORAM_FATAL("socketpair() failed for remote-KV connection: ",
                      std::strerror(errno));
-
-    std::lock_guard<std::mutex> lock(connMu);
-    if (stopped) {
-        ::close(sv[0]);
-        ::close(sv[1]);
-        LAORAM_FATAL("connectClient() on a shut-down remote-KV server");
-    }
-    Connection conn;
-    conn.fd = sv[1];
-    conn.thread =
-        std::thread([this, fd = sv[1]] { serveConnection(fd); });
-    conns.push_back(std::move(conn));
+    serveSocket(sv[1]);
     return sv[0];
 }
 
@@ -285,8 +248,8 @@ RemoteKvServer::serveSocket(int fd)
 {
     std::lock_guard<std::mutex> lock(connMu);
     if (stopped) {
-        // An accept racing a shutdown/drain: refuse quietly — the
-        // peer sees EOF and (in endpoint mode) redials elsewhere.
+        // A dial racing (or after) a shutdown/drain: refuse quietly —
+        // the peer's Hello sees EOF and it redials or fatals.
         ::close(fd);
         return;
     }
@@ -335,9 +298,6 @@ bool
 RemoteKvServer::admitMutation(std::uint64_t sessionId,
                               std::uint64_t seq)
 {
-    if (sessionId == 0)
-        return true; // legacy client: no replay session, no dedupe
-    std::lock_guard<std::mutex> lock(sessionMu);
     std::uint64_t &highWater = sessionHighWater[sessionId];
     if (seq <= highWater) {
         if (obs::metricsEnabled())
@@ -375,7 +335,7 @@ RemoteKvServer::serveConnection(int fd)
     }
 
     /** Replay session bound to this connection by its Hello (0 until
-     *  then, and forever for a legacy 16-byte Hello). */
+     *  then; a data RPC before the Hello drops the connection). */
     std::uint64_t connSession = 0;
 
     // Wire-supplied indices are untrusted input: a bad one must drop
@@ -388,7 +348,7 @@ RemoteKvServer::serveConnection(int fd)
         return true;
     };
 
-    while (recvFrame(fd, req)) {
+    while (recvFrame(fd, req, 0)) {
         if (req.size() < 1 + sizeof(std::uint64_t))
             break; // malformed header; drop the connection
         const std::uint8_t op = req[0];
@@ -404,15 +364,19 @@ RemoteKvServer::serveConnection(int fd)
         if (obs::metricsEnabled())
             nodeRpcsCounter().inc();
 
+        if (static_cast<RemoteOp>(op) != RemoteOp::Hello
+            && connSession == 0)
+            break; // every connection opens with a Hello
+
         switch (static_cast<RemoteOp>(op)) {
           case RemoteOp::Hello: {
-            // 16 B legacy (slots, recordBytes) or 24 B with a replay
-            // sessionId appended; anything else is a corrupt stream.
-            if (payloadLen != 16 && payloadLen != 24) {
+            // (slots, recordBytes, sessionId != 0); anything else is a
+            // corrupt stream.
+            if (payloadLen != 24 || readU64(payload + 16) == 0) {
                 ok = false;
                 break;
             }
-            connSession = payloadLen == 24 ? readU64(payload + 16) : 0;
+            connSession = readU64(payload + 16);
             appendU64(resp, store->slots());
             appendU64(resp, store->recordBytes());
             appendU64(resp, store->metaCapacity());
@@ -466,17 +430,17 @@ RemoteKvServer::serveConnection(int fd)
                 ok = false;
                 break;
             }
+            std::lock_guard<std::mutex> lock(storeMu);
             if (!admitMutation(connSession, seq))
                 break; // replayed duplicate: ack without re-applying
-            std::lock_guard<std::mutex> lock(storeMu);
             store->writeSlots(slots.data(), n,
                               payload + 8 + n * 8);
             break;
           }
           case RemoteOp::Flush: {
+            std::lock_guard<std::mutex> lock(storeMu);
             if (!admitMutation(connSession, seq))
                 break;
-            std::lock_guard<std::mutex> lock(storeMu);
             store->flush();
             break;
           }
@@ -510,9 +474,9 @@ RemoteKvServer::serveConnection(int fd)
                 ok = false;
                 break;
             }
+            std::lock_guard<std::mutex> lock(storeMu);
             if (!admitMutation(connSession, seq))
                 break;
-            std::lock_guard<std::mutex> lock(storeMu);
             store->writeMeta(payload + 8, len);
             break;
           }
@@ -580,48 +544,20 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
         std::string error;
         if (!net::parseEndpoint(this->cfg.endpoint, &remoteEp, &error))
             LAORAM_FATAL("bad remote-KV endpoint: ", error);
-        sessionId = this->cfg.sessionId;
-        while (sessionId == 0)
-            sessionId = jitterRng();
-        fd = dialWithRetry("initial connect");
-        return;
+    } else {
+        // Self-hosted mode: compose the node's inner store from the
+        // same StorageConfig — a configured path means a persistent
+        // (mmap) node, otherwise the node serves from its own DRAM.
+        StorageConfig inner = cfg;
+        inner.kind = cfg.path.empty() ? BackendKind::Dram
+                                      : BackendKind::MmapFile;
+        server = std::make_unique<RemoteKvServer>(
+            makeBackend(inner, slots, recordBytes, metaBytes),
+            cfg.remote);
     }
-    // Self-hosted mode: compose the node's inner store from the same
-    // StorageConfig — a configured path means a persistent (mmap)
-    // node, otherwise the node serves from its own DRAM.
-    StorageConfig inner = cfg;
-    inner.kind = cfg.path.empty() ? BackendKind::Dram
-                                  : BackendKind::MmapFile;
-    server = std::make_unique<RemoteKvServer>(
-        makeBackend(inner, slots, recordBytes, metaBytes), cfg.remote);
-    fd = server->connectClient();
-    try {
-        handshake();
-    } catch (...) {
-        ::close(fd); // members are destroyed, but a raw fd is not
-        throw;
-    }
-}
-
-RemoteKvBackend::RemoteKvBackend(int fd, std::uint64_t slots,
-                                 std::uint64_t recordBytes,
-                                 const RemoteKvConfig &cfg)
-    : SlotBackend(slots, recordBytes, "remote"),
-      cfg(cfg),
-      fd(fd),
-      jitterRng(entropy64())
-{
-    LAORAM_ASSERT(this->cfg.windowDepth >= 1,
-                  "remote-KV window needs at least one RPC in flight");
-    // Attach mode serves tests that control the server's lifetime:
-    // the fd cannot be redialled, so the endpoint (if any) is ignored
-    // and a lost connection stays fatal.
-    try {
-        handshake();
-    } catch (...) {
-        ::close(this->fd);
-        throw;
-    }
+    while (sessionId == 0)
+        sessionId = jitterRng();
+    fd = dialWithRetry("initial connect");
 }
 
 RemoteKvBackend::~RemoteKvBackend()
@@ -637,13 +573,6 @@ RemoteKvBackend::~RemoteKvBackend()
     // fd closes, so its service thread sees EOF and exits cleanly.
 }
 
-void
-RemoteKvBackend::handshake()
-{
-    if (!rawHello(fd))
-        connectionLost("handshake");
-}
-
 bool
 RemoteKvBackend::rawHello(int helloFd)
 {
@@ -655,7 +584,7 @@ RemoteKvBackend::rawHello(int helloFd)
     appendU64(frame, sessionId);
     if (!sendFrame(helloFd, frame))
         return false;
-    if (!recvFrameDeadline(helloFd, frame, cfg.responseTimeoutMs))
+    if (!recvFrame(helloFd, frame, cfg.responseTimeoutMs))
         return false;
     constexpr std::size_t kHelloBody = 3 * sizeof(std::uint64_t) + 2;
     if (frame.size() != 9 + kHelloBody
@@ -710,12 +639,17 @@ RemoteKvBackend::dialWithRetry(const char *what)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(waitMs));
         }
-        std::string error;
-        const int nfd = net::dialEndpoint(remoteEp, &error);
+        const int nfd = server ? server->connectClient()
+                               : net::dialEndpoint(remoteEp);
         if (nfd < 0)
             continue; // refused/unreachable: the node may be restarting
-        if (rawHello(nfd))
-            return nfd;
+        try {
+            if (rawHello(nfd))
+                return nfd;
+        } catch (...) {
+            ::close(nfd); // geometry mismatch: the fd must not leak
+            throw;
+        }
         ::close(nfd); // half-open or hung node: try again
     }
     connectionLost(what);
@@ -724,9 +658,9 @@ RemoteKvBackend::dialWithRetry(const char *what)
 void
 RemoteKvBackend::recoverConnection(const char *what)
 {
-    if (!retryEnabled())
-        connectionLost(what);
-    warn("remote-KV connection to ", remoteEp.str(), " lost during ",
+    const std::string peer =
+        server ? std::string("the self-hosted node") : remoteEp.str();
+    warn("remote-KV connection to ", peer, " lost during ",
          what, "; reconnecting and replaying ", pendingRpcs.size(),
          " un-acked request(s)");
     for (;;) {
@@ -738,7 +672,7 @@ RemoteKvBackend::recoverConnection(const char *what)
         } catch (const std::runtime_error &e) {
             // Mid-run geometry change: the node restarted over a
             // different tree — replaying into it would corrupt.
-            LAORAM_FATAL("remote-KV reconnect to ", remoteEp.str(),
+            LAORAM_FATAL("remote-KV reconnect to ", peer,
                          " refused: ", e.what());
         }
         // Responses are strictly ordered, so the un-acked RPCs are
@@ -760,49 +694,31 @@ RemoteKvBackend::recoverConnection(const char *what)
 }
 
 std::vector<std::uint8_t> &
-RemoteKvBackend::beginRequest(RemoteOp op)
+RemoteKvBackend::beginRequest(RemoteOp op, std::size_t payloadBytes)
 {
-    frameScratch.clear();
-    frameScratch.push_back(static_cast<std::uint8_t>(op));
-    appendU64(frameScratch, nextSeq);
-    return frameScratch;
+    PendingRpc &pending = pendingRpcs.emplace_back();
+    pending.seq = nextSeq++;
+    pending.op = static_cast<std::uint8_t>(op);
+    pending.frame.reserve(1 + sizeof(pending.seq) + payloadBytes);
+    pending.frame.push_back(pending.op);
+    appendU64(pending.frame, pending.seq);
+    return pending.frame;
 }
 
 RemoteKvBackend::Completion
 RemoteKvBackend::dispatchRequest()
 {
-    PendingRpc pending;
-    pending.seq = nextSeq;
-    pending.op = frameScratch[0];
+    PendingRpc &pending = pendingRpcs.back();
     if (obs::tracingEnabled())
         pending.dispatchNs = obs::traceNowNs();
-    if (retryEnabled())
-        pending.frame = frameScratch; // kept for reconnect replay
     Completion completion = pending.promise.get_future();
-    pendingRpcs.push_back(std::move(pending));
-    ++nextSeq;
 
     // The RPC is parked *before* the send, so a send failure recovers
     // uniformly: the reconnect replay re-sends every pending frame,
     // including this one.
-    if (!sendFrame(fd, frameScratch))
+    if (!sendFrame(fd, pending.frame))
         recoverConnection("request send");
     return completion;
-}
-
-RemoteKvBackend::Completion
-RemoteKvBackend::sendRequest(RemoteOp op,
-                             const std::vector<std::uint8_t> &payload)
-{
-    std::vector<std::uint8_t> &frame = beginRequest(op);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    return dispatchRequest();
-}
-
-bool
-RemoteKvBackend::recvResponseFrame(std::vector<std::uint8_t> &frame)
-{
-    return recvFrameDeadline(fd, frame, cfg.responseTimeoutMs);
 }
 
 void
@@ -814,10 +730,10 @@ RemoteKvBackend::harvestOne()
     for (;;) {
         // Any failure here — EOF, reset, a hung server tripping the
         // response deadline, a malformed or mis-sequenced frame from
-        // a corrupted stream — means this connection is done; in
-        // endpoint mode the recovery replays the window and the loop
-        // keeps harvesting the replayed stream.
-        if (!recvResponseFrame(frame)) {
+        // a corrupted stream — means this connection is done; the
+        // recovery replays the window and the loop keeps harvesting
+        // the replayed stream.
+        if (!recvFrame(fd, frame, cfg.responseTimeoutMs)) {
             recoverConnection("response wait");
             continue;
         }
@@ -891,8 +807,8 @@ void
 RemoteKvBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
                              std::uint8_t *dst)
 {
-    std::vector<std::uint8_t> &frame = beginRequest(RemoteOp::ReadSlots);
-    frame.reserve(frame.size() + (1 + n) * sizeof(std::uint64_t));
+    std::vector<std::uint8_t> &frame = beginRequest(
+        RemoteOp::ReadSlots, (1 + n) * sizeof(std::uint64_t));
     appendU64(frame, n);
     for (std::size_t i = 0; i < n; ++i) {
         LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
@@ -928,10 +844,9 @@ RemoteKvBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
 
     // Serialized straight into the frame buffer: the path's records
     // are copied exactly once on their way to the socket.
-    std::vector<std::uint8_t> &frame =
-        beginRequest(RemoteOp::WriteSlots);
-    frame.reserve(frame.size() + (1 + n) * sizeof(std::uint64_t)
-                  + n * recBytes);
+    std::vector<std::uint8_t> &frame = beginRequest(
+        RemoteOp::WriteSlots,
+        (1 + n) * sizeof(std::uint64_t) + n * recBytes);
     appendU64(frame, n);
     for (std::size_t i = 0; i < n; ++i) {
         LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
@@ -951,8 +866,8 @@ RemoteKvBackend::doFlush()
 {
     // Flush is a barrier: it orders behind every outstanding write on
     // the stream, so awaiting its ack drains the whole window.
-    Completion flushed =
-        sendRequest(RemoteOp::Flush, std::vector<std::uint8_t>{});
+    beginRequest(RemoteOp::Flush);
+    Completion flushed = dispatchRequest();
     await(flushed);
     while (!pendingWrites.empty()) {
         pendingWrites.front().get();
@@ -969,8 +884,8 @@ RemoteKvBackend::residentBytes() const
     // node's resident bytes — the client side keeps nothing mapped,
     // which is the whole point of a remote tree.
     auto *self = const_cast<RemoteKvBackend *>(this);
-    Completion stat =
-        self->sendRequest(RemoteOp::Stat, std::vector<std::uint8_t>{});
+    self->beginRequest(RemoteOp::Stat);
+    Completion stat = self->dispatchRequest();
     const std::vector<std::uint8_t> body = self->await(stat);
     if (body.size() != sizeof(std::uint64_t))
         connectionLost("stat decode");
@@ -982,7 +897,7 @@ void
 RemoteKvBackend::writeMeta(const std::uint8_t *src, std::uint64_t len)
 {
     std::vector<std::uint8_t> &frame =
-        beginRequest(RemoteOp::WriteMeta);
+        beginRequest(RemoteOp::WriteMeta, sizeof(len) + len);
     appendU64(frame, len);
     frame.insert(frame.end(), src, src + len);
     Completion ack = dispatchRequest();
@@ -994,7 +909,7 @@ std::uint64_t
 RemoteKvBackend::readMeta(std::uint8_t *dst, std::uint64_t len) const
 {
     auto *self = const_cast<RemoteKvBackend *>(this);
-    appendU64(self->beginRequest(RemoteOp::ReadMeta), len);
+    appendU64(self->beginRequest(RemoteOp::ReadMeta, sizeof(len)), len);
     Completion read = self->dispatchRequest();
     const std::vector<std::uint8_t> body = self->await(read);
     if (body.size() < sizeof(std::uint64_t))

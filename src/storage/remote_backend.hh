@@ -38,8 +38,7 @@
  *   response := same framing; opcode = request opcode | 0x80, seq
  *               echoed; a response is sent for every request.
  *
- *   Hello      c->s: u64 slots, u64 recordBytes
- *                    [, u64 sessionId]   (16 B legacy / 24 B current)
+ *   Hello      c->s: u64 slots, u64 recordBytes, u64 sessionId (!= 0)
  *              s->c: u64 slots, u64 recordBytes, u64 metaCapacity,
  *                    u8 persistent, u8 openedExisting
  *   ReadSlots  c->s: u64 n, u64 slot[n]
@@ -57,22 +56,26 @@
  * on any host; the IoStats *counts* are identical for any shaper
  * setting, only the measured nanoseconds change.
  *
- * Failure model: self-hosted / attached-fd clients treat a lost
- * connection (server killed mid-trace, EOF, ECONNRESET) as a clean
- * LAORAM_FATAL — their server shares the process, so a lost
- * socketpair is unrecoverable. A client dialled at an *endpoint*
- * (RemoteKvConfig::endpoint, i.e. a real out-of-process laoram_node)
- * instead reconnects with bounded exponential backoff + jitter and
- * replays its un-acked request window: responses arrive strictly in
- * request order, so the un-acked RPCs are exactly the contiguous
- * tail of the stream, and re-sending them in order preserves
+ * Failure model: every client runs one connect path. It picks a
+ * random replay session id, dials through the same bounded
+ * exponential backoff + jitter loop at construction and after a
+ * loss, keeps each request frame until its response arrives, and on
+ * a lost connection (EOF, ECONNRESET, a hung server tripping
+ * RemoteKvConfig::responseTimeoutMs) redials, re-handshakes and
+ * replays its un-acked request window. Responses arrive strictly in
+ * request order, so the un-acked RPCs are exactly the contiguous tail
+ * of the stream, and re-sending them in order preserves
  * read-your-writes. The node discards (but still acks) replayed
  * mutations at-or-below the session's applied high-water mark, so a
- * write that was applied but whose ack was lost is not applied
- * twice. Only when every retry is exhausted does the endpoint client
- * fall back to the same fatal. Construction-time problems (handshake
- * geometry mismatch) throw std::runtime_error like an incompatible
- * mmap reopen.
+ * write that was applied but whose ack was lost is not applied twice.
+ * The two modes differ only in the dial: an *endpoint* client
+ * (RemoteKvConfig::endpoint, a real out-of-process laoram_node) dials
+ * the network; a self-hosted client asks its in-process node for a
+ * fresh socketpair. When every retry is exhausted the client fails
+ * with a clean LAORAM_FATAL ("remote-KV connection lost"); fail-fast
+ * is simply maxRetries = 0. Handshake geometry mismatches throw
+ * std::runtime_error at construction like an incompatible mmap
+ * reopen.
  */
 
 #ifndef LAORAM_STORAGE_REMOTE_BACKEND_HH
@@ -110,10 +113,10 @@ enum class RemoteOp : std::uint8_t
  * In-process remote-KV storage node: serves the wire protocol above
  * over stream sockets, executing against an inner SlotBackend.
  *
- * connectClient() hands out one end of a fresh socketpair and spawns
- * a service thread for the other end, so tests and the self-hosted
- * RemoteKvBackend get a real kernel-buffered byte stream without any
- * port management. Multiple connections share the inner backend under
+ * connectClient() hands out one end of a fresh socketpair and serves
+ * the other end, so the self-hosted RemoteKvBackend gets a real
+ * kernel-buffered byte stream without any port management or
+ * listening socket. Multiple connections share the inner backend under
  * a mutex (requests across connections interleave at frame
  * granularity; within a connection they are strictly ordered).
  */
@@ -128,16 +131,18 @@ class RemoteKvServer
     RemoteKvServer &operator=(const RemoteKvServer &) = delete;
 
     /**
-     * Open a new connection: returns the client-side fd (caller owns
-     * and closes it) and starts a service thread on the server side.
+     * Open a new connection: returns the client-side end of a fresh
+     * socketpair (caller owns and closes it) and serveSocket()s the
+     * other end. On a shut-down node the client end sees EOF at once,
+     * exactly like a dial to a dead remote node.
      */
     int connectClient();
 
     /**
      * Serve an already-connected stream socket (an accepted TCP/UDS
-     * connection): takes ownership of @p fd and spawns its service
-     * thread. This is how NodeListener turns accepts into
-     * connections; the frame loop is identical to connectClient's.
+     * connection or a connectClient() socketpair end): takes
+     * ownership of @p fd and spawns its service thread, or closes it
+     * when the node is already shut down.
      */
     void serveSocket(int fd);
 
@@ -172,25 +177,29 @@ class RemoteKvServer
 
     /**
      * Replay idempotence: true when a mutating request (WriteSlots /
-     * WriteMeta / Flush) at @p seq from @p sessionId is new and must
-     * execute; false when it is a replayed duplicate the node already
-     * applied — the caller still acks it, silently. Advances the
-     * session's high-water mark when it returns true.
+     * WriteMeta / Flush) at @p seq from @p sessionId (nonzero — the
+     * Hello enforces it) is new and must execute; false when it is a
+     * replayed duplicate the node already applied — the caller still
+     * acks it, silently. Advances the session's high-water mark when
+     * it returns true. Called with storeMu held through the apply, so
+     * a replay on a new connection can only discard a duplicate whose
+     * first copy (still running on the dead connection's thread) has
+     * already landed.
      */
     bool admitMutation(std::uint64_t sessionId, std::uint64_t seq);
 
     std::unique_ptr<SlotBackend> store;
     RemoteKvConfig shaping;
 
-    std::mutex storeMu; ///< serializes inner-backend access
+    /** Serializes inner-backend access and guards sessionHighWater. */
+    std::mutex storeMu;
 
     /**
-     * Per-session applied high-water marks (guarded by sessionMu).
+     * Per-session applied high-water marks (guarded by storeMu).
      * Lost on node restart — harmless, because a restarted node sees
      * the client replay a contiguous ordered tail whose re-execution
      * is naturally idempotent (same slots, same bytes).
      */
-    std::mutex sessionMu;
     std::unordered_map<std::uint64_t, std::uint64_t> sessionHighWater;
 
     std::mutex connMu; ///< guards conns (connect vs shutdown)
@@ -213,29 +222,20 @@ class RemoteKvBackend final : public SlotBackend
 {
   public:
     /**
-     * Self-hosted convenience used by makeBackend(--storage=remote):
-     * builds the inner backend described by @p cfg (mmap when
-     * cfg.path is set, DRAM otherwise), hosts an in-process
-     * RemoteKvServer over it, connects, and handshakes. When
-     * cfg.remote.endpoint is set no server is hosted: the client
-     * dials the out-of-process laoram_node there instead (with the
-     * same retry/backoff policy as a mid-run reconnect), and
-     * @p metaBytes is ignored — the node owns its meta sizing.
-     */
-    RemoteKvBackend(const StorageConfig &cfg, std::uint64_t slots,
-                    std::uint64_t recordBytes, std::uint64_t metaBytes);
-
-    /**
-     * Attach to an already-running server over @p fd (takes ownership
-     * of the fd). Used by tests that control the server's lifetime —
-     * e.g. to kill it mid-trace.
+     * The one constructor, used by makeBackend(--storage=remote).
+     * When cfg.remote.endpoint is set the client dials the
+     * out-of-process laoram_node there, and @p metaBytes is ignored —
+     * the node owns its meta sizing. Otherwise it hosts an in-process
+     * RemoteKvServer over the inner backend @p cfg describes (mmap
+     * when cfg.path is set, DRAM otherwise) and dials that through
+     * socketpairs. Either way the first connect runs the same
+     * retry/backoff loop as a mid-run reconnect.
      *
      * @throws std::runtime_error when the handshake reports a
      *         different geometry than (@p slots, @p recordBytes).
      */
-    RemoteKvBackend(int fd, std::uint64_t slots,
-                    std::uint64_t recordBytes,
-                    const RemoteKvConfig &cfg);
+    RemoteKvBackend(const StorageConfig &cfg, std::uint64_t slots,
+                    std::uint64_t recordBytes, std::uint64_t metaBytes);
 
     ~RemoteKvBackend() override;
 
@@ -251,9 +251,6 @@ class RemoteKvBackend final : public SlotBackend
     /** In-flight write RPCs right now (bounded by windowDepth). */
     std::size_t inFlightWrites() const { return pendingWrites.size(); }
 
-    /** The in-process server when self-hosted (null when attached). */
-    const RemoteKvServer *selfHostedServer() const { return server.get(); }
-
   protected:
     void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
     void doWriteSlot(std::uint64_t slot,
@@ -267,8 +264,6 @@ class RemoteKvBackend final : public SlotBackend
   private:
     using Completion = std::future<std::vector<std::uint8_t>>;
 
-    void handshake();
-
     /**
      * One raw Hello exchange on @p helloFd, outside the pendingRpcs
      * machinery (seq 0, never used by data RPCs) so a recovery
@@ -280,11 +275,14 @@ class RemoteKvBackend final : public SlotBackend
     bool rawHello(int helloFd);
 
     /**
-     * Start building a request frame in frameScratch (opcode + seq
-     * header written); the caller appends the payload bytes directly
-     * — no intermediate buffer — and then dispatchRequest() sends.
+     * Park a new request at the tail of pendingRpcs and start its
+     * frame (opcode + seq header written, room reserved for
+     * @p payloadBytes more); the caller appends the payload directly
+     * into the frame that a reconnect replays — no intermediate
+     * buffer — and then dispatchRequest() sends.
      */
-    std::vector<std::uint8_t> &beginRequest(RemoteOp op);
+    std::vector<std::uint8_t> &beginRequest(RemoteOp op,
+                                            std::size_t payloadBytes = 0);
 
     /**
      * Send the frame built since beginRequest(); returns the
@@ -292,10 +290,6 @@ class RemoteKvBackend final : public SlotBackend
      * the server (only on socket-buffer backpressure).
      */
     Completion dispatchRequest();
-
-    /** Convenience for small control RPCs with a prebuilt payload. */
-    Completion sendRequest(RemoteOp op,
-                           const std::vector<std::uint8_t> &payload);
 
     /**
      * Receive exactly one response frame; resolve the oldest pending.
@@ -310,18 +304,17 @@ class RemoteKvBackend final : public SlotBackend
     /** Drop already-resolved write completions off the window head. */
     void reapCompletedWrites();
 
-    /** Fatal: the connection died mid-run. Never returns. */
+    /**
+     * Fatal: retries are exhausted or a response body is malformed.
+     * Never returns.
+     */
     [[noreturn]] void connectionLost(const char *what) const;
 
-    /** True when a lost connection may be redialled (endpoint mode). */
-    bool retryEnabled() const { return remoteEp.valid(); }
-
     /**
-     * The connection died (or timed out) during @p what: redial the
-     * endpoint with bounded backoff + jitter, re-handshake, and
-     * replay every pending request frame in order. Fatal (via
-     * connectionLost) when not in endpoint mode or when maxRetries
-     * dials all fail.
+     * The connection died (or timed out) during @p what: redial with
+     * bounded backoff + jitter, re-handshake, and replay every pending
+     * request frame in order. Fatal (via connectionLost) when
+     * maxRetries dials all fail.
      */
     void recoverConnection(const char *what);
 
@@ -330,18 +323,14 @@ class RemoteKvBackend final : public SlotBackend
      * the connected, handshaken fd or fatals. Shared by construction
      * and recovery (construction tolerates a node that is still
      * starting up the same way recovery tolerates one restarting).
+     * The dial is the mode's only difference: a socketpair from the
+     * self-hosted node, or a network dial of the endpoint.
      */
     int dialWithRetry(const char *what);
 
-    /**
-     * Receive one response frame, honouring cfg.responseTimeoutMs;
-     * false on EOF, error, or deadline (caller recovers or fatals).
-     */
-    bool recvResponseFrame(std::vector<std::uint8_t> &frame);
-
-    std::unique_ptr<RemoteKvServer> server; ///< self-hosted only
+    std::unique_ptr<RemoteKvServer> server; ///< self-hosted mode only
     RemoteKvConfig cfg;
-    net::Endpoint remoteEp; ///< parsed cfg.endpoint (invalid = none)
+    net::Endpoint remoteEp; ///< parsed cfg.endpoint (endpoint mode)
     int fd = -1;
 
     std::uint64_t nextSeq = 1;
@@ -358,11 +347,7 @@ class RemoteKvBackend final : public SlotBackend
         std::promise<std::vector<std::uint8_t>> promise;
         /** Tracer timestamp at dispatch (-1 = tracing was off). */
         std::int64_t dispatchNs = -1;
-        /**
-         * Full request frame, kept for replay (endpoint mode only —
-         * a self-hosted client cannot reconnect, so it skips the
-         * copy).
-         */
+        /** Full request frame: what is sent, and kept for replay. */
         std::vector<std::uint8_t> frame;
     };
     mutable std::deque<PendingRpc> pendingRpcs;
@@ -374,8 +359,6 @@ class RemoteKvBackend final : public SlotBackend
     bool serverPersistent = false;
     bool serverReopened = false;
     std::uint64_t serverMetaCap = 0;
-
-    mutable std::vector<std::uint8_t> frameScratch;
 };
 
 } // namespace laoram::storage

@@ -201,10 +201,11 @@ makeBackend(const StorageConfig &cfg, std::uint64_t slots,
                                                  recordBytes,
                                                  metaBytes);
       case BackendKind::Remote:
-        // Self-hosted node: the client backend owns an in-process
-        // RemoteKvServer composing over DRAM (or mmap when a path is
-        // configured), so every caller of makeBackend gets the full
-        // RPC data path without managing a server.
+        // Self-hosted node unless cfg.remote.endpoint names one: the
+        // client backend then owns an in-process RemoteKvServer
+        // composing over DRAM (or mmap when a path is configured), so
+        // every caller of makeBackend gets the full RPC data path
+        // without managing a server.
         return std::make_unique<RemoteKvBackend>(cfg, slots,
                                                  recordBytes,
                                                  metaBytes);

@@ -115,17 +115,16 @@ struct RemoteKvConfig
 
     /**
      * Dial target of an out-of-process laoram_node ("host:port" or
-     * "unix:PATH"; see net/endpoint.hh). Empty = self-hosted
-     * in-process node, the PR-5 behaviour. Setting an endpoint also
-     * arms the reconnect path: a lost connection is retried with
-     * bounded backoff and the un-acked request window replayed,
-     * instead of the self-hosted mode's immediate fatal.
+     * "unix:PATH"; see net/endpoint.hh). Empty = the client hosts an
+     * in-process node and dials it through socketpairs. Only the dial
+     * differs: both modes reconnect and replay on a lost connection
+     * the same way.
      */
     std::string endpoint;
 
     /**
-     * Reconnect attempts per connection loss before giving up fatally
-     * (endpoint mode only; 0 = fail fast like self-hosted mode).
+     * Redial attempts (after the first dial) at connect time and per
+     * connection loss before giving up fatally; 0 = fail fast.
      * Every attempt waits backoffBaseMs * 2^attempt, capped at
      * backoffMaxMs, plus up to 50% random jitter so a fleet of shard
      * clients does not redial a restarted node in lock-step.
@@ -141,16 +140,6 @@ struct RemoteKvConfig
      * blocking the serving thread indefinitely.
      */
     std::int64_t responseTimeoutMs = 0;
-
-    /**
-     * Replay-session identity sent in the Hello. The node keeps a
-     * per-session high-water mark of applied mutating seqs, so a
-     * reconnected client replaying its window cannot double-apply a
-     * write the node already acked. 0 = derive a random id per
-     * backend instance (the only sensible default; collisions across
-     * 64 bits are ignorable).
-     */
-    std::uint64_t sessionId = 0;
 };
 
 /** Backend-construction knobs threaded through EngineConfig. */

@@ -50,12 +50,12 @@ addStorageArgs(ArgParser &args, const std::string &defaultPath)
         "");
     sa.remoteRetries = args.addUint(
         "remote-retries",
-        "--remote-endpoint: reconnect attempts per lost connection, "
+        "--storage=remote: reconnect attempts per lost connection, "
         "with bounded exponential backoff (0 = fail fast)",
         8);
     sa.remoteTimeoutMs = args.addUint(
         "remote-timeout-ms",
-        "--remote-endpoint: deadline on each response wait before "
+        "--storage=remote: deadline on each response wait before "
         "the connection counts as lost (0 = wait forever)",
         0);
     sa.remoteEndpointSeen = args.seenTracker("remote-endpoint");
@@ -134,6 +134,10 @@ storageConfigFromArgsChecked(const StorageArgs &sa, StorageConfig *out,
         cfg.remote.bytesPerSec = *sa.remoteMbps * 1000 * 1000;
         cfg.remote.windowDepth =
             static_cast<std::size_t>(*sa.remoteWindow);
+        cfg.remote.maxRetries =
+            static_cast<std::uint32_t>(*sa.remoteRetries);
+        cfg.remote.responseTimeoutMs =
+            static_cast<std::int64_t>(*sa.remoteTimeoutMs);
         if (!sa.remoteEndpoint->empty()) {
             // Endpoint mode: the laoram_node at that address owns the
             // tree (and its file); a client-side path would silently
@@ -156,18 +160,6 @@ storageConfigFromArgsChecked(const StorageArgs &sa, StorageConfig *out,
                 return false;
             }
             cfg.remote.endpoint = *sa.remoteEndpoint;
-            cfg.remote.maxRetries =
-                static_cast<std::uint32_t>(*sa.remoteRetries);
-            cfg.remote.responseTimeoutMs =
-                static_cast<std::int64_t>(*sa.remoteTimeoutMs);
-        } else if (*sa.remoteRetriesSeen || *sa.remoteTimeoutSeen) {
-            // Retry/timeout only exist on the reconnecting dial path;
-            // a self-hosted in-process node can never reconnect.
-            setError(error,
-                     "--remote-retries/--remote-timeout-ms require "
-                     "--remote-endpoint (a self-hosted node cannot "
-                     "be redialled)");
-            return false;
         }
     } else if (*sa.remoteLatencySeen || *sa.remoteMbpsSeen
                || *sa.remoteWindowSeen || *sa.remoteEndpointSeen

@@ -13,8 +13,7 @@
  * inner IoStats), and a full pipelined Laoram engine whose post-trace
  * payloads/posmap/stash are compared against a DRAM reference via the
  * shared EngineSnapshot helpers. Plus the bounded-retry fatal: when
- * the endpoint is truly gone, retries exhaust into the same clean
- * exit-1 as the non-recovering client.
+ * the endpoint is truly gone, retries exhaust into a clean exit 1.
  */
 
 #include <gtest/gtest.h>
@@ -173,9 +172,8 @@ TEST(FlakyProxy, TruncatedResponseIsLostNotDecoded)
 
 /**
  * When the node is really gone (listener closed, server down), the
- * bounded retry budget exhausts into the same clean fatal as the
- * non-recovering self-hosted client: exit 1, pointed message, no
- * hang.
+ * bounded retry budget exhausts into the same clean fatal as a
+ * maxRetries = 0 client: exit 1, pointed message, no hang.
  */
 TEST(FlakyProxyDeath, RetriesExhaustedFailFatally)
 {

@@ -2,10 +2,15 @@
  * @file
  * Remote-KV backend tests beyond the shared conformance suite: the
  * async write window, shaper determinism (same seed + latency config
- * => identical IoStats counts), handshake validation, persistent
- * (mmap-inner) node reopen over RPC, engine-level equivalence against
- * DRAM, and the kill-server-mid-trace error path (clean fatal, no
- * hang).
+ * => identical IoStats counts), handshake and wire-input validation,
+ * persistent (mmap-inner) node reopen over RPC, engine-level
+ * equivalence against DRAM, and the kill-server-mid-trace error path
+ * (clean fatal with maxRetries = 0, no hang).
+ *
+ * Tests that control the node's lifetime serve it through a
+ * NodeListener on an ephemeral loopback TCP port (no socket file is
+ * left behind, even by the death test's child) and dial it like any
+ * out-of-process laoram_node.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +20,16 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../common/scratch_dir.hh"
+#include "net/node_server.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
 #include "storage/dram_backend.hh"
@@ -33,11 +42,46 @@ namespace {
 constexpr std::uint64_t kSlots = 256;
 constexpr std::uint64_t kRecBytes = 48;
 
-std::unique_ptr<RemoteKvServer>
-dramServer(const RemoteKvConfig &shaping = {})
+/** A DRAM node served on an ephemeral loopback TCP port. */
+struct ServedNode
 {
-    return std::make_unique<RemoteKvServer>(
-        std::make_unique<DramBackend>(kSlots, kRecBytes), shaping);
+    explicit ServedNode(const RemoteKvConfig &shaping = {})
+        : server(std::make_unique<RemoteKvServer>(
+              std::make_unique<DramBackend>(kSlots, kRecBytes), shaping)),
+          listener(*server, loopback())
+    {
+    }
+
+    static net::Endpoint
+    loopback()
+    {
+        net::Endpoint ep;
+        EXPECT_TRUE(net::parseEndpoint("127.0.0.1:0", &ep));
+        return ep;
+    }
+
+    /** Client config dialling this node with @p link's client knobs. */
+    StorageConfig
+    dialConfig(const RemoteKvConfig &link = {}) const
+    {
+        StorageConfig scfg;
+        scfg.kind = BackendKind::Remote;
+        scfg.remote = link;
+        scfg.remote.endpoint = listener.endpoint().str();
+        return scfg;
+    }
+
+    std::unique_ptr<RemoteKvServer> server;
+    net::NodeListener listener;
+};
+
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/fd"),
+        std::filesystem::directory_iterator{}));
 }
 
 std::vector<std::uint8_t>
@@ -51,9 +95,8 @@ pattern(std::uint8_t fill)
 
 TEST(RemoteBackend, RoundTripsThroughAttachedServer)
 {
-    auto server = dramServer();
-    RemoteKvBackend client(server->connectClient(), kSlots, kRecBytes,
-                           RemoteKvConfig{});
+    ServedNode node;
+    RemoteKvBackend client(node.dialConfig(), kSlots, kRecBytes, 0);
 
     const auto recA = pattern(0x10);
     const auto recB = pattern(0x60);
@@ -71,7 +114,7 @@ TEST(RemoteBackend, RoundTripsThroughAttachedServer)
 
     // The write really landed on the server's inner store.
     client.flush();
-    EXPECT_EQ(server->inner().ioStats().slotsWritten, 2u);
+    EXPECT_EQ(node.server->inner().ioStats().slotsWritten, 2u);
 }
 
 TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
@@ -80,9 +123,8 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
     cfg.windowDepth = 3;
     // Slow the node down so writes genuinely pile up in flight.
     cfg.latencyNs = 2'000'000; // 2 ms per RPC
-    auto server = dramServer(cfg);
-    RemoteKvBackend client(server->connectClient(), kSlots, kRecBytes,
-                           cfg);
+    ServedNode node(cfg);
+    RemoteKvBackend client(node.dialConfig(cfg), kSlots, kRecBytes, 0);
 
     const auto rec = pattern(0x42);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
@@ -107,9 +149,8 @@ TEST(RemoteBackend, ReadObservesAllPendingWrites)
     RemoteKvConfig cfg;
     cfg.windowDepth = 8;
     cfg.latencyNs = 1'000'000;
-    auto server = dramServer(cfg);
-    RemoteKvBackend client(server->connectClient(), kSlots, kRecBytes,
-                           cfg);
+    ServedNode node(cfg);
+    RemoteKvBackend client(node.dialConfig(cfg), kSlots, kRecBytes, 0);
 
     // Several async writes to the same slot, then an immediate read:
     // the ordered stream must deliver the *last* write's bytes even
@@ -126,27 +167,67 @@ TEST(RemoteBackend, ReadObservesAllPendingWrites)
 
 TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
 {
-    auto server = dramServer();
-    const int fd = server->connectClient();
+    ServedNode node;
 
-    // Hand-crafted ReadSlots frame asking for slot kSlots (one past
-    // the end): wire input is untrusted, so the node must drop the
-    // connection — not crash, not serve out-of-bounds bytes.
-    std::vector<std::uint8_t> body;
-    auto putU64 = [&body](std::uint64_t v) {
+    auto putU64 = [](std::vector<std::uint8_t> &body, std::uint64_t v) {
         const std::size_t at = body.size();
         body.resize(at + sizeof(v));
         std::memcpy(body.data() + at, &v, sizeof(v));
     };
-    body.push_back(2); // RemoteOp::ReadSlots
-    putU64(1);         // seq
-    putU64(1);         // n = 1 slot
-    putU64(kSlots);    // out of range
-    const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-    ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
+    auto sendFrame = [](int fd, const std::vector<std::uint8_t> &body) {
+        const std::uint32_t len = static_cast<std::uint32_t>(body.size());
+        ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(sizeof(len)));
+        ASSERT_EQ(::send(fd, body.data(), body.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(body.size()));
+    };
+    auto hello = [&](std::size_t payloadBytes, std::uint64_t session) {
+        std::vector<std::uint8_t> body;
+        body.push_back(1); // RemoteOp::Hello
+        putU64(body, 0);   // seq
+        putU64(body, kSlots);
+        putU64(body, kRecBytes);
+        if (payloadBytes == 24)
+            putU64(body, session);
+        return body;
+    };
+    auto readSlot = [&](std::uint64_t slot) {
+        std::vector<std::uint8_t> body;
+        body.push_back(2); // RemoteOp::ReadSlots
+        putU64(body, 1);   // seq
+        putU64(body, 1);   // n = 1 slot
+        putU64(body, slot);
+        return body;
+    };
+    auto dialRaw = [&node] {
+        const int fd = net::dialEndpoint(node.listener.endpoint());
+        EXPECT_GE(fd, 0);
+        return fd;
+    };
+
+    // A legacy 16-byte Hello (no replay session), a 24-byte Hello
+    // carrying session 0, and a data RPC before any Hello: wire input
+    // is untrusted, so the node must drop the connection unanswered.
+    for (const auto &bad : {hello(16, 0), hello(24, 0), readSlot(0)}) {
+        const int fd = dialRaw();
+        sendFrame(fd, bad);
+        std::uint8_t byte = 0;
+        EXPECT_EQ(::recv(fd, &byte, 1, 0), 0); // EOF, no response
+        ::close(fd);
+    }
+
+    // A proper Hello, then a hand-crafted ReadSlots frame asking for
+    // slot kSlots (one past the end): the node must drop the
+    // connection — not crash, not serve out-of-bounds bytes.
+    const int fd = dialRaw();
+    sendFrame(fd, hello(24, 0x5e55));
+    std::uint32_t len = 0;
+    ASSERT_EQ(::recv(fd, &len, sizeof(len), MSG_WAITALL),
               static_cast<ssize_t>(sizeof(len)));
-    ASSERT_EQ(::send(fd, body.data(), body.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(body.size()));
+    std::vector<std::uint8_t> ack(len);
+    ASSERT_EQ(::recv(fd, ack.data(), len, MSG_WAITALL),
+              static_cast<ssize_t>(len));
+    sendFrame(fd, readSlot(kSlots)); // one past the end
 
     // No response frame: the next read observes EOF.
     std::uint8_t byte = 0;
@@ -154,8 +235,7 @@ TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
     ::close(fd);
 
     // The node survives and still serves well-behaved clients.
-    RemoteKvBackend ok(server->connectClient(), kSlots, kRecBytes,
-                       RemoteKvConfig{});
+    RemoteKvBackend ok(node.dialConfig(), kSlots, kRecBytes, 0);
     const auto rec = pattern(0x05);
     ok.writeSlot(0, rec.data());
     ok.flush();
@@ -163,19 +243,28 @@ TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
 
 TEST(RemoteBackend, HandshakeRejectsGeometryMismatch)
 {
-    auto server = dramServer();
-    EXPECT_THROW(RemoteKvBackend(server->connectClient(), kSlots + 1,
-                                 kRecBytes, RemoteKvConfig{}),
-                 std::runtime_error);
-    EXPECT_THROW(RemoteKvBackend(server->connectClient(), kSlots,
-                                 kRecBytes + 8, RemoteKvConfig{}),
-                 std::runtime_error);
-    // The node survives rejected clients and still serves good ones.
-    RemoteKvBackend ok(server->connectClient(), kSlots, kRecBytes,
-                       RemoteKvConfig{});
-    const auto rec = pattern(0x01);
-    ok.writeSlot(0, rec.data());
-    ok.flush();
+    const std::pair<std::uint64_t, std::uint64_t> mismatches[] = {
+        {kSlots + 1, kRecBytes}, {kSlots, kRecBytes + 8}};
+    for (const auto &[slots, recBytes] : mismatches) {
+        // The node is torn down inside the scope, closing every fd it
+        // opened: a surplus entry afterwards is a socket leaked by
+        // the rejected client.
+        const std::size_t before = openFdCount();
+        {
+            ServedNode node;
+            EXPECT_THROW(RemoteKvBackend(node.dialConfig(), slots,
+                                         recBytes, 0),
+                         std::runtime_error);
+            // The node survives rejected clients and still serves
+            // good ones.
+            RemoteKvBackend ok(node.dialConfig(), kSlots, kRecBytes, 0);
+            const auto rec = pattern(0x01);
+            ok.writeSlot(0, rec.data());
+            ok.flush();
+        }
+        EXPECT_EQ(openFdCount(), before)
+            << "slots " << slots << ", record " << recBytes << " B";
+    }
 }
 
 /**
@@ -341,22 +430,26 @@ TEST(RemoteBackend, PathOramIdenticalToDramBackend)
 /**
  * A server that dies mid-trace must end the run with a clean fatal
  * (exit 1 + a pointed message), never a hang or silent corruption.
- * Threadsafe death-test style: the statement re-executes in a fresh
- * process, so the server threads never mix with the fork.
+ * With maxRetries = 0 the one redial reaches the still-listening but
+ * shut-down node, whose Hello answers EOF, so the client fatals at
+ * once. Threadsafe death-test style: the statement re-executes in a
+ * fresh process, so the server threads never mix with the fork.
  */
 TEST(RemoteServerLoss, KillServerMidTraceFailsFastNotHangs)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(
         {
-            auto server = dramServer();
-            RemoteKvBackend client(server->connectClient(), kSlots,
-                                   kRecBytes, RemoteKvConfig{});
+            ServedNode node;
+            RemoteKvConfig failFast;
+            failFast.maxRetries = 0;
+            RemoteKvBackend client(node.dialConfig(failFast), kSlots,
+                                   kRecBytes, 0);
             const auto rec = pattern(0x33);
             client.writeSlot(1, rec.data());
             client.flush(); // healthy so far
 
-            server->shutdown(); // the node dies mid-trace
+            node.server->shutdown(); // the node dies mid-trace
 
             std::vector<std::uint8_t> out(kRecBytes);
             client.readSlot(1, out.data()); // must fatal, not hang

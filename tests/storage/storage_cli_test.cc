@@ -308,21 +308,21 @@ TEST(StorageCli, RemoteEndpointRejectsMalformedSpelling)
         << error;
 }
 
-TEST(StorageCli, RetryKnobsWithoutEndpointAreRejected)
+TEST(StorageCli, RetryKnobsWithoutEndpointApplyToSelfHostedNode)
 {
-    // A self-hosted in-process node can never be redialled, so a
-    // retry budget there would silently mean nothing.
-    ParsedArgs args({"--storage", "remote", "--remote-retries", "3"});
+    // A self-hosted client dials its in-process node through the same
+    // retry/replay path as an endpoint client, so both knobs apply.
+    ParsedArgs args({"--storage", "remote", "--remote-retries", "3",
+                     "--remote-timeout-ms", "100"});
+    StorageConfig cfg;
     std::string error;
-    EXPECT_FALSE(
-        storageConfigFromArgsChecked(args.storage, nullptr, &error));
-    EXPECT_NE(error.find("--remote-endpoint"), std::string::npos)
+    ASSERT_TRUE(
+        storageConfigFromArgsChecked(args.storage, &cfg, &error))
         << error;
-
-    ParsedArgs timeout(
-        {"--storage", "remote", "--remote-timeout-ms", "100"});
-    EXPECT_FALSE(storageConfigFromArgsChecked(timeout.storage,
-                                              nullptr, &error));
+    EXPECT_EQ(cfg.kind, BackendKind::Remote);
+    EXPECT_TRUE(cfg.remote.endpoint.empty());
+    EXPECT_EQ(cfg.remote.maxRetries, 3u);
+    EXPECT_EQ(cfg.remote.responseTimeoutMs, 100);
 }
 
 TEST(StorageCli, KeepAndCheckpointParseOnEndpointRemote)
