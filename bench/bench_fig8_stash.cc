@@ -84,20 +84,21 @@ runConfig(const std::string &label, std::uint64_t superblock, bool fat,
     out.label = label;
     std::uint64_t served = 0, next_sample = sample_every;
     for (const core::SuperblockBin &bin : res.bins) {
-        engine.accessBin(bin);
+        engine.accessBatch(&bin, 1);
         served += bin.rawAccesses;
         if (served < warmup)
             continue;
         const std::uint64_t measured = served - warmup;
         if (measured > measure)
             break;
+        // @end is the last bin inside the measured window, like peak.
         out.peak = std::max(out.peak, engine.stashSize());
+        out.atEnd = engine.stashSize();
         while (measured >= next_sample && next_sample <= measure) {
             out.samples.push_back(engine.stashSize());
             next_sample += sample_every;
         }
     }
-    out.atEnd = engine.stashSize();
     return out;
 }
 

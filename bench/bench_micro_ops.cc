@@ -57,7 +57,7 @@ BM_LaoramBinAccess(benchmark::State &state)
     const auto res = prep.run(trace);
     std::size_t i = 0;
     for (auto _ : state) {
-        engine.accessBin(res.bins[i++ % res.bins.size()]);
+        engine.accessBatch(&res.bins[i++ % res.bins.size()], 1);
     }
     // Each bin serves ~4 logical accesses.
     state.SetItemsProcessed(state.iterations() * 4);

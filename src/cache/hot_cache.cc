@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -10,35 +11,43 @@ namespace laoram::cache {
 
 namespace {
 
-/** Live-metrics mirror: one process-wide handle set for all caches. */
-struct CacheMetrics
+using S = CacheStats;
+
+/** One counter: its snake_case series name, help text and member. */
+struct CountField
 {
-    obs::Counter &hits;
-    obs::Counter &misses;
-    obs::Counter &evictions;
-    obs::Counter &writebackCoalesced;
-    obs::Counter &admissionHits;
+    const char *name;
+    const char *help;
+    S::Count S::*member;
 };
 
-CacheMetrics &
-cacheMetrics()
+/**
+ * Every counter in checkpoint order: accumulate(), deltaFrom(),
+ * save()/restore() and the live cache.* series all walk it.
+ */
+const CountField kCounts[] = {
+    {"hits", "scheduled accesses served from the hot cache", &S::hits},
+    {"misses", "scheduled accesses served from ORAM", &S::misses},
+    {"evictions", "hot-cache rows evicted", &S::evictions},
+    {"writeback_coalesced",
+     "deferred updates flushed into scheduled accesses",
+     &S::writebackCoalesced},
+    {"admission_hits", "operations served at admission time",
+     &S::admissionHits},
+};
+
+/** Every cache's counters, pulled as the live cache.* series. */
+obs::LedgerSet<S> &
+liveCache()
 {
-    static CacheMetrics m = [] {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-        return CacheMetrics{
-            reg.counter("cache.hits",
-                        "scheduled accesses served from the hot cache"),
-            reg.counter("cache.misses",
-                        "scheduled accesses served from ORAM"),
-            reg.counter("cache.evictions", "hot-cache rows evicted"),
-            reg.counter("cache.writeback_coalesced",
-                        "deferred updates flushed into scheduled "
-                        "accesses"),
-            reg.counter("cache.admission_hits",
-                        "operations served at admission time"),
-        };
+    static obs::LedgerSet<S> &set = []() -> obs::LedgerSet<S> & {
+        std::vector<obs::LedgerField<S>> fields;
+        for (const CountField &f : kCounts)
+            fields.emplace_back(f.name, f.help, f.member);
+        return obs::MetricsRegistry::instance().ledgers(
+            "cache.", std::move(fields));
     }();
-    return m;
+    return set;
 }
 
 } // namespace
@@ -71,11 +80,8 @@ parsePolicy(const std::string &text, CachePolicy *out)
 void
 CacheStats::accumulate(const CacheStats &other)
 {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    writebackCoalesced += other.writebackCoalesced;
-    admissionHits += other.admissionHits;
+    for (const CountField &f : kCounts)
+        this->*f.member += other.*f.member;
     residentRows += other.residentRows;
     residentBytes += other.residentBytes;
     capacityRows += other.capacityRows;
@@ -85,11 +91,8 @@ CacheStats
 CacheStats::deltaFrom(const CacheStats &start) const
 {
     CacheStats d = *this;
-    d.hits -= start.hits;
-    d.misses -= start.misses;
-    d.evictions -= start.evictions;
-    d.writebackCoalesced -= start.writebackCoalesced;
-    d.admissionHits -= start.admissionHits;
+    for (const CountField &f : kCounts)
+        d.*f.member = this->*f.member - start.*f.member;
     return d;
 }
 
@@ -101,6 +104,12 @@ HotEmbeddingCache::HotEmbeddingCache(const CacheConfig &config,
 {
     LAORAM_ASSERT(rowBytes > 0,
                   "hot cache requires a non-zero payload width");
+    liveCache().attach(&st);
+}
+
+HotEmbeddingCache::~HotEmbeddingCache()
+{
+    liveCache().detach(&st);
 }
 
 HotEmbeddingCache::OrderKey
@@ -128,8 +137,6 @@ HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
     auto it = rows.find(id);
     if (it == rows.end()) {
         ++st.misses;
-        if (obs::metricsEnabled())
-            cacheMetrics().misses.inc();
         return AccessOutcome::Miss;
     }
     Row &row = it->second;
@@ -145,15 +152,9 @@ HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
         // window share a single bin-member touch, so release all
         // pins, not one.
         st.writebackCoalesced += row.pinned;
-        if (obs::metricsEnabled()) {
-            cacheMetrics().hits.inc();
-            cacheMetrics().writebackCoalesced.add(row.pinned);
-        }
         row.pinned = 0;
         return AccessOutcome::Flushed;
     }
-    if (obs::metricsEnabled())
-        cacheMetrics().hits.inc();
     return AccessOutcome::HitInPlace;
 }
 
@@ -193,8 +194,6 @@ HotEmbeddingCache::evictForSpaceLocked()
         rows.erase(std::get<2>(*victim));
         order.erase(victim);
         ++st.evictions;
-        if (obs::metricsEnabled())
-            cacheMetrics().evictions.inc();
     }
 }
 
@@ -242,8 +241,6 @@ HotEmbeddingCache::tryServeAtAdmission(
     fn(row.data);
     ++row.pinned;
     ++st.admissionHits;
-    if (obs::metricsEnabled())
-        cacheMetrics().admissionHits.inc();
     return true;
 }
 
@@ -275,11 +272,8 @@ HotEmbeddingCache::save(serde::Serializer &s) const
     s.u8(static_cast<std::uint8_t>(cfg.policy));
     s.u64(bytesPerRow);
     s.u64(cfg.capacityBytes);
-    s.u64(st.hits);
-    s.u64(st.misses);
-    s.u64(st.evictions);
-    s.u64(st.writebackCoalesced);
-    s.u64(st.admissionHits);
+    for (const CountField &f : kCounts)
+        s.u64(st.*f.member);
     s.u64(rows.size());
     // Eviction order, coldest first, so restore replays insertions
     // and reproduces the same relative recency/frequency ranking.
@@ -317,11 +311,8 @@ HotEmbeddingCache::restore(serde::Deserializer &d)
             " bytes does not match the configured capacity " +
             std::to_string(cfg.capacityBytes) + " bytes");
     CacheStats restored;
-    restored.hits = d.u64();
-    restored.misses = d.u64();
-    restored.evictions = d.u64();
-    restored.writebackCoalesced = d.u64();
-    restored.admissionHits = d.u64();
+    for (const CountField &f : kCounts)
+        restored.*f.member = d.u64();
     const std::uint64_t nRows = d.u64();
     if (nRows > maxRows)
         throw serde::SnapshotError(
@@ -332,7 +323,7 @@ HotEmbeddingCache::restore(serde::Deserializer &d)
     rows.clear();
     order.clear();
     useSeq = 0;
-    st = restored;
+    liveCache().rebase(&st, restored);
     for (std::uint64_t i = 0; i < nRows; ++i) {
         const oram::BlockId id = d.u64();
         const std::uint64_t freq = d.u64();

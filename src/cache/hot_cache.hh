@@ -56,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "oram/types.hh"
 #include "util/serde.hh"
 
@@ -82,16 +83,24 @@ struct CacheConfig
     bool enabled() const { return capacityBytes > 0; }
 };
 
-/** Counters + occupancy snapshot for reports and live metrics. */
+/**
+ * Counters + occupancy snapshot for reports and live metrics. The
+ * counters are also the live cache.* series: every cache attaches
+ * its CacheStats to the registry's "cache." LedgerSet for its
+ * lifetime, so they are single-writer relaxed fields (the cache
+ * mutex serialises the writers) that the sampler reads mid-run.
+ */
 struct CacheStats
 {
-    std::uint64_t hits = 0;   ///< scheduled accesses served from DRAM
-    std::uint64_t misses = 0; ///< scheduled accesses that went to ORAM
-    std::uint64_t evictions = 0;
+    using Count = obs::Relaxed<std::uint64_t>;
+
+    Count hits = 0;   ///< scheduled accesses served from DRAM
+    Count misses = 0; ///< scheduled accesses that went to ORAM
+    Count evictions = 0;
     /** Deferred admission-time ops flushed into a scheduled access. */
-    std::uint64_t writebackCoalesced = 0;
+    Count writebackCoalesced = 0;
     /** Ops applied + completed at admission (frontend fast path). */
-    std::uint64_t admissionHits = 0;
+    Count admissionHits = 0;
 
     std::uint64_t residentRows = 0;  ///< occupancy level (not a counter)
     std::uint64_t residentBytes = 0; ///< occupancy level (not a counter)
@@ -135,6 +144,7 @@ class HotEmbeddingCache
   public:
     /** @p rowBytes must equal the engine payloadBytes (> 0). */
     HotEmbeddingCache(const CacheConfig &config, std::uint64_t rowBytes);
+    ~HotEmbeddingCache();
 
     /**
      * Serving-thread entry for the scheduled access of @p id. On any
@@ -179,7 +189,9 @@ class HotEmbeddingCache
     void save(serde::Serializer &s) const;
 
     /**
-     * Restore contents saved by save(). Throws serde::SnapshotError
+     * Restore contents saved by save(). The counters take the
+     * snapshot's values; the live cache.* totals neither jump nor
+     * rewind. Throws serde::SnapshotError
      * when the snapshot's policy/rowBytes/capacity disagree with this
      * cache's configuration. Quiesced-boundary only, like save().
      */

@@ -92,13 +92,6 @@ Laoram::runTrace(const std::vector<BlockId> &trace)
 }
 
 void
-Laoram::runTrace(const std::vector<WindowSchedule> &schedules)
-{
-    for (const WindowSchedule &sched : schedules)
-        serveWindow(sched.result);
-}
-
-void
 Laoram::serveWindow(const PreprocessResult &window)
 {
     nBins += window.bins.size();
@@ -108,7 +101,7 @@ Laoram::serveWindow(const PreprocessResult &window)
 
     if (lcfg.batchAccesses == 0) {
         for (const SuperblockBin &bin : window.bins)
-            accessBin(bin);
+            accessBatch(&bin, 1);
         return;
     }
 
@@ -139,6 +132,7 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     std::uint64_t raw = 0;
     for (std::size_t b = 0; b < count; ++b) {
         const SuperblockBin &bin = bins[b];
+        LAORAM_ASSERT(!bin.members.empty(), "empty superblock bin");
         LAORAM_ASSERT(bin.members.size() == bin.nextPaths.size(),
                       "bin missing future-path metadata");
         raw += bin.rawAccesses;
@@ -186,62 +180,6 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     }
 
     writePathsBatchedMetered(scratchLeaves);
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
-}
-
-void
-Laoram::accessBin(const SuperblockBin &bin)
-{
-    LAORAM_ASSERT(!bin.members.empty(), "empty superblock bin");
-    LAORAM_ASSERT(bin.members.size() == bin.nextPaths.size(),
-                  "bin missing future-path metadata");
-    mtr.recordLogicalAccesses(bin.rawAccesses);
-
-    // Collect the *distinct* current paths of the members. In steady
-    // state every member was remapped onto this bin's path by its
-    // previous access, so this collapses to a single leaf — the whole
-    // point of the look-ahead (paper §IV).
-    scratchLeaves.clear();
-    for (BlockId id : bin.members) {
-        if (stash_.contains(id))
-            mtr.recordStashHit();
-        scratchLeaves.push_back(posmap_.get(id));
-    }
-    std::sort(scratchLeaves.begin(), scratchLeaves.end());
-    scratchLeaves.erase(
-        std::unique(scratchLeaves.begin(), scratchLeaves.end()),
-        scratchLeaves.end());
-
-    // Union-batched read: shared prefix nodes are fetched once. In
-    // steady state this degenerates to a single path read per bin —
-    // the S-fold reduction the paper reports.
-    readPathsBatchedMetered(scratchLeaves);
-
-    // Remap every member to its future-bin path (uniform random when
-    // the look-ahead window holds no further occurrence — either way
-    // the new path is uniform and independent, §VI). Paths are
-    // resolved first, in stream order so the rng stream is unchanged,
-    // then applied as one batched position-map pass before the
-    // member touches.
-    scratchRemapLeaves.clear();
-    for (std::size_t j = 0; j < bin.members.size(); ++j) {
-        scratchRemapLeaves.push_back(
-            bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
-                                              : bin.nextPaths[j]);
-    }
-    posmap_.setBatch(bin.members.data(), scratchRemapLeaves.data(),
-                     bin.members.size());
-    for (std::size_t j = 0; j < bin.members.size(); ++j) {
-        oram::StashEntry &entry =
-            stashEntryFor(bin.members[j], scratchRemapLeaves[j]);
-        touchMember(bin.members[j], entry.payload);
-    }
-
-    // Write the fetched path union back (deepest-first greedy; each
-    // union node is written exactly once).
-    writePathsBatchedMetered(scratchLeaves);
-
     backgroundEvict();
     mtr.observeStashSize(stash_.size());
 }

@@ -94,14 +94,6 @@ class Laoram final : public oram::TreeOramBase
     void runTrace(const std::vector<BlockId> &trace) override;
 
     /**
-     * Serve pre-built window schedules (the output of
-     * Preprocessor::runWindow), in order. This is the serving stage of
-     * the two-stage pipeline: preprocessing already happened on
-     * another thread, so this call only performs stage-2 ORAM work.
-     */
-    void runTrace(const std::vector<WindowSchedule> &schedules);
-
-    /**
      * Serve one preprocessed window: every bin (or training batch,
      * when batchAccesses > 0) in stream order. Used both by the serial
      * runTrace and by the concurrent pipeline's serving thread.
@@ -123,16 +115,12 @@ class Laoram final : public oram::TreeOramBase
     static constexpr std::uint64_t kPrepSeedSalt = 0x1AA0;
 
     /**
-     * Serve one preprocessed bin: read the distinct current paths of
-     * its members, touch every member, remap each to its future path,
-     * write the fetched paths back, then background-evict.
-     */
-    void accessBin(const SuperblockBin &bin);
-
-    /**
      * Serve a run of consecutive bins as one training batch: one
-     * union read for every path the batch touches, all member touches
-     * and remaps, one union write-back, then background eviction.
+     * union read for every path the batch touches (shared prefix
+     * nodes fetched once), all member touches and remaps onto their
+     * future paths, one union write-back, then background eviction.
+     * A single bin (count 1) is the paper's per-bin access: in steady
+     * state its members share one current path, so it reads one path.
      */
     void accessBatch(const SuperblockBin *bins, std::size_t count);
 

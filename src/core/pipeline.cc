@@ -19,31 +19,12 @@ namespace laoram::core {
 
 namespace {
 
-/** Live pipeline metrics (process-wide; lanes share the handles). */
-struct PipelineMetrics
-{
-    obs::Counter &windows;
-    obs::Counter &fillNs;
-    obs::Counter &stallNs;
-    obs::Counter &reorderStallNs;
-};
-
-PipelineMetrics &
-pipelineMetrics()
-{
-    auto &reg = obs::MetricsRegistry::instance();
-    static PipelineMetrics m{
-        reg.counter("pipeline.windows_served",
-                    "windows drained through the serving stage"),
-        reg.counter("pipeline.fill_ns",
-                    "serve-thread wait for each run's first window"),
-        reg.counter("pipeline.stall_ns",
-                    "serve-thread waits after the pipeline fill"),
-        reg.counter("pipeline.reorder_stall_ns",
-                    "head-of-line share of the serve-thread stalls"),
-    };
-    return m;
-}
+/**
+ * Simulated preprocessing cost per scanned access (hash-set insert +
+ * path draw on a CPU thread; deliberately generous). Feeds the
+ * modeled report fields in both modes.
+ */
+constexpr double kPreprocessNsPerAccess = 25.0;
 
 /** What travels over the reorder window: a schedule + its prep cost. */
 struct PreparedWindow
@@ -62,6 +43,59 @@ struct PrepThreadLedger
 
 } // namespace
 
+/**
+ * One run's serving-stage counters, written only by the serving
+ * thread. run() attaches them to the "pipeline." LedgerSet for the
+ * run, so they are the live pipeline.* series, and fills the report's
+ * windows / wallFillNs / wallStallNs from them.
+ */
+struct PipelineCounters
+{
+    using Count = obs::Relaxed<std::uint64_t>;
+
+    Count windowsServed = 0; ///< windows drained through serving
+    Count fillNs = 0;        ///< wait for the run's first window
+    Count stallNs = 0;       ///< waits after the pipeline fill
+};
+
+namespace {
+
+/** Every running pipeline's counters, pulled as pipeline.*. */
+obs::LedgerSet<PipelineCounters> &
+livePipeline()
+{
+    using C = PipelineCounters;
+    static obs::LedgerSet<C> &set =
+        obs::MetricsRegistry::instance().ledgers<C>(
+            "pipeline.",
+            {
+                {"windows_served",
+                 "windows drained through the serving stage",
+                 &C::windowsServed},
+                {"fill_ns",
+                 "serve-thread wait for each run's first window",
+                 &C::fillNs},
+                {"stall_ns",
+                 "serve-thread waits after the pipeline fill",
+                 &C::stallNs},
+            });
+    return set;
+}
+
+/** One run's counters, attached to the pipeline.* series for scope. */
+struct LiveRun
+{
+    PipelineCounters c;
+
+    LiveRun() { livePipeline().attach(&c); }
+    ~LiveRun() { livePipeline().detach(&c); }
+
+    LiveRun(const LiveRun &) = delete;
+    LiveRun &operator=(const LiveRun &) = delete;
+};
+
+} // namespace
+
 void
 PipelineConfig::validate() const
 {
@@ -74,9 +108,6 @@ PipelineConfig::validate() const
     if (prepThreads < 1)
         LAORAM_FATAL("pipeline prepThreads must be >= 1 (one thread "
                      "IS the minimal stage-1 pool)");
-    if (preprocessNsPerAccess < 0.0)
-        LAORAM_FATAL("preprocessNsPerAccess must be >= 0, got ",
-                     preprocessNsPerAccess);
     if (prepLoadNsPerAccess < 0.0)
         LAORAM_FATAL("prepLoadNsPerAccess must be >= 0, got ",
                      prepLoadNsPerAccess);
@@ -89,8 +120,8 @@ PipelineConfig::validate() const
     if (mode == PipelineMode::Simulated && prepLoadNsPerAccess > 0.0) {
         LAORAM_FATAL("prepLoadNsPerAccess emulates wall-clock stage-1 "
                      "load on real preprocessor threads; Simulated "
-                     "mode spawns none — use preprocessNsPerAccess "
-                     "for the analytic model instead");
+                     "mode spawns none and models stage 1 "
+                     "analytically");
     }
 }
 
@@ -109,9 +140,13 @@ BatchPipeline::run(ServeSource &source)
     cache::CacheStats cacheStart;
     if (const cache::HotEmbeddingCache *c = engine.hotCache())
         cacheStart = c->stats();
+    LiveRun live;
     PipelineReport rep = cfg.mode == PipelineMode::Concurrent
-                             ? runConcurrent(source)
-                             : runSimulated(source);
+                             ? runConcurrent(source, live.c)
+                             : runSimulated(source, live.c);
+    rep.windows = live.c.windowsServed;
+    rep.wallFillNs = static_cast<double>(live.c.fillNs);
+    rep.wallStallNs = static_cast<double>(live.c.stallNs);
     if (StreamingHistogram *hist = source.latencyHistogram())
         rep.latency = hist->report();
     if (const cache::HotEmbeddingCache *c = engine.hotCache())
@@ -136,7 +171,6 @@ BatchPipeline::finishModeledReport(PipelineReport &rep,
 {
     if (prepNs.empty())
         return;
-    rep.windows = prepNs.size();
     for (double ns : prepNs)
         rep.totalPrepNs += ns;
     for (double ns : accessNs)
@@ -168,7 +202,8 @@ BatchPipeline::finishModeledReport(PipelineReport &rep,
 }
 
 PipelineReport
-BatchPipeline::runSimulated(ServeSource &source)
+BatchPipeline::runSimulated(ServeSource &source,
+                            PipelineCounters &live)
 {
     PipelineReport rep;
     std::vector<double> prepNs;
@@ -185,7 +220,7 @@ BatchPipeline::runSimulated(ServeSource &source)
                            sw.accesses.data(),
                            sw.accesses.data() + sw.accesses.size())
                 .result;
-        prepNs.push_back(cfg.preprocessNsPerAccess
+        prepNs.push_back(kPreprocessNsPerAccess
                          * static_cast<double>(res.totalAccesses));
 
         // Stage 2: serve it through the ORAM; measure via the meter's
@@ -199,8 +234,7 @@ BatchPipeline::runSimulated(ServeSource &source)
         accessNs.push_back(engine.meter().clock().nanoseconds()
                            - before);
         source.windowServed(sw.windowIndex);
-        if (obs::metricsEnabled())
-            pipelineMetrics().windows.inc();
+        ++live.windowsServed;
         if (cfg.windowBoundaryHook)
             cfg.windowBoundaryHook(sw.windowIndex);
     }
@@ -214,7 +248,8 @@ BatchPipeline::runSimulated(ServeSource &source)
 }
 
 PipelineReport
-BatchPipeline::runConcurrent(ServeSource &source)
+BatchPipeline::runConcurrent(ServeSource &source,
+                             PipelineCounters &live)
 {
     PipelineReport rep;
     const std::size_t poolSize = cfg.prepThreads;
@@ -309,8 +344,6 @@ BatchPipeline::runConcurrent(ServeSource &source)
     std::vector<double> prepNsModeled;
     std::vector<double> accessNsModeled;
     std::vector<std::int64_t> prepWall;
-    std::int64_t fillNs = 0;
-    std::int64_t stallNs = 0;
     obs::traceSetThreadName("serve");
     try {
         PreparedWindow item;
@@ -323,15 +356,10 @@ BatchPipeline::runConcurrent(ServeSource &source)
                 elapsedNs(waitStart, WallClock::now());
             obs::traceRecordEndingNow("reorder-wait", waited,
                                       item.sched.windowIndex);
-            if (prepWall.empty())
-                fillNs = waited; // pipeline fill, not a stall
-            else
-                stallNs += waited;
-            if (obs::metricsEnabled()) {
-                PipelineMetrics &m = pipelineMetrics();
-                (prepWall.empty() ? m.fillNs : m.stallNs)
-                    .add(static_cast<std::uint64_t>(waited));
-            }
+            // The first window's wait is the pipeline fill, not a
+            // stall.
+            (prepWall.empty() ? live.fillNs : live.stallNs) +=
+                static_cast<std::uint64_t>(waited);
             // Hand the freed slot back only now: stage 1's next burst
             // lands inside the serve interval, not inside the wait we
             // just measured. If serveWindow throws, the token's
@@ -340,7 +368,7 @@ BatchPipeline::runConcurrent(ServeSource &source)
 
             prepWall.push_back(item.prepWallNs);
             prepNsModeled.push_back(
-                cfg.preprocessNsPerAccess
+                kPreprocessNsPerAccess
                 * static_cast<double>(item.sched.result.totalAccesses));
 
             source.windowServing(item.sched.windowIndex);
@@ -352,8 +380,7 @@ BatchPipeline::runConcurrent(ServeSource &source)
                 elapsedNs(serveStart, WallClock::now());
             obs::traceRecordEndingNow("serve-window", servedNs,
                                       item.sched.windowIndex);
-            if (obs::metricsEnabled())
-                pipelineMetrics().windows.inc();
+            ++live.windowsServed;
             rep.wallServeNs += static_cast<double>(servedNs);
             accessNsModeled.push_back(
                 engine.meter().clock().nanoseconds() - simBefore);
@@ -373,14 +400,8 @@ BatchPipeline::runConcurrent(ServeSource &source)
     if (prepError)
         std::rethrow_exception(prepError);
 
-    rep.wallFillNs = static_cast<double>(fillNs);
-    rep.wallStallNs = static_cast<double>(stallNs);
     rep.wallReorderStallNs =
         static_cast<double>(reorder.stats().headOfLineWaitNs);
-    if (obs::metricsEnabled()) {
-        pipelineMetrics().reorderStallNs.add(
-            reorder.stats().headOfLineWaitNs);
-    }
 
     rep.prepThreads = static_cast<std::uint32_t>(poolSize);
     rep.prepThreadBusyNs.reserve(poolSize);
@@ -422,6 +443,7 @@ BatchPipeline::runConcurrent(ServeSource &source)
     const std::int64_t hideableWall =
         prepWall.empty() ? 0 : prepTotalNs - prepWall.front();
     if (hideableWall > 0) {
+        const auto stallNs = static_cast<std::int64_t>(live.stallNs);
         rep.measuredPrepHiddenFraction = std::clamp(
             static_cast<double>(hideableWall - stallNs)
                 / static_cast<double>(hideableWall),

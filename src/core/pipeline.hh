@@ -59,13 +59,6 @@ struct PipelineConfig
     /** Accesses per pipeline window (one "several batches" chunk). */
     std::uint64_t windowAccesses = 4096;
 
-    /**
-     * Simulated preprocessing cost per scanned access (hash-set insert
-     * + path draw on a CPU thread; deliberately generous). Feeds the
-     * modeled report fields in both modes.
-     */
-    double preprocessNsPerAccess = 25.0;
-
     PipelineMode mode = PipelineMode::Concurrent;
 
     /**
@@ -134,13 +127,6 @@ struct PipelineConfig
     }
 
     PipelineConfig &
-    withPreprocessCost(double nsPerAccess)
-    {
-        preprocessNsPerAccess = nsPerAccess;
-        return *this;
-    }
-
-    PipelineConfig &
     withMode(PipelineMode m)
     {
         mode = m;
@@ -197,7 +183,7 @@ struct PipelineConfig
 /** Result of a pipelined run. */
 struct PipelineReport
 {
-    std::uint64_t windows = 0;
+    std::uint64_t windows = 0; ///< windows served
 
     // ---- Modeled (analytic cost model; identical in both modes). ----
     double totalPrepNs = 0.0;     ///< stage-1 work, summed
@@ -289,6 +275,9 @@ struct PipelineReport
     cache::CacheStats cache;
 };
 
+/** One run's live pipeline.* ledger (defined in pipeline.cc). */
+struct PipelineCounters;
+
 /**
  * Drives a Laoram engine window by window with overlapped
  * preprocessing, mirroring the paper's deployment.
@@ -321,8 +310,10 @@ class BatchPipeline
     PipelineReport run(const std::vector<BlockId> &trace);
 
   private:
-    PipelineReport runConcurrent(ServeSource &source);
-    PipelineReport runSimulated(ServeSource &source);
+    PipelineReport runConcurrent(ServeSource &source,
+                                 PipelineCounters &live);
+    PipelineReport runSimulated(ServeSource &source,
+                                PipelineCounters &live);
 
     /** Fill the modeled report fields from per-window stage costs. */
     static void finishModeledReport(PipelineReport &rep,

@@ -40,29 +40,62 @@
 
 namespace laoram::core {
 
-namespace detail {
-
-/** Live reorder metrics, shared by every ReorderWindow<T> instance. */
-struct ReorderMetrics
+/**
+ * Consumer-side wait accounting of one ReorderWindow (all fields
+ * monotonic). Not a member of the template: every ReorderWindow<T>
+ * attaches its stats to the one "pipeline.reorder." LedgerSet for
+ * its lifetime, which pulls the head-of-line fields as the live
+ * pipeline.reorder.hol_* series. Writers hold the window mutex, so
+ * the relaxed fields have one writer at a time.
+ */
+struct ReorderStats
 {
-    obs::Gauge &buffered;
-    obs::Counter &holWaits;
-    obs::Counter &holWaitNs;
+    using Count = obs::Relaxed<std::uint64_t>;
+    using Nanos = obs::Relaxed<std::int64_t>;
+
+    /** Total consumer wait inside pop()/popDeferred(). */
+    Nanos popWaitNs = 0;
+
+    /**
+     * The reorder-specific share of popWaitNs: time the consumer
+     * waited for the next-in-sequence item while *later* items were
+     * already buffered — the head-of-line stall that only exists
+     * because preprocessing runs out of order.
+     */
+    Nanos headOfLineWaitNs = 0;
+    Count headOfLineWaits = 0; ///< waits counted in headOfLineWaitNs
+
+    Count delivered = 0;    ///< items popped in sequence
+    Count maxOccupancy = 0; ///< peak buffered items
 };
 
-inline ReorderMetrics &
-reorderMetrics()
+namespace detail {
+
+/** Every window's stats, pulled as pipeline.reorder.hol_*. */
+inline obs::LedgerSet<ReorderStats> &
+liveReorder()
 {
-    auto &reg = obs::MetricsRegistry::instance();
-    static ReorderMetrics m{
-        reg.gauge("pipeline.reorder.buffered",
-                  "prepared windows buffered in reorder stages"),
-        reg.counter("pipeline.reorder.hol_waits",
-                    "consumer waits with later windows buffered"),
-        reg.counter("pipeline.reorder.hol_wait_ns",
-                    "time spent in head-of-line waits"),
-    };
-    return m;
+    using S = ReorderStats;
+    static obs::LedgerSet<S> &set =
+        obs::MetricsRegistry::instance().ledgers<S>(
+            "pipeline.reorder.",
+            {
+                {"hol_waits", "consumer waits with later windows buffered",
+                 &S::headOfLineWaits},
+                {"hol_wait_ns", "time spent in head-of-line waits",
+                 &S::headOfLineWaitNs},
+            });
+    return set;
+}
+
+/** Prepared windows buffered in every live reorder stage (pushed). */
+inline obs::Gauge &
+bufferedGauge()
+{
+    static obs::Gauge &g = obs::MetricsRegistry::instance().gauge(
+        "pipeline.reorder.buffered",
+        "prepared windows buffered in reorder stages");
+    return g;
 }
 
 } // namespace detail
@@ -75,24 +108,6 @@ template <typename T>
 class ReorderWindow
 {
   public:
-    /** Consumer-side wait accounting (all fields monotonic). */
-    struct Stats
-    {
-        /** Total consumer wait inside pop()/popDeferred(). */
-        std::int64_t popWaitNs = 0;
-
-        /**
-         * The reorder-specific share of popWaitNs: time the consumer
-         * waited for the next-in-sequence item while *later* items
-         * were already buffered — the head-of-line stall that only
-         * exists because preprocessing runs out of order.
-         */
-        std::int64_t headOfLineWaitNs = 0;
-
-        std::uint64_t delivered = 0;    ///< items popped in sequence
-        std::uint64_t maxOccupancy = 0; ///< peak buffered items
-    };
-
     /**
      * RAII hand-off ticket mirroring BoundedQueue::SlotToken:
      * releasing it (or letting it unwind) wakes producers blocked on
@@ -155,6 +170,16 @@ class ReorderWindow
     {
         LAORAM_ASSERT(capacity >= 1,
                       "reorder window needs capacity >= 1");
+        detail::liveReorder().attach(&st);
+    }
+
+    /** Undeliverable leftovers go with the window, and off the gauge. */
+    ~ReorderWindow()
+    {
+        if (obs::metricsEnabled())
+            detail::bufferedGauge().add(
+                -static_cast<std::int64_t>(occupancy));
+        detail::liveReorder().detach(&st);
     }
 
     ReorderWindow(const ReorderWindow &) = delete;
@@ -181,9 +206,10 @@ class ReorderWindow
         slot.item = std::move(item);
         slot.occupied = true;
         ++occupancy;
-        st.maxOccupancy = std::max(st.maxOccupancy, occupancy);
+        st.maxOccupancy = std::max<std::uint64_t>(st.maxOccupancy,
+                                                  occupancy);
         if (obs::metricsEnabled())
-            detail::reorderMetrics().buffered.inc();
+            detail::bufferedGauge().inc();
         const bool ready = seq == nextSeq;
         lock.unlock();
         if (ready)
@@ -265,7 +291,7 @@ class ReorderWindow
         return occupancy;
     }
 
-    Stats
+    ReorderStats
     stats() const
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -301,13 +327,7 @@ class ReorderWindow
             st.popWaitNs += waited;
             if (headOfLine) {
                 st.headOfLineWaitNs += waited;
-                if (obs::metricsEnabled()) {
-                    detail::ReorderMetrics &m =
-                        detail::reorderMetrics();
-                    m.holWaits.inc();
-                    m.holWaitNs.add(
-                        static_cast<std::uint64_t>(waited));
-                }
+                ++st.headOfLineWaits;
             }
         }
         return true;
@@ -325,7 +345,7 @@ class ReorderWindow
         ++nextSeq;
         ++st.delivered;
         if (obs::metricsEnabled())
-            detail::reorderMetrics().buffered.dec();
+            detail::bufferedGauge().dec();
     }
 
     mutable std::mutex mu;
@@ -336,7 +356,7 @@ class ReorderWindow
     std::uint64_t nextSeq = 0;
     std::uint64_t occupancy = 0;
     bool closed = false;
-    Stats st;
+    ReorderStats st;
 };
 
 } // namespace laoram::core

@@ -4,16 +4,20 @@
  * with relaxed-atomic hot-path updates, snapshot-able from a
  * background sampler thread while traffic is flowing.
  *
- *  - Pulled names (oram.*, storage.<kind>.*) have one counting path:
- *    the owner's TrafficCounters or IoStats ledger of Relaxed<T>
- *    fields. Each ledger joins a LedgerSet for its lifetime and
- *    snapshot() sums the live ledgers plus what destroyed ones
- *    retired. They need no gate and cost nothing extra.
- *  - Pushed names (pipeline.*, node.*, frontend.*, reorder.*,
- *    cache.*, lanes) have no twin struct. Each site wraps its update
- *    block in one branch on metricsEnabled(), so a run without
- *    --metrics-out pays one predicted-not-taken branch per site
- *    (verified by bench_obs_overhead).
+ *  - Pulled names have one counting path: the owner's ledger of
+ *    Relaxed<T> fields (oram.* TrafficCounters, storage.<kind>.*
+ *    IoStats, cache.* CacheStats, pipeline.reorder.hol_* ReorderStats,
+ *    and pipeline.windows_served / fill_ns / stall_ns, one run's
+ *    PipelineCounters). Each ledger joins a LedgerSet for its
+ *    lifetime and snapshot() sums the live ledgers plus what
+ *    destroyed ones retired. They need no gate and cost nothing extra.
+ *  - Pushed names are the levels (pipeline.reorder.buffered,
+ *    pipeline.lanes_active, serve.admission_depth,
+ *    node.active_connections, storage.remote.inflight_writes) and the
+ *    counters and histograms no struct holds (serve.*, node.*). Each
+ *    site wraps its update block in one branch on metricsEnabled(),
+ *    so a run without --metrics-out pays one predicted-not-taken
+ *    branch per site (verified by bench_obs_overhead).
  *
  * Handles are registered once and returned as stable references;
  * registration takes a mutex, updates never do. One name is one

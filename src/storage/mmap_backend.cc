@@ -120,8 +120,9 @@ MmapFileBackend::MmapFileBackend(const StorageConfig &cfg,
         hdr->metaBytes = metaBytes;
     }
 
-    if (cfg.adviseRandom)
-        ::madvise(slotBase, nSlots * recBytes, MADV_RANDOM);
+    // An ORAM's physical access pattern is uniformly random by
+    // construction, so read-ahead would only pollute the page cache.
+    ::madvise(slotBase, nSlots * recBytes, MADV_RANDOM);
 }
 
 MmapFileBackend::~MmapFileBackend()

@@ -18,7 +18,7 @@
  * happen inside the timed I/O windows, turning the serving thread's
  * reported stalls into genuine I/O waits. Durability is a flush()
  * policy (nothing / msync MS_ASYNC / msync MS_SYNC); MADV_RANDOM is
- * applied by default because ORAM slot traffic is uniformly random
+ * always applied because ORAM slot traffic is uniformly random
  * by construction.
  */
 

@@ -154,14 +154,6 @@ struct StorageConfig
     Durability durability = Durability::Buffered;
 
     /**
-     * Hint the kernel that slot access is random (madvise MADV_RANDOM)
-     * — true by default because an ORAM's physical access pattern is
-     * uniformly random by construction, so read-ahead only pollutes
-     * the page cache.
-     */
-    bool adviseRandom = true;
-
-    /**
      * Reopen @p path if it already holds a compatible tree instead of
      * re-initialising: the storage skips its dummy-slot init and the
      * previous run's records (and persisted encryption epochs) are

@@ -276,7 +276,7 @@ TEST(Laoram, AccessBinValidatesMetadata)
     bin.members = {1, 2};
     bin.rawAccesses = 2;
     // nextPaths missing -> hard failure, not silent corruption.
-    EXPECT_DEATH(oram.accessBin(bin), "future-path");
+    EXPECT_DEATH(oram.accessBatch(&bin, 1), "future-path");
 }
 
 TEST(Laoram, SuperblockSizeOneMatchesPathOramTraffic)

@@ -321,8 +321,9 @@ TEST(ConcurrentPipeline, SinglePrepThreadHasNoReorderStall)
 
 TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
 {
-    // Laoram::runTrace(schedules) — the pipeline's serving stage used
-    // standalone — must match the one-shot serial runTrace.
+    // Serving pre-built window schedules one by one — the pipeline's
+    // serving stage used standalone — must match the one-shot serial
+    // runTrace.
     const auto trace = randomTrace(1000, 256, 23);
     const std::uint64_t window = 250;
 
@@ -336,17 +337,16 @@ TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
         PreprocessorConfig{cfg.superblockSize,
                            staged.geometry().numLeaves()},
         staged.preprocessorSeed());
-    std::vector<WindowSchedule> schedules;
     std::uint64_t index = 0;
     for (std::uint64_t start = 0; start < trace.size();
          start += window, ++index) {
         const std::uint64_t stop =
             std::min<std::uint64_t>(start + window, trace.size());
-        schedules.push_back(prep.runWindow(index, start,
-                                           trace.data() + start,
-                                           trace.data() + stop));
+        staged.serveWindow(prep.runWindow(index, start,
+                                          trace.data() + start,
+                                          trace.data() + stop)
+                               .result);
     }
-    staged.runTrace(schedules);
 
     expectEnginesIdentical(serial, staged);
 }

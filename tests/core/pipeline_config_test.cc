@@ -18,13 +18,11 @@ TEST(PipelineConfig, SetterChainingBuildsExpectedConfig)
                                   .withWindowAccesses(256)
                                   .withQueueDepth(8)
                                   .withPrepThreads(3)
-                                  .withPreprocessCost(40.0)
                                   .withPrepLoad(5.0)
                                   .withMode(PipelineMode::Concurrent);
     EXPECT_EQ(pc.windowAccesses, 256u);
     EXPECT_EQ(pc.queueDepth, 8u);
     EXPECT_EQ(pc.prepThreads, 3u);
-    EXPECT_DOUBLE_EQ(pc.preprocessNsPerAccess, 40.0);
     EXPECT_DOUBLE_EQ(pc.prepLoadNsPerAccess, 5.0);
     EXPECT_EQ(pc.mode, PipelineMode::Concurrent);
 }
@@ -56,9 +54,6 @@ TEST(PipelineConfigDeathTest, RejectsZeroPrepThreads)
 
 TEST(PipelineConfigDeathTest, RejectsNegativeCosts)
 {
-    EXPECT_EXIT(PipelineConfig{}.withPreprocessCost(-1.0).validate(),
-                ::testing::ExitedWithCode(1),
-                "preprocessNsPerAccess");
     EXPECT_EXIT(PipelineConfig{}.withPrepLoad(-1.0).validate(),
                 ::testing::ExitedWithCode(1), "prepLoadNsPerAccess");
 }

@@ -2,8 +2,8 @@
  * @file
  * ReorderWindow tests: strict in-sequence delivery under out-of-order
  * arrival, window-full backpressure, shutdown-while-pending drain
- * semantics, release-token unwind, and the consumer stall accounting
- * the pipeline report surfaces.
+ * semantics, release-token unwind, the consumer stall accounting the
+ * pipeline report surfaces, and the live buffered-level gauge.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/reorder_window.hh"
+#include "obs/metrics.hh"
 
 namespace laoram::core {
 namespace {
@@ -74,6 +75,7 @@ TEST(ReorderWindow, ConsumerBlocksOnSequenceGapUntilItArrives)
     EXPECT_GT(st.popWaitNs, 0);
     EXPECT_GT(st.headOfLineWaitNs, 0);
     EXPECT_LE(st.headOfLineWaitNs, st.popWaitNs);
+    EXPECT_GE(st.headOfLineWaits, 1u);
     EXPECT_EQ(st.maxOccupancy, 3u);
 }
 
@@ -145,6 +147,25 @@ TEST(ReorderWindow, ShutdownDrainsContiguousPrefixThenStops)
     }
     EXPECT_FALSE(window.pop(out));
     EXPECT_EQ(window.stats().delivered, 3u);
+}
+
+TEST(ReorderWindow, DestroyedLeftoversLeaveTheBufferedGauge)
+{
+    // A failed run closes its window with undeliverable items still
+    // buffered; destroying the window must take them off the
+    // process-wide level, or every failed run inflates it for good.
+    obs::setMetricsEnabled(true);
+    const obs::Gauge &buffered = obs::MetricsRegistry::instance().gauge(
+        "pipeline.reorder.buffered");
+    const std::int64_t before = buffered.get();
+    {
+        ReorderWindow<int> window(4);
+        ASSERT_TRUE(window.push(1, 7));
+        window.close();
+        EXPECT_EQ(buffered.get(), before + 1);
+    }
+    EXPECT_EQ(buffered.get(), before);
+    obs::setMetricsEnabled(false);
 }
 
 TEST(ReorderWindow, CloseWakesBlockedProducerAndConsumer)

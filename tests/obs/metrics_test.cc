@@ -2,8 +2,9 @@
  * @file
  * MetricsRegistry tests: handle identity, snapshot/exposition shape,
  * the concurrent increment-while-sampling contract the background
- * sampler relies on, and the pull model behind the oram.* and
- * storage.<kind>.* series (the suites run under TSan in CI).
+ * sampler relies on, and the pull model behind the oram.*,
+ * storage.<kind>.*, cache.* and pipeline.* series (the suites run
+ * under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -165,14 +166,23 @@ TEST_F(ObsMetricsTest, ConcurrentIncrementsSurviveSampling)
 
 // ------------------------------------------------------ pulled ledgers
 
-/** Every pulled series (oram.*, storage.*) in one snapshot. */
+/**
+ * Every pulled series (oram.*, storage.*, cache.*, pipeline.*) in one
+ * snapshot. The pushed levels that share the pipeline. prefix are
+ * left out.
+ */
 std::map<std::string, double>
 pulledSeries()
 {
     std::map<std::string, double> out;
     for (const auto &v : MetricsRegistry::instance().snapshot().values) {
-        if (v.name.rfind("oram.", 0) == 0
-            || v.name.rfind("storage.", 0) == 0)
+        const bool pulled = v.name.rfind("oram.", 0) == 0
+                            || v.name.rfind("storage.", 0) == 0
+                            || v.name.rfind("cache.", 0) == 0
+                            || v.name.rfind("pipeline.", 0) == 0;
+        const bool pushed = v.name == "pipeline.reorder.buffered"
+                            || v.name == "pipeline.lanes_active";
+        if (pulled && !pushed)
             out[v.name] = v.value;
     }
     return out;
@@ -209,6 +219,16 @@ smallEngine(std::uint64_t seed)
     return cfg;
 }
 
+/** smallEngine() with payloads and a hot cache of 32 rows. */
+core::LaoramConfig
+cachedEngine(std::uint64_t seed)
+{
+    core::LaoramConfig cfg = smallEngine(seed);
+    cfg.base.payloadBytes = 8;
+    cfg.cache.capacityBytes = 32 * cfg.base.payloadBytes;
+    return cfg;
+}
+
 class ObsMetricsPull : public ::testing::Test
 {
   protected:
@@ -229,7 +249,7 @@ TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
     const auto before = pulledSeries();
 
     core::ShardedLaoramConfig cfg;
-    cfg.engine = smallEngine(31);
+    cfg.engine = cachedEngine(31);
     cfg.numShards = 2;
     cfg.pipeline.windowAccesses = 64;
     cfg.pipeline.prepThreads = 2;
@@ -255,6 +275,7 @@ TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
     core::ShardedPipelineReport rep;
     std::uint64_t ledgerAccesses = 0;
     std::uint64_t ledgerSlotsRead = 0;
+    std::uint64_t ledgerHits = 0;
     {
         core::ShardedLaoram engine(cfg);
         rep = engine.runTrace(randomTrace(16384, 256, 7));
@@ -263,6 +284,7 @@ TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
                 engine.shard(s).meter().counters().logicalAccesses;
             ledgerSlotsRead +=
                 engine.shard(s).storageForAudit().ioStats().slotsRead;
+            ledgerHits += engine.shard(s).hotCache()->stats().hits;
         }
     }
     stop.store(true, std::memory_order_relaxed);
@@ -278,6 +300,16 @@ TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
     EXPECT_EQ(accesses, static_cast<double>(rep.traffic.logicalAccesses));
     EXPECT_EQ(slots, static_cast<double>(ledgerSlotsRead));
     EXPECT_GT(slots, 0.0);
+    auto delta = [&](const char *name) {
+        return at(after, name) - at(before, name);
+    };
+    EXPECT_EQ(delta("cache.hits"), static_cast<double>(ledgerHits));
+    EXPECT_EQ(delta("cache.hits"),
+              static_cast<double>(rep.aggregate.cache.hits));
+    EXPECT_GT(delta("cache.hits"), 0.0);
+    EXPECT_EQ(delta("pipeline.windows_served"),
+              static_cast<double>(rep.aggregate.windows));
+    EXPECT_GT(delta("pipeline.windows_served"), 0.0);
 
     for (const char *name :
          {"oram.logical_accesses", "oram.path_reads", "oram.path_writes",
@@ -287,19 +319,24 @@ TEST_F(ObsMetricsPull, SamplerPullsLiveShardsAndRetiredTotals)
           "storage.dram.slots_read", "storage.dram.slots_written",
           "storage.dram.bytes_read", "storage.dram.bytes_written",
           "storage.dram.flushes", "storage.dram.read_ns",
-          "storage.dram.write_ns"})
+          "storage.dram.write_ns", "cache.hits", "cache.misses",
+          "cache.evictions", "cache.writeback_coalesced",
+          "cache.admission_hits", "pipeline.windows_served",
+          "pipeline.fill_ns", "pipeline.stall_ns",
+          "pipeline.reorder.hol_waits", "pipeline.reorder.hol_wait_ns"})
         EXPECT_EQ(after.count(name), 1u) << name << " not exported";
 }
 
 /**
  * Restoring a checkpoint in place rewinds (or advances) the engine's
- * own counters, but the exported series count what this process
- * executed: they neither move on a restore nor double-count on the
- * way forward. reset() obeys the same rule.
+ * own counters, warm hot cache included, but the exported series
+ * count what this process executed: they neither move on a restore
+ * nor double-count on the way forward. reset() obeys the same rule.
  */
 TEST_F(ObsMetricsPull, RestoreNeverLowersExportedCounters)
 {
-    core::Laoram engine(smallEngine(41));
+    core::Laoram engine(cachedEngine(41));
+    const cache::HotEmbeddingCache &hot = *engine.hotCache();
     engine.runTrace(randomTrace(256, 256, 1));
     const std::vector<std::uint8_t> early = engine.checkpoint();
     const std::uint64_t atEarly =
@@ -310,20 +347,32 @@ TEST_F(ObsMetricsPull, RestoreNeverLowersExportedCounters)
     const std::vector<std::uint8_t> late = engine.checkpoint();
     const std::uint64_t atLate =
         engine.meter().counters().logicalAccesses;
+    const std::uint64_t hitsAtLate = hot.stats().hits;
+    ASSERT_GT(hot.stats().residentRows, 0u);
     const double exported = at(pulledSeries(), "oram.logical_accesses");
+    const double exportedHits = at(pulledSeries(), "cache.hits");
+    EXPECT_GT(exportedHits, 0.0);
 
     engine.restoreFrom(early);
     EXPECT_EQ(engine.meter().counters().logicalAccesses, atEarly);
+    EXPECT_LT(hot.stats().hits, hitsAtLate);
     EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"), exported);
+    EXPECT_EQ(at(pulledSeries(), "cache.hits"), exportedHits);
     engine.restoreFrom(late);
+    EXPECT_EQ(hot.stats().hits, hitsAtLate);
     EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"), exported);
+    EXPECT_EQ(at(pulledSeries(), "cache.hits"), exportedHits);
 
     engine.runTrace(randomTrace(256, 256, 3));
     const std::uint64_t resumed =
         engine.meter().counters().logicalAccesses - atLate;
+    const std::uint64_t resumedHits = hot.stats().hits - hitsAtLate;
     EXPECT_GT(resumed, 0u);
+    EXPECT_GT(resumedHits, 0u);
     EXPECT_EQ(at(pulledSeries(), "oram.logical_accesses"),
               exported + static_cast<double>(resumed));
+    EXPECT_EQ(at(pulledSeries(), "cache.hits"),
+              exportedHits + static_cast<double>(resumedHits));
 
     mem::TrafficMeter meter{mem::CostModel{}};
     meter.recordLogicalAccesses(5);
@@ -345,7 +394,7 @@ TEST_F(ObsMetricsPull, TotalsIgnoreTheGate)
         setMetricsEnabled(gate);
         const auto before = pulledSeries();
         {
-            core::Laoram engine(smallEngine(51));
+            core::Laoram engine(cachedEngine(51));
             engine.runTrace(randomTrace(1024, 256, 9));
         }
         setMetricsEnabled(false);
@@ -363,8 +412,10 @@ TEST_F(ObsMetricsPull, TotalsIgnoreTheGate)
     const auto off = runDelta(false);
     const auto on = runDelta(true);
     EXPECT_EQ(off, on);
-    EXPECT_GT(at(on, "oram.logical_accesses"), 0.0);
-    EXPECT_GT(at(on, "storage.dram.slots_written"), 0.0);
+    EXPECT_GT(at(off, "oram.logical_accesses"), 0.0);
+    EXPECT_GT(at(off, "storage.dram.slots_written"), 0.0);
+    EXPECT_GT(at(off, "cache.hits"), 0.0);
+    EXPECT_GT(at(off, "pipeline.windows_served"), 0.0);
 }
 
 } // namespace

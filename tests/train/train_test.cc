@@ -1,6 +1,6 @@
 /**
  * @file
- * Training-substrate tests: embedding table serialisation, SGD
+ * Training-substrate tests: embedding table serialisation, row SGD
  * mechanics, and that the toy model actually learns.
  */
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "train/embedding_table.hh"
-#include "train/sgd.hh"
 #include "train/toy_model.hh"
 #include "util/rng.hh"
 
@@ -72,39 +71,6 @@ TEST(EmbeddingTable, RowNorm)
     EXPECT_DOUBLE_EQ(t.rowNormSq(0), 25.0);
 }
 
-TEST(Sgd, VanillaStep)
-{
-    SgdOptimizer opt(0.1f);
-    std::vector<float> w{1.0f, 2.0f};
-    std::vector<float> g{10.0f, -10.0f};
-    opt.step(0, w, g);
-    EXPECT_FLOAT_EQ(w[0], 0.0f);
-    EXPECT_FLOAT_EQ(w[1], 3.0f);
-}
-
-TEST(Sgd, MomentumAccumulates)
-{
-    SgdOptimizer opt(1.0f, 0.5f);
-    std::vector<float> w{0.0f};
-    std::vector<float> g{1.0f};
-    opt.step(7, w, g); // v=1, w=-1
-    EXPECT_FLOAT_EQ(w[0], -1.0f);
-    opt.step(7, w, g); // v=1.5, w=-2.5
-    EXPECT_FLOAT_EQ(w[0], -2.5f);
-}
-
-TEST(Sgd, MomentumIsPerKey)
-{
-    SgdOptimizer opt(1.0f, 0.9f);
-    std::vector<float> w1{0.0f}, w2{0.0f};
-    std::vector<float> g{1.0f};
-    opt.step(1, w1, g);
-    opt.step(1, w1, g);
-    opt.step(2, w2, g); // fresh velocity
-    EXPECT_FLOAT_EQ(w2[0], -1.0f);
-    EXPECT_LT(w1[0], -2.0f + 1e-6f);
-}
-
 TEST(ToyModel, PredictsInUnitInterval)
 {
     ToyInteractionModel model(8, 1);
@@ -125,7 +91,7 @@ TEST(ToyModel, LearnsSeparableTask)
     constexpr std::uint64_t kDim = 16;
     ToyInteractionModel model(kDim, 2);
     EmbeddingTable table(2, kDim, 3);
-    SgdOptimizer opt(0.5f);
+    constexpr float kLr = 0.5f;
 
     auto run_epoch = [&]() {
         double loss = 0;
@@ -137,9 +103,8 @@ TEST(ToyModel, LearnsSeparableTask)
                                    table.row(row).end())};
             const auto res = model.step(rows, label);
             loss += res.loss;
-            table.applyGradient(row, res.rowGrads[0],
-                                opt.learningRate());
-            model.applyTopGradient(opt.learningRate());
+            table.applyGradient(row, res.rowGrads[0], kLr);
+            model.applyTopGradient(kLr);
         }
         return loss / 2;
     };
