@@ -9,9 +9,10 @@
  * instead of an in-process socketpair.
  *
  * For each backend the bench reports wall-clock serving throughput,
- * the *measured* backend I/O stall (ServerStorage IoStats: time spent
- * encoding/decoding slots, including the page faults that pull a
- * file-backed tree from disk and the RPC waits of a remote tree), and
+ * the *measured* backend I/O stall (IoStats: time spent moving slot
+ * records, including the page faults that pull a file-backed tree
+ * from disk and the RPC waits of a remote tree; encryption is not
+ * part of it), and
  * the DRAM-resident footprint — the honest version of "how much
  * memory does the tree cost", which for an mmap tree is the mapped
  * page set and for a remote tree the *server node's* residency.

@@ -236,9 +236,10 @@ struct PipelineReport
      * Measured wall time the serving stage spent inside the storage
      * backend (slot reads/writes/flushes) over this run — the first
      * stall component that is *genuine I/O wait* rather than queue
-     * wait. DRAM-backed runs report the in-memory encode/decode cost;
+     * wait. It is backend transfer only, on every kind (encryption
+     * runs outside it): DRAM-backed runs report the memcpy cost,
      * file-backed runs include the page faults that pull tree nodes
-     * from disk.
+     * from disk, remote runs the RPC waits.
      */
     double wallIoNs = 0.0;
     /**

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/logging.hh"
-#include "util/walltime.hh"
 
 namespace laoram::oram {
 
@@ -142,39 +141,6 @@ ServerStorage::initialise()
 }
 
 void
-ServerStorage::decodePlaintext(const std::uint8_t *rec,
-                               StoredBlock &out) const
-{
-    out.id = loadU64(rec);
-    out.leaf = loadU64(rec + 8);
-    out.payload.assign(rec + kHeaderBytes, rec + recBytes);
-}
-
-void
-ServerStorage::decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
-                            StoredBlock &out) const
-{
-    if (enc.enabled()) {
-        // Decrypt into a scratch copy; the at-rest bytes stay
-        // encrypted.
-        cryptScratch.assign(rec, rec + recBytes);
-        enc.decryptSlot(slot, cryptScratch.data(), cryptScratch.size());
-        rec = cryptScratch.data();
-    }
-    decodePlaintext(rec, out);
-}
-
-void
-ServerStorage::decodeStagedInPlace(std::uint64_t slot,
-                                   std::uint8_t *rec,
-                                   StoredBlock &out) const
-{
-    if (enc.enabled())
-        enc.decryptSlot(slot, rec, recBytes);
-    decodePlaintext(rec, out);
-}
-
-void
 ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
 {
     LAORAM_ASSERT(op.len <= payBytes, "payload (", op.len,
@@ -195,42 +161,45 @@ ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
 void
 ServerStorage::readSlot(std::uint64_t slot, StoredBlock &out) const
 {
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    if (sink)
-        sink(slot, false);
-    if (std::uint8_t *base = store->mappedBase()) {
-        const WallClock::time_point t0 = WallClock::now();
-        decodeRecord(slot, base + slot * recBytes, out);
-        store->noteMappedRead(1, elapsedNs(t0));
-        return;
+    readInto(&slot, 1, &out);
+}
+
+void
+ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
+                         std::vector<StoredBlock> &out) const
+{
+    out.resize(n);
+    readInto(slots, n, out.data());
+}
+
+void
+ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
+                        StoredBlock *out) const
+{
+    // One branch per *path* when no sink is installed — the audit tap
+    // only costs per-slot work while a probe is actually attached.
+    if (sink) {
+        for (std::size_t i = 0; i < n; ++i)
+            sink(slots[i], false);
     }
-    staging.resize(recBytes);
-    store->readSlot(slot, staging.data());
-    decodeStagedInPlace(slot, staging.data(), out);
+    staging.resize(n * recBytes);
+    store->readSlots(slots, n, staging.data());
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t *rec = staging.data() + i * recBytes;
+        if (enc.enabled())
+            enc.decryptSlot(slots[i], rec, recBytes);
+        out[i].id = loadU64(rec);
+        out[i].leaf = loadU64(rec + 8);
+        out[i].payload.assign(rec + kHeaderBytes, rec + recBytes);
+    }
 }
 
 void
 ServerStorage::writeSlot(std::uint64_t slot, BlockId id, Leaf leaf,
                          const std::uint8_t *payload, std::size_t len)
 {
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    if (sink)
-        sink(slot, true);
-    SlotWriteOp op;
-    op.slot = slot;
-    op.id = id;
-    op.leaf = leaf;
-    op.payload = payload;
-    op.len = len;
-    if (std::uint8_t *base = store->mappedBase()) {
-        const WallClock::time_point t0 = WallClock::now();
-        encodeRecord(op, base + slot * recBytes);
-        store->noteMappedWrite(1, elapsedNs(t0));
-        return;
-    }
-    staging.resize(recBytes);
-    encodeRecord(op, staging.data());
-    store->writeSlot(slot, staging.data());
+    const SlotWriteOp op{slot, id, leaf, payload, len};
+    writeSlots(&op, 1);
 }
 
 void
@@ -240,50 +209,11 @@ ServerStorage::writeDummy(std::uint64_t slot)
 }
 
 void
-ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
-                         std::vector<StoredBlock> &out) const
-{
-    // One branch per *path* when no sink is installed — the audit tap
-    // only costs per-slot work while a probe is actually attached.
-    if (sink) {
-        for (std::size_t i = 0; i < n; ++i)
-            sink(slots[i], false);
-    }
-    out.resize(n);
-    if (std::uint8_t *base = store->mappedBase()) {
-        store->willNeed(slots, n);
-        const WallClock::time_point t0 = WallClock::now();
-        for (std::size_t i = 0; i < n; ++i) {
-            LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                          " out of range");
-            decodeRecord(slots[i], base + slots[i] * recBytes, out[i]);
-        }
-        store->noteMappedRead(n, elapsedNs(t0));
-        return;
-    }
-    staging.resize(n * recBytes);
-    store->readSlots(slots, n, staging.data());
-    for (std::size_t i = 0; i < n; ++i)
-        decodeStagedInPlace(slots[i], staging.data() + i * recBytes,
-                            out[i]);
-}
-
-void
 ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
 {
     if (sink) {
         for (std::size_t i = 0; i < n; ++i)
             sink(ops[i].slot, true);
-    }
-    if (std::uint8_t *base = store->mappedBase()) {
-        const WallClock::time_point t0 = WallClock::now();
-        for (std::size_t i = 0; i < n; ++i) {
-            LAORAM_ASSERT(ops[i].slot < nSlots, "slot ", ops[i].slot,
-                          " out of range");
-            encodeRecord(ops[i], base + ops[i].slot * recBytes);
-        }
-        store->noteMappedWrite(n, elapsedNs(t0));
-        return;
     }
     staging.resize(n * recBytes);
     slotScratch.resize(n);

@@ -11,11 +11,18 @@
  * observer gains is *which slots* are touched — exactly the paper's
  * threat model.
  *
- * Path engines talk to storage through the *vectored* readSlots /
- * writeSlots calls — one per path (union) — so a backend can
- * coalesce, prefetch or issue one real I/O per path, and the
+ * Records move through one vectored codec. readSlots has the backend
+ * fill one staging buffer with the path's at-rest records, then
+ * decrypts and decodes each in place; writeSlots encodes and encrypts
+ * each record into that buffer and hands the whole path to one
+ * backend write. The single-slot readSlot / writeSlot / writeDummy
+ * calls are n = 1 uses of the same codec, so the access sink, the
+ * range check and the I/O ledger see every access the same way. Path
+ * engines call the vectored form once per path (union), so a backend
+ * can coalesce, prefetch or issue one real I/O per path, and the
  * adversary access sink costs one branch per path instead of one per
- * slot when no sink is installed.
+ * slot when no sink is installed. Backend time (storage.<kind>.*_ns)
+ * is pure transfer on every kind: encryption runs outside it.
  *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
@@ -122,9 +129,6 @@ class ServerStorage
      */
     std::uint64_t residentBytes() const;
 
-    /** The backend this storage runs on. */
-    const storage::SlotBackend &backend() const { return *store; }
-
     /** Monotonic backend I/O ledger (measured ns, ops, bytes). */
     const storage::IoStats &ioStats() const { return store->ioStats(); }
 
@@ -148,23 +152,9 @@ class ServerStorage
   private:
     void initialise();
 
-    /** Decode one already-plaintext record into @p out. */
-    void decodePlaintext(const std::uint8_t *rec,
-                         StoredBlock &out) const;
-
-    /**
-     * Decode an at-rest record the storage still owns (mapped path):
-     * decrypts into scratch so the stored bytes stay encrypted.
-     */
-    void decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
-                      StoredBlock &out) const;
-
-    /**
-     * Decode an at-rest record in a caller-owned staging buffer
-     * (staged path): decrypts in place, no extra copy.
-     */
-    void decodeStagedInPlace(std::uint64_t slot, std::uint8_t *rec,
-                             StoredBlock &out) const;
+    /** The vectored read codec: decode @p n slots into out[0..n). */
+    void readInto(const std::uint64_t *slots, std::size_t n,
+                  StoredBlock *out) const;
 
     /** Serialise one write op into @p rec and encrypt in place. */
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
@@ -178,10 +168,8 @@ class ServerStorage
     AccessSink sink;
     bool wasReopened = false;
 
-    // Staging scratch, reused across calls to avoid per-path
-    // allocation: decrypt copies (mapped path) and whole-path record
-    // buffers + slot lists (staged path).
-    mutable std::vector<std::uint8_t> cryptScratch;
+    // Whole-path record buffer and write slot list, reused across
+    // calls to avoid per-path allocation.
     mutable std::vector<std::uint8_t> staging;
     std::vector<std::uint64_t> slotScratch;
 };

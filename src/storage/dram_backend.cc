@@ -10,15 +10,21 @@ DramBackend::DramBackend(std::uint64_t slots, std::uint64_t recordBytes)
 }
 
 void
-DramBackend::doReadSlot(std::uint64_t slot, std::uint8_t *dst)
+DramBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
+                         std::uint8_t *dst)
 {
-    std::memcpy(dst, raw.data() + slot * recBytes, recBytes);
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(dst + i * recBytes, raw.data() + slots[i] * recBytes,
+                    recBytes);
 }
 
 void
-DramBackend::doWriteSlot(std::uint64_t slot, const std::uint8_t *src)
+DramBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
+                          const std::uint8_t *src)
 {
-    std::memcpy(raw.data() + slot * recBytes, src, recBytes);
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(raw.data() + slots[i] * recBytes, src + i * recBytes,
+                    recBytes);
 }
 
 } // namespace laoram::storage

@@ -3,9 +3,9 @@
  * DramBackend — the default in-process slot store.
  *
  * One contiguous heap array, exactly the pre-subsystem ServerStorage
- * layout. Addressable (mappedBase()), so ServerStorage keeps its
- * zero-copy encode/decode hot path; the staged do* overrides exist
- * for conformance testing and as the reference implementation.
+ * layout. A vectored read or write is a memcpy loop between the array
+ * and the caller's staging buffer; it is also the reference
+ * implementation of the two-virtual SlotBackend contract.
  */
 
 #ifndef LAORAM_STORAGE_DRAM_BACKEND_HH
@@ -23,14 +23,13 @@ class DramBackend final : public SlotBackend
   public:
     DramBackend(std::uint64_t slots, std::uint64_t recordBytes);
 
-    std::uint8_t *mappedBase() override { return raw.data(); }
-
     std::uint64_t residentBytes() const override { return raw.size(); }
 
   protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
+    void doReadSlots(const std::uint64_t *slots, std::size_t n,
+                     std::uint8_t *dst) override;
+    void doWriteSlots(const std::uint64_t *slots, std::size_t n,
+                      const std::uint8_t *src) override;
 
   private:
     std::vector<std::uint8_t> raw;

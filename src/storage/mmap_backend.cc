@@ -140,15 +140,40 @@ MmapFileBackend::~MmapFileBackend()
 }
 
 void
-MmapFileBackend::doReadSlot(std::uint64_t slot, std::uint8_t *dst)
+MmapFileBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
+                             std::uint8_t *dst)
 {
-    std::memcpy(dst, slotBase + slot * recBytes, recBytes);
+    // Coalesce the slot list into maximal contiguous byte ranges and
+    // hand each to the kernel as one page-aligned MADV_WILLNEED —
+    // the copy below then faults on pages already in flight instead
+    // of demand-paging one bucket at a time. Path slot lists arrive
+    // bucket-contiguous, so this degenerates to one hint per tree
+    // node run.
+    std::size_t i = 0;
+    while (i < n) {
+        std::size_t j = i + 1;
+        while (j < n && slots[j] == slots[j - 1] + 1)
+            ++j;
+        const std::uint64_t begin = slots[i] * recBytes;
+        const std::uint64_t end = (slots[j - 1] + 1) * recBytes;
+        const std::uint64_t pageBegin = begin / pageBytes * pageBytes;
+        const std::uint64_t pageEnd = roundUp(end, pageBytes);
+        ::madvise(slotBase + pageBegin, pageEnd - pageBegin,
+                  MADV_WILLNEED);
+        i = j;
+    }
+    for (std::size_t k = 0; k < n; ++k)
+        std::memcpy(dst + k * recBytes, slotBase + slots[k] * recBytes,
+                    recBytes);
 }
 
 void
-MmapFileBackend::doWriteSlot(std::uint64_t slot, const std::uint8_t *src)
+MmapFileBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
+                              const std::uint8_t *src)
 {
-    std::memcpy(slotBase + slot * recBytes, src, recBytes);
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(slotBase + slots[i] * recBytes, src + i * recBytes,
+                    recBytes);
 }
 
 void
@@ -163,30 +188,6 @@ MmapFileBackend::doFlush()
       case Durability::Sync:
         ::msync(map, totalBytes, MS_SYNC);
         break;
-    }
-}
-
-void
-MmapFileBackend::willNeed(const std::uint64_t *slots, std::size_t n)
-{
-    // Coalesce the slot list into maximal contiguous byte ranges and
-    // hand each to the kernel as one page-aligned MADV_WILLNEED —
-    // the vectored read that follows then faults on pages already in
-    // flight instead of demand-paging one bucket at a time. Path slot
-    // lists arrive bucket-contiguous, so this degenerates to one
-    // hint per tree node run.
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i + 1;
-        while (j < n && slots[j] == slots[j - 1] + 1)
-            ++j;
-        const std::uint64_t begin = slots[i] * recBytes;
-        const std::uint64_t end = (slots[j - 1] + 1) * recBytes;
-        const std::uint64_t pageBegin = begin / pageBytes * pageBytes;
-        const std::uint64_t pageEnd = roundUp(end, pageBytes);
-        ::madvise(slotBase + pageBegin, pageEnd - pageBegin,
-                  MADV_WILLNEED);
-        i = j;
     }
 }
 

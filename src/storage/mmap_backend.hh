@@ -12,14 +12,15 @@
  * (ServerStorage stores its encryption epoch table there); the slot
  * region is the record array.
  *
- * The mapping is addressable (mappedBase()), so ServerStorage runs
- * the same zero-copy encode/decode path as DRAM — the difference is
- * that page faults now pull bytes from the file, and those faults
- * happen inside the timed I/O windows, turning the serving thread's
- * reported stalls into genuine I/O waits. Durability is a flush()
- * policy (nothing / msync MS_ASYNC / msync MS_SYNC); MADV_RANDOM is
- * always applied because ORAM slot traffic is uniformly random
- * by construction.
+ * A vectored read or write is a memcpy loop between the mapping and
+ * the caller's staging buffer, so the page faults that pull bytes
+ * from the file land inside the timed I/O window: the serving
+ * thread's reported stalls are genuine I/O waits. A read first hands
+ * the kernel one MADV_WILLNEED per contiguous run of its slots, so
+ * the copy faults on pages already in flight. Durability is a
+ * flush() policy (nothing / msync MS_ASYNC / msync MS_SYNC);
+ * MADV_RANDOM is always applied because ORAM slot traffic is
+ * uniformly random by construction.
  */
 
 #ifndef LAORAM_STORAGE_MMAP_BACKEND_HH
@@ -46,10 +47,6 @@ class MmapFileBackend final : public SlotBackend
                     std::uint64_t recordBytes, std::uint64_t metaBytes);
     ~MmapFileBackend() override;
 
-    std::uint8_t *mappedBase() override { return slotBase; }
-
-    void willNeed(const std::uint64_t *slots, std::size_t n) override;
-
     std::uint64_t residentBytes() const override;
     bool persistent() const override { return true; }
     bool openedExisting() const override { return reopened; }
@@ -66,9 +63,10 @@ class MmapFileBackend final : public SlotBackend
     std::uint64_t fileBytes() const { return totalBytes; }
 
   protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
+    void doReadSlots(const std::uint64_t *slots, std::size_t n,
+                     std::uint8_t *dst) override;
+    void doWriteSlots(const std::uint64_t *slots, std::size_t n,
+                      const std::uint8_t *src) override;
     void doFlush() override;
 
   private:

@@ -791,30 +791,14 @@ RemoteKvBackend::reapCompletedWrites()
 }
 
 void
-RemoteKvBackend::doReadSlot(std::uint64_t slot, std::uint8_t *dst)
-{
-    doReadSlots(&slot, 1, dst);
-}
-
-void
-RemoteKvBackend::doWriteSlot(std::uint64_t slot,
-                             const std::uint8_t *src)
-{
-    doWriteSlots(&slot, 1, src);
-}
-
-void
 RemoteKvBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
                              std::uint8_t *dst)
 {
     std::vector<std::uint8_t> &frame = beginRequest(
         RemoteOp::ReadSlots, (1 + n) * sizeof(std::uint64_t));
     appendU64(frame, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
+    for (std::size_t i = 0; i < n; ++i)
         appendU64(frame, slots[i]);
-    }
     // The read pipelines behind any in-flight writes on the ordered
     // stream, so it observes all of them; awaiting it resolves their
     // completions along the way (harvested strictly in order).
@@ -848,11 +832,8 @@ RemoteKvBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
         RemoteOp::WriteSlots,
         (1 + n) * sizeof(std::uint64_t) + n * recBytes);
     appendU64(frame, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
+    for (std::size_t i = 0; i < n; ++i)
         appendU64(frame, slots[i]);
-    }
     frame.insert(frame.end(), src, src + n * recBytes);
     pendingWrites.push_back(dispatchRequest());
     if (obs::metricsEnabled()) {

@@ -16,19 +16,20 @@
  *    order, which is the ordering contract the client's pipelining
  *    relies on.
  *
- *  - RemoteKvBackend — a *staged* SlotBackend (mappedBase() == null):
- *    ServerStorage moves whole ORAM paths through the vectored
- *    readSlots/writeSlots calls, and each such call becomes exactly
- *    ONE request frame — a path is one RPC, never one RPC per slot.
- *    Writes are asynchronous: the request is sent and a completion
- *    future is parked in a bounded in-flight window
- *    (RemoteKvConfig::windowDepth), so the serving thread keeps
- *    going while the write travels. Reads are pipelined behind any
- *    outstanding writes on the same ordered stream, so a read can
- *    never observe a stale slot. The time the client *does* block —
- *    harvesting write completions when the window is full, waiting
- *    for read payloads — lands in the IoStats ledger, which is how
- *    PipelineReport::wallIoNs comes to include genuine RPC waits.
+ *  - RemoteKvBackend — the client SlotBackend: ServerStorage moves
+ *    whole ORAM paths through the vectored readSlots/writeSlots
+ *    calls (the only transfer calls any backend has), and each such
+ *    call becomes exactly ONE request frame — a path is one RPC,
+ *    never one RPC per slot. Writes are asynchronous: the request
+ *    is sent and a completion future is parked in a bounded
+ *    in-flight window (RemoteKvConfig::windowDepth), so the serving
+ *    thread keeps going while the write travels. Reads are pipelined
+ *    behind any outstanding writes on the same ordered stream, so a
+ *    read can never observe a stale slot. The time the client *does*
+ *    block — harvesting write completions when the window is full,
+ *    waiting for read payloads — lands in the IoStats ledger, which
+ *    is how PipelineReport::wallIoNs comes to include genuine RPC
+ *    waits.
  *
  * Wire format (all integers little-endian, like every on-disk /
  * on-wire structure in this repo):
@@ -213,7 +214,7 @@ class RemoteKvServer
 };
 
 /**
- * Client-side staged SlotBackend speaking the remote-KV protocol.
+ * Client-side SlotBackend speaking the remote-KV protocol.
  * One vectored readSlots/writeSlots call = one RPC; writes pipeline
  * asynchronously through a bounded in-flight window of completion
  * futures. Single-threaded per instance, like every SlotBackend.
@@ -252,9 +253,6 @@ class RemoteKvBackend final : public SlotBackend
     std::size_t inFlightWrites() const { return pendingWrites.size(); }
 
   protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
     void doReadSlots(const std::uint64_t *slots, std::size_t n,
                      std::uint8_t *dst) override;
     void doWriteSlots(const std::uint64_t *slots, std::size_t n,

@@ -94,21 +94,11 @@ SlotBackend::~SlotBackend()
 }
 
 void
-SlotBackend::readSlot(std::uint64_t slot, std::uint8_t *dst)
+SlotBackend::checkSlots(const std::uint64_t *slots, std::size_t n) const
 {
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    const WallClock::time_point t0 = WallClock::now();
-    doReadSlot(slot, dst);
-    noteMappedRead(1, elapsedNs(t0));
-}
-
-void
-SlotBackend::writeSlot(std::uint64_t slot, const std::uint8_t *src)
-{
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    const WallClock::time_point t0 = WallClock::now();
-    doWriteSlot(slot, src);
-    noteMappedWrite(1, elapsedNs(t0));
+    for (std::size_t i = 0; i < n; ++i)
+        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
+                      " out of range");
 }
 
 void
@@ -117,9 +107,17 @@ SlotBackend::readSlots(const std::uint64_t *slots, std::size_t n,
 {
     if (n == 0)
         return;
+    checkSlots(slots, n);
     const WallClock::time_point t0 = WallClock::now();
     doReadSlots(slots, n, dst);
-    noteMappedRead(n, elapsedNs(t0));
+    const std::int64_t ns = elapsedNs(t0);
+    ++stats.readOps;
+    stats.slotsRead += n;
+    stats.bytesRead += n * recBytes;
+    stats.readNs += ns;
+    // Only a duration is measured, so the span is back-dated to end
+    // at the report point.
+    obs::traceRecordEndingNow("path-read", ns, n);
 }
 
 void
@@ -128,9 +126,15 @@ SlotBackend::writeSlots(const std::uint64_t *slots, std::size_t n,
 {
     if (n == 0)
         return;
+    checkSlots(slots, n);
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlots(slots, n, src);
-    noteMappedWrite(n, elapsedNs(t0));
+    const std::int64_t ns = elapsedNs(t0);
+    ++stats.writeOps;
+    stats.slotsWritten += n;
+    stats.bytesWritten += n * recBytes;
+    stats.writeNs += ns;
+    obs::traceRecordEndingNow("path-write", ns, n);
 }
 
 void
@@ -140,50 +144,6 @@ SlotBackend::flush()
     doFlush();
     stats.flushNs += elapsedNs(t0);
     ++stats.flushes;
-}
-
-void
-SlotBackend::noteMappedRead(std::uint64_t slotCount, std::int64_t ns)
-{
-    ++stats.readOps;
-    stats.slotsRead += slotCount;
-    stats.bytesRead += slotCount * recBytes;
-    stats.readNs += ns;
-    // The mapped fast path only measures a duration, so the span is
-    // back-dated to end at the report point.
-    obs::traceRecordEndingNow("path-read", ns, slotCount);
-}
-
-void
-SlotBackend::noteMappedWrite(std::uint64_t slotCount, std::int64_t ns)
-{
-    ++stats.writeOps;
-    stats.slotsWritten += slotCount;
-    stats.bytesWritten += slotCount * recBytes;
-    stats.writeNs += ns;
-    obs::traceRecordEndingNow("path-write", ns, slotCount);
-}
-
-void
-SlotBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
-                         std::uint8_t *dst)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
-        doReadSlot(slots[i], dst + i * recBytes);
-    }
-}
-
-void
-SlotBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
-                          const std::uint8_t *src)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
-        doWriteSlot(slots[i], src + i * recBytes);
-    }
 }
 
 std::unique_ptr<SlotBackend>

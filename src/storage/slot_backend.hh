@@ -5,18 +5,13 @@
  *
  * ServerStorage owns serialization and encryption-at-rest; a
  * SlotBackend owns the *bytes*. Backends store fixed-size records
- * (recordBytes each) addressed by slot index and come in two flavours:
- *
- *  - addressable: the whole slot array is mapped into the process
- *    (DramBackend, MmapFileBackend). mappedBase() returns the base
- *    pointer and ServerStorage encodes/decodes records in place —
- *    zero staging copies, exactly the pre-backend hot path. For a
- *    file mapping the page faults taken during that decode ARE the
- *    I/O wait, and they land inside the timed window.
- *  - staged: mappedBase() returns null and ServerStorage moves bytes
- *    through the vectored readSlots/writeSlots calls (one call per
- *    ORAM path), which is the natural shape for a remote KV or block
- *    device backend to coalesce or batch.
+ * (recordBytes each) addressed by slot index, and every backend moves
+ * them the same way: through the vectored readSlots/writeSlots pair,
+ * one call per ORAM path (or path union), into and out of a
+ * caller-owned staging buffer. A backend implements only
+ * doReadSlots/doWriteSlots — a memcpy loop for DRAM and an mmap file,
+ * one RPC for the remote KV — and may coalesce, prefetch or batch the
+ * whole path inside that one call.
  *
  * Every backend keeps an IoStats ledger (ops, slots, bytes, measured
  * nanoseconds) that the pipeline reports as the serving thread's
@@ -81,7 +76,7 @@ enum class BackendKind
 {
     Dram,     ///< in-process heap array (default; not persistent)
     MmapFile, ///< file-backed mmap tree; survives process restart
-    Remote,   ///< remote-KV node over batched/async RPC (staged)
+    Remote,   ///< remote-KV node over batched/async RPC
 };
 
 /** Stable lower-case name for CLI/report output. */
@@ -213,18 +208,13 @@ class SlotBackend
     std::uint64_t slots() const { return nSlots; }
     std::uint64_t recordBytes() const { return recBytes; }
 
-    // ---- Staged I/O (timed + counted; used when mappedBase() is
-    // null, and by conformance tests to exercise any backend). ----
-
-    /** Copy one record out of / into the store. */
-    void readSlot(std::uint64_t slot, std::uint8_t *dst);
-    void writeSlot(std::uint64_t slot, const std::uint8_t *src);
-
     /**
      * Vectored path operations: @p dst / @p src hold n records
      * back-to-back, record i belonging to slots[i]. One call covers
      * one whole ORAM path (or path union), so a backend can coalesce
-     * adjacent slots, prefetch, or issue one real I/O per path.
+     * adjacent slots, prefetch, or issue one real I/O per path. Every
+     * slot is range-checked here; a call with n == 0 is a no-op and
+     * is not counted.
      */
     void readSlots(const std::uint64_t *slots, std::size_t n,
                    std::uint8_t *dst);
@@ -233,39 +223,6 @@ class SlotBackend
 
     /** Apply the configured durability policy (no-op for DRAM). */
     void flush();
-
-    // ---- Addressable fast path. ----
-
-    /**
-     * Base pointer of the mapped slot array (slot s's record lives at
-     * mappedBase() + s * recordBytes()), or null for staged backends.
-     */
-    virtual std::uint8_t *mappedBase() { return nullptr; }
-    const std::uint8_t *
-    mappedBase() const
-    {
-        return const_cast<SlotBackend *>(this)->mappedBase();
-    }
-
-    /**
-     * Prefetch hint issued before a vectored read of @p n slots
-     * (MADV_WILLNEED over the covered ranges for a file mapping).
-     */
-    virtual void
-    willNeed(const std::uint64_t *slots, std::size_t n)
-    {
-        (void)slots;
-        (void)n;
-    }
-
-    /**
-     * Accounting entry points for the mapped fast path: ServerStorage
-     * decodes/encodes records directly in mapped memory and reports
-     * the op here so IoStats stays complete for every backend. The
-     * staged calls above count through them too.
-     */
-    void noteMappedRead(std::uint64_t slotCount, std::int64_t ns);
-    void noteMappedWrite(std::uint64_t slotCount, std::int64_t ns);
 
     // ---- Introspection / persistence. ----
 
@@ -309,16 +266,11 @@ class SlotBackend
     const IoStats &ioStats() const { return stats; }
 
   protected:
-    /** Single-record transfer; @p slot is already range-checked. */
-    virtual void doReadSlot(std::uint64_t slot, std::uint8_t *dst) = 0;
-    virtual void doWriteSlot(std::uint64_t slot,
-                             const std::uint8_t *src) = 0;
-
-    /** Vectored transfers; default loops the single-slot ops. */
+    /** Vectored transfers; every slot is already range-checked. */
     virtual void doReadSlots(const std::uint64_t *slots, std::size_t n,
-                             std::uint8_t *dst);
+                             std::uint8_t *dst) = 0;
     virtual void doWriteSlots(const std::uint64_t *slots, std::size_t n,
-                              const std::uint8_t *src);
+                              const std::uint8_t *src) = 0;
 
     virtual void doFlush() {}
 
@@ -327,6 +279,9 @@ class SlotBackend
     IoStats stats;
 
   private:
+    /** Fatal unless every one of the @p n slots is in range. */
+    void checkSlots(const std::uint64_t *slots, std::size_t n) const;
+
     const std::string kind;
     obs::LedgerSet<IoStats> &live; ///< this kind's pulled series
 };

@@ -87,13 +87,13 @@ TEST(FlakyProxy, ReconnectPreservesReadYourWrites)
                            kRecBytes, 0);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
         const auto rec = record(static_cast<std::uint8_t>(slot));
-        client.writeSlot(slot, rec.data());
+        client.writeSlots(&slot, 1, rec.data());
     }
     // Reads pipeline behind the replayed writes: every one must
     // observe its write even though the link died mid-window.
     std::vector<std::uint8_t> out(kRecBytes);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.readSlot(slot, out.data());
+        client.readSlots(&slot, 1, out.data());
         EXPECT_EQ(out, record(static_cast<std::uint8_t>(slot)))
             << "slot " << slot;
     }
@@ -115,11 +115,12 @@ TEST(FlakyProxy, ReplayedWriteIsDiscardedNotAppliedTwice)
     RemoteKvBackend client(dialConfig(proxy.endpoint()), kSlots,
                            kRecBytes, 0);
     const auto rec = record(0x21);
-    client.writeSlot(9, rec.data());
+    const std::uint64_t slot = 9;
+    client.writeSlots(&slot, 1, rec.data());
     client.flush(); // forces the replay + ack round-trip to finish
 
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(9, out.data());
+    client.readSlots(&slot, 1, out.data());
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -142,11 +143,12 @@ TEST(FlakyProxy, BlackHoledRequestTimesOutAndRecovers)
                                       /*timeoutMs=*/150),
                            kSlots, kRecBytes, 0);
     const auto rec = record(0x44);
-    client.writeSlot(3, rec.data());
+    const std::uint64_t slot = 3;
+    client.writeSlots(&slot, 1, rec.data());
     client.flush(); // request #3: swallowed, times out, replays
 
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(3, out.data());
+    client.readSlots(&slot, 1, out.data());
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -162,9 +164,10 @@ TEST(FlakyProxy, TruncatedResponseIsLostNotDecoded)
     RemoteKvBackend client(dialConfig(proxy.endpoint()), kSlots,
                            kRecBytes, 0);
     const auto rec = record(0x66);
-    client.writeSlot(5, rec.data());
+    const std::uint64_t slot = 5;
+    client.writeSlots(&slot, 1, rec.data());
     std::vector<std::uint8_t> out(kRecBytes, 0);
-    client.readSlot(5, out.data()); // its response arrives cut in half
+    client.readSlots(&slot, 1, out.data()); // response cut in half
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -188,14 +191,15 @@ TEST(FlakyProxyDeath, RetriesExhaustedFailFatally)
             scfg.remote.backoffBaseMs = 1;
             RemoteKvBackend client(scfg, kSlots, kRecBytes, 0);
             const auto rec = record(0x10);
-            client.writeSlot(0, rec.data());
+            const std::uint64_t slot = 0;
+            client.writeSlots(&slot, 1, rec.data());
             client.flush(); // healthy so far
 
             proxy.reset();      // listener gone: redials are refused
             server->shutdown(); // and so is the node
 
             std::vector<std::uint8_t> out(kRecBytes);
-            client.readSlot(0, out.data()); // must fatal, not hang
+            client.readSlots(&slot, 1, out.data()); // must fatal
         },
         ::testing::ExitedWithCode(1), "remote-KV connection lost");
 }

@@ -95,8 +95,8 @@ TEST(NodeListener, ServesManyConcurrentClients)
                 const std::uint64_t slot = c * kPerClient + i;
                 for (std::size_t b = 0; b < rec.size(); ++b)
                     rec[b] = static_cast<std::uint8_t>(slot * 3 + b);
-                client.writeSlot(slot, rec.data());
-                client.readSlot(slot, out.data());
+                client.writeSlots(&slot, 1, rec.data());
+                client.readSlots(&slot, 1, out.data());
                 good = good && out == rec;
             }
             client.flush();
@@ -131,7 +131,8 @@ TEST(NodeListener, ReclaimsStaleUdsSocketFile)
     RemoteKvBackend client(dialConfig("unix:" + sock), kSlots,
                            kRecBytes, 0);
     std::vector<std::uint8_t> rec(kRecBytes, 0x5A);
-    client.writeSlot(0, rec.data());
+    const std::uint64_t slot = 0;
+    client.writeSlots(&slot, 1, rec.data());
     client.flush();
     EXPECT_EQ(server->inner().ioStats().slotsWritten, 1u);
 

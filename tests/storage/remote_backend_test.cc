@@ -128,7 +128,7 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
 
     const auto rec = pattern(0x42);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.writeSlot(slot, rec.data());
+        client.writeSlots(&slot, 1, rec.data());
         EXPECT_LE(client.inFlightWrites(), cfg.windowDepth);
     }
     EXPECT_GE(client.inFlightWrites(), 1u);
@@ -139,7 +139,7 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
     // Every write is visible after the flush barrier.
     std::vector<std::uint8_t> out(kRecBytes);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.readSlot(slot, out.data());
+        client.readSlots(&slot, 1, out.data());
         EXPECT_EQ(out, rec) << "slot " << slot;
     }
 }
@@ -155,13 +155,13 @@ TEST(RemoteBackend, ReadObservesAllPendingWrites)
     // Several async writes to the same slot, then an immediate read:
     // the ordered stream must deliver the *last* write's bytes even
     // though none of the writes was awaited explicitly.
+    const std::uint64_t slot = 7;
     for (std::uint8_t round = 0; round < 5; ++round) {
         const auto rec = pattern(round);
-        const std::uint64_t slot = 7;
         client.writeSlots(&slot, 1, rec.data());
     }
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(7, out.data());
+    client.readSlots(&slot, 1, out.data());
     EXPECT_EQ(out, pattern(4));
 }
 
@@ -237,7 +237,8 @@ TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
     // The node survives and still serves well-behaved clients.
     RemoteKvBackend ok(node.dialConfig(), kSlots, kRecBytes, 0);
     const auto rec = pattern(0x05);
-    ok.writeSlot(0, rec.data());
+    const std::uint64_t slot = 0;
+    ok.writeSlots(&slot, 1, rec.data());
     ok.flush();
 }
 
@@ -259,7 +260,8 @@ TEST(RemoteBackend, HandshakeRejectsGeometryMismatch)
             // good ones.
             RemoteKvBackend ok(node.dialConfig(), kSlots, kRecBytes, 0);
             const auto rec = pattern(0x01);
-            ok.writeSlot(0, rec.data());
+            const std::uint64_t slot = 0;
+            ok.writeSlots(&slot, 1, rec.data());
             ok.flush();
         }
         EXPECT_EQ(openFdCount(), before)
@@ -446,13 +448,14 @@ TEST(RemoteServerLoss, KillServerMidTraceFailsFastNotHangs)
             RemoteKvBackend client(node.dialConfig(failFast), kSlots,
                                    kRecBytes, 0);
             const auto rec = pattern(0x33);
-            client.writeSlot(1, rec.data());
+            const std::uint64_t slot = 1;
+            client.writeSlots(&slot, 1, rec.data());
             client.flush(); // healthy so far
 
             node.server->shutdown(); // the node dies mid-trace
 
             std::vector<std::uint8_t> out(kRecBytes);
-            client.readSlot(1, out.data()); // must fatal, not hang
+            client.readSlots(&slot, 1, out.data()); // must fatal
         },
         ::testing::ExitedWithCode(1), "remote-KV connection lost");
 }
