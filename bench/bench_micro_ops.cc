@@ -4,13 +4,16 @@
  * accesses/second of each engine across tree heights. This is
  * infrastructure benchmarking (host speed of the simulator itself),
  * not a paper figure — the paper metrics are simulated-time ratios,
- * which bench_fig7_speedups reports.
+ * which bench_fig7_speedups reports. BM_ChaCha20Records puts the
+ * per-ISA speed of the record-encryption kernels next to them.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/harness.hh"
 #include "core/pipeline.hh"
+#include "crypto/chacha20_detail.hh"
+#include "crypto/encryptor.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/rng.hh"
@@ -135,6 +138,39 @@ BM_StorageVectoredPathRead(benchmark::State &state)
 }
 
 void
+BM_ChaCha20Records(benchmark::State &state)
+{
+    // One xorRecords kernel over one train-kaggle-sized path union:
+    // 270 records of range(1) bytes (80 = 64-B payload, 144 = 128-B
+    // payload, each plus the 16-B id/leaf header), each under its own
+    // nonce. range(0) indexes detail::recordsKernels().
+    std::size_t count = 0;
+    const crypto::detail::RecordsKernel *kernels =
+        crypto::detail::recordsKernels(count);
+    const auto k = static_cast<std::size_t>(state.range(0));
+    if (k >= count || !kernels[k].supported()) {
+        state.SkipWithError("kernel not available on this build/CPU");
+        return;
+    }
+    state.SetLabel(kernels[k].name);
+    constexpr std::size_t kRecords = 270;
+    const auto recordBytes = static_cast<std::size_t>(state.range(1));
+    const crypto::Key256 key = crypto::Encryptor::deriveKey(5);
+    std::vector<crypto::Nonce96> nonces(kRecords);
+    for (std::size_t i = 0; i < kRecords; ++i)
+        nonces[i][0] = static_cast<std::uint8_t>(i);
+    std::vector<std::uint8_t> records(kRecords * recordBytes, 0x5a);
+    for (auto _ : state) {
+        kernels[k].xorRecords(key, nonces.data(), records.data(),
+                              recordBytes, kRecords);
+        benchmark::DoNotOptimize(records.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kRecords);
+    state.SetBytesProcessed(state.iterations() * kRecords * recordBytes);
+}
+
+void
 BM_PipelineTrace(benchmark::State &state)
 {
     // Full two-stage pipeline over a fixed trace; range(0) selects
@@ -166,6 +202,9 @@ BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_StorageVectoredPathRead)->Arg(0)->Arg(1);
+BENCHMARK(BM_ChaCha20Records)
+    ->ArgsProduct({{0, 1, 2, 3}, {80, 144}})
+    ->ArgNames({"kernel", "record_bytes"});
 BENCHMARK(BM_PipelineTrace)
     ->Arg(0)
     ->Arg(1)

@@ -154,15 +154,16 @@ main(int argc, char **argv)
     {
         std::uint64_t sessions, shards;
     };
-    std::vector<Cell> cells;
+    // Built in place rather than assigned into an empty vector: GCC 12
+    // flags the assignment's memmove with a false -Wnonnull under -O2.
+    const std::vector<Cell> cells =
+        *smoke ? std::vector<Cell>{{4, 2}}
+               : std::vector<Cell>{{1, 2}, {4, 2}, {8, 2}, {4, 4}, {8, 4}};
     std::uint64_t nBlocks = *blocks;
     std::uint64_t nBatches = *batches;
     if (*smoke) {
         nBlocks = 1 << 10;
         nBatches = 12;
-        cells = {{4, 2}};
-    } else {
-        cells = {{1, 2}, {4, 2}, {8, 2}, {4, 4}, {8, 4}};
     }
 
     bench::printHeader(

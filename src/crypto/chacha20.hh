@@ -8,9 +8,16 @@
  * encrypt bucket payloads at rest and (b) as a deterministic keyed PRF
  * where tests need reproducible pseudorandom bytes.
  *
- * This is a reference implementation tuned for clarity; it is fast
- * enough for the simulator (hundreds of MB/s) and validated against the
- * RFC 8439 test vectors in tests/crypto.
+ * Encryption is on the serve path (every slot of every path read and
+ * written), so the bulk entry point is xorRecords: one call XORs a
+ * whole path's records, each under its own nonce, and generates the
+ * keystream many blocks at a time with one SIMD lane per (record,
+ * 64-B block) pair. The lane kernel is chosen once per process from
+ * what the CPU supports (AVX-512F, AVX2 or SSE2 on x86-64; a
+ * word-wise scalar kernel elsewhere), and every kernel produces the
+ * same bytes (see crypto/chacha20_detail.hh). block and xorStream are
+ * the scalar single-nonce forms. All of them are validated against
+ * the RFC 8439 test vectors in tests/crypto.
  */
 
 #ifndef LAORAM_CRYPTO_CHACHA20_HH
@@ -57,6 +64,16 @@ class ChaCha20
     static void xorStream(const Key256 &key, const Nonce96 &nonce,
                           std::uint32_t counter, std::uint8_t *data,
                           std::size_t len);
+
+    /**
+     * XOR @p n contiguous records of @p recordBytes bytes in place:
+     * record i (at records + i * recordBytes) with the keystream of
+     * @p nonces[i], starting at counter 0. Byte-identical to calling
+     * xorStream(key, nonces[i], 0, ...) on each record.
+     */
+    static void xorRecords(const Key256 &key, const Nonce96 *nonces,
+                           std::uint8_t *records, std::size_t recordBytes,
+                           std::size_t n);
 };
 
 } // namespace laoram::crypto

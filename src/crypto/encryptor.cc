@@ -1,9 +1,38 @@
 #include "crypto/encryptor.hh"
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace laoram::crypto {
+
+namespace {
+
+// Nonces built per xorRecords call (1.5 KiB of stack): more than one
+// path's slots, so a path is one kernel pass.
+constexpr std::size_t kNonceChunk = 128;
+
+/** XOR @p n records, record i under nonceAt(i), a chunk at a time. */
+template <typename NonceAt>
+void
+xorChunked(const Key256 &key, std::size_t n, std::uint8_t *records,
+           std::size_t recordBytes, NonceAt nonceAt)
+{
+    Nonce96 nonces[kNonceChunk];
+    for (std::size_t base = 0; base < n; base += kNonceChunk) {
+        const std::size_t m = std::min(kNonceChunk, n - base);
+        for (std::size_t i = 0; i < m; ++i)
+            nonces[i] = nonceAt(base + i);
+        ChaCha20::xorRecords(key, nonces, records + base * recordBytes,
+                             recordBytes, m);
+    }
+}
+
+} // namespace
 
 Encryptor::Encryptor(const Key256 &key, std::uint64_t slots)
     : isEnabled(true), key(key), epochs(slots, 0)
@@ -32,24 +61,40 @@ Encryptor::nonceFor(std::uint64_t slot, std::uint32_t epoch) const
 }
 
 void
-Encryptor::encryptSlot(std::uint64_t slot, std::uint8_t *data,
-                       std::size_t len)
+Encryptor::encryptSlots(const std::uint64_t *slots, std::size_t n,
+                        std::uint8_t *records, std::size_t recordBytes)
 {
     if (!isEnabled)
         return;
-    LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
-    ++epochs[slot];
-    ChaCha20::xorStream(key, nonceFor(slot, epochs[slot]), 0, data, len);
+    xorChunked(key, n, records, recordBytes, [&](std::size_t i) {
+        const std::uint64_t slot = slots[i];
+        LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
+        if (epochs[slot] == std::numeric_limits<std::uint32_t>::max()) {
+            // Undo this call's bumps so the table still matches what
+            // the backend holds.
+            for (std::size_t j = i; j-- > 0;)
+                --epochs[slots[j]];
+            throw std::runtime_error(
+                "slot " + std::to_string(slot)
+                + " has used all 2^32 write epochs; encrypting it again "
+                  "would reuse a (slot, epoch) nonce, so refusing to "
+                  "write");
+        }
+        return nonceFor(slot, ++epochs[slot]);
+    });
 }
 
 void
-Encryptor::decryptSlot(std::uint64_t slot, std::uint8_t *data,
-                       std::size_t len) const
+Encryptor::decryptSlots(const std::uint64_t *slots, std::size_t n,
+                        std::uint8_t *records,
+                        std::size_t recordBytes) const
 {
     if (!isEnabled)
         return;
-    LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
-    ChaCha20::xorStream(key, nonceFor(slot, epochs[slot]), 0, data, len);
+    xorChunked(key, n, records, recordBytes, [&](std::size_t i) {
+        LAORAM_ASSERT(slots[i] < epochs.size(), "slot out of range");
+        return nonceFor(slots[i], epochs[slots[i]]);
+    });
 }
 
 std::array<std::uint8_t, kKeyCheckBytes>

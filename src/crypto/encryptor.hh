@@ -44,15 +44,38 @@ class Encryptor
     bool enabled() const { return isEnabled; }
 
     /**
-     * Encrypt @p data in place as the next write of @p slot (bumps the
-     * slot's epoch).
+     * Encrypt @p n contiguous records of @p recordBytes bytes in
+     * place, record i as the next write of @p slots[i]. Epochs are
+     * bumped in op order, so a slot repeated within one call takes
+     * one epoch per occurrence, exactly like one encryptSlot call per
+     * record; the keystream for the whole call is generated by one
+     * ChaCha20::xorRecords pass per chunk of slots.
+     *
+     * Fails closed on nonce reuse: if any slot's 32-bit epoch would
+     * wrap, throws std::runtime_error naming the slot, with every
+     * epoch as it was before the call (the record bytes are then
+     * unspecified and must not be stored).
      */
-    void encryptSlot(std::uint64_t slot, std::uint8_t *data,
-                     std::size_t len);
+    void encryptSlots(const std::uint64_t *slots, std::size_t n,
+                      std::uint8_t *records, std::size_t recordBytes);
 
-    /** Decrypt @p data in place using @p slot's current epoch. */
+    /** Decrypt @p n records in place under their slots' epochs. */
+    void decryptSlots(const std::uint64_t *slots, std::size_t n,
+                      std::uint8_t *records, std::size_t recordBytes) const;
+
+    /** encryptSlots for one record. */
+    void encryptSlot(std::uint64_t slot, std::uint8_t *data,
+                     std::size_t len)
+    {
+        encryptSlots(&slot, 1, data, len);
+    }
+
+    /** decryptSlots for one record. */
     void decryptSlot(std::uint64_t slot, std::uint8_t *data,
-                     std::size_t len) const;
+                     std::size_t len) const
+    {
+        decryptSlots(&slot, 1, data, len);
+    }
 
     /** Derive a key from a 64-bit seed (tests / examples convenience). */
     static Key256 deriveKey(std::uint64_t seed);

@@ -155,7 +155,6 @@ ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
             std::memset(rec + kHeaderBytes + op.len, 0,
                         payBytes - op.len);
     }
-    enc.encryptSlot(op.slot, rec, recBytes);
 }
 
 void
@@ -184,10 +183,9 @@ ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
     }
     staging.resize(n * recBytes);
     store->readSlots(slots, n, staging.data());
+    enc.decryptSlots(slots, n, staging.data(), recBytes);
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t *rec = staging.data() + i * recBytes;
-        if (enc.enabled())
-            enc.decryptSlot(slots[i], rec, recBytes);
+        const std::uint8_t *rec = staging.data() + i * recBytes;
         out[i].id = loadU64(rec);
         out[i].leaf = loadU64(rec + 8);
         out[i].payload.assign(rec + kHeaderBytes, rec + recBytes);
@@ -221,6 +219,7 @@ ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
         slotScratch[i] = ops[i].slot;
         encodeRecord(ops[i], staging.data() + i * recBytes);
     }
+    enc.encryptSlots(slotScratch.data(), n, staging.data(), recBytes);
     store->writeSlots(slotScratch.data(), n, staging.data());
 }
 

@@ -12,10 +12,13 @@
  * threat model.
  *
  * Records move through one vectored codec. readSlots has the backend
- * fill one staging buffer with the path's at-rest records, then
- * decrypts and decodes each in place; writeSlots encodes and encrypts
- * each record into that buffer and hands the whole path to one
- * backend write. The single-slot readSlot / writeSlot / writeDummy
+ * fill one staging buffer with the path's at-rest records, decrypts
+ * the whole buffer with one Encryptor::decryptSlots call, then decodes
+ * each record in place; writeSlots encodes every record into that
+ * buffer, encrypts it with one Encryptor::encryptSlots call and hands
+ * the whole path to one backend write. One call per path keeps the
+ * multi-lane ChaCha20 kernel's lanes full (one lane per record
+ * block). The single-slot readSlot / writeSlot / writeDummy
  * calls are n = 1 uses of the same codec, so the access sink, the
  * range check and the I/O ledger see every access the same way. Path
  * engines call the vectored form once per path (union), so a backend
@@ -156,7 +159,7 @@ class ServerStorage
     void readInto(const std::uint64_t *slots, std::size_t n,
                   StoredBlock *out) const;
 
-    /** Serialise one write op into @p rec and encrypt in place. */
+    /** Serialise one write op into the plaintext record @p rec. */
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
 
     const TreeGeometry &geom;

@@ -449,6 +449,61 @@ TEST(MmapBackend, ReopenRejectsWrongEncryptionKey)
     EXPECT_EQ(b.id, 7u);
 }
 
+TEST(MmapBackend, SpentEpochFailsClosedBeforeBackend)
+{
+    // A slot whose 32-bit write epoch is spent (forged here in the
+    // persisted epoch table) must refuse its next write before any
+    // record of the path reaches the backend: wrapping would reuse a
+    // (slot, epoch) nonce.
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("spent.tree");
+    auto g = smallGeom();
+    constexpr std::uint64_t kPayload = 16;
+    constexpr std::uint64_t kSpentSlot = 9;
+    StorageConfig c;
+    c.kind = BackendKind::MmapFile;
+    c.path = path;
+    {
+        ServerStorage s(g, kPayload, true, /*keySeed=*/1, c);
+    }
+    c.keepExisting = true;
+    {
+        // Meta layout: [4 B epoch per slot][key-check canary].
+        const std::uint64_t metaBytes =
+            g.totalSlots() * sizeof(std::uint32_t) + crypto::kKeyCheckBytes;
+        auto raw = storage::makeBackend(c, g.totalSlots(), 16 + kPayload,
+                                        metaBytes);
+        std::vector<std::uint8_t> meta(metaBytes);
+        ASSERT_EQ(raw->readMeta(meta.data(), metaBytes), metaBytes);
+        const std::uint32_t spent = 0xffffffffu;
+        std::memcpy(meta.data() + kSpentSlot * sizeof(spent), &spent,
+                    sizeof(spent));
+        raw->writeMeta(meta.data(), metaBytes);
+        raw->flush();
+    }
+
+    ServerStorage s(g, kPayload, true, 1, c);
+    ASSERT_TRUE(s.reopened());
+    const std::vector<std::uint8_t> payload(kPayload, 0x3c);
+    const std::vector<ServerStorage::SlotWriteOp> ops = {
+        {8, 80, 1, payload.data(), payload.size()},
+        {kSpentSlot, 90, 2, payload.data(), payload.size()},
+    };
+    const std::uint64_t writesBefore = s.ioStats().writeOps;
+    EXPECT_THROW(s.writeSlots(ops.data(), ops.size()), std::runtime_error);
+    EXPECT_EQ(s.ioStats().writeOps, writesBefore);
+
+    // Slot 8 was not written and its epoch did not move, so it still
+    // decrypts to the dummy it was; it takes a write on its own.
+    StoredBlock b;
+    s.readSlot(8, b);
+    EXPECT_TRUE(b.isDummy());
+    s.writeSlot(8, 80, 1, payload.data(), payload.size());
+    s.readSlot(8, b);
+    EXPECT_EQ(b.id, 80u);
+    EXPECT_EQ(b.payload, payload);
+}
+
 TEST(MmapBackend, KeepExistingOnMissingFileInitialisesFresh)
 {
     const test::ScratchDir scratch;
