@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/harness.hh"
 #include "core/pipeline.hh"
 #include "crypto/chacha20_detail.hh"
@@ -17,6 +19,7 @@
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/rng.hh"
+#include "workload/kaggle_synth.hh"
 
 using namespace laoram;
 
@@ -64,6 +67,69 @@ BM_LaoramBinAccess(benchmark::State &state)
     }
     // Each bin serves ~4 logical accesses.
     state.SetItemsProcessed(state.iterations() * 4);
+}
+
+void
+BM_LaoramTrainingBatch(benchmark::State &state)
+{
+    // The training deployment's serve path at its shape: encrypted
+    // 128-B rows in a fat(4) tree, S = 4, one union read and one
+    // write-back per 16-access batch over a Kaggle-like trace. Unlike
+    // BM_LaoramBinAccess it moves real payloads through the encrypted
+    // path codec. Items are logical accesses.
+    const std::uint64_t rows = std::uint64_t{1}
+        << static_cast<unsigned>(state.range(0));
+    core::LaoramConfig cfg;
+    cfg.base.numBlocks = rows;
+    cfg.base.blockBytes = 128;
+    cfg.base.payloadBytes = 128;
+    cfg.base.encrypt = true;
+    cfg.base.profile = oram::BucketProfile::fat(4);
+    cfg.base.seed = 1;
+    cfg.superblockSize = 4;
+    cfg.batchAccesses = 16;
+    core::Laoram engine(cfg);
+
+    workload::KaggleParams kp;
+    kp.numBlocks = rows;
+    kp.accesses = 32768;
+    kp.hotSetSize = std::min<std::uint64_t>(2048, rows / 4);
+    kp.seed = 4;
+    core::Preprocessor prep(
+        core::PreprocessorConfig{4, engine.geometry().numLeaves()}, 3);
+    const auto res = prep.run(workload::makeKaggleTrace(kp).accesses);
+
+    // Group bins into training batches by raw access count, as the
+    // engine's window loop does.
+    struct Batch
+    {
+        std::size_t first, count;
+        std::uint64_t raw;
+    };
+    std::vector<Batch> batches;
+    Batch cur{0, 0, 0};
+    for (std::size_t i = 0; i < res.bins.size(); ++i) {
+        ++cur.count;
+        cur.raw += res.bins[i].rawAccesses;
+        if (cur.raw >= cfg.batchAccesses) {
+            batches.push_back(cur);
+            cur = Batch{i + 1, 0, 0};
+        }
+    }
+    if (cur.count > 0)
+        batches.push_back(cur);
+
+    // One untimed lap fills the tree with real rows.
+    for (const Batch &b : batches)
+        engine.accessBatch(res.bins.data() + b.first, b.count);
+    std::size_t i = 0;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        const Batch &b = batches[i++ % batches.size()];
+        engine.accessBatch(res.bins.data() + b.first, b.count);
+        accesses += b.raw;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 
 void
@@ -199,6 +265,7 @@ BM_PipelineTrace(benchmark::State &state)
 
 BENCHMARK(BM_PathOramAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
+BENCHMARK(BM_LaoramTrainingBatch)->Arg(16)->Arg(18);
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_StorageVectoredPathRead)->Arg(0)->Arg(1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -110,32 +109,49 @@ PathIo::writePath(Leaf leaf)
     return written;
 }
 
-std::vector<NodeIndex>
-PathIo::pathUnion(const std::vector<Leaf> &leaves) const
+const std::vector<PathIo::UnionNode> &
+PathIo::pathUnion(const std::vector<Leaf> &leaves)
 {
-    std::vector<NodeIndex> nodes;
-    nodes.reserve(leaves.size() * geom.numLevels());
-    for (Leaf leaf : leaves)
-        for (unsigned level = 0; level < geom.numLevels(); ++level)
-            nodes.push_back(geom.pathNode(leaf, level));
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    // Heap indices grow with level, so descending index order is
-    // deepest-first — exactly the greedy write-back order.
-    std::reverse(nodes.begin(), nodes.end());
-    return nodes;
+    leafScratch.assign(leaves.begin(), leaves.end());
+    std::sort(leafScratch.begin(), leafScratch.end());
+    leafScratch.erase(std::unique(leafScratch.begin(), leafScratch.end()),
+                      leafScratch.end());
+    if (leafScratch == unionLeaves)
+        return unionNodes;
+    unionLeaves.swap(leafScratch);
+
+    // Heap indices grow with level and, within a level, with the leaf,
+    // so walking levels deepest-first and the sorted leaves backwards
+    // yields descending node order with shared nodes adjacent.
+    const std::size_t k = unionLeaves.size();
+    const unsigned levels = geom.numLevels();
+    unionNodes.clear();
+    unionPos.resize(levels * k);
+    for (unsigned level = levels; level-- > 0;) {
+        const std::uint64_t z = geom.bucketSize(level);
+        for (std::size_t j = k; j-- > 0;) {
+            const NodeIndex node = geom.pathNode(unionLeaves[j], level);
+            if (unionNodes.empty() || unionNodes.back().node != node)
+                unionNodes.push_back({node, geom.nodeSlotBase(node), z, 0});
+            unionPos[level * k + j] = unionNodes.size() - 1;
+        }
+    }
+    for (unsigned level = 1; level < levels; ++level)
+        for (std::size_t j = 0; j < k; ++j)
+            unionNodes[unionPos[level * k + j]].parent =
+                unionPos[(level - 1) * k + j];
+    return unionNodes;
 }
 
 std::uint64_t
 PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
 {
+    if (leaves.empty())
+        return 0;
     slotScratch.clear();
-    for (NodeIndex node : pathUnion(leaves)) {
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(geom.nodeLevel(node));
-        for (std::uint64_t s = 0; s < z; ++s)
-            slotScratch.push_back(base + s);
-    }
+    for (const UnionNode &u : pathUnion(leaves))
+        for (std::uint64_t s = 0; s < u.z; ++s)
+            slotScratch.push_back(u.base + s);
     const std::uint64_t slots_read = slotScratch.size();
     absorbGatheredSlots();
     return slots_read;
@@ -144,38 +160,39 @@ PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
 std::uint64_t
 PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
 {
-    const std::vector<NodeIndex> nodes = pathUnion(leaves);
+    if (leaves.empty())
+        return 0;
+    const std::vector<UnionNode> &nodes = pathUnion(leaves);
+    const std::size_t k = unionLeaves.size();
+    if (candidates.size() < nodes.size())
+        candidates.resize(nodes.size());
+    for (std::size_t p = 0; p < nodes.size(); ++p)
+        candidates[p].clear();
 
     // Seed every stash block at the deepest union node it may occupy:
     // the node realising max over leaves of commonLevel(block, leaf).
     // The maximiser shares the longest bit-prefix with the block's
     // leaf, so for a sorted leaf set it is always a lower_bound
     // neighbour — O(log k) per block instead of O(k).
-    std::vector<Leaf> sorted_leaves(leaves);
-    std::sort(sorted_leaves.begin(), sorted_leaves.end());
-
-    std::unordered_map<NodeIndex, std::vector<BlockId>> pending;
     for (const auto &[id, entry] : stash) {
         if (entry.pinned)
             continue;
-        auto it = std::lower_bound(sorted_leaves.begin(),
-                                   sorted_leaves.end(), entry.leaf);
-        unsigned best_level = 0;
-        Leaf best_leaf = sorted_leaves.front();
-        bool found = false;
-        auto consider = [&](Leaf leaf) {
-            const unsigned cl = geom.commonLevel(entry.leaf, leaf);
-            if (!found || cl > best_level) {
+        const std::size_t it = static_cast<std::size_t>(
+            std::lower_bound(unionLeaves.begin(), unionLeaves.end(),
+                             entry.leaf)
+            - unionLeaves.begin());
+        std::size_t best = it < k ? it : it - 1;
+        unsigned best_level =
+            geom.commonLevel(entry.leaf, unionLeaves[best]);
+        if (it < k && it > 0) {
+            const unsigned cl =
+                geom.commonLevel(entry.leaf, unionLeaves[it - 1]);
+            if (cl > best_level) {
                 best_level = cl;
-                best_leaf = leaf;
-                found = true;
+                best = it - 1;
             }
-        };
-        if (it != sorted_leaves.end())
-            consider(*it);
-        if (it != sorted_leaves.begin())
-            consider(*std::prev(it));
-        pending[geom.pathNode(best_leaf, best_level)].push_back(id);
+        }
+        candidates[unionPos[best_level * k + best]].push_back(id);
     }
 
     // Deepest-first fill; leftovers spill to the parent node, which is
@@ -185,32 +202,30 @@ PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
     writeScratch.clear();
     evictedScratch.clear();
     std::uint64_t slots_written = 0;
-    for (NodeIndex node : nodes) {
-        auto &candidates = pending[node];
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(geom.nodeLevel(node));
+    for (std::size_t p = 0; p < nodes.size(); ++p) {
+        const UnionNode &u = nodes[p];
+        std::vector<BlockId> &pending = candidates[p];
         std::uint64_t filled = 0;
-        while (filled < z && !candidates.empty()) {
-            const BlockId id = candidates.back();
-            candidates.pop_back();
+        while (filled < u.z && !pending.empty()) {
+            const BlockId id = pending.back();
+            pending.pop_back();
             StashEntry *entry = stash.find(id);
             LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({base + filled, id, entry->leaf,
+            writeScratch.push_back({u.base + filled, id, entry->leaf,
                                     entry->payload.data(),
                                     entry->payload.size()});
             evictedScratch.push_back(id);
             ++filled;
         }
-        for (std::uint64_t s = filled; s < z; ++s)
-            writeScratch.push_back({base + s, kInvalidBlock, 0,
+        for (std::uint64_t s = filled; s < u.z; ++s)
+            writeScratch.push_back({u.base + s, kInvalidBlock, 0,
                                     nullptr, 0});
-        slots_written += z;
+        slots_written += u.z;
 
-        if (!candidates.empty() && node != 0) {
-            auto &parent = pending[(node - 1) / 2];
-            parent.insert(parent.end(), candidates.begin(),
-                          candidates.end());
-            candidates.clear();
+        if (!pending.empty() && u.node != 0) {
+            std::vector<BlockId> &parent = candidates[u.parent];
+            parent.insert(parent.end(), pending.begin(), pending.end());
+            pending.clear();
         }
         // Leftovers at the root simply stay in the stash.
     }

@@ -58,7 +58,8 @@ class PathIo
      * Batched read of several paths (a LAORAM superblock bin or a
      * PrORAM merge): each node in the union of the paths is read
      * exactly once — re-reading a shared prefix node would only fetch
-     * slots the client already absorbed.
+     * slots the client already absorbed. An empty @p leaves reads
+     * nothing.
      *
      * @return number of physical slots read (union size)
      */
@@ -71,16 +72,32 @@ class PathIo
      * unions are ancestor-closed) and ultimately back to the stash.
      * Writing the union once — instead of path-by-path — is required
      * for correctness: sequential per-path write-backs would overwrite
-     * shared prefix nodes populated by the previous path.
+     * shared prefix nodes populated by the previous path. An empty
+     * @p leaves writes nothing and leaves the stash as it is.
      *
      * @return number of physical slots written (union size)
      */
     std::uint64_t writePathsBatched(const std::vector<Leaf> &leaves);
 
   private:
-    /** Sorted (level-descending, then node) union of path nodes. */
-    std::vector<NodeIndex> pathUnion(const std::vector<Leaf> &leaves)
-        const;
+    /** One node of a path union, with its write-back parent link. */
+    struct UnionNode
+    {
+        NodeIndex node;
+        std::uint64_t base; ///< first physical slot
+        std::uint64_t z;    ///< bucket size
+        std::size_t parent; ///< union position of the parent node
+    };
+
+    /**
+     * The union of @p leaves' path nodes in descending heap order
+     * (deepest level first, descending within a level): the greedy
+     * write-back order. A pure function of the leaf set, so it is
+     * cached on the sorted, de-duplicated leaves (unionLeaves) and a
+     * batch's read and write-back build it once.
+     */
+    const std::vector<UnionNode> &
+    pathUnion(const std::vector<Leaf> &leaves);
 
     /** Append every slot of @p leaf's path to slotScratch. */
     void gatherPathSlots(Leaf leaf);
@@ -102,6 +119,16 @@ class PathIo
     std::vector<StoredBlock> blockScratch;
     std::vector<ServerStorage::SlotWriteOp> writeScratch;
     std::vector<BlockId> evictedScratch;
+
+    // The cached path union: its key, its nodes, and the union
+    // position of each key leaf's node at each level
+    // (unionPos[level * unionLeaves.size() + j]).
+    std::vector<Leaf> unionLeaves;
+    std::vector<UnionNode> unionNodes;
+    std::vector<std::size_t> unionPos;
+    std::vector<Leaf> leafScratch;
+    // Batched write-back candidates, indexed by union position.
+    std::vector<std::vector<BlockId>> candidates;
 };
 
 /**

@@ -183,12 +183,43 @@ ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
     }
     staging.resize(n * recBytes);
     store->readSlots(slots, n, staging.data());
-    enc.decryptSlots(slots, n, staging.data(), recBytes);
+
+    // Header pass: one keystream block per slot decrypts every id and
+    // leaf, which is all the client needs to tell real from dummy.
+    headerScratch.resize(n * kHeaderBytes);
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(headerScratch.data() + i * kHeaderBytes,
+                    staging.data() + i * recBytes, kHeaderBytes);
+    enc.decryptSlots(slots, n, headerScratch.data(), kHeaderBytes);
+
+    // Record pass: compact the real records to the front of staging,
+    // in slot order, and decrypt only those. A dummy's payload is
+    // never decrypted or copied.
+    slotScratch.clear();
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t *rec = staging.data() + i * recBytes;
-        out[i].id = loadU64(rec);
-        out[i].leaf = loadU64(rec + 8);
+        if (loadU64(headerScratch.data() + i * kHeaderBytes)
+            == kInvalidBlock)
+            continue;
+        const std::size_t real = slotScratch.size();
+        if (real != i)
+            std::memmove(staging.data() + real * recBytes,
+                         staging.data() + i * recBytes, recBytes);
+        slotScratch.push_back(slots[i]);
+    }
+    enc.decryptSlots(slotScratch.data(), slotScratch.size(),
+                     staging.data(), recBytes);
+
+    const std::uint8_t *rec = staging.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t *hdr = headerScratch.data() + i * kHeaderBytes;
+        out[i].id = loadU64(hdr);
+        out[i].leaf = loadU64(hdr + 8);
+        if (out[i].isDummy()) {
+            out[i].payload.clear();
+            continue;
+        }
         out[i].payload.assign(rec + kHeaderBytes, rec + recBytes);
+        rec += recBytes;
     }
 }
 

@@ -12,20 +12,36 @@
  * threat model.
  *
  * Records move through one vectored codec. readSlots has the backend
- * fill one staging buffer with the path's at-rest records, decrypts
- * the whole buffer with one Encryptor::decryptSlots call, then decodes
- * each record in place; writeSlots encodes every record into that
- * buffer, encrypts it with one Encryptor::encryptSlots call and hands
- * the whole path to one backend write. One call per path keeps the
- * multi-lane ChaCha20 kernel's lanes full (one lane per record
- * block). The single-slot readSlot / writeSlot / writeDummy
- * calls are n = 1 uses of the same codec, so the access sink, the
- * range check and the I/O ledger see every access the same way. Path
- * engines call the vectored form once per path (union), so a backend
- * can coalesce, prefetch or issue one real I/O per path, and the
- * adversary access sink costs one branch per path instead of one per
- * slot when no sink is installed. Backend time (storage.<kind>.*_ns)
- * is pure transfer on every kind: encryption runs outside it.
+ * fill one staging buffer with the path's at-rest records, then
+ * decrypts in two passes. The header pass copies every record's 16-B
+ * header (id, leaf) into a packed array and decrypts it with one
+ * Encryptor::decryptSlots call: one keystream block per slot, which
+ * tells real records from dummies. The record pass compacts the real
+ * records to the front of the staging buffer, in slot order, and
+ * decrypts only those with a second decryptSlots call; a dummy's
+ * payload is never decrypted or copied (with LAORAM's fat tree most
+ * slots on a fetched path are dummies). writeSlots encodes every
+ * record into the staging buffer, encrypts it with one
+ * Encryptor::encryptSlots call and hands the whole path to one
+ * backend write: every slot of a write-back, dummy or real, gets
+ * fresh ciphertext. One call per pass keeps the multi-lane ChaCha20
+ * kernel's lanes full (one lane per record block). The single-slot
+ * readSlot / writeSlot / writeDummy calls are n = 1 uses of the same
+ * codec, so the access sink, the range check and the I/O ledger see
+ * every access the same way. Path engines call the vectored form
+ * once per path (union), so a backend can coalesce, prefetch or issue
+ * one real I/O per path, and the adversary access sink costs one
+ * branch per path instead of one per slot when no sink is installed.
+ * Backend time (storage.<kind>.*_ns) is pure transfer on every kind:
+ * encryption runs outside it.
+ *
+ * Skipping dummy payloads makes the client's decrypt work grow with
+ * the number of real records on the path, as stash absorption and
+ * the eviction plan already do. The server-visible stream is
+ * unchanged: every slot of a path is still fetched and every slot of
+ * a write-back still rewritten, so the adversary sees the same
+ * (slot, isWrite) sequence. An integrity MAC would be checked over
+ * the ciphertext, which the backend still returns for every slot.
  *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
@@ -84,7 +100,10 @@ class ServerStorage
     std::uint64_t recordBytes() const { return recBytes; }
     const TreeGeometry &geometry() const { return geom; }
 
-    /** Read slot @p slot into @p out (reuses out.payload capacity). */
+    /**
+     * Read slot @p slot into @p out (reuses out.payload capacity);
+     * the readSlots contract, for one slot.
+     */
     void readSlot(std::uint64_t slot, StoredBlock &out) const;
 
     /** Write a real block into @p slot. */
@@ -107,7 +126,11 @@ class ServerStorage
     /**
      * Vectored path read: fetch @p n slots as one backend operation,
      * decoding into @p out (resized to n; payload capacity reused
-     * across calls). Slot i of @p slots lands in out[i].
+     * across calls). Slot i of @p slots lands in out[i]. A real
+     * record comes back with its full payloadBytes() payload; a dummy
+     * (isDummy()) comes back with an empty payload, since its payload
+     * is never decrypted, so readers must not use a dummy's payload.
+     * Reads never change the encryption epochs.
      */
     void readSlots(const std::uint64_t *slots, std::size_t n,
                    std::vector<StoredBlock> &out) const;
@@ -171,10 +194,12 @@ class ServerStorage
     AccessSink sink;
     bool wasReopened = false;
 
-    // Whole-path record buffer and write slot list, reused across
-    // calls to avoid per-path allocation.
+    // Whole-path record buffer, packed header buffer and slot list
+    // (the write's slots, the read's real slots), reused across calls
+    // to avoid per-path allocation.
     mutable std::vector<std::uint8_t> staging;
-    std::vector<std::uint64_t> slotScratch;
+    mutable std::vector<std::uint8_t> headerScratch;
+    mutable std::vector<std::uint64_t> slotScratch;
 };
 
 } // namespace laoram::oram

@@ -7,13 +7,19 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "core/laoram_client.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
+#include "workload/kaggle_synth.hh"
 #include "workload/permutation_gen.hh"
 
 namespace laoram::core {
@@ -162,6 +168,91 @@ TEST(LaoramBatch, SecurityReadsEqualWrites)
     oram.runTrace(randomTrace(1000, 128, 6));
     EXPECT_EQ(reads, writes);
     EXPECT_GT(reads, 0u);
+}
+
+/** FNV-1a-64 over @p n bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(LaoramBatch, TrainingShapeStreamAndAtRestBytesArePinned)
+{
+    // A small run shaped like the training deployment (encrypted
+    // 128-B rows, fat(4) tree, S = 4, 16-access batches, Kaggle-like
+    // trace) pins two hashes: the adversary's (slot, isWrite) stream
+    // and the final at-rest tree file. Any drift in the union order,
+    // the write-back placements, the epochs or the ciphertext fails
+    // here.
+    if (::sysconf(_SC_PAGESIZE) != 4096)
+        GTEST_SKIP() << "file layout constant assumes 4 KiB pages";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.file("train.tree");
+
+    LaoramConfig cfg;
+    cfg.base.numBlocks = 2048;
+    cfg.base.blockBytes = 128;
+    cfg.base.payloadBytes = 128;
+    cfg.base.encrypt = true;
+    cfg.base.profile = oram::BucketProfile::fat(4);
+    cfg.base.seed = 11;
+    cfg.base.storage.kind = storage::BackendKind::MmapFile;
+    cfg.base.storage.path = path;
+    cfg.superblockSize = 4;
+    cfg.lookaheadWindow = 512;
+    cfg.batchAccesses = 16;
+
+    workload::KaggleParams kp;
+    kp.numBlocks = cfg.base.numBlocks;
+    kp.accesses = 6000;
+    kp.hotSetSize = 256;
+    kp.seed = 5;
+    const auto trace = workload::makeKaggleTrace(kp).accesses;
+
+    std::uint64_t stream = 0xcbf29ce484222325ULL;
+    std::uint64_t events = 0;
+    {
+        Laoram oram(cfg);
+        oram.storageForTest().setAccessSink(
+            [&](std::uint64_t slot, bool write) {
+                const std::uint64_t ev = (slot << 1) | (write ? 1 : 0);
+                stream = fnv1a(stream, &ev, sizeof(ev));
+                ++events;
+            });
+        // Every touch bumps a per-row counter, so real payloads vary.
+        oram.setTouchCallback(
+            [](oram::BlockId id, std::vector<std::uint8_t> &payload) {
+                std::uint64_t count = 0;
+                std::memcpy(&count, payload.data() + 8, 8);
+                ++count;
+                std::memcpy(payload.data(), &id, 8);
+                std::memcpy(payload.data() + 8, &count, 8);
+            });
+        oram.runTrace(trace);
+        EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
+                                  oram.stashForAudit(),
+                                  oram.posmapForAudit()),
+                  "");
+        oram.storageForTest().setAccessSink(nullptr);
+    } // destructor persists the epoch table and flushes
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    const std::uint64_t tree =
+        fnv1a(0xcbf29ce484222325ULL, bytes.data(), bytes.size());
+
+    EXPECT_EQ(events, 517226u);
+    EXPECT_EQ(stream, 0xb74cef1b140eab54ULL) << std::hex << "0x" << stream;
+    EXPECT_EQ(bytes.size(), 2607040u);
+    EXPECT_EQ(tree, 0x0204c6b068ae1c07ULL) << std::hex << "0x" << tree;
 }
 
 } // namespace

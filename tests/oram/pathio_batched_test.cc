@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "oram/evictor.hh"
@@ -224,6 +225,28 @@ TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)
         at_leaf |= (!b.isDummy() && b.id == 11);
     }
     EXPECT_TRUE(at_leaf);
+}
+
+TEST_F(BatchedFixture, EmptyLeafSetTouchesNothing)
+{
+    stage(3, 5);
+    stage(4, 9);
+    std::uint64_t sunk = 0;
+    storage.setAccessSink([&](std::uint64_t, bool) { ++sunk; });
+    const storage::IoStats before = storage.ioStats();
+
+    EXPECT_EQ(io.readPathsBatched({}), 0u);
+    EXPECT_EQ(io.writePathsBatched({}), 0u);
+
+    const storage::IoStats d = storage.ioStats().since(before);
+    EXPECT_EQ(d.readOps, 0u);
+    EXPECT_EQ(d.writeOps, 0u);
+    EXPECT_EQ(d.slotsRead, 0u);
+    EXPECT_EQ(d.slotsWritten, 0u);
+    EXPECT_EQ(sunk, 0u);
+    EXPECT_EQ(stash.size(), 2u);
+    EXPECT_TRUE(stash.contains(3));
+    EXPECT_TRUE(stash.contains(4));
 }
 
 TEST(SlotNode, InvertsNodeSlotBase)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -189,6 +193,72 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
     EXPECT_EQ(written, std::min<std::uint64_t>(staged,
                                                fat_geom.pathSlots()));
     EXPECT_GT(fat_geom.pathSlots(), geom.pathSlots());
+}
+
+TEST_F(PathIoFixture, BatchedUnionMatchesSortUniqueReference)
+{
+    // The batched union must visit exactly the nodes of the reference
+    // construction (every path node, sorted, de-duplicated, reversed:
+    // deepest level first, descending within a level) in that order,
+    // for unsorted leaf multisets with duplicates, on both the read and
+    // the write-back. A fat tree gives every level its own bucket size.
+    TreeGeometry fat(256, 8, BucketProfile::fat(4));
+    ServerStorage store(fat, 0, false);
+    Stash st;
+    PathIo pio(fat, store, st);
+    std::vector<std::pair<std::uint64_t, bool>> log;
+    store.setAccessSink([&](std::uint64_t slot, bool write) {
+        log.emplace_back(slot, write);
+    });
+
+    auto reference = [&](const std::vector<Leaf> &leaves) {
+        std::vector<NodeIndex> nodes;
+        for (Leaf leaf : leaves)
+            for (unsigned level = 0; level < fat.numLevels(); ++level)
+                nodes.push_back(fat.pathNode(leaf, level));
+        std::sort(nodes.begin(), nodes.end());
+        nodes.erase(std::unique(nodes.begin(), nodes.end()),
+                    nodes.end());
+        std::reverse(nodes.begin(), nodes.end());
+        std::vector<std::pair<std::uint64_t, bool>> slots;
+        for (NodeIndex node : nodes) {
+            const std::uint64_t base = fat.nodeSlotBase(node);
+            const std::uint64_t z = fat.bucketSize(fat.nodeLevel(node));
+            for (std::uint64_t s = 0; s < z; ++s)
+                slots.emplace_back(base + s, false);
+        }
+        return slots;
+    };
+    auto randomLeaves = [&](std::uint64_t domain) {
+        std::vector<Leaf> leaves(1 + rng.nextBounded(16));
+        for (Leaf &leaf : leaves)
+            leaf = rng.nextBounded(domain);
+        return leaves;
+    };
+
+    for (int round = 0; round < 300; ++round) {
+        // A narrow leaf domain every third round forces duplicates.
+        const std::uint64_t domain = round % 3 == 0 ? 4 : fat.numLeaves();
+        const std::vector<Leaf> readLeaves = randomLeaves(domain);
+        // Odd rounds write back a different set than they read, so
+        // the cached union must follow the leaf set.
+        const std::vector<Leaf> writeLeaves =
+            round % 2 == 0 ? readLeaves : randomLeaves(domain);
+
+        auto expect = reference(readLeaves);
+        log.clear();
+        ASSERT_EQ(pio.readPathsBatched(readLeaves), expect.size())
+            << "round " << round;
+        ASSERT_EQ(log, expect) << "round " << round;
+
+        expect = reference(writeLeaves);
+        for (auto &e : expect)
+            e.second = true;
+        log.clear();
+        ASSERT_EQ(pio.writePathsBatched(writeLeaves), expect.size())
+            << "round " << round;
+        ASSERT_EQ(log, expect) << "round " << round;
+    }
 }
 
 } // namespace
