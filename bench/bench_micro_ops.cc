@@ -186,7 +186,8 @@ BM_StorageVectoredPathRead(benchmark::State &state)
             [&sunk](std::uint64_t, bool) { ++sunk; });
     }
 
-    // One whole root-to-leaf path per iteration, like readPathMetered.
+    // One whole root-to-leaf path per iteration, like a one-leaf
+    // PathIo::readPaths.
     std::vector<std::uint64_t> slots;
     for (unsigned level = 0; level < geom.numLevels(); ++level) {
         const auto node = geom.pathNode(/*leaf=*/3, level);

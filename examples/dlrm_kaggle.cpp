@@ -23,7 +23,6 @@
 #include "core/laoram_client.hh"
 #include "core/pipeline.hh"
 #include "oram/path_oram.hh"
-#include "serve/serve.hh"
 #include "train/embedding_table.hh"
 #include "train/toy_model.hh"
 #include "util/cli.hh"
@@ -128,7 +127,7 @@ main(int argc, char **argv)
         const auto trace = workload::makeKaggleTrace(kp).accesses;
         epoch_loss = 0.0;
         epoch_samples = 0;
-        const auto rep = serve::serve(oram, trace, pipecfg);
+        const auto rep = core::BatchPipeline(oram, pipecfg).run(trace);
         hidden_min =
             std::min(hidden_min, rep.measuredPrepHiddenFraction);
         std::cout << "epoch " << e << ": mean loss "

@@ -21,7 +21,6 @@
 #include "obs/run_report.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
-#include "serve/serve.hh"
 #include "storage/storage_cli.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
@@ -182,12 +181,14 @@ main(int argc, char **argv)
         for (std::uint64_t i = 0; i < *bulk; ++i)
             scan.push_back(rng.nextBounded(*keys));
 
-        const auto rep = serve::serve(
-            scanEngine, scan,
-            core::PipelineConfig{}
-                .withWindowAccesses(lcfg.lookaheadWindow)
-                .withPrepThreads(
-                    std::max<std::uint64_t>(*prepThreads, 1)));
+        const auto rep =
+            core::BatchPipeline(
+                scanEngine,
+                core::PipelineConfig{}
+                    .withWindowAccesses(lcfg.lookaheadWindow)
+                    .withPrepThreads(
+                        std::max<std::uint64_t>(*prepThreads, 1)))
+                .run(scan);
 
         std::cout << "\nbulk oblivious scan: " << *bulk
                   << " reads in " << rep.wallTotalNs / 1e6

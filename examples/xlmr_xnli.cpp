@@ -16,7 +16,6 @@
 
 #include "core/laoram_client.hh"
 #include "core/pipeline.hh"
-#include "serve/serve.hh"
 #include "util/cli.hh"
 #include "workload/xnli_synth.hh"
 
@@ -77,9 +76,10 @@ main(int argc, char **argv)
     });
 
     // Two-stage pipeline: preprocess window i+1 while serving i.
-    const auto rep = serve::serve(
-        oram, trace.accesses,
-        core::PipelineConfig{}.withWindowAccesses(*window));
+    const auto rep =
+        core::BatchPipeline(
+            oram, core::PipelineConfig{}.withWindowAccesses(*window))
+            .run(trace.accesses);
 
     const auto &c = oram.meter().counters();
     std::cout << "windows:               " << rep.windows << "\n"

@@ -1,7 +1,5 @@
 #include "core/laoram_client.hh"
 
-#include <algorithm>
-
 #include "core/pipeline.hh"
 #include "util/logging.hh"
 
@@ -42,7 +40,7 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
     const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
@@ -70,8 +68,8 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
         }
     }
 
-    writePathMetered(current);
-    backgroundEvict();
+    pathIo_.writePaths(&current, 1);
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 
@@ -127,7 +125,7 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
 {
     LAORAM_ASSERT(count > 0, "empty training batch");
 
-    // Gather the batch's distinct current paths.
+    // Gather the batch's current paths (the union read de-duplicates).
     scratchLeaves.clear();
     std::uint64_t raw = 0;
     for (std::size_t b = 0; b < count; ++b) {
@@ -143,12 +141,8 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
         }
     }
     mtr.recordLogicalAccesses(raw);
-    std::sort(scratchLeaves.begin(), scratchLeaves.end());
-    scratchLeaves.erase(
-        std::unique(scratchLeaves.begin(), scratchLeaves.end()),
-        scratchLeaves.end());
 
-    readPathsBatchedMetered(scratchLeaves);
+    pathIo_.readPaths(scratchLeaves.data(), scratchLeaves.size());
 
     // Resolve every member's future path first — random draws happen
     // in stream order, so the rng stream matches the per-member code
@@ -179,8 +173,8 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
         touchMember(scratchRemapIds[i], entry.payload);
     }
 
-    writePathsBatchedMetered(scratchLeaves);
-    backgroundEvict();
+    pathIo_.writePaths(scratchLeaves.data(), scratchLeaves.size());
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 

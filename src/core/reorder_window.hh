@@ -109,8 +109,8 @@ class ReorderWindow
 {
   public:
     /**
-     * RAII hand-off ticket mirroring BoundedQueue::SlotToken:
-     * releasing it (or letting it unwind) wakes producers blocked on
+     * RAII hand-off ticket returned by popDeferred(): releasing it
+     * (or letting it unwind) wakes producers blocked on
      * the slot the pop vacated, so the consumer can timestamp its
      * hand-off before producers are re-admitted — and a consumer that
      * throws mid-window still cannot strand the pool.
@@ -242,7 +242,11 @@ class ReorderWindow
 
     /**
      * Like pop(), but defers the producer wakeup to @p token (see
-     * ReleaseToken; the rationale matches BoundedQueue::popDeferred).
+     * ReleaseToken). Splitting the two lets the consumer timestamp
+     * the hand-off before the wakeup: on a shared core, notify_all
+     * can immediately preempt the consumer in favour of a producer,
+     * and an undeferred notify would bill that producer work to the
+     * consumer's measured wait.
      *
      * @return true with @p out and @p token filled, or false on
      *         exhaustion (token left empty)

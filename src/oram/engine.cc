@@ -62,7 +62,7 @@ TreeOramBase::TreeOramBase(const EngineConfig &cfg)
                cfg.storage),
       posmap_(cfg.numBlocks, geom.numLeaves(), rng),
       stash_(),
-      pathIo_(geom, storage_, stash_)
+      pathIo_(geom, storage_, stash_, mtr)
 {
     // The actual restore (when cfg.checkpoint.restore is set) runs in
     // the final engine's constructor, which knows the full snapshot
@@ -272,70 +272,6 @@ TreeOramBase::stashEntryFor(BlockId id, Leaf leaf)
     auto &entry = stash_.put(id, leaf);
     entry.payload.assign(cfg.payloadBytes, 0);
     return entry;
-}
-
-void
-TreeOramBase::readPathMetered(Leaf leaf)
-{
-    pathIo_.readPath(leaf);
-    mtr.recordPathRead(geom.pathBytes(), geom.pathSlots());
-}
-
-void
-TreeOramBase::writePathMetered(Leaf leaf)
-{
-    pathIo_.writePath(leaf);
-    mtr.recordPathWrite(geom.pathBytes(), geom.pathSlots());
-}
-
-void
-TreeOramBase::readPathsBatchedMetered(const std::vector<Leaf> &leaves)
-{
-    if (leaves.empty())
-        return;
-    const std::uint64_t slots = pathIo_.readPathsBatched(leaves);
-    mtr.recordBatchedPathReads(leaves.size(), slots * cfg.blockBytes,
-                               slots);
-}
-
-void
-TreeOramBase::writePathsBatchedMetered(const std::vector<Leaf> &leaves)
-{
-    if (leaves.empty())
-        return;
-    const std::uint64_t slots = pathIo_.writePathsBatched(leaves);
-    mtr.recordBatchedPathWrites(leaves.size(), slots * cfg.blockBytes,
-                                slots);
-}
-
-void
-TreeOramBase::backgroundEvict()
-{
-    if (stash_.size() <= cfg.stashHighWater)
-        return;
-
-    // Capacity trumps retention: prefetch pins are dropped before the
-    // client starts paying for dummy accesses.
-    stash_.unpinAll();
-
-    // Safety valve: with a pathological configuration (e.g. tree
-    // capacity below the working set) the stash cannot drain; cap the
-    // dummy burst instead of spinning forever.
-    constexpr std::uint64_t kMaxDummiesPerBurst = 100000;
-    std::uint64_t issued = 0;
-    while (stash_.size() > cfg.stashLowWater
-           && issued < kMaxDummiesPerBurst) {
-        const Leaf leaf = randomLeaf();
-        pathIo_.readPath(leaf);
-        pathIo_.writePath(leaf);
-        mtr.recordDummyAccess(geom.pathBytes(), geom.pathSlots());
-        ++issued;
-    }
-    if (issued == kMaxDummiesPerBurst) {
-        warn("background eviction could not drain stash below ",
-             cfg.stashLowWater, " (still ", stash_.size(),
-             " blocks) after ", issued, " dummy accesses");
-    }
 }
 
 } // namespace laoram::oram

@@ -202,8 +202,8 @@ void requireFreshStorage(const ServerStorage &storage,
 
 /**
  * Shared machinery for the PathORAM-family engines: server storage,
- * position map, stash, path I/O, metered path operations and the
- * background-eviction (dummy read) loop of §II-E.
+ * position map, stash and the path I/O that reads, writes back and
+ * dummy-evicts (§II-E) their paths and charges the meter for them.
  */
 class TreeOramBase : public OramEngine
 {
@@ -243,27 +243,6 @@ class TreeOramBase : public OramEngine
      * zeros).
      */
     StashEntry &stashEntryFor(BlockId id, Leaf leaf);
-
-    /** Read @p leaf's path into the stash and charge the meter. */
-    void readPathMetered(Leaf leaf);
-
-    /** Write @p leaf's path back from the stash and charge the meter. */
-    void writePathMetered(Leaf leaf);
-
-    /**
-     * Batched union read/write of several paths (superblock bins,
-     * PrORAM merges). Required for correctness when paths overlap —
-     * see PathIo::writePathsBatched.
-     */
-    void readPathsBatchedMetered(const std::vector<Leaf> &leaves);
-    void writePathsBatchedMetered(const std::vector<Leaf> &leaves);
-
-    /**
-     * Issue dummy accesses (random path read + write-back, no remap)
-     * while the stash exceeds the high-water mark, draining to the
-     * low-water mark (§II-E; Table II experiment uses 500 -> 50).
-     */
-    void backgroundEvict();
 
     /** Draw a uniform leaf. */
     Leaf randomLeaf() { return rng.nextBounded(geom.numLeaves()); }

@@ -9,110 +9,15 @@
 namespace laoram::oram {
 
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
-               Stash &stash)
-    : geom(geom), storage(storage), stash(stash)
+               Stash &stash, mem::TrafficMeter &meter)
+    : geom(geom), storage(storage), stash(stash), meter(meter)
 {
-    byLevel.resize(geom.numLevels());
-}
-
-void
-PathIo::gatherPathSlots(Leaf leaf)
-{
-    for (unsigned level = 0; level < geom.numLevels(); ++level) {
-        const NodeIndex node = geom.pathNode(leaf, level);
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s)
-            slotScratch.push_back(base + s);
-    }
-}
-
-std::uint64_t
-PathIo::absorbGatheredSlots()
-{
-    storage.readSlots(slotScratch.data(), slotScratch.size(),
-                      blockScratch);
-    std::uint64_t absorbed = 0;
-    for (StoredBlock &b : blockScratch) {
-        if (b.isDummy())
-            continue;
-        // A block must never be duplicated between tree and stash.
-        LAORAM_ASSERT(!stash.contains(b.id), "block ", b.id,
-                      " found in tree while stashed");
-        stash.put(b.id, b.leaf, std::move(b.payload));
-        ++absorbed;
-    }
-    return absorbed;
-}
-
-std::uint64_t
-PathIo::readPath(Leaf leaf)
-{
-    slotScratch.clear();
-    gatherPathSlots(leaf);
-    return absorbGatheredSlots();
-}
-
-std::uint64_t
-PathIo::writePath(Leaf leaf)
-{
-    const unsigned levels = geom.numLevels();
-    for (auto &bucket : byLevel)
-        bucket.clear();
-    pool.clear();
-
-    // Bucket every evictable stash block by the deepest level of this
-    // path where its own assigned path still overlaps. Pinned entries
-    // are retained client-side.
-    for (const auto &[id, entry] : stash) {
-        if (entry.pinned)
-            continue;
-        byLevel[geom.commonLevel(entry.leaf, leaf)].push_back(id);
-    }
-
-    // Plan the whole path as one vectored write: real blocks reference
-    // their stash payloads in place, untaken slots become dummies. The
-    // stash entries are erased only after the storage op, so every
-    // payload pointer stays valid for the write.
-    writeScratch.clear();
-    evictedScratch.clear();
-    std::uint64_t written = 0;
-    for (unsigned level = levels; level-- > 0;) {
-        // Blocks eligible at deeper levels that did not fit spill into
-        // `pool` and remain eligible here.
-        for (BlockId id : byLevel[level])
-            pool.push_back(id);
-
-        const NodeIndex node = geom.pathNode(leaf, level);
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        std::uint64_t filled = 0;
-        while (filled < z && !pool.empty()) {
-            const BlockId id = pool.back();
-            pool.pop_back();
-            StashEntry *entry = stash.find(id);
-            LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({base + filled, id, entry->leaf,
-                                    entry->payload.data(),
-                                    entry->payload.size()});
-            evictedScratch.push_back(id);
-            ++filled;
-            ++written;
-        }
-        for (std::uint64_t s = filled; s < z; ++s)
-            writeScratch.push_back({base + s, kInvalidBlock, 0,
-                                    nullptr, 0});
-    }
-    storage.writeSlots(writeScratch.data(), writeScratch.size());
-    for (BlockId id : evictedScratch)
-        stash.erase(id);
-    return written;
 }
 
 const std::vector<PathIo::UnionNode> &
-PathIo::pathUnion(const std::vector<Leaf> &leaves)
+PathIo::pathUnion(const Leaf *leaves, std::size_t n)
 {
-    leafScratch.assign(leaves.begin(), leaves.end());
+    leafScratch.assign(leaves, leaves + n);
     std::sort(leafScratch.begin(), leafScratch.end());
     leafScratch.erase(std::unique(leafScratch.begin(), leafScratch.end()),
                       leafScratch.end());
@@ -144,25 +49,32 @@ PathIo::pathUnion(const std::vector<Leaf> &leaves)
 }
 
 std::uint64_t
-PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
+PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
 {
-    if (leaves.empty())
-        return 0;
     slotScratch.clear();
-    for (const UnionNode &u : pathUnion(leaves))
+    for (const UnionNode &u : pathUnion(leaves, n))
         for (std::uint64_t s = 0; s < u.z; ++s)
             slotScratch.push_back(u.base + s);
-    const std::uint64_t slots_read = slotScratch.size();
-    absorbGatheredSlots();
-    return slots_read;
+
+    // One vectored storage op; real blocks join the stash with the
+    // leaf their stored record carries.
+    storage.readSlots(slotScratch.data(), slotScratch.size(),
+                      blockScratch);
+    for (StoredBlock &b : blockScratch) {
+        if (b.isDummy())
+            continue;
+        // A block must never be duplicated between tree and stash.
+        LAORAM_ASSERT(!stash.contains(b.id), "block ", b.id,
+                      " found in tree while stashed");
+        stash.put(b.id, b.leaf, std::move(b.payload));
+    }
+    return slotScratch.size();
 }
 
 std::uint64_t
-PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
+PathIo::evictUnion(const Leaf *leaves, std::size_t n)
 {
-    if (leaves.empty())
-        return 0;
-    const std::vector<UnionNode> &nodes = pathUnion(leaves);
+    const std::vector<UnionNode> &nodes = pathUnion(leaves, n);
     const std::size_t k = unionLeaves.size();
     if (candidates.size() < nodes.size())
         candidates.resize(nodes.size());
@@ -173,7 +85,8 @@ PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
     // the node realising max over leaves of commonLevel(block, leaf).
     // The maximiser shares the longest bit-prefix with the block's
     // leaf, so for a sorted leaf set it is always a lower_bound
-    // neighbour — O(log k) per block instead of O(k).
+    // neighbour — O(log k) per block instead of O(k). Pinned entries
+    // are retained client-side.
     for (const auto &[id, entry] : stash) {
         if (entry.pinned)
             continue;
@@ -233,6 +146,54 @@ PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
     for (BlockId id : evictedScratch)
         stash.erase(id);
     return slots_written;
+}
+
+std::uint64_t
+PathIo::readPaths(const Leaf *leaves, std::size_t n)
+{
+    if (n == 0)
+        return 0;
+    const std::uint64_t slots = fetchUnion(leaves, n);
+    meter.recordBatchedPathReads(unionLeaves.size(),
+                                 slots * geom.blockBytes(), slots);
+    return slots;
+}
+
+std::uint64_t
+PathIo::writePaths(const Leaf *leaves, std::size_t n)
+{
+    if (n == 0)
+        return 0;
+    const std::uint64_t slots = evictUnion(leaves, n);
+    meter.recordBatchedPathWrites(unionLeaves.size(),
+                                  slots * geom.blockBytes(), slots);
+    return slots;
+}
+
+std::uint64_t
+PathIo::drain(Rng &rng, std::uint64_t highWater, std::uint64_t lowWater)
+{
+    if (stash.size() <= highWater)
+        return 0;
+
+    // Capacity trumps retention: prefetch pins are dropped before the
+    // client starts paying for dummy accesses.
+    stash.unpinAll();
+
+    std::uint64_t issued = 0;
+    while (stash.size() > lowWater && issued < kMaxDummiesPerBurst) {
+        const Leaf leaf = rng.nextBounded(geom.numLeaves());
+        fetchUnion(&leaf, 1);
+        const std::uint64_t slots = evictUnion(&leaf, 1);
+        meter.recordDummyAccess(slots * geom.blockBytes(), slots);
+        ++issued;
+    }
+    if (issued == kMaxDummiesPerBurst) {
+        warn("background eviction could not drain stash below ",
+             lowWater, " (still ", stash.size(), " blocks) after ",
+             issued, " dummy accesses");
+    }
+    return issued;
 }
 
 std::string

@@ -1,9 +1,12 @@
 /**
  * @file
- * Path I/O: the two primitive server interactions every tree-based
- * engine is built from — reading a full path into the stash, and the
- * greedy deepest-first write-back that refills the same path from the
- * stash (PathORAM §3.3 / paper §II-C steps 2 and 5).
+ * Path I/O: every tree path the PathORAM-family engines touch is
+ * read, written back and dummy-evicted here, and charged to the
+ * engine's TrafficMeter here (PathORAM §3.3 / paper §II-C steps 2 and
+ * 5, §II-E). A single path is the one-leaf case of a path union — the
+ * paper's "PathORAM is LAORAM with superblock size 1" — so there is
+ * one union read, one greedy union write-back and one bounded dummy
+ * drain.
  *
  * Also hosts the tree auditor used by tests to verify the core
  * PathORAM invariant: every initialised real block lies either in the
@@ -13,71 +16,79 @@
 #ifndef LAORAM_ORAM_EVICTOR_HH
 #define LAORAM_ORAM_EVICTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "mem/traffic_meter.hh"
 #include "oram/position_map.hh"
 #include "oram/server_storage.hh"
 #include "oram/stash.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
+#include "util/rng.hh"
 
 namespace laoram::oram {
 
 /**
- * Stateless-per-call path reader/writer bound to one (geometry,
- * storage, stash) triple. Engines own one and call it for every real
- * or dummy access.
+ * Path reader/writer bound to one (geometry, storage, stash, meter)
+ * quadruple. Engines own one and route every real or dummy path
+ * access through it.
  */
 class PathIo
 {
   public:
-    PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash);
-
     /**
-     * Read every slot on @p leaf's path; absorb real blocks into the
-     * stash (their assigned leaf comes from the stored record).
-     *
-     * @return number of real blocks absorbed
+     * Dummy accesses one drain() may issue. With a pathological
+     * configuration (tree capacity below the working set) the stash
+     * cannot drain; the burst stops here instead of spinning forever.
      */
-    std::uint64_t readPath(Leaf leaf);
+    static constexpr std::uint64_t kMaxDummiesPerBurst = 100000;
+
+    PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash,
+           mem::TrafficMeter &meter);
 
     /**
-     * Greedy write-back along @p leaf's path: each stash block is
-     * bucketed by the deepest level at which its assigned path still
-     * overlaps this path, then levels are filled leaf-to-root, unplaced
-     * blocks spilling toward the root and finally staying in the stash.
-     * Untaken slots are overwritten with encrypted dummies.
-     *
-     * @return number of real blocks written back
-     */
-    std::uint64_t writePath(Leaf leaf);
-
-    /**
-     * Batched read of several paths (a LAORAM superblock bin or a
-     * PrORAM merge): each node in the union of the paths is read
+     * Read the union of @p n paths (one path, a LAORAM batch or a
+     * PrORAM merge) into the stash: each node in the union is read
      * exactly once — re-reading a shared prefix node would only fetch
-     * slots the client already absorbed. An empty @p leaves reads
-     * nothing.
+     * slots the client already absorbed. Charges one path read per
+     * distinct leaf and the union's slots and bytes. Zero leaves read
+     * nothing and charge nothing.
      *
      * @return number of physical slots read (union size)
      */
-    std::uint64_t readPathsBatched(const std::vector<Leaf> &leaves);
+    std::uint64_t readPaths(const Leaf *leaves, std::size_t n);
 
     /**
-     * Batched greedy write-back over the union of several paths.
-     * Nodes are filled deepest-level-first; blocks that do not fit
-     * spill to their parent (which is always in the union, since path
-     * unions are ancestor-closed) and ultimately back to the stash.
-     * Writing the union once — instead of path-by-path — is required
-     * for correctness: sequential per-path write-backs would overwrite
-     * shared prefix nodes populated by the previous path. An empty
-     * @p leaves writes nothing and leaves the stash as it is.
+     * Greedy write-back over the union of @p n paths. Each unpinned
+     * stash block starts at the deepest union node its own path
+     * shares; nodes are filled deepest-level-first, and blocks that do
+     * not fit spill to their parent (which is always in the union,
+     * since path unions are ancestor-closed) and ultimately stay in
+     * the stash. Untaken slots become encrypted dummies. Writing the
+     * union once — instead of path-by-path — is required for
+     * correctness: sequential per-path write-backs would overwrite
+     * shared prefix nodes populated by the previous path. Charges one
+     * path write per distinct leaf and the union's slots and bytes.
+     * Zero leaves write nothing and leave the stash as it is.
      *
      * @return number of physical slots written (union size)
      */
-    std::uint64_t writePathsBatched(const std::vector<Leaf> &leaves);
+    std::uint64_t writePaths(const Leaf *leaves, std::size_t n);
+
+    /**
+     * Background eviction (§II-E): once the stash exceeds
+     * @p highWater, drop every retention pin and issue dummy accesses
+     * (a uniform path from @p rng, read and written back, no remap)
+     * until it is down to @p lowWater, at most kMaxDummiesPerBurst of
+     * them. Each is charged as one dummy read.
+     *
+     * @return number of dummy accesses issued
+     */
+    std::uint64_t drain(Rng &rng, std::uint64_t highWater,
+                        std::uint64_t lowWater);
 
   private:
     /** One node of a path union, with its write-back parent link. */
@@ -96,25 +107,21 @@ class PathIo
      * cached on the sorted, de-duplicated leaves (unionLeaves) and a
      * batch's read and write-back build it once.
      */
-    const std::vector<UnionNode> &
-    pathUnion(const std::vector<Leaf> &leaves);
+    const std::vector<UnionNode> &pathUnion(const Leaf *leaves,
+                                            std::size_t n);
 
-    /** Append every slot of @p leaf's path to slotScratch. */
-    void gatherPathSlots(Leaf leaf);
+    /** Unmetered union read; returns the slots read. */
+    std::uint64_t fetchUnion(const Leaf *leaves, std::size_t n);
 
-    /**
-     * Vectored fetch of slotScratch into the stash (one storage op);
-     * returns the number of real blocks absorbed.
-     */
-    std::uint64_t absorbGatheredSlots();
+    /** Unmetered union write-back; returns the slots written. */
+    std::uint64_t evictUnion(const Leaf *leaves, std::size_t n);
 
     const TreeGeometry &geom;
     ServerStorage &storage;
     Stash &stash;
+    mem::TrafficMeter &meter;
 
     // Scratch buffers reused across calls to avoid per-path allocation.
-    std::vector<std::vector<BlockId>> byLevel;
-    std::vector<BlockId> pool;
     std::vector<std::uint64_t> slotScratch;
     std::vector<StoredBlock> blockScratch;
     std::vector<ServerStorage::SlotWriteOp> writeScratch;
@@ -127,7 +134,7 @@ class PathIo
     std::vector<UnionNode> unionNodes;
     std::vector<std::size_t> unionPos;
     std::vector<Leaf> leafScratch;
-    // Batched write-back candidates, indexed by union position.
+    // Write-back candidates, indexed by union position.
     std::vector<std::vector<BlockId>> candidates;
 };
 

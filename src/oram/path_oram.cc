@@ -24,7 +24,7 @@ PathOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         mtr.recordStashHit();
 
     // (2) Fetch the path.
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     // (3)+(4) Remap to an independent uniform leaf, then operate on
     // the block inside trusted memory.
@@ -34,10 +34,10 @@ PathOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     applyOp(entry, op, in, len, out);
 
     // (5) Greedy write-back along the path just read.
-    writePathMetered(current);
+    pathIo_.writePaths(&current, 1);
 
     // §II-E: dummy reads once the stash passes its threshold.
-    backgroundEvict();
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 

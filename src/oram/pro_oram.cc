@@ -68,7 +68,7 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
 
     const Leaf current = posmap_.get(id); // shared by the whole group
 
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     // The whole superblock moves together to one fresh uniform leaf;
     // members other than the accessed one stay pinned client-side
@@ -83,8 +83,8 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
             entry.pinned = true;
     }
 
-    writePathMetered(current);
-    backgroundEvict();
+    pathIo_.writePaths(&current, 1);
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 
@@ -126,11 +126,8 @@ ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
     std::vector<Leaf> leaves;
     for (BlockId m = groupBase(id); m < groupEnd(id); ++m)
         leaves.push_back(posmap_.get(m));
-    std::sort(leaves.begin(), leaves.end());
-    leaves.erase(std::unique(leaves.begin(), leaves.end()),
-                 leaves.end());
 
-    readPathsBatchedMetered(leaves);
+    pathIo_.readPaths(leaves.data(), leaves.size());
 
     const Leaf next = randomLeaf();
     for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
@@ -142,7 +139,7 @@ ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
             entry.pinned = true; // retain for the predicted accesses
     }
 
-    writePathsBatchedMetered(leaves);
+    pathIo_.writePaths(leaves.data(), leaves.size());
 
     auto &g = groups[id / pcfg.groupSize];
     g.merged = true;
@@ -210,7 +207,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         if (stash_.contains(id))
             mtr.recordStashHit();
         mergeGroup(id, op, in, len, out);
-        backgroundEvict();
+        pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
         mtr.observeStashSize(stash_.size());
         return;
     }
@@ -218,7 +215,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     const Leaf next = randomLeaf();
     if (g.merged) {
@@ -238,8 +235,8 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         applyOp(entry, op, in, len, out);
     }
 
-    writePathMetered(current);
-    backgroundEvict();
+    pathIo_.writePaths(&current, 1);
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 

@@ -18,12 +18,13 @@ constexpr std::uint64_t kLevelLowWater = 20;
 RecursivePositionMap::Level::Level(std::uint64_t blocks,
                                    std::uint64_t payloadBytes,
                                    const RecursiveConfig &cfg,
-                                   std::uint64_t salt)
+                                   std::uint64_t salt,
+                                   mem::TrafficMeter &meter)
     : blocks(blocks),
       geom(blocks, payloadBytes, BucketProfile::uniform(4)),
       storage(geom, payloadBytes, cfg.encrypt, cfg.seed ^ salt),
       stash(),
-      io(geom, storage, stash)
+      io(geom, storage, stash, meter)
 {
 }
 
@@ -31,8 +32,7 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
                                            std::uint64_t numLeaves,
                                            const RecursiveConfig &cfg,
                                            mem::TrafficMeter &meter)
-    : cfg(cfg), dataLeaves(numLeaves), meter(meter),
-      rng(cfg.seed ^ 0x9eca)
+    : cfg(cfg), dataLeaves(numLeaves), rng(cfg.seed ^ 0x9eca)
 {
     LAORAM_ASSERT(cfg.packing >= 2, "packing must be >= 2");
     LAORAM_ASSERT(numBlocks >= 1 && numLeaves >= 1, "degenerate map");
@@ -52,7 +52,7 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
     std::uint64_t salt = 0x5151;
     while (true) {
         levels.push_back(
-            std::make_unique<Level>(n, payload_bytes, cfg, salt++));
+            std::make_unique<Level>(n, payload_bytes, cfg, salt++, meter));
         if (n <= cfg.directThreshold)
             break;
         n = divCeil(n, cfg.packing);
@@ -135,9 +135,7 @@ std::vector<std::uint8_t> &
 RecursivePositionMap::accessLevel(Level &level, BlockId block, Leaf at,
                                   Leaf to)
 {
-    level.io.readPath(at);
-    meter.recordPathRead(level.geom.pathBytes(),
-                         level.geom.pathSlots());
+    level.io.readPaths(&at, 1);
 
     StashEntry *entry = level.stash.find(block);
     if (!entry) {
@@ -180,7 +178,7 @@ RecursivePositionMap::getAndSet(BlockId id, Leaf next)
     for (std::size_t i = k; i-- > 0;) {
         Level &level = *levels[i];
         // Mutate the packed word BEFORE write-back; the entry may be
-        // evicted into the tree by writePath.
+        // evicted into the tree by the write-back.
         std::vector<std::uint8_t> &payload =
             accessLevel(level, block[i], pos, npos);
 
@@ -198,21 +196,9 @@ RecursivePositionMap::getAndSet(BlockId id, Leaf next)
         }
         storePos(payload, off, child_new);
 
-        level.io.writePath(pos);
-        meter.recordPathWrite(level.geom.pathBytes(),
-                              level.geom.pathSlots());
-
+        level.io.writePaths(&pos, 1);
         // Keep the small map stashes bounded.
-        if (level.stash.size() > kLevelHighWater) {
-            while (level.stash.size() > kLevelLowWater) {
-                const Leaf d =
-                    rng.nextBounded(level.geom.numLeaves());
-                level.io.readPath(d);
-                level.io.writePath(d);
-                meter.recordDummyAccess(level.geom.pathBytes(),
-                                        level.geom.pathSlots());
-            }
-        }
+        level.io.drain(rng, kLevelHighWater, kLevelLowWater);
 
         pos = child;
         npos = child_new;
@@ -371,7 +357,7 @@ RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0x2EC,
                cfg.storage),
       stash_(),
-      pathIo_(geom, storage_, stash_),
+      pathIo_(geom, storage_, stash_, mtr),
       rpm(cfg.numBlocks, geom.numLeaves(), rcfg, mtr)
 {
     requireFreshStorage(storage_, "recursive PathORAM");
@@ -391,8 +377,7 @@ RecursivePathOram::access(BlockId id, AccessOp op,
 
     if (stash_.contains(id))
         mtr.recordStashHit();
-    pathIo_.readPath(current);
-    mtr.recordPathRead(geom.pathBytes(), geom.pathSlots());
+    pathIo_.readPaths(&current, 1);
 
     StashEntry *entry = stash_.find(id);
     if (!entry) {
@@ -402,17 +387,8 @@ RecursivePathOram::access(BlockId id, AccessOp op,
     entry->leaf = next;
     applyOp(*entry, op, in, len, out);
 
-    pathIo_.writePath(current);
-    mtr.recordPathWrite(geom.pathBytes(), geom.pathSlots());
-
-    if (stash_.size() > cfg.stashHighWater) {
-        while (stash_.size() > cfg.stashLowWater) {
-            const Leaf d = rng.nextBounded(geom.numLeaves());
-            pathIo_.readPath(d);
-            pathIo_.writePath(d);
-            mtr.recordDummyAccess(geom.pathBytes(), geom.pathSlots());
-        }
-    }
+    pathIo_.writePaths(&current, 1);
+    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
 }
 

@@ -103,7 +103,8 @@ class RecursivePositionMap
     struct Level
     {
         Level(std::uint64_t blocks, std::uint64_t payloadBytes,
-              const RecursiveConfig &cfg, std::uint64_t salt);
+              const RecursiveConfig &cfg, std::uint64_t salt,
+              mem::TrafficMeter &meter);
 
         std::uint64_t blocks;
         TreeGeometry geom;
@@ -136,7 +137,6 @@ class RecursivePositionMap
 
     RecursiveConfig cfg;
     std::uint64_t dataLeaves;
-    mem::TrafficMeter &meter;
     Rng rng;
 
     /** levels[0] holds the main map; back() is the innermost ORAM. */
@@ -164,6 +164,9 @@ class RecursivePathOram final : public OramEngine
     std::uint64_t stashSize() const override { return stash_.size(); }
 
     const RecursivePositionMap &positionMap() const { return rpm; }
+
+    /** Mutable data-tree storage for installing test access sinks. */
+    ServerStorage &storageForTest() { return storage_; }
 
     /**
      * Invariant audit: for every data block that has been accessed at

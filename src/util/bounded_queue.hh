@@ -1,15 +1,13 @@
 /**
  * @file
  * A bounded, blocking, multi-producer multi-consumer queue — the
- * hand-off between the pipeline's preprocessor thread(s) and the ORAM
- * serving thread(s) (paper §VIII-A; one queue per shard pipeline in
- * the sharded serving pool).
+ * serving frontend's per-shard admission queue between client
+ * sessions and the window coalescer.
  *
- * The bound is the pipeline's backpressure: with capacity K the
- * preprocessor can run at most K windows ahead of the trainer, which
- * caps the client memory pinned by prepared-but-unserved superblock
- * schedules. close() lets producers signal end-of-stream; pop() then
- * drains the remaining items before reporting exhaustion.
+ * The bound is the admission backpressure: push() blocks a submitter
+ * while the queue is full, tryPush() rejects instead. close() lets
+ * producers signal end-of-stream; pop() then drains the remaining
+ * items before reporting exhaustion.
  */
 
 #ifndef LAORAM_UTIL_BOUNDED_QUEUE_HH
@@ -30,59 +28,6 @@ template <typename T>
 class BoundedQueue
 {
   public:
-    /**
-     * RAII hand-off ticket returned by popDeferred(): releasing it (or
-     * letting it go out of scope, including during stack unwinding)
-     * wakes one producer blocked on the slot the pop vacated. Without
-     * it, a consumer that throws between the pop and the wakeup would
-     * strand every producer waiting on a full queue — harmless while
-     * close() runs in the only consumer's catch block, a real deadlock
-     * once sibling consumers in a serving pool keep the queue open.
-     */
-    class SlotToken
-    {
-      public:
-        SlotToken() = default;
-        ~SlotToken() { release(); }
-
-        SlotToken(SlotToken &&other) noexcept
-            : queue(std::exchange(other.queue, nullptr))
-        {
-        }
-
-        SlotToken &
-        operator=(SlotToken &&other) noexcept
-        {
-            if (this != &other) {
-                release();
-                queue = std::exchange(other.queue, nullptr);
-            }
-            return *this;
-        }
-
-        SlotToken(const SlotToken &) = delete;
-        SlotToken &operator=(const SlotToken &) = delete;
-
-        /** Wake a blocked producer now instead of at destruction. */
-        void
-        release()
-        {
-            if (queue != nullptr) {
-                queue->notFull.notify_one();
-                queue = nullptr;
-            }
-        }
-
-        /** True while the token still owes a producer wakeup. */
-        bool held() const { return queue != nullptr; }
-
-      private:
-        friend class BoundedQueue<T>;
-        explicit SlotToken(BoundedQueue<T> *q) : queue(q) {}
-
-        BoundedQueue<T> *queue = nullptr;
-    };
-
     explicit BoundedQueue(std::size_t capacity) : cap(capacity)
     {
         LAORAM_ASSERT(capacity >= 1,
@@ -150,35 +95,6 @@ class BoundedQueue
         return true;
     }
 
-    /**
-     * Like pop(), but defers the producer wakeup to @p token: the
-     * notify fires when the token is released or destroyed. Splitting
-     * the two lets a consumer timestamp the hand-off before the
-     * wakeup: on a shared core, notify_one can immediately preempt the
-     * consumer in favour of the producer, and an undeferred notify
-     * would bill that producer work to the consumer's measured wait.
-     * Because the token releases on unwind, a consumer that throws
-     * mid-window cannot leak the wakeup.
-     *
-     * @return true with @p out and @p token filled, or false on
-     *         exhaustion (token left empty)
-     */
-    bool
-    popDeferred(T &out, SlotToken &token)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        notEmpty.wait(lock, [&] { return closed || !items.empty(); });
-        if (items.empty()) {
-            token = SlotToken(); // exhaustion leaves the token empty
-            return false;        // closed and drained
-        }
-        out = std::move(items.front());
-        items.pop_front();
-        lock.unlock();
-        token = SlotToken(this);
-        return true;
-    }
-
     /** End-of-stream: wake all waiters; further push() calls fail. */
     void
     close()
@@ -191,17 +107,8 @@ class BoundedQueue
         notEmpty.notify_all();
     }
 
-    std::size_t capacity() const { return cap; }
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return items.size();
-    }
-
   private:
-    mutable std::mutex mu;
+    std::mutex mu;
     std::condition_variable notFull;
     std::condition_variable notEmpty;
     std::deque<T> items;

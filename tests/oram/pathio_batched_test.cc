@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 
+#include "mem/traffic_meter.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -25,8 +25,21 @@ struct BatchedFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(13),
           posmap(64, geom.numLeaves(), rng),
-          io(geom, storage, stash)
+          meter(mem::CostModel{}),
+          io(geom, storage, stash, meter)
     {
+    }
+
+    std::uint64_t
+    readLeaves(const std::vector<Leaf> &leaves)
+    {
+        return io.readPaths(leaves.data(), leaves.size());
+    }
+
+    std::uint64_t
+    writeLeaves(const std::vector<Leaf> &leaves)
+    {
+        return io.writePaths(leaves.data(), leaves.size());
     }
 
     std::vector<std::uint8_t>
@@ -49,6 +62,7 @@ struct BatchedFixture : public ::testing::Test
     Rng rng;
     PositionMap posmap;
     Stash stash;
+    mem::TrafficMeter meter;
     PathIo io;
 };
 
@@ -59,14 +73,18 @@ TEST_F(BatchedFixture, UnionReadVisitsSharedNodesOnce)
         if (!write)
             ++slot_reads;
     });
-    // Sibling leaves share all levels but the last.
-    const std::vector<Leaf> leaves{0, 1};
-    io.readPathsBatched(leaves);
+    // Sibling leaves share all levels but the last; a repeated leaf
+    // adds nothing.
+    readLeaves({0, 1, 0});
     const std::uint64_t z = 2;
     // Union: (L+1) + 1 nodes (only the leaf differs).
     const std::uint64_t expect =
         (geom.numLevels() + 1) * z;
     EXPECT_EQ(slot_reads, expect);
+    // The meter counts distinct leaves and union slots.
+    EXPECT_EQ(meter.counters().pathReads, 2u);
+    EXPECT_EQ(meter.counters().blocksRead, expect);
+    EXPECT_EQ(meter.counters().bytesRead, expect * geom.blockBytes());
 }
 
 TEST_F(BatchedFixture, UnionReadOfDisjointPathsVisitsBoth)
@@ -77,8 +95,7 @@ TEST_F(BatchedFixture, UnionReadOfDisjointPathsVisitsBoth)
             ++slot_reads;
     });
     // Leaves in opposite halves share only the root.
-    const std::vector<Leaf> leaves{0, geom.numLeaves() - 1};
-    io.readPathsBatched(leaves);
+    readLeaves({0, geom.numLeaves() - 1});
     const std::uint64_t z = 2;
     const std::uint64_t expect = (2 * geom.numLevels() - 1) * z;
     EXPECT_EQ(slot_reads, expect);
@@ -96,7 +113,7 @@ TEST_F(BatchedFixture, OverlappingWriteBackLosesNothing)
     stage(1, elsewhere);
     stage(2, elsewhere ^ 1);
 
-    io.writePathsBatched({left, right});
+    writeLeaves({left, right});
 
     // Root Z=2: both blocks must be in the tree now (not lost, not
     // duplicated) — audit verifies global consistency.
@@ -148,11 +165,8 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
         const int k = 1 + static_cast<int>(rng.nextBounded(3));
         for (int i = 0; i < k; ++i)
             leaves.push_back(rng.nextBounded(geom.numLeaves()));
-        std::sort(leaves.begin(), leaves.end());
-        leaves.erase(std::unique(leaves.begin(), leaves.end()),
-                     leaves.end());
-        io.readPathsBatched(leaves);
-        io.writePathsBatched(leaves);
+        readLeaves(leaves);
+        writeLeaves(leaves);
 
         ASSERT_EQ(auditTree(geom, storage, stash, posmap), "")
             << "round " << round;
@@ -177,33 +191,49 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
 
 TEST_F(BatchedFixture, SingleLeafBatchedEqualsPlainWrite)
 {
-    // writePathsBatched({leaf}) must behave exactly like
-    // writePath(leaf) — same placements, same slot count.
+    // A one-leaf union is a plain path write: it writes exactly the
+    // path's slots, places both blocks at their shared leaf bucket
+    // (Z = 2) and charges one path write.
     stage(5, 3);
     stage(9, 3);
-    const std::uint64_t slots = io.writePathsBatched({Leaf{3}});
+    const std::uint64_t slots = writeLeaves({3});
     EXPECT_EQ(slots, geom.pathSlots());
     EXPECT_TRUE(stash.empty());
     EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    StoredBlock b;
+    std::uint64_t at_leaf = 0;
+    const unsigned leaf_level = geom.leafLevel();
+    const auto base = geom.nodeSlotBase(geom.pathNode(3, leaf_level));
+    for (std::uint64_t s = 0; s < geom.bucketSize(leaf_level); ++s) {
+        storage.readSlot(base + s, b);
+        at_leaf += !b.isDummy();
+    }
+    EXPECT_EQ(at_leaf, 2u);
+    EXPECT_EQ(meter.counters().pathWrites, 1u);
+    EXPECT_EQ(meter.counters().blocksWritten, geom.pathSlots());
 }
 
 TEST_F(BatchedFixture, PinnedEntriesSurviveBatchedWrite)
 {
     stage(7, 4);
     stash.find(7)->pinned = true;
-    io.writePathsBatched({Leaf{4}});
+    writeLeaves({4});
     EXPECT_TRUE(stash.contains(7)) << "pinned block must be retained";
     stash.find(7)->pinned = false;
-    io.writePathsBatched({Leaf{4}});
+    writeLeaves({4});
     EXPECT_FALSE(stash.contains(7));
 }
 
 TEST_F(BatchedFixture, PinnedEntriesSurvivePlainWrite)
 {
+    // A pinned block survives a one-leaf write-back even when its own
+    // leaf bucket is on the path and empty.
     stage(8, 6);
     stash.find(8)->pinned = true;
-    io.writePath(6);
+    const Leaf leaf = 6;
+    io.writePaths(&leaf, 1);
     EXPECT_TRUE(stash.contains(8));
+    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
 }
 
 TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)
@@ -212,7 +242,7 @@ TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)
     // that leaf's bucket, not at the shared root.
     const Leaf target = 5;
     stage(11, target);
-    io.writePathsBatched({target, target ^ 1});
+    writeLeaves({target, target ^ 1});
 
     const NodeIndex leaf_node =
         geom.pathNode(target, geom.leafLevel());
@@ -235,8 +265,8 @@ TEST_F(BatchedFixture, EmptyLeafSetTouchesNothing)
     storage.setAccessSink([&](std::uint64_t, bool) { ++sunk; });
     const storage::IoStats before = storage.ioStats();
 
-    EXPECT_EQ(io.readPathsBatched({}), 0u);
-    EXPECT_EQ(io.writePathsBatched({}), 0u);
+    EXPECT_EQ(io.readPaths(nullptr, 0), 0u);
+    EXPECT_EQ(io.writePaths(nullptr, 0), 0u);
 
     const storage::IoStats d = storage.ioStats().since(before);
     EXPECT_EQ(d.readOps, 0u);
@@ -244,6 +274,8 @@ TEST_F(BatchedFixture, EmptyLeafSetTouchesNothing)
     EXPECT_EQ(d.slotsRead, 0u);
     EXPECT_EQ(d.slotsWritten, 0u);
     EXPECT_EQ(sunk, 0u);
+    EXPECT_EQ(meter.counters().pathReads, 0u);
+    EXPECT_EQ(meter.counters().pathWrites, 0u);
     EXPECT_EQ(stash.size(), 2u);
     EXPECT_TRUE(stash.contains(3));
     EXPECT_TRUE(stash.contains(4));

@@ -1,7 +1,9 @@
 /**
  * @file
  * PathIo tests: path reads absorb blocks, greedy write-back places
- * deepest-first, and the tree auditor catches corruption.
+ * deepest-first (a single path is the one-leaf union), the meter is
+ * charged for every path and dummy access, the dummy drain is
+ * bounded, and the tree auditor catches corruption.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/traffic_meter.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -23,9 +26,16 @@ struct PathIoFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(7),
           posmap(64, geom.numLeaves(), rng),
-          io(geom, storage, stash)
+          meter(mem::CostModel{}),
+          io(geom, storage, stash, meter)
     {
     }
+
+    /** One-leaf read; returns the slots read. */
+    std::uint64_t readOne(Leaf leaf) { return io.readPaths(&leaf, 1); }
+
+    /** One-leaf write-back; returns the slots written. */
+    std::uint64_t writeOne(Leaf leaf) { return io.writePaths(&leaf, 1); }
 
     std::vector<std::uint8_t>
     payloadFor(BlockId id)
@@ -39,12 +49,13 @@ struct PathIoFixture : public ::testing::Test
     Rng rng;
     PositionMap posmap;
     Stash stash;
+    mem::TrafficMeter meter;
     PathIo io;
 };
 
 TEST_F(PathIoFixture, ReadEmptyPathAbsorbsNothing)
 {
-    EXPECT_EQ(io.readPath(0), 0u);
+    EXPECT_EQ(readOne(0), geom.pathSlots());
     EXPECT_TRUE(stash.empty());
 }
 
@@ -53,10 +64,11 @@ TEST_F(PathIoFixture, WriteThenReadRoundTripsBlock)
     const Leaf leaf = 5;
     posmap.set(1, leaf);
     stash.put(1, leaf, payloadFor(1));
-    EXPECT_EQ(io.writePath(leaf), 1u);
+    EXPECT_EQ(writeOne(leaf), geom.pathSlots());
     EXPECT_TRUE(stash.empty());
 
-    EXPECT_EQ(io.readPath(leaf), 1u);
+    EXPECT_EQ(readOne(leaf), geom.pathSlots());
+    EXPECT_EQ(stash.size(), 1u);
     ASSERT_TRUE(stash.contains(1));
     EXPECT_EQ(stash.find(1)->leaf, leaf);
     EXPECT_EQ(stash.find(1)->payload, payloadFor(1));
@@ -69,7 +81,7 @@ TEST_F(PathIoFixture, BlockOnOwnLeafGoesToLeafBucket)
     const Leaf leaf = 3;
     posmap.set(2, leaf);
     stash.put(2, leaf, payloadFor(2));
-    io.writePath(leaf);
+    writeOne(leaf);
 
     const NodeIndex leaf_node = geom.pathNode(leaf, geom.leafLevel());
     StoredBlock b;
@@ -92,7 +104,7 @@ TEST_F(PathIoFixture, DivergentBlockStaysNearRoot)
     const Leaf write_leaf = geom.numLeaves() - 1;
     posmap.set(3, block_leaf);
     stash.put(3, block_leaf, payloadFor(3));
-    io.writePath(write_leaf);
+    writeOne(write_leaf);
     EXPECT_TRUE(stash.empty()) << "root must have had space";
 
     StoredBlock b;
@@ -119,9 +131,8 @@ TEST_F(PathIoFixture, OverflowingBlocksStayInStash)
         stash.put(id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = stash.size();
-    const std::uint64_t written = io.writePath(leaf);
-    EXPECT_EQ(written, std::min(staged, capacity));
-    EXPECT_EQ(stash.size(), staged - written);
+    EXPECT_EQ(writeOne(leaf), capacity);
+    EXPECT_EQ(stash.size(), staged - std::min(staged, capacity));
 }
 
 TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
@@ -130,14 +141,14 @@ TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
     for (int round = 0; round < 200; ++round) {
         const BlockId id = rng.nextBounded(geom.numBlocks());
         const Leaf cur = posmap.get(id);
-        io.readPath(cur);
+        readOne(cur);
         const Leaf next = rng.nextBounded(geom.numLeaves());
         posmap.set(id, next);
         if (StashEntry *e = stash.find(id))
             e->leaf = next;
         else
             stash.put(id, next, payloadFor(id));
-        io.writePath(cur);
+        writeOne(cur);
     }
     EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
 }
@@ -180,7 +191,7 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
     TreeGeometry fat_geom(64, 8, BucketProfile::fat(4));
     ServerStorage fat_storage(fat_geom, 8, false);
     Stash fat_stash;
-    PathIo fat_io(fat_geom, fat_storage, fat_stash);
+    PathIo fat_io(fat_geom, fat_storage, fat_stash, meter);
 
     const Leaf leaf = 2;
     for (BlockId id = 0; id < fat_geom.pathSlots(); ++id) {
@@ -189,9 +200,9 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
         fat_stash.put(id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = fat_stash.size();
-    const std::uint64_t written = fat_io.writePath(leaf);
-    EXPECT_EQ(written, std::min<std::uint64_t>(staged,
-                                               fat_geom.pathSlots()));
+    EXPECT_EQ(fat_io.writePaths(&leaf, 1), fat_geom.pathSlots());
+    EXPECT_EQ(staged - fat_stash.size(),
+              std::min<std::uint64_t>(staged, fat_geom.pathSlots()));
     EXPECT_GT(fat_geom.pathSlots(), geom.pathSlots());
 }
 
@@ -205,7 +216,7 @@ TEST_F(PathIoFixture, BatchedUnionMatchesSortUniqueReference)
     TreeGeometry fat(256, 8, BucketProfile::fat(4));
     ServerStorage store(fat, 0, false);
     Stash st;
-    PathIo pio(fat, store, st);
+    PathIo pio(fat, store, st, meter);
     std::vector<std::pair<std::uint64_t, bool>> log;
     store.setAccessSink([&](std::uint64_t slot, bool write) {
         log.emplace_back(slot, write);
@@ -247,7 +258,8 @@ TEST_F(PathIoFixture, BatchedUnionMatchesSortUniqueReference)
 
         auto expect = reference(readLeaves);
         log.clear();
-        ASSERT_EQ(pio.readPathsBatched(readLeaves), expect.size())
+        ASSERT_EQ(pio.readPaths(readLeaves.data(), readLeaves.size()),
+                  expect.size())
             << "round " << round;
         ASSERT_EQ(log, expect) << "round " << round;
 
@@ -255,10 +267,174 @@ TEST_F(PathIoFixture, BatchedUnionMatchesSortUniqueReference)
         for (auto &e : expect)
             e.second = true;
         log.clear();
-        ASSERT_EQ(pio.writePathsBatched(writeLeaves), expect.size())
+        ASSERT_EQ(pio.writePaths(writeLeaves.data(), writeLeaves.size()),
+                  expect.size())
             << "round " << round;
         ASSERT_EQ(log, expect) << "round " << round;
     }
+}
+
+/**
+ * The per-path greedy planner the one-leaf union write-back replaced,
+ * kept as a reference: bucket every unpinned stash block by the
+ * deepest level of @p leaf's path its own path still shares, then
+ * fill levels leaf-to-root, unplaced blocks spilling toward the root.
+ * Returns the blocks placed at each level; @p left gets the blocks
+ * that stay stashed (pinned ones included). The counts do not depend on spill order, so both
+ * planners must agree on them.
+ */
+std::vector<std::uint64_t>
+perPathGreedyCounts(const TreeGeometry &geom, const Stash &stash,
+                    Leaf leaf, std::uint64_t &left)
+{
+    std::vector<std::vector<BlockId>> byLevel(geom.numLevels());
+    std::uint64_t pinned = 0;
+    for (const auto &[id, entry] : stash) {
+        if (entry.pinned) {
+            ++pinned;
+            continue;
+        }
+        byLevel[geom.commonLevel(entry.leaf, leaf)].push_back(id);
+    }
+    std::vector<std::uint64_t> placed(geom.numLevels(), 0);
+    std::vector<BlockId> pool;
+    for (unsigned level = geom.numLevels(); level-- > 0;) {
+        for (BlockId id : byLevel[level])
+            pool.push_back(id);
+        const std::uint64_t z = geom.bucketSize(level);
+        while (placed[level] < z && !pool.empty()) {
+            pool.pop_back();
+            ++placed[level];
+        }
+    }
+    left = pool.size() + pinned;
+    return placed;
+}
+
+/** Real blocks stored at each level of @p leaf's path. */
+std::vector<std::uint64_t>
+storedCounts(const TreeGeometry &geom, const ServerStorage &storage,
+             Leaf leaf)
+{
+    std::vector<std::uint64_t> counts(geom.numLevels(), 0);
+    StoredBlock b;
+    for (unsigned level = 0; level < geom.numLevels(); ++level) {
+        const std::uint64_t base =
+            geom.nodeSlotBase(geom.pathNode(leaf, level));
+        for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s) {
+            storage.readSlot(base + s, b);
+            counts[level] += !b.isDummy();
+        }
+    }
+    return counts;
+}
+
+TEST_F(PathIoFixture, OneLeafWriteBackMatchesPerPathGreedyReference)
+{
+    // Random stashes (sometimes larger than a path, sometimes crowded
+    // onto a few leaves, some entries pinned) on a uniform and a fat
+    // tree: a one-leaf union write-back must leave the same number of
+    // blocks at every level and in the stash as the per-path greedy.
+    for (const BucketProfile &profile :
+         {BucketProfile::uniform(4), BucketProfile::fat(4)}) {
+        const TreeGeometry g(256, 8, profile);
+        for (int round = 0; round < 200; ++round) {
+            ServerStorage store(g, 8, false);
+            Stash st;
+            mem::TrafficMeter m(mem::CostModel{});
+            PathIo pio(g, store, st, m);
+
+            const std::uint64_t domain =
+                round % 4 == 0 ? 4 : g.numLeaves();
+            const std::uint64_t blocks =
+                rng.nextBounded(2 * g.pathSlots() + 1);
+            for (BlockId id = 0; id < blocks; ++id) {
+                StashEntry &e =
+                    st.put(id, rng.nextBounded(domain), payloadFor(id));
+                e.pinned = rng.nextBounded(8) == 0;
+            }
+            const Leaf leaf = rng.nextBounded(domain);
+
+            std::uint64_t left = 0;
+            const std::vector<std::uint64_t> expect =
+                perPathGreedyCounts(g, st, leaf, left);
+            ASSERT_EQ(pio.writePaths(&leaf, 1), g.pathSlots());
+            ASSERT_EQ(storedCounts(g, store, leaf), expect)
+                << "round " << round;
+            ASSERT_EQ(st.size(), left) << "round " << round;
+        }
+    }
+}
+
+TEST_F(PathIoFixture, MeterChargesOneLeafReadWriteAndDrain)
+{
+    const Leaf leaf = 6;
+    readOne(leaf);
+    mem::TrafficCounters c = meter.counters();
+    EXPECT_EQ(c.pathReads, 1u);
+    EXPECT_EQ(c.blocksRead, geom.pathSlots());
+    EXPECT_EQ(c.bytesRead, geom.pathBytes());
+    EXPECT_EQ(c.pathWrites, 0u);
+
+    writeOne(leaf);
+    c = meter.counters();
+    EXPECT_EQ(c.pathWrites, 1u);
+    EXPECT_EQ(c.blocksWritten, geom.pathSlots());
+    EXPECT_EQ(c.bytesWritten, geom.pathBytes());
+
+    // Exactly the arithmetic of a hand-charged single path.
+    mem::TrafficMeter manual(mem::CostModel{});
+    manual.recordPathRead(geom.pathBytes(), geom.pathSlots());
+    manual.recordPathWrite(geom.pathBytes(), geom.pathSlots());
+    EXPECT_EQ(meter.clock().picoseconds(),
+              manual.clock().picoseconds());
+
+    // Below the high-water mark the drain issues nothing.
+    for (BlockId id = 0; id < 3; ++id)
+        stash.put(id, posmap.get(id), payloadFor(id));
+    EXPECT_EQ(io.drain(rng, 3, 0), 0u);
+    EXPECT_EQ(meter.counters().dummyReads, 0u);
+
+    // Above it, every dummy access charges one full path each way.
+    stash.put(3, posmap.get(3), payloadFor(3));
+    const mem::TrafficCounters before = meter.counters();
+    const std::uint64_t dummies = io.drain(rng, 3, 0);
+    EXPECT_GT(dummies, 0u);
+    EXPECT_TRUE(stash.empty());
+    const mem::TrafficCounters d = meter.counters().since(before);
+    EXPECT_EQ(d.dummyReads, dummies);
+    EXPECT_EQ(d.pathReads, 0u);
+    EXPECT_EQ(d.pathWrites, 0u);
+    EXPECT_EQ(d.blocksRead, dummies * geom.pathSlots());
+    EXPECT_EQ(d.blocksWritten, dummies * geom.pathSlots());
+    EXPECT_EQ(d.bytesRead, dummies * geom.pathBytes());
+    EXPECT_EQ(d.bytesWritten, dummies * geom.pathBytes());
+    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+}
+
+TEST_F(PathIoFixture, DrainStopsAtBurstCap)
+{
+    // More real blocks than the whole tree has slots: the stash can
+    // never reach a low water of 0, so the drain must give up after
+    // exactly the cap, keep the overflow stashed and leave the tree
+    // consistent.
+    const TreeGeometry g(8, 8, BucketProfile::uniform(4));
+    ASSERT_EQ(g.numLeaves(), 8u);
+    ServerStorage store(g, 8, false);
+    Stash st;
+    mem::TrafficMeter m(mem::CostModel{});
+    PathIo pio(g, store, st, m);
+    Rng r(3);
+    PositionMap pm(100, g.numLeaves(), r);
+    for (BlockId id = 0; id < 100; ++id)
+        st.put(id, pm.get(id), payloadFor(id));
+    const std::uint64_t treeSlots = g.numNodes() * 4;
+    ASSERT_LT(treeSlots, 100u);
+
+    EXPECT_EQ(pio.drain(r, 0, 0), PathIo::kMaxDummiesPerBurst);
+    EXPECT_EQ(m.counters().dummyReads, PathIo::kMaxDummiesPerBurst);
+    EXPECT_GE(st.size(), 100 - treeSlots);
+    EXPECT_EQ(auditTree(g, store, st, pm), "");
 }
 
 } // namespace

@@ -1,0 +1,164 @@
+/**
+ * @file
+ * Pinned runs of the single-path engines (PathORAM, PrORAM, recursive
+ * PathORAM): each hashes the adversary's (slot, isWrite) stream of
+ * the data tree and the final position map, so any drift in the
+ * one-leaf read order, the write-back placements, the dummy drain or
+ * the RNG draws fails here. Every run crosses the stash high-water
+ * mark, so the drain is part of the pinned stream.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "oram/evictor.hh"
+#include "oram/path_oram.hh"
+#include "oram/pro_oram.hh"
+#include "oram/recursive_posmap.hh"
+#include "util/rng.hh"
+
+namespace laoram::oram {
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/** FNV-1a-64 of one 64-bit word, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Hash every (slot, isWrite) event @p storage reports. */
+struct StreamHash
+{
+    explicit StreamHash(ServerStorage &storage)
+    {
+        storage.setAccessSink([this](std::uint64_t slot, bool write) {
+            value = fnv1a(value, (slot << 1) | (write ? 1 : 0));
+            ++events;
+        });
+    }
+
+    std::uint64_t value = kFnvBasis;
+    std::uint64_t events = 0;
+};
+
+EngineConfig
+smallConfig(std::uint64_t blocks)
+{
+    EngineConfig cfg;
+    cfg.numBlocks = blocks;
+    cfg.blockBytes = 64;
+    cfg.payloadBytes = 16;
+    cfg.seed = 29;
+    // Tight buckets and low marks so the dummy drain runs.
+    cfg.profile = BucketProfile::uniform(2);
+    cfg.stashHighWater = 4;
+    cfg.stashLowWater = 1;
+    return cfg;
+}
+
+/** Random accesses; every third one writes its id into the block. */
+void
+drive(OramEngine &engine, std::uint64_t accesses, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> data(16, 0);
+    for (std::uint64_t i = 0; i < accesses; ++i) {
+        const BlockId id = rng.nextBounded(engine.config().numBlocks);
+        if (i % 3 == 0) {
+            data[0] = static_cast<std::uint8_t>(id);
+            engine.writeBlock(id, data);
+        } else {
+            engine.touch(id);
+        }
+    }
+}
+
+TEST(SinglePathEngines, PathOramStreamAndPosmapArePinned)
+{
+    PathOram oram(smallConfig(512));
+    StreamHash stream(oram.storageForTest());
+    drive(oram, 3000, 5);
+    oram.storageForTest().setAccessSink(nullptr);
+
+    std::uint64_t posmap = kFnvBasis;
+    for (BlockId id = 0; id < oram.config().numBlocks; ++id)
+        posmap = fnv1a(posmap, oram.posmapForAudit().get(id));
+
+    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
+                        oram.stashForAudit(), oram.posmapForAudit()),
+              "");
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+    EXPECT_EQ(stream.events, 135680u);
+    EXPECT_EQ(stream.value, 0x9fb2bb88ce044995ULL)
+        << std::hex << "0x" << stream.value;
+    EXPECT_EQ(posmap, 0x1b1772a86be9f320ULL) << std::hex << "0x" << posmap;
+}
+
+TEST(SinglePathEngines, ProOramStreamAndPosmapArePinned)
+{
+    // Short sequential runs inside random traffic make groups fuse,
+    // so union merges, pinned members and their release are pinned
+    // too.
+    ProOramConfig cfg;
+    cfg.base = smallConfig(512);
+    ProOram oram(cfg);
+    StreamHash stream(oram.storageForTest());
+    Rng rng(9);
+    for (int run = 0; run < 400; ++run) {
+        const BlockId start = rng.nextBounded(512 - 8);
+        for (BlockId id = start; id < start + 8; ++id)
+            oram.touch(id);
+        oram.touch(rng.nextBounded(512));
+    }
+    oram.storageForTest().setAccessSink(nullptr);
+
+    std::uint64_t posmap = kFnvBasis;
+    for (BlockId id = 0; id < oram.config().numBlocks; ++id)
+        posmap = fnv1a(posmap, oram.posmapForAudit().get(id));
+
+    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
+                        oram.stashForAudit(), oram.posmapForAudit()),
+              "");
+    EXPECT_GT(oram.totalMerges(), 0u);
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+    EXPECT_EQ(stream.events, 710124u);
+    EXPECT_EQ(stream.value, 0xa73ac3951af7585dULL)
+        << std::hex << "0x" << stream.value;
+    EXPECT_EQ(posmap, 0x75568d12e163ef40ULL) << std::hex << "0x" << posmap;
+}
+
+TEST(SinglePathEngines, RecursiveStreamAndPosmapArePinned)
+{
+    RecursiveConfig rcfg;
+    rcfg.packing = 8;
+    rcfg.directThreshold = 16;
+    rcfg.seed = 13;
+    RecursivePathOram oram(smallConfig(2048), rcfg);
+    ASSERT_EQ(oram.positionMap().oramLevels(), 3u);
+    StreamHash stream(oram.storageForTest());
+    drive(oram, 3000, 7);
+    oram.storageForTest().setAccessSink(nullptr);
+
+    std::uint64_t posmap = kFnvBasis;
+    for (BlockId id = 0; id < oram.config().numBlocks; ++id)
+        posmap = fnv1a(posmap, oram.positionMap().peek(id));
+
+    EXPECT_EQ(oram.auditRecursive(), "");
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+    EXPECT_EQ(stream.events, 179664u);
+    EXPECT_EQ(stream.value, 0x1f9d2c1c50078731ULL)
+        << std::hex << "0x" << stream.value;
+    EXPECT_EQ(posmap, 0xf4129a144a93689fULL) << std::hex << "0x" << posmap;
+}
+
+} // namespace
+} // namespace laoram::oram

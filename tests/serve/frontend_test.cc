@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "serve/frontend.hh"
-#include "serve/serve.hh"
 
 namespace laoram::serve {
 namespace {

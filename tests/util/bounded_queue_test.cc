@@ -1,8 +1,8 @@
 /**
  * @file
  * BoundedQueue tests: MPMC stress for the serving-pool regime
- * (several producers and consumers on one queue) and the RAII slot
- * token that keeps a throwing consumer from stranding producers.
+ * (several producers and consumers on one queue), delivery into a
+ * ReorderWindow across consumer unwinds, and end-of-stream drain.
  */
 
 #include <gtest/gtest.h>
@@ -47,23 +47,7 @@ TEST(BoundedQueue, MultiProducerMultiConsumerDeliversEachItemOnce)
     for (std::uint64_t c = 0; c < kConsumers; ++c) {
         consumers.emplace_back([&] {
             std::uint64_t item = 0;
-            // Alternate pop() and popDeferred() so both consumer
-            // paths run under contention.
-            bool deferred = false;
-            while (true) {
-                bool got;
-                if (deferred) {
-                    BoundedQueue<std::uint64_t>::SlotToken token;
-                    got = queue.popDeferred(item, token);
-                    if (got) {
-                        EXPECT_TRUE(token.held());
-                    }
-                } else {
-                    got = queue.pop(item);
-                }
-                if (!got)
-                    break;
-                deferred = !deferred;
+            while (queue.pop(item)) {
                 {
                     std::lock_guard<std::mutex> lock(seenMu);
                     ASSERT_LT(item, kTotal);
@@ -88,63 +72,13 @@ TEST(BoundedQueue, MultiProducerMultiConsumerDeliversEachItemOnce)
         ASSERT_EQ(seen[i], 1) << "item " << i << " lost";
 }
 
-TEST(BoundedQueue, SlotTokenReleasesOnUnwind)
-{
-    // Capacity-1 queue, producer pushing two items: the second push
-    // blocks until the consumer's slot wakeup. The consumer throws
-    // between popDeferred and the explicit release — the token's
-    // destructor must deliver the wakeup, or the producer deadlocks
-    // (pre-token code leaked the slot exactly here).
-    BoundedQueue<int> queue(1);
-    ASSERT_TRUE(queue.push(1));
-
-    std::thread producer([&] { EXPECT_TRUE(queue.push(2)); });
-
-    auto consumeAndThrow = [&] {
-        int item = 0;
-        BoundedQueue<int>::SlotToken token;
-        ASSERT_TRUE(queue.popDeferred(item, token));
-        EXPECT_EQ(item, 1);
-        throw std::runtime_error("consumer died mid-window");
-    };
-    EXPECT_THROW(consumeAndThrow(), std::runtime_error);
-
-    // Producer unblocks only if the unwound token freed the slot.
-    producer.join();
-    int item = 0;
-    EXPECT_TRUE(queue.pop(item));
-    EXPECT_EQ(item, 2);
-}
-
-TEST(BoundedQueue, SlotTokenMoveTransfersTheWakeup)
-{
-    BoundedQueue<int> queue(1);
-    ASSERT_TRUE(queue.push(7));
-
-    int item = 0;
-    BoundedQueue<int>::SlotToken token;
-    ASSERT_TRUE(queue.popDeferred(item, token));
-    EXPECT_TRUE(token.held());
-
-    BoundedQueue<int>::SlotToken moved(std::move(token));
-    EXPECT_FALSE(token.held());
-    EXPECT_TRUE(moved.held());
-    moved.release();
-    EXPECT_FALSE(moved.held());
-
-    // Queue stays usable after the transferred release.
-    ASSERT_TRUE(queue.push(8));
-    EXPECT_TRUE(queue.pop(item));
-    EXPECT_EQ(item, 8);
-}
-
 TEST(BoundedQueue, ManyProducersReorderDeliveryAndTokenUnwindStress)
 {
     // The multi-preprocessor hand-off under contention, end to end:
     // many producers claim contiguous sequence numbers and push them
     // through the MPMC queue (arrival order scrambles), one consumer
-    // drains with popDeferred — periodically unwinding through a
-    // live SlotToken — and forwards everything into a ReorderWindow,
+    // drains with pop() — periodically unwinding right after a
+    // delivery — and forwards everything into a ReorderWindow,
     // which must restore exact sequence order. The window capacity
     // covers the whole stream because a single relay behind a queue
     // does not satisfy the reorder window's lowest-outstanding-
@@ -177,20 +111,17 @@ TEST(BoundedQueue, ManyProducersReorderDeliveryAndTokenUnwindStress)
             std::uint64_t seq = 0;
             bool got = false;
             auto popMaybeThrowing = [&] {
-                BoundedQueue<std::uint64_t>::SlotToken token;
-                got = queue.popDeferred(seq, token);
-                // Every 7th delivery unwinds with the token still
-                // held: producers must not strand on the leaked
-                // slot, and the popped item must still be
-                // forwardable by the catch site below.
+                got = queue.pop(seq);
+                // Every 7th delivery unwinds: producers must not
+                // strand on the vacated slot, and the popped item
+                // must still be forwardable by the catch site below.
                 if (got && drained % 7 == 3)
                     throw std::runtime_error("mid-window failure");
-                token.release();
             };
             try {
                 popMaybeThrowing();
             } catch (const std::runtime_error &) {
-                // Unwound through the token; the item is in `seq`.
+                // Unwound after the pop; the item is in `seq`.
             }
             if (!got)
                 break;
@@ -230,15 +161,12 @@ TEST(BoundedQueue, CloseDrainsThenReportsExhaustion)
     EXPECT_FALSE(queue.push(3)); // closed: rejected
 
     int item = 0;
-    BoundedQueue<int>::SlotToken token;
-    EXPECT_TRUE(queue.popDeferred(item, token));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 1);
-    token.release();
     EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 2);
     EXPECT_FALSE(queue.pop(item)); // drained
-    EXPECT_FALSE(queue.popDeferred(item, token));
-    EXPECT_FALSE(token.held()); // exhaustion leaves the token empty
+    EXPECT_FALSE(queue.pop(item)); // exhaustion is sticky
 }
 
 } // namespace
