@@ -241,8 +241,9 @@ void
 BM_PipelineTrace(benchmark::State &state)
 {
     // Full two-stage pipeline over a fixed trace; range(0) selects
-    // the mode (0 = Simulated cost model, 1 = Concurrent threads), so
-    // the delta is the real thread + queue overhead per access.
+    // the mode (0 = Simulated: stage 1 inline on the serving thread,
+    // 1 = Concurrent: a prep thread + reorder window), so the delta
+    // is what the thread and the queue cost or hide per access.
     const std::uint64_t blocks = 1 << 14;
     const auto trace = randomTrace(blocks, 1 << 14, 8);
     core::PipelineConfig pc;

@@ -2,9 +2,10 @@
  * @file
  * Measured two-stage pipeline overlap (paper §VIII-A).
  *
- * Runs the same trace through the Simulated pipeline (analytic cost
- * model) and the Concurrent pipeline (preprocessor pool + reorder
- * window + serving thread), and reports the modeled *and* the
+ * Runs the same trace through the Simulated pipeline (stage 1 inline
+ * on the serving thread; its analytic cost model is printed) and the
+ * Concurrent pipeline (preprocessor pool + reorder window + serving
+ * thread), and reports the modeled *and* the
  * measured wall-clock prepHiddenFraction side by side. When ORAM
  * serving dominates — the paper's regime — the measured fraction
  * approaches 1.0: preprocessing never stalls the serving thread, i.e.

@@ -86,10 +86,11 @@ class Laoram final : public oram::TreeOramBase
 
     /**
      * Preprocess @p trace in look-ahead windows and serve it bin by
-     * bin — the paper's end-to-end flow. Adapter over the unified
-     * ServeSource run loop: delegates to a Simulated-mode
-     * BatchPipeline on the calling thread (see core/serve_source.hh),
-     * which is byte-identical to the historical serial loop.
+     * bin — the paper's end-to-end flow. Adapter over the one
+     * ServeSource serving loop: a Simulated-mode BatchPipeline on the
+     * calling thread (see core/serve_source.hh), which prepares each
+     * window inline and spawns no thread. This serial run is the
+     * reference leg of the determinism contract.
      */
     void runTrace(const std::vector<BlockId> &trace) override;
 

@@ -41,8 +41,6 @@ struct PrepThreadLedger
     std::uint64_t windows = 0;   ///< windows preprocessed
 };
 
-} // namespace
-
 /**
  * One run's serving-stage counters, written only by the serving
  * thread. run() attaches them to the "pipeline." LedgerSet for the
@@ -57,8 +55,6 @@ struct PipelineCounters
     Count fillNs = 0;        ///< wait for the run's first window
     Count stallNs = 0;       ///< waits after the pipeline fill
 };
-
-namespace {
 
 /** Every running pipeline's counters, pulled as pipeline.*. */
 obs::LedgerSet<PipelineCounters> &
@@ -135,26 +131,6 @@ BatchPipeline::BatchPipeline(Laoram &engine, const PipelineConfig &cfg)
 }
 
 PipelineReport
-BatchPipeline::run(ServeSource &source)
-{
-    cache::CacheStats cacheStart;
-    if (const cache::HotEmbeddingCache *c = engine.hotCache())
-        cacheStart = c->stats();
-    LiveRun live;
-    PipelineReport rep = cfg.mode == PipelineMode::Concurrent
-                             ? runConcurrent(source, live.c)
-                             : runSimulated(source, live.c);
-    rep.windows = live.c.windowsServed;
-    rep.wallFillNs = static_cast<double>(live.c.fillNs);
-    rep.wallStallNs = static_cast<double>(live.c.stallNs);
-    if (StreamingHistogram *hist = source.latencyHistogram())
-        rep.latency = hist->report();
-    if (const cache::HotEmbeddingCache *c = engine.hotCache())
-        rep.cache = c->stats().deltaFrom(cacheStart);
-    return rep;
-}
-
-PipelineReport
 BatchPipeline::run(const std::vector<BlockId> &trace)
 {
     if (trace.empty())
@@ -202,57 +178,18 @@ BatchPipeline::finishModeledReport(PipelineReport &rep,
 }
 
 PipelineReport
-BatchPipeline::runSimulated(ServeSource &source,
-                            PipelineCounters &live)
+BatchPipeline::run(ServeSource &source)
 {
     PipelineReport rep;
-    std::vector<double> prepNs;
-    std::vector<double> accessNs;
+    cache::CacheStats cacheStart;
+    if (const cache::HotEmbeddingCache *c = engine.hotCache())
+        cacheStart = c->stats();
+    LiveRun live;
 
-    const storage::IoStats ioBefore =
-        engine.storageForAudit().ioStats();
-    SourceWindow sw;
-    while (source.nextWindow(sw)) {
-        // Stage 1: preprocess the window (simulated cost; same
-        // window-derived path stream as every other mode).
-        const PreprocessResult res =
-            prep.runWindow(sw.windowIndex, sw.traceOffset,
-                           sw.accesses.data(),
-                           sw.accesses.data() + sw.accesses.size())
-                .result;
-        prepNs.push_back(kPreprocessNsPerAccess
-                         * static_cast<double>(res.totalAccesses));
-
-        // Stage 2: serve it through the ORAM; measure via the meter's
-        // simulated clock delta.
-        source.windowServing(sw.windowIndex);
-        const double before = engine.meter().clock().nanoseconds();
-        {
-            obs::TraceSpan span("serve-window", sw.windowIndex);
-            engine.serveWindow(res);
-        }
-        accessNs.push_back(engine.meter().clock().nanoseconds()
-                           - before);
-        source.windowServed(sw.windowIndex);
-        ++live.windowsServed;
-        if (cfg.windowBoundaryHook)
-            cfg.windowBoundaryHook(sw.windowIndex);
-    }
-
-    rep.wallIoNs = static_cast<double>(engine.storageForAudit()
-                                           .ioStats()
-                                           .since(ioBefore)
-                                           .totalNs());
-    finishModeledReport(rep, prepNs, accessNs);
-    return rep;
-}
-
-PipelineReport
-BatchPipeline::runConcurrent(ServeSource &source,
-                             PipelineCounters &live)
-{
-    PipelineReport rep;
-    const std::size_t poolSize = cfg.prepThreads;
+    // Concurrent mode runs stage 1 on a pool; Simulated mode runs it
+    // inline on the serving thread and spawns nothing.
+    const std::size_t poolSize =
+        cfg.mode == PipelineMode::Concurrent ? cfg.prepThreads : 0;
 
     ReorderWindow<PreparedWindow> reorder(cfg.queueDepth,
                                           cfg.firstWindowIndex);
@@ -264,17 +201,42 @@ BatchPipeline::runConcurrent(ServeSource &source,
 
     const WallClock::time_point runStart = WallClock::now();
 
-    // Stage 1 on a pool of poolSize threads: each worker claims the
-    // next window from the source (an atomic ticket for trace replay,
-    // a blocking pull from the session coalescer online), preprocesses
-    // it with the window-derived path stream (order-independent by
-    // construction), and pushes the schedule into the reorder window
-    // under its window index. push() blocks once the window is
-    // queueDepth ahead of serving — the backpressure that stops
-    // preprocessing from running arbitrarily far ahead of training.
-    // Deadlock freedom holds because the source hands out contiguous
-    // indices only *with* their data: every claimed sequence number
-    // is pushed (or the window is closed on error/shutdown).
+    // Stage 1 for one window, on a pool thread or inline: build the
+    // schedule with the window-derived path stream (order-independent
+    // by construction) and time it.
+    auto prepareWindow = [&](const SourceWindow &sw) {
+        PreparedWindow item;
+        const WallClock::time_point t0 = WallClock::now();
+        item.sched = prep.runWindow(
+            sw.windowIndex, sw.traceOffset, sw.accesses.data(),
+            sw.accesses.data() + sw.accesses.size());
+        if (cfg.prepLoadNsPerAccess > 0.0) {
+            // Emulated sample-decrypt/parse cost (see
+            // PipelineConfig::prepLoadNsPerAccess): spin the window's
+            // share of stage-1 wall time without touching any served
+            // byte.
+            const std::int64_t target = static_cast<std::int64_t>(
+                cfg.prepLoadNsPerAccess
+                * static_cast<double>(sw.accesses.size()));
+            while (elapsedNs(t0, WallClock::now()) < target) {
+            }
+        }
+        item.prepWallNs = elapsedNs(t0, WallClock::now());
+        obs::traceRecordEndingNow("prep-window", item.prepWallNs,
+                                  sw.windowIndex);
+        return item;
+    };
+
+    // The pool: each worker claims the next window from the source
+    // (an atomic ticket for trace replay, a blocking pull from the
+    // session coalescer online), prepares it, and pushes the schedule
+    // into the reorder window under its window index. push() blocks
+    // once the window is queueDepth ahead of serving — the
+    // backpressure that stops preprocessing from running arbitrarily
+    // far ahead of training. Deadlock freedom holds because the
+    // source hands out contiguous indices only *with* their data:
+    // every claimed sequence number is pushed (or the window is
+    // closed on error/shutdown).
     std::atomic<std::size_t> liveProducers{poolSize};
     std::vector<PrepThreadLedger> ledgers(poolSize);
 
@@ -285,27 +247,7 @@ BatchPipeline::runConcurrent(ServeSource &source,
         try {
             SourceWindow sw;
             while (source.nextWindow(sw)) {
-                PreparedWindow item;
-                const WallClock::time_point t0 = WallClock::now();
-                item.sched = prep.runWindow(
-                    sw.windowIndex, sw.traceOffset, sw.accesses.data(),
-                    sw.accesses.data() + sw.accesses.size());
-                if (cfg.prepLoadNsPerAccess > 0.0) {
-                    // Emulated sample-decrypt/parse cost (see
-                    // PipelineConfig::prepLoadNsPerAccess): spin the
-                    // window's share of stage-1 wall time without
-                    // touching any served byte.
-                    const std::int64_t target = static_cast<
-                        std::int64_t>(
-                        cfg.prepLoadNsPerAccess
-                        * static_cast<double>(sw.accesses.size()));
-                    while (elapsedNs(t0, WallClock::now()) < target) {
-                    }
-                }
-                item.prepWallNs = elapsedNs(t0, WallClock::now());
-                obs::traceRecordEndingNow("prep-window",
-                                          item.prepWallNs,
-                                          sw.windowIndex);
+                PreparedWindow item = prepareWindow(sw);
                 ledger.busyNs += item.prepWallNs;
                 ++ledger.windows;
 
@@ -337,10 +279,23 @@ BatchPipeline::runConcurrent(ServeSource &source,
             t.join();
     };
 
-    // Stage 2 on the calling thread: drain prepared windows through
-    // the engine strictly in window order — the reorder stage's
-    // guarantee. Touch callbacks therefore keep running on the
-    // caller's thread, exactly like the serial runTrace.
+    // The next window in stream order: popped from the reorder window,
+    // or pulled and prepared right here when there is no pool.
+    SourceWindow inlineWindow;
+    auto nextPrepared =
+        [&](PreparedWindow &item,
+            ReorderWindow<PreparedWindow>::ReleaseToken &slot) {
+            if (poolSize > 0)
+                return reorder.popDeferred(item, slot);
+            if (!source.nextWindow(inlineWindow))
+                return false;
+            item = prepareWindow(inlineWindow);
+            return true;
+        };
+
+    // Stage 2 on the calling thread: serve prepared windows through
+    // the engine strictly in window order. Touch callbacks therefore
+    // run on the caller's thread in every mode.
     std::vector<double> prepNsModeled;
     std::vector<double> accessNsModeled;
     std::vector<std::int64_t> prepWall;
@@ -350,15 +305,16 @@ BatchPipeline::runConcurrent(ServeSource &source,
         while (true) {
             ReorderWindow<PreparedWindow>::ReleaseToken slot;
             const WallClock::time_point waitStart = WallClock::now();
-            if (!reorder.popDeferred(item, slot))
+            if (!nextPrepared(item, slot))
                 break;
             const std::int64_t waited =
                 elapsedNs(waitStart, WallClock::now());
-            obs::traceRecordEndingNow("reorder-wait", waited,
-                                      item.sched.windowIndex);
+            if (poolSize > 0)
+                obs::traceRecordEndingNow("reorder-wait", waited,
+                                          item.sched.windowIndex);
             // The first window's wait is the pipeline fill, not a
             // stall.
-            (prepWall.empty() ? live.fillNs : live.stallNs) +=
+            (prepWall.empty() ? live.c.fillNs : live.c.stallNs) +=
                 static_cast<std::uint64_t>(waited);
             // Hand the freed slot back only now: stage 1's next burst
             // lands inside the serve interval, not inside the wait we
@@ -380,7 +336,7 @@ BatchPipeline::runConcurrent(ServeSource &source,
                 elapsedNs(serveStart, WallClock::now());
             obs::traceRecordEndingNow("serve-window", servedNs,
                                       item.sched.windowIndex);
-            ++live.windowsServed;
+            ++live.c.windowsServed;
             rep.wallServeNs += static_cast<double>(servedNs);
             accessNsModeled.push_back(
                 engine.meter().clock().nanoseconds() - simBefore);
@@ -400,6 +356,9 @@ BatchPipeline::runConcurrent(ServeSource &source,
     if (prepError)
         std::rethrow_exception(prepError);
 
+    rep.windows = live.c.windowsServed;
+    rep.wallFillNs = static_cast<double>(live.c.fillNs);
+    rep.wallStallNs = static_cast<double>(live.c.stallNs);
     rep.wallReorderStallNs =
         static_cast<double>(reorder.stats().headOfLineWaitNs);
 
@@ -439,11 +398,12 @@ BatchPipeline::runConcurrent(ServeSource &source,
 
     // Measured overlap: of the preprocessing wall time that could hide
     // behind serving (everything after the first window's fill), the
-    // share that never stalled the serving thread.
+    // share that never stalled the serving thread. Inline stage 1
+    // stalls the serving thread for all of it, so this is 0 there.
     const std::int64_t hideableWall =
         prepWall.empty() ? 0 : prepTotalNs - prepWall.front();
     if (hideableWall > 0) {
-        const auto stallNs = static_cast<std::int64_t>(live.stallNs);
+        const auto stallNs = static_cast<std::int64_t>(live.c.stallNs);
         rep.measuredPrepHiddenFraction = std::clamp(
             static_cast<double>(hideableWall - stallNs)
                 / static_cast<double>(hideableWall),
@@ -451,6 +411,10 @@ BatchPipeline::runConcurrent(ServeSource &source,
     }
 
     finishModeledReport(rep, prepNsModeled, accessNsModeled);
+    if (StreamingHistogram *hist = source.latencyHistogram())
+        rep.latency = hist->report();
+    if (const cache::HotEmbeddingCache *c = engine.hotCache())
+        rep.cache = c->stats().deltaFrom(cacheStart);
     return rep;
 }
 

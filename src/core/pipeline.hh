@@ -10,19 +10,24 @@
  * (large superblocks, heavy windows), prepThreads > 1 preprocesses
  * several windows concurrently so stage 1 keeps up.
  *
- * Two modes reproduce the paper's claim:
+ * There is one serving loop; the mode only chooses where stage 1
+ * runs:
  *
  *  - Concurrent (default): prepThreads real preprocessor threads
  *    claim window indices from a shared ticket, build WindowSchedules
  *    concurrently, and push them — tagged with their window index —
  *    into a bounded ReorderWindow. The serving thread pops windows
  *    strictly in stream order; the window bound is the backpressure
- *    that caps how far ahead preprocessing may run. The report
- *    carries *measured* wall-clock overlap numbers, per-prep-thread
- *    utilization, and the reorder (head-of-line) stall share.
- *  - Simulated: the original analytic cost model — stage costs are
- *    simulated and the pipelined makespan computed, so Fig.-style
- *    benches stay exactly reproducible.
+ *    that caps how far ahead preprocessing may run.
+ *  - Simulated: stage 1 runs inline on the serving thread, one window
+ *    at a time, and no thread is spawned. This is the serial
+ *    Laoram::runTrace and the paper-figure benches' path.
+ *
+ * Both modes fill every report field with the same code: the modeled
+ * cost model (stage costs simulated, the pipelined makespan computed,
+ * so Fig.-style numbers are exactly reproducible) and the *measured*
+ * wall-clock numbers. In Simulated mode the serving thread waits out
+ * every window's prep, so none of it is measured as hidden.
  *
  * Determinism for any prepThreads: window w's bin paths come from a
  * per-window derived RNG stream (Preprocessor::windowSeed), never
@@ -50,7 +55,7 @@ namespace laoram::core {
 enum class PipelineMode
 {
     Concurrent, ///< real threads + bounded queue, measured overlap
-    Simulated,  ///< analytic cost model only (no threads spawned)
+    Simulated,  ///< stage 1 inline on the serving thread, no threads
 };
 
 /** Pipeline knobs. */
@@ -74,9 +79,10 @@ struct PipelineConfig
 
     /**
      * Preprocessor threads in the stage-1 pool (Concurrent mode;
-     * Simulated mode ignores it). Results are byte-identical for any
-     * value — see the file comment — so this is purely a throughput
-     * knob for prep-bound configurations.
+     * Simulated mode has no pool and accepts only the default 1).
+     * Results are byte-identical for any value — see the file
+     * comment — so this is purely a throughput knob for prep-bound
+     * configurations.
      */
     std::size_t prepThreads = 1;
 
@@ -199,24 +205,30 @@ struct PipelineReport
      */
     double prepHiddenFraction = 0.0;
 
-    // ---- Measured (wall clock; Concurrent mode only, else zero). ----
-    double wallPrepNs = 0.0;   ///< stage-1 thread work, summed
-    double wallServeNs = 0.0;  ///< stage-2 thread work, summed
+    // ---- Measured (wall clock; both modes). ----
+    double wallPrepNs = 0.0;   ///< stage-1 work, summed
+    double wallServeNs = 0.0;  ///< stage-2 (serveWindow) work, summed
     double wallTotalNs = 0.0;  ///< end-to-end run() wall time
-    double wallFillNs = 0.0;   ///< serve-thread wait for window 0
-    double wallStallNs = 0.0;  ///< serve-thread waits after the fill
+    /**
+     * Serve-thread wait for window 0 (pipeline fill) and for every
+     * later window. In Simulated mode the wait is the inline stage 1
+     * itself: pulling the window from the source and preparing it.
+     */
+    double wallFillNs = 0.0;
+    double wallStallNs = 0.0; ///< serve-thread waits after the fill
 
     /**
      * The head-of-line share of wallStallNs: serve-thread wait for
      * the next-in-sequence window while *later* windows were already
      * prepared and buffered. Zero with one preprocessor thread
-     * (windows arrive in order); with a pool it is the price of the
+     * (windows arrive in order) and in Simulated mode (no reorder
+     * stage); with a pool it is the price of the
      * determinism-preserving reorder stage.
      */
     double wallReorderStallNs = 0.0;
 
-    // ---- Per-prep-thread breakdown (Concurrent mode only). ----
-    std::uint32_t prepThreads = 0; ///< stage-1 pool size used
+    // ---- Per-prep-thread breakdown (empty in Simulated mode). ----
+    std::uint32_t prepThreads = 0; ///< stage-1 pool size; 0 = inline
 
     /** Wall time thread t spent preprocessing windows, by thread. */
     std::vector<double> prepThreadBusyNs;
@@ -244,8 +256,7 @@ struct PipelineReport
     double wallIoNs = 0.0;
     /**
      * Share of the serving thread's busy time spent in backend I/O
-     * (wallIoNs / wallServeNs, Concurrent mode; 0 in Simulated mode
-     * where no serve wall time is measured).
+     * (wallIoNs / wallServeNs).
      */
     double ioServeFraction = 0.0;
     /**
@@ -254,6 +265,8 @@ struct PipelineReport
      * after the pipeline fill), the fraction that never stalled the
      * serving thread. 1.0 means the serving thread ran back-to-back —
      * preprocessing was entirely off the measured critical path.
+     * Always 0 in Simulated mode, whose inline stage 1 stalls serving
+     * for all of it.
      */
     double measuredPrepHiddenFraction = 0.0;
 
@@ -275,9 +288,6 @@ struct PipelineReport
      */
     cache::CacheStats cache;
 };
-
-/** One run's live pipeline.* ledger (defined in pipeline.cc). */
-struct PipelineCounters;
 
 /**
  * Drives a Laoram engine window by window with overlapped
@@ -311,11 +321,6 @@ class BatchPipeline
     PipelineReport run(const std::vector<BlockId> &trace);
 
   private:
-    PipelineReport runConcurrent(ServeSource &source,
-                                 PipelineCounters &live);
-    PipelineReport runSimulated(ServeSource &source,
-                                PipelineCounters &live);
-
     /** Fill the modeled report fields from per-window stage costs. */
     static void finishModeledReport(PipelineReport &rep,
                                     const std::vector<double> &prepNs,

@@ -2,19 +2,19 @@
  * @file
  * ServeSource — the one abstraction behind every LAORAM run loop.
  *
- * Historically the repo grew three parallel entry points that all did
- * the same thing — chunk an access stream into look-ahead windows,
- * preprocess each window with its window-derived path stream, and
- * serve the windows in order: Laoram::runTrace, BatchPipeline's
- * runConcurrent/runSimulated, and ShardedLaoram::runTrace. The online
- * serving frontend (src/serve/) would have been a fourth. ServeSource
- * inverts the dependency: a source *produces* numbered windows of raw
- * accesses on demand, and BatchPipeline::run(ServeSource&) is the
- * single code path that preprocesses and serves them. The legacy
- * trace entry points are thin adapters over TraceSource; the session
- * ingress implements the same interface and inherits the whole
- * pipeline (preprocessor pool, reorder stage, backpressure,
- * determinism contract) for free.
+ * Every LAORAM run does the same thing: chunk an access stream into
+ * look-ahead windows, preprocess each window with its window-derived
+ * path stream, and serve the windows in order. ServeSource makes that
+ * one loop: a source *produces* numbered windows of raw accesses on
+ * demand, and BatchPipeline::run(ServeSource&) is the single serving
+ * loop that preprocesses and serves them, with stage 1 on a
+ * preprocessor pool (Concurrent mode) or inline on the serving thread
+ * (Simulated mode). Laoram::runTrace, the trace overload of
+ * BatchPipeline::run and ShardedLaoram::runTrace are thin adapters
+ * over TraceSource; the online session ingress (src/serve/)
+ * implements the same interface and inherits the whole pipeline
+ * (preprocessor pool, reorder stage, backpressure, determinism
+ * contract) for free.
  *
  * Contract (what keeps the pipeline deadlock-free and deterministic):
  *
@@ -146,16 +146,6 @@ class ShardedServeSource
 
     /** Shard @p shard's window stream (engine-local block ids). */
     virtual ServeSource &shardSource(std::uint32_t shard) = 0;
-
-    /**
-     * Fold the request latencies of every lane into @p into (used for
-     * ShardedPipelineReport::aggregate.latency). Only called after
-     * all lanes finished. Default: no latency data, leave untouched.
-     */
-    virtual void mergedLatency(StreamingHistogram &into)
-    {
-        (void)into;
-    }
 };
 
 } // namespace laoram::core

@@ -27,6 +27,28 @@ lanesActiveGauge()
     return g;
 }
 
+/**
+ * Holds pipeline.lanes_active up while one lane serves and takes back
+ * exactly what it added, also when the lane throws.
+ */
+struct ActiveLane
+{
+    const bool counted = obs::metricsEnabled();
+
+    ActiveLane()
+    {
+        if (counted)
+            lanesActiveGauge().inc();
+    }
+    ~ActiveLane()
+    {
+        if (counted)
+            lanesActiveGauge().dec();
+    }
+    ActiveLane(const ActiveLane &) = delete;
+    ActiveLane &operator=(const ActiveLane &) = delete;
+};
+
 /** runTrace's ShardedServeSource: one TraceSource per sub-trace. */
 class TraceShardSource final : public ShardedServeSource
 {
@@ -426,8 +448,7 @@ ShardedLaoram::serve(ShardedServeSource &source)
                 // First-wins naming: the worker keeps the name of the
                 // first lane it serves even as it claims more shards.
                 obs::traceSetThreadName("lane-" + std::to_string(s));
-                if (obs::metricsEnabled())
-                    lanesActiveGauge().inc();
+                const ActiveLane active;
                 obs::TraceSpan laneSpan("lane", s);
                 ShardReport &sr = rep.shards[s];
                 const std::uint64_t prepBefore =
@@ -444,8 +465,6 @@ ShardedLaoram::serve(ShardedServeSource &source)
                     engines_[s]->meter().counters().since(before);
                 sr.simNs = engines_[s]->meter().clock().nanoseconds()
                            - simBefore;
-                if (obs::metricsEnabled())
-                    lanesActiveGauge().dec();
             } catch (...) {
                 std::lock_guard<std::mutex> lock(errorMu);
                 if (!firstError)
@@ -480,7 +499,10 @@ ShardedLaoram::serve(ShardedServeSource &source)
     // Request latency: merge every lane's histogram (online sources
     // record one per lane; trace replay has none and leaves it zero).
     StreamingHistogram merged;
-    source.mergedLatency(merged);
+    for (std::uint32_t s = 0; s < cfg.numShards; ++s)
+        if (const StreamingHistogram *h =
+                source.shardSource(s).latencyHistogram())
+            merged.merge(*h);
     if (merged.count() > 0)
         rep.aggregate.latency = merged.report();
     return rep;

@@ -296,7 +296,6 @@ class ServeFrontend::ShardLane final : public core::ServeSource
     StreamingHistogram *latencyHistogram() override { return &hist; }
 
     BoundedQueue<PendingOp> &admission() { return queue; }
-    const StreamingHistogram &latency() const { return hist; }
 
   private:
     /** A coalesced window's operations + per-id touch plan. */
@@ -338,8 +337,9 @@ class ServeFrontend::ShardLane final : public core::ServeSource
     /**
      * Guarded by histMu: fast-path completions record from assembler
      * threads while windowServed records from the serving thread.
-     * End-of-run reads (latency(), latencyHistogram()->report())
-     * happen after the lane's stream drained and threads joined.
+     * End-of-run reads (the pipeline's report and the sharded
+     * merge, both through latencyHistogram()) happen after the
+     * lane's stream drained and threads joined.
      */
     std::mutex histMu;
     StreamingHistogram hist;
@@ -398,13 +398,6 @@ core::ServeSource &
 ServeFrontend::shardSource(std::uint32_t shard)
 {
     return *lanes[shard];
-}
-
-void
-ServeFrontend::mergedLatency(StreamingHistogram &into)
-{
-    for (const std::unique_ptr<ShardLane> &lane : lanes)
-        into.merge(lane->latency());
 }
 
 std::future<BatchResult>

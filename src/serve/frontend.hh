@@ -146,7 +146,6 @@ class ServeFrontend final : public core::ShardedServeSource
 
     // ---- ShardedServeSource (consumed by engine.serve) ----
     core::ServeSource &shardSource(std::uint32_t shard) override;
-    void mergedLatency(StreamingHistogram &into) override;
 
     const FrontendConfig &config() const { return cfg; }
 

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hh"
+#include "obs/metrics.hh"
 #include "util/rng.hh"
 
 namespace laoram::core {
@@ -210,22 +214,28 @@ TEST(ConcurrentPipeline, MeasuredFieldsPopulated)
     // host with serving-dominated windows.
 }
 
-TEST(SimulatedPipeline, ReportsNoMeasuredThreadNumbers)
+TEST(SimulatedPipeline, InlineStageOneHidesNothing)
 {
-    // Simulated mode spawns no threads, so every wall-clock *stage*
-    // field stays zero...
+    // Simulated mode runs stage 1 inline in the one serving loop: no
+    // pool, every measured wall field filled by the same code as
+    // Concurrent mode, and the serving thread waits out every
+    // window's prep, so none of it is hidden.
     Laoram engine(engineConfig());
     BatchPipeline pipe(engine,
                        pipelineConfig(PipelineMode::Simulated));
     const auto rep = pipe.run(randomTrace(500, 256, 19));
-    EXPECT_DOUBLE_EQ(rep.wallTotalNs, 0.0);
-    EXPECT_DOUBLE_EQ(rep.wallPrepNs, 0.0);
-    EXPECT_DOUBLE_EQ(rep.measuredPrepHiddenFraction, 0.0);
-    // ...but the storage backend did real work in both modes, so its
-    // measured I/O time is populated (only the serve-time *fraction*
-    // needs a measured serve denominator and stays zero).
+    EXPECT_GT(rep.wallTotalNs, 0.0);
+    EXPECT_GT(rep.wallPrepNs, 0.0);
+    EXPECT_GT(rep.wallServeNs, 0.0);
     EXPECT_GT(rep.wallIoNs, 0.0);
-    EXPECT_DOUBLE_EQ(rep.ioServeFraction, 0.0);
+    EXPECT_EQ(rep.prepThreads, 0u);
+    EXPECT_TRUE(rep.prepThreadBusyNs.empty());
+    EXPECT_TRUE(rep.prepThreadUtilization.empty());
+    EXPECT_TRUE(rep.prepThreadWindows.empty());
+    EXPECT_DOUBLE_EQ(rep.wallReorderStallNs, 0.0);
+    EXPECT_DOUBLE_EQ(rep.measuredPrepHiddenFraction, 0.0);
+    EXPECT_GE(rep.ioServeFraction, 0.0);
+    EXPECT_LE(rep.ioServeFraction, 1.0);
 }
 
 TEST(ConcurrentPipeline, PreprocessorPoolMatchesSerialByteForByte)
@@ -349,6 +359,141 @@ TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
     }
 
     expectEnginesIdentical(serial, staged);
+}
+
+/** The loop's failure shapes, each run in both stage-1 placements. */
+struct LoopCase
+{
+    PipelineMode mode;
+    std::size_t prepThreads;
+};
+
+const LoopCase kLoopCases[] = {
+    {PipelineMode::Simulated, 1},
+    {PipelineMode::Concurrent, 1},
+    {PipelineMode::Concurrent, 3},
+};
+
+std::string
+caseName(const LoopCase &c)
+{
+    return (c.mode == PipelineMode::Simulated ? "Simulated"
+                                               : "Concurrent")
+           + std::string(" P=") + std::to_string(c.prepThreads);
+}
+
+/**
+ * A TraceSource that records the serving hooks and, optionally,
+ * throws from nextWindow when it hands out window @p failAt.
+ */
+class RecordingSource final : public ServeSource
+{
+  public:
+    RecordingSource(const std::vector<oram::BlockId> &trace,
+                    std::uint64_t window, std::uint64_t failAt)
+        : inner(trace, window), failAt(failAt)
+    {
+    }
+
+    bool
+    nextWindow(SourceWindow &out) override
+    {
+        if (!inner.nextWindow(out))
+            return false;
+        if (out.windowIndex == failAt)
+            throw std::runtime_error("source failed");
+        return true;
+    }
+
+    void windowServing(std::uint64_t w) override { serving.push_back(w); }
+    void windowServed(std::uint64_t w) override { served.push_back(w); }
+
+    std::vector<std::uint64_t> serving; ///< serving thread only
+    std::vector<std::uint64_t> served;  ///< serving thread only
+
+  private:
+    TraceSource inner;
+    const std::uint64_t failAt;
+};
+
+std::int64_t
+bufferedGauge()
+{
+    return obs::MetricsRegistry::instance()
+        .gauge("pipeline.reorder.buffered")
+        .get();
+}
+
+/** windowServed fired for exactly 0..j-1, with j <= @p k. */
+void
+expectServedPrefix(const std::vector<std::uint64_t> &served,
+                   std::uint64_t k)
+{
+    EXPECT_LE(served.size(), k);
+    for (std::size_t i = 0; i < served.size(); ++i)
+        EXPECT_EQ(served[i], i);
+}
+
+TEST(ConcurrentPipeline, SourceFailureRethrowsAfterServedPrefix)
+{
+    obs::setMetricsEnabled(true);
+    const auto trace = randomTrace(2000, 256, 41);
+    const std::uint64_t failAt = 5;
+    for (const LoopCase &c : kLoopCases) {
+        SCOPED_TRACE(caseName(c));
+        const std::int64_t gaugeBefore = bufferedGauge();
+        Laoram engine(engineConfig());
+        BatchPipeline pipe(engine, pipelineConfig(c.mode, 64, 2,
+                                                  c.prepThreads));
+        RecordingSource source(trace, 64, failAt);
+        try {
+            pipe.run(source);
+            ADD_FAILURE() << "run() returned despite the source failing";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "source failed");
+        }
+        expectServedPrefix(source.served, failAt);
+        EXPECT_EQ(bufferedGauge(), gaugeBefore);
+    }
+    obs::setMetricsEnabled(false);
+}
+
+TEST(ConcurrentPipeline, TouchFailureRethrowsAfterServedPrefix)
+{
+    obs::setMetricsEnabled(true);
+    const auto trace = randomTrace(2000, 256, 43);
+    const std::uint64_t window = 64;
+    LaoramConfig cfg = engineConfig();
+    cfg.base.payloadBytes = 8;
+    for (const LoopCase &c : kLoopCases) {
+        SCOPED_TRACE(caseName(c));
+        const std::int64_t gaugeBefore = bufferedGauge();
+        Laoram engine(cfg);
+        // Touches run on the serving thread only: a plain counter.
+        std::uint64_t touches = 0;
+        engine.setTouchCallback(
+            [&](oram::BlockId, std::vector<std::uint8_t> &) {
+                if (++touches == 7 * window + window / 2)
+                    throw std::runtime_error("touch failed");
+            });
+        BatchPipeline pipe(engine, pipelineConfig(c.mode, window, 2,
+                                                  c.prepThreads));
+        RecordingSource source(trace, window, ~std::uint64_t{0});
+        try {
+            pipe.run(source);
+            ADD_FAILURE() << "run() returned despite the touch failing";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "touch failed");
+        }
+        // The failing window is the last one that began serving.
+        ASSERT_FALSE(source.serving.empty());
+        const std::uint64_t failedWindow = source.serving.back();
+        EXPECT_GT(failedWindow, 0u);
+        expectServedPrefix(source.served, failedWindow);
+        EXPECT_EQ(bufferedGauge(), gaugeBefore);
+        engine.setTouchCallback(nullptr);
+    }
+    obs::setMetricsEnabled(false);
 }
 
 } // namespace

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/sharded_laoram.hh"
+#include "obs/metrics.hh"
 #include "train/table_set.hh"
 #include "util/rng.hh"
 
@@ -251,6 +253,31 @@ TEST(ShardedLaoram, AggregateReportSumsShards)
     const auto total = sharded.totalCounters();
     EXPECT_EQ(total.logicalAccesses, rep.traffic.logicalAccesses);
     EXPECT_EQ(total.pathReads, rep.traffic.pathReads);
+}
+
+TEST(ShardedLaoram, FailedLaneLeavesNoActiveLaneGauge)
+{
+    // A lane whose serving throws must still take itself off
+    // pipeline.lanes_active: runTrace rethrows, and the gauge is back
+    // where it started.
+    obs::setMetricsEnabled(true);
+    obs::Gauge &lanesActive =
+        obs::MetricsRegistry::instance().gauge("pipeline.lanes_active");
+    const std::int64_t before = lanesActive.get();
+
+    const auto trace = randomTrace(2000, 512, 23);
+    ShardedLaoramConfig cfg = shardedConfig(2);
+    cfg.engine.base.payloadBytes = 8;
+    ShardedLaoram sharded(cfg);
+    const oram::BlockId failing = trace[100];
+    sharded.setTouchCallback(
+        [failing](oram::BlockId global, std::vector<std::uint8_t> &) {
+            if (global == failing)
+                throw std::runtime_error("touch failed");
+        });
+    EXPECT_THROW(sharded.runTrace(trace), std::runtime_error);
+    EXPECT_EQ(lanesActive.get(), before);
+    obs::setMetricsEnabled(false);
 }
 
 TEST(ShardedLaoram, ShardingReducesConcurrentServeTime)
