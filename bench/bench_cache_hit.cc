@@ -61,7 +61,6 @@ runCell(double skew, std::uint64_t cacheMb, std::uint64_t sessions,
     cfg.engine.base.seed = seed;
     cfg.engine.superblockSize = 4;
     cfg.engine.cache.capacityBytes = cacheMb << 20;
-    cfg.engine.cache.policy = cache::CachePolicy::Lru;
     cfg.numShards = 2;
     cfg.pipeline.windowAccesses = window;
     cfg.pipeline.mode = core::PipelineMode::Concurrent;

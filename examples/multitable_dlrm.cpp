@@ -22,7 +22,6 @@
 #include <iostream>
 #include <vector>
 
-#include "cache/cache_cli.hh"
 #include "core/laoram_client.hh"
 #include "core/sharded_laoram.hh"
 #include "obs/obs_cli.hh"
@@ -59,7 +58,9 @@ main(int argc, char **argv)
         0);
     const auto storageArgs =
         storage::addStorageArgs(args, "multitable_dlrm.tree");
-    const auto cacheArgs = cache::addCacheArgs(args);
+    auto cacheMb = args.addUint(
+        "cache-mb",
+        "trusted-client hot-row cache capacity in MiB (0 = disabled)", 0);
     const auto obsArgs = obs::addObsArgs(args);
     args.parse(argc, argv);
 
@@ -111,7 +112,7 @@ main(int argc, char **argv)
     // Optional trusted-client hot-row cache. The cache accelerates
     // payload service, so enabling it switches this (otherwise
     // metadata-only) simulation to carrying real embedding rows.
-    scfg.engine.cache = cache::cacheConfigFromArgs(cacheArgs);
+    scfg.engine.cache.capacityBytes = *cacheMb << 20;
     if (scfg.engine.cache.enabled())
         scfg.engine.base.payloadBytes = 64;
     scfg.numShards = numShards;

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache_cli.hh"
 #include "core/pipeline.hh"
 #include "obs/obs_cli.hh"
 #include "obs/run_report.hh"
@@ -83,7 +82,9 @@ main(int argc, char **argv)
         2);
     const auto storageArgs =
         storage::addStorageArgs(args, "oblivious_kv.tree");
-    const auto cacheArgs = cache::addCacheArgs(args);
+    auto cacheMb = args.addUint(
+        "cache-mb",
+        "trusted-client hot-row cache capacity in MiB (0 = disabled)", 0);
     const auto obsArgs = obs::addObsArgs(args);
     args.parse(argc, argv);
 
@@ -172,7 +173,7 @@ main(int argc, char **argv)
         // Optional trusted-client hot-row cache: repeated keys in the
         // scan are served from client DRAM while the scheduled dummy
         // accesses keep the server-visible trace unchanged.
-        lcfg.cache = cache::cacheConfigFromArgs(cacheArgs);
+        lcfg.cache.capacityBytes = *cacheMb << 20;
         core::Laoram scanEngine(lcfg);
 
         Rng rng(4242);

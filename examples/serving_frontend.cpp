@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cache_cli.hh"
 #include "obs/obs_cli.hh"
 #include "obs/run_report.hh"
 #include "serve/frontend.hh"
@@ -42,7 +41,9 @@ main(int argc, char **argv)
                                "look-ahead window (operations)", 64);
     auto flushUs = args.addUint(
         "flush-us", "partial-window flush period (microseconds)", 200);
-    const auto cacheArgs = cache::addCacheArgs(args);
+    auto cacheMb = args.addUint(
+        "cache-mb",
+        "trusted-client hot-row cache capacity in MiB (0 = disabled)", 0);
     const auto obsArgs = obs::addObsArgs(args);
     args.parse(argc, argv);
 
@@ -64,7 +65,7 @@ main(int argc, char **argv)
     // Optional trusted-client hot-row cache: hot keys complete at
     // admission time while their scheduled accesses still hit the
     // ORAM as dummies (server trace unchanged).
-    cfg.engine.cache = cache::cacheConfigFromArgs(cacheArgs);
+    cfg.engine.cache.capacityBytes = *cacheMb << 20;
     core::ShardedLaoram engine(cfg);
 
     std::cout << "online serving: " << *sessions << " sessions x "

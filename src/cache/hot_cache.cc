@@ -1,7 +1,7 @@
 #include "cache/hot_cache.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -52,31 +52,6 @@ liveCache()
 
 } // namespace
 
-const char *
-policyName(CachePolicy policy)
-{
-    return policy == CachePolicy::Lfu ? "lfu" : "lru";
-}
-
-bool
-parsePolicy(const std::string &text, CachePolicy *out)
-{
-    std::string lower;
-    lower.reserve(text.size());
-    for (char c : text)
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    if (lower == "lru") {
-        *out = CachePolicy::Lru;
-        return true;
-    }
-    if (lower == "lfu") {
-        *out = CachePolicy::Lfu;
-        return true;
-    }
-    return false;
-}
-
 void
 CacheStats::accumulate(const CacheStats &other)
 {
@@ -112,23 +87,6 @@ HotEmbeddingCache::~HotEmbeddingCache()
     liveCache().detach(&st);
 }
 
-HotEmbeddingCache::OrderKey
-HotEmbeddingCache::keyOf(oram::BlockId id, const Row &row) const
-{
-    const std::uint64_t primary =
-        cfg.policy == CachePolicy::Lfu ? row.freq : row.lastUse;
-    return OrderKey{primary, row.lastUse, id};
-}
-
-void
-HotEmbeddingCache::touchLocked(oram::BlockId id, Row &row)
-{
-    order.erase(keyOf(id, row));
-    ++row.freq;
-    row.lastUse = ++useSeq;
-    order.insert(keyOf(id, row));
-}
-
 AccessOutcome
 HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
                                         std::vector<std::uint8_t> &payload)
@@ -141,7 +99,7 @@ HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
     }
     Row &row = it->second;
     ++st.hits;
-    touchLocked(id, row);
+    lru.splice(lru.end(), lru, row.recency);
     // The row is authoritative on every kind of hit: the stash
     // payload takes the cached value so the bytes written back to the
     // ORAM tree are identical to the cache-off run.
@@ -183,33 +141,30 @@ void
 HotEmbeddingCache::evictForSpaceLocked()
 {
     while (rows.size() >= maxRows) {
-        // Oldest/least-frequent first; pinned rows hold deferred
+        // Least recently used first; pinned rows hold deferred
         // write-backs and are not evictable, so skip past them.
-        auto victim = order.begin();
-        while (victim != order.end()
-               && rows.at(std::get<2>(*victim)).pinned > 0)
-            ++victim;
-        if (victim == order.end())
+        auto victim = std::find_if(lru.begin(), lru.end(),
+                                   [this](oram::BlockId id) {
+                                       return rows.at(id).pinned == 0;
+                                   });
+        if (victim == lru.end())
             return; // everything pinned: caller skips the insert
-        rows.erase(std::get<2>(*victim));
-        order.erase(victim);
+        rows.erase(*victim);
+        lru.erase(victim);
         ++st.evictions;
     }
 }
 
 void
 HotEmbeddingCache::insertLocked(oram::BlockId id,
-                                std::vector<std::uint8_t> data,
-                                std::uint64_t freq)
+                                std::vector<std::uint8_t> data)
 {
     evictForSpaceLocked();
     if (rows.size() >= maxRows)
         return; // all resident rows pinned; drop the fill
     Row row;
     row.data = std::move(data);
-    row.freq = freq;
-    row.lastUse = ++useSeq;
-    order.insert(keyOf(id, row));
+    row.recency = lru.insert(lru.end(), id);
     rows.emplace(id, std::move(row));
 }
 
@@ -225,7 +180,7 @@ HotEmbeddingCache::fill(oram::BlockId id,
         it->second.data.assign(payload.begin(), payload.end());
         return;
     }
-    insertLocked(id, {payload.begin(), payload.end()}, 1);
+    insertLocked(id, {payload.begin(), payload.end()});
 }
 
 bool
@@ -269,19 +224,16 @@ HotEmbeddingCache::save(serde::Serializer &s) const
 {
     std::lock_guard<std::mutex> lock(mu);
     assertNoPinsLocked("hot-cache save()");
-    s.u8(static_cast<std::uint8_t>(cfg.policy));
     s.u64(bytesPerRow);
     s.u64(cfg.capacityBytes);
     for (const CountField &f : kCounts)
         s.u64(st.*f.member);
     s.u64(rows.size());
-    // Eviction order, coldest first, so restore replays insertions
-    // and reproduces the same relative recency/frequency ranking.
-    for (const OrderKey &key : order) {
-        const oram::BlockId id = std::get<2>(key);
+    // Least recently used first, so restore's in-order insertions
+    // rebuild the same recency list.
+    for (const oram::BlockId id : lru) {
         const Row &row = rows.at(id);
         s.u64(id);
-        s.u64(row.freq);
         s.bytes(row.data.data(), row.data.size());
     }
 }
@@ -290,12 +242,6 @@ void
 HotEmbeddingCache::restore(serde::Deserializer &d)
 {
     std::lock_guard<std::mutex> lock(mu);
-    const std::uint8_t policy = d.u8();
-    if (policy != static_cast<std::uint8_t>(cfg.policy))
-        throw serde::SnapshotError(
-            "hot-cache snapshot policy " + std::to_string(policy) +
-            " does not match the configured policy " +
-            std::string(policyName(cfg.policy)));
     const std::uint64_t snapRowBytes = d.u64();
     if (snapRowBytes != bytesPerRow)
         throw serde::SnapshotError(
@@ -321,15 +267,13 @@ HotEmbeddingCache::restore(serde::Deserializer &d)
             std::to_string(maxRows) + " rows");
     assertNoPinsLocked("hot-cache restore()");
     rows.clear();
-    order.clear();
-    useSeq = 0;
+    lru.clear();
     liveCache().rebase(&st, restored);
     for (std::uint64_t i = 0; i < nRows; ++i) {
         const oram::BlockId id = d.u64();
-        const std::uint64_t freq = d.u64();
         std::vector<std::uint8_t> data(bytesPerRow);
         d.bytes(data.data(), data.size());
-        insertLocked(id, std::move(data), freq);
+        insertLocked(id, std::move(data));
     }
 }
 
@@ -341,8 +285,7 @@ HotEmbeddingCache::clear()
     // only copy of an acknowledged deferred write-back.
     assertNoPinsLocked("hot-cache clear()");
     rows.clear();
-    order.clear();
-    useSeq = 0;
+    lru.clear();
 }
 
 } // namespace laoram::cache

@@ -49,10 +49,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
-#include <set>
-#include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -62,23 +60,10 @@
 
 namespace laoram::cache {
 
-/** Eviction policy for the hot-row cache. */
-enum class CachePolicy : std::uint8_t {
-    Lru = 0, ///< evict the least-recently-touched row
-    Lfu = 1, ///< evict the least-frequently-touched row (LRU tiebreak)
-};
-
-/** Stable lower-case name ("lru" / "lfu"). */
-const char *policyName(CachePolicy policy);
-
-/** Parse "lru"/"lfu" (case-insensitive); false on anything else. */
-bool parsePolicy(const std::string &text, CachePolicy *out);
-
-/** Client-side cache sizing/policy knobs (0 capacity = disabled). */
+/** Client-side cache sizing (0 capacity = disabled). */
 struct CacheConfig
 {
     std::uint64_t capacityBytes = 0; ///< row-data budget; 0 disables
-    CachePolicy policy = CachePolicy::Lru;
 
     bool enabled() const { return capacityBytes > 0; }
 };
@@ -130,7 +115,10 @@ enum class AccessOutcome : std::uint8_t {
 };
 
 /**
- * Bounded map of hot embedding rows, all payloadBytes wide.
+ * Bounded map of hot embedding rows, all payloadBytes wide, evicting
+ * the least-recently-used unpinned row. A scheduled-access hit counts
+ * as a use; a miss fill admits the row as most recent; refilling a
+ * resident row and the admission fast path leave recency alone.
  *
  * Thread safety: one internal mutex serializes every operation. The
  * engine serving thread and the frontend assembler threads contend on
@@ -192,7 +180,7 @@ class HotEmbeddingCache
      * Restore contents saved by save(). The counters take the
      * snapshot's values; the live cache.* totals neither jump nor
      * rewind. Throws serde::SnapshotError
-     * when the snapshot's policy/rowBytes/capacity disagree with this
+     * when the snapshot's rowBytes/capacity disagree with this
      * cache's configuration. Quiesced-boundary only, like save().
      */
     void restore(serde::Deserializer &d);
@@ -205,25 +193,19 @@ class HotEmbeddingCache
     void clear();
 
   private:
+    using Recency = std::list<oram::BlockId>;
+
     struct Row
     {
         std::vector<std::uint8_t> data;
-        std::uint64_t freq = 0;    ///< touches (Lfu primary key)
-        std::uint64_t lastUse = 0; ///< recency sequence (Lru / tiebreak)
+        Recency::iterator recency; ///< this row's place in lru
         std::uint32_t pinned = 0;  ///< outstanding deferred write-backs
     };
 
-    /** Eviction-order key: (policy primary, recency, id). */
-    using OrderKey =
-        std::tuple<std::uint64_t, std::uint64_t, oram::BlockId>;
-
-    OrderKey keyOf(oram::BlockId id, const Row &row) const;
     /** Panic if any row is pinned (quiesced-boundary contract). */
     void assertNoPinsLocked(const char *op) const;
-    void touchLocked(oram::BlockId id, Row &row);
     void evictForSpaceLocked();
-    void insertLocked(oram::BlockId id, std::vector<std::uint8_t> data,
-                      std::uint64_t freq);
+    void insertLocked(oram::BlockId id, std::vector<std::uint8_t> data);
 
     const CacheConfig cfg;
     const std::uint64_t bytesPerRow;
@@ -231,8 +213,7 @@ class HotEmbeddingCache
 
     mutable std::mutex mu;
     std::unordered_map<oram::BlockId, Row> rows;
-    std::set<OrderKey> order;
-    std::uint64_t useSeq = 0;
+    Recency lru; ///< resident ids, least recently used first
     CacheStats st;
 };
 

@@ -1,7 +1,6 @@
 #include "core/sharded_laoram.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <exception>
@@ -18,7 +17,7 @@ namespace laoram::core {
 
 namespace {
 
-/** Lanes (shard pipelines) in flight right now across the pool. */
+/** Lanes (shard pipelines) in flight right now. */
 obs::Gauge &
 lanesActiveGauge()
 {
@@ -385,26 +384,16 @@ ShardedLaoram::setTouchCallback(Laoram::TouchFn fn)
     }
 }
 
-std::uint32_t
-ShardedLaoram::servingPoolSize() const
-{
-    return std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(cfg.servingThreads == 0
-                                       ? cfg.numShards
-                                       : cfg.servingThreads,
-                                   cfg.numShards));
-}
-
 PipelineConfig
 ShardedLaoram::effectiveShardPipeline() const
 {
     PipelineConfig pc = cfg.pipeline;
     if (cfg.prepThreadBudget > 0) {
-        // Split the global budget over the lanes that run
-        // concurrently; every pipeline keeps at least one prep
+        // Split the global budget over the shard lanes, which all
+        // run concurrently; every pipeline keeps at least one prep
         // thread so no shard can starve.
         pc.prepThreads = std::max<std::size_t>(
-            1, cfg.prepThreadBudget / servingPoolSize());
+            1, cfg.prepThreadBudget / cfg.numShards);
     }
     return pc;
 }
@@ -425,63 +414,50 @@ ShardedLaoram::serve(ShardedServeSource &source)
     ShardedPipelineReport rep;
     rep.shards.resize(cfg.numShards);
 
-    const std::uint32_t poolSize = servingPoolSize();
     const PipelineConfig shardPipeline = effectiveShardPipeline();
 
-    // The pool: each worker claims the next unserved shard, runs that
-    // shard's full two-stage pipeline on itself (serving stage on the
-    // worker, preprocessing on the pipeline's own thread), and moves
-    // on. Shard claiming is a single atomic ticket, so the pool stays
-    // busy even when shard sub-traces are skewed.
-    std::atomic<std::uint32_t> nextShard{0};
+    // One lane per shard: thread s runs shard s's full two-stage
+    // pipeline (serving stage on the thread, preprocessing on the
+    // pipeline's own pool), so every shard stream is drained at once
+    // even when a source only ends its streams on shutdown.
     std::mutex errorMu;
     std::exception_ptr firstError;
 
     const WallClock::time_point runStart = WallClock::now();
-    auto worker = [&] {
-        while (true) {
-            const std::uint32_t s =
-                nextShard.fetch_add(1, std::memory_order_relaxed);
-            if (s >= cfg.numShards)
-                return;
-            try {
-                // First-wins naming: the worker keeps the name of the
-                // first lane it serves even as it claims more shards.
-                obs::traceSetThreadName("lane-" + std::to_string(s));
-                const ActiveLane active;
-                obs::TraceSpan laneSpan("lane", s);
-                ShardReport &sr = rep.shards[s];
-                const std::uint64_t prepBefore =
-                    engines_[s]->accessesPreprocessed();
-                const mem::TrafficCounters before =
-                    engines_[s]->meter().counters();
-                const double simBefore =
-                    engines_[s]->meter().clock().nanoseconds();
-                BatchPipeline pipe(*engines_[s], shardPipeline);
-                sr.pipeline = pipe.run(source.shardSource(s));
-                sr.accesses = engines_[s]->accessesPreprocessed()
-                              - prepBefore;
-                sr.traffic =
-                    engines_[s]->meter().counters().since(before);
-                sr.simNs = engines_[s]->meter().clock().nanoseconds()
-                           - simBefore;
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMu);
-                if (!firstError)
-                    firstError = std::current_exception();
-                return;
-            }
+    auto lane = [&](std::uint32_t s) {
+        try {
+            obs::traceSetThreadName("lane-" + std::to_string(s));
+            const ActiveLane active;
+            obs::TraceSpan laneSpan("lane", s);
+            ShardReport &sr = rep.shards[s];
+            const std::uint64_t prepBefore =
+                engines_[s]->accessesPreprocessed();
+            const mem::TrafficCounters before =
+                engines_[s]->meter().counters();
+            const double simBefore =
+                engines_[s]->meter().clock().nanoseconds();
+            BatchPipeline pipe(*engines_[s], shardPipeline);
+            sr.pipeline = pipe.run(source.shardSource(s));
+            sr.accesses =
+                engines_[s]->accessesPreprocessed() - prepBefore;
+            sr.traffic = engines_[s]->meter().counters().since(before);
+            sr.simNs =
+                engines_[s]->meter().clock().nanoseconds() - simBefore;
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errorMu);
+            if (!firstError)
+                firstError = std::current_exception();
         }
     };
 
-    if (poolSize == 1) {
-        worker(); // serve inline: no pool threads for one lane
+    if (cfg.numShards == 1) {
+        lane(0); // serve inline: no thread for one lane
     } else {
-        std::vector<std::thread> pool;
-        pool.reserve(poolSize);
-        for (std::uint32_t t = 0; t < poolSize; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
+        std::vector<std::thread> lanes;
+        lanes.reserve(cfg.numShards);
+        for (std::uint32_t s = 0; s < cfg.numShards; ++s)
+            lanes.emplace_back(lane, s);
+        for (std::thread &t : lanes)
             t.join();
     }
     if (firstError)
@@ -493,8 +469,8 @@ ShardedLaoram::serve(ShardedServeSource &source)
             .count());
 
     aggregateShardReports(
-        rep, poolSize,
-        static_cast<std::uint32_t>(shardPipeline.prepThreads), wallNs);
+        rep, static_cast<std::uint32_t>(shardPipeline.prepThreads),
+        wallNs);
 
     // Request latency: merge every lane's histogram (online sources
     // record one per lane; trace replay has none and leaves it zero).
@@ -510,7 +486,6 @@ ShardedLaoram::serve(ShardedServeSource &source)
 
 void
 ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
-                                     std::uint32_t concurrentLanes,
                                      std::uint32_t prepThreadsPerLane,
                                      double wallTotalNs)
 {
@@ -542,13 +517,12 @@ ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
         rep.simTotalNs += sr.simNs;
     }
     rep.aggregate.wallTotalNs = wallTotalNs;
-    // Peak prep threads live at once: only concurrentLanes shard
-    // pipelines are in flight concurrently (a summed per-shard count
-    // would overstate usage when the pool is smaller than the shard
-    // count). Per-thread vectors stay per-shard in rep.shards[i].
-    rep.aggregate.prepThreads = concurrentLanes * prepThreadsPerLane;
+    // Prep threads live at once: every shard lane runs concurrently.
+    // Per-thread vectors stay per-shard in rep.shards[i].
+    rep.aggregate.prepThreads =
+        static_cast<std::uint32_t>(rep.shards.size()) * prepThreadsPerLane;
 
-    // Hidden fractions over the pooled run: the prep-weighted average
+    // Hidden fractions over the whole run: the prep-weighted average
     // of the per-shard fractions (each already clamped to [0, 1]), so
     // the aggregate stays in range and big shards dominate.
     double prepWeight = 0.0, prepHidden = 0.0;
@@ -566,7 +540,7 @@ ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
     if (wallWeight > 0.0)
         rep.aggregate.measuredPrepHiddenFraction =
             wallHidden / wallWeight;
-    // Pool-wide I/O share of serve time: total backend I/O over total
+    // Run-wide I/O share of serve time: total backend I/O over total
     // serve wall time (equivalently the serve-weighted average of the
     // per-shard fractions).
     if (rep.aggregate.wallServeNs > 0.0) {

@@ -1,15 +1,15 @@
 /**
  * @file
- * Hash-sharded multi-tree LAORAM with a serving-thread pool.
+ * Hash-sharded multi-tree LAORAM with one serving lane per shard.
  *
  * The paper's client (§IV) serves one ORAM tree from one serving
  * thread; production embedding traffic wants many. ShardedLaoram
  * splits one logical block space across N independent Laoram engines
  * (one tree, stash, position map and traffic meter each) and serves
- * all shards concurrently: a pool of serving threads runs one
- * two-stage pipeline — preprocessor-thread pool + reorder window +
- * serving thread (§VIII-A) — per shard, with prepThreadBudget
- * splitting a global preprocessor-thread budget over the lanes.
+ * all shards concurrently: one serving thread per shard runs that
+ * shard's two-stage pipeline — preprocessor-thread pool + reorder
+ * window + serving thread (§VIII-A) — with prepThreadBudget splitting
+ * a global preprocessor-thread budget over the lanes.
  *
  * Sharding is deterministic and reproducible by construction: the
  * splitter is a pure function of (numBlocks, numShards, salt), every
@@ -151,17 +151,10 @@ struct ShardedLaoramConfig
     std::uint32_t numShards = 4;
 
     /**
-     * Serving threads in the pool (0 = one per shard). Each busy
-     * thread owns one shard's full two-stage pipeline, so the live
-     * thread count is at most (1 + prepThreads) x this value.
-     */
-    std::uint32_t servingThreads = 0;
-
-    /**
      * Total preprocessor-thread budget shared by the concurrently
      * served shard pipelines (0 = no budget: every shard pipeline
      * uses pipeline.prepThreads as-is). When set, each of the
-     * poolSize in-flight pipelines runs max(1, budget / poolSize)
+     * numShards pipelines runs max(1, budget / numShards)
      * preprocessor threads, so the whole run keeps roughly
      * `budget` prep threads live regardless of the shard count —
      * the shards x preps split in one knob.
@@ -204,7 +197,7 @@ struct ShardedPipelineReport
      * Combined PipelineReport. Thread-*work* fields (windows,
      * prep/serve/IO totals) are summed over shards; *elapsed-time*
      * fields are not — lanes run concurrently, so wallTotalNs is the
-     * measured end-to-end pool wall time, pipelinedNs and the
+     * measured end-to-end wall time of all lanes, pipelinedNs and the
      * wallFill/wallStall/wallReorderStall waits are max-over-lanes
      * (summing concurrent waits would overstate elapsed time and make
      * aggregate throughput math dishonest), and the hidden fractions
@@ -228,10 +221,10 @@ struct ShardedPipelineReport
 
 /**
  * N independent Laoram engines behind one logical block space, served
- * by a pool of pipeline threads.
+ * by one pipeline lane per shard.
  *
- * Thread-safety: runTrace serves distinct shards from distinct pool
- * threads concurrently. An installed touch callback is invoked under
+ * Thread-safety: serve()/runTrace serve distinct shards from distinct
+ * lane threads concurrently. An installed touch callback is invoked under
  * that concurrency — it receives the *global* block id and must be
  * safe to call from several threads at once for blocks of different
  * shards (per-block payload mutation, as in training, is safe).
@@ -271,12 +264,11 @@ class ShardedLaoram
 
     /**
      * THE sharded run loop: serve every shard's window stream
-     * concurrently, one two-stage pipeline per shard lane, at most
-     * servingPoolSize() lanes in flight. Lanes claim shards off an
-     * atomic ticket, so a source whose shard streams only end on
-     * explicit shutdown (the online frontend) needs
-     * servingPoolSize() == numShards — otherwise a waiting lane
-     * starves the unclaimed shards (the frontend enforces this).
+     * concurrently, one two-stage pipeline per shard on its own
+     * serving thread (a single shard serves inline on the caller).
+     * Every shard stream is drained at once, so a source whose
+     * streams only end on explicit shutdown (the online frontend)
+     * cannot starve a shard.
      */
     ShardedPipelineReport serve(ShardedServeSource &source);
 
@@ -294,24 +286,19 @@ class ShardedLaoram
      * overlap in time, so their aggregate is the slowest lane, not
      * the sum. Exposed for the aggregation regression tests.
      *
-     * @param concurrentLanes shard pipelines in flight at once
      * @param prepThreadsPerLane stage-1 pool size of each lane
-     * @param wallTotalNs measured end-to-end pool wall time
+     * @param wallTotalNs measured end-to-end wall time of all lanes
      */
     static void aggregateShardReports(ShardedPipelineReport &rep,
-                                      std::uint32_t concurrentLanes,
                                       std::uint32_t prepThreadsPerLane,
                                       double wallTotalNs);
 
     /**
      * The pipeline knobs each shard actually runs under: cfg.pipeline
      * with prepThreads rewritten when prepThreadBudget is set (the
-     * budget divided over the serving pool, at least 1 per shard).
+     * budget divided over the shards, at least 1 per shard).
      */
     PipelineConfig effectiveShardPipeline() const;
-
-    /** Serving-pool size runTrace will use (lanes in flight). */
-    std::uint32_t servingPoolSize() const;
 
     /**
      * Payload hook applied at bin-access time, called with the

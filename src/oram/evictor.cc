@@ -173,25 +173,35 @@ PathIo::writePaths(const Leaf *leaves, std::size_t n)
 std::uint64_t
 PathIo::drain(Rng &rng, std::uint64_t highWater, std::uint64_t lowWater)
 {
+    if (stash.size() <= lowWater)
+        gaveUpAt = 0; // got there by itself: nothing holds it up now
     if (stash.size() <= highWater)
         return 0;
 
     // Capacity trumps retention: prefetch pins are dropped before the
     // client starts paying for dummy accesses.
     stash.unpinAll();
+    if (stash.size() <= gaveUpAt)
+        return 0; // the last burst could not get below this either
 
+    // Dummies never remap, so after a give-up the low water stays out
+    // of reach until real accesses move blocks: aim where the last
+    // burst stopped instead of paying the whole cap again.
+    const std::uint64_t target = std::max(lowWater, gaveUpAt);
     std::uint64_t issued = 0;
-    while (stash.size() > lowWater && issued < kMaxDummiesPerBurst) {
+    while (stash.size() > target && issued < kMaxDummiesPerBurst) {
         const Leaf leaf = rng.nextBounded(geom.numLeaves());
         fetchUnion(&leaf, 1);
         const std::uint64_t slots = evictUnion(&leaf, 1);
         meter.recordDummyAccess(slots * geom.blockBytes(), slots);
         ++issued;
     }
-    if (issued == kMaxDummiesPerBurst) {
+    if (stash.size() > target) {
+        gaveUpAt = stash.size();
         warn("background eviction could not drain stash below ",
-             lowWater, " (still ", stash.size(), " blocks) after ",
-             issued, " dummy accesses");
+             target, " (still ", stash.size(), " blocks) after ",
+             issued, " dummy accesses; later bursts wait for the "
+             "stash to grow past ", gaveUpAt, " and stop there");
     }
     return issued;
 }

@@ -85,6 +85,13 @@ class PathIo
      * until it is down to @p lowWater, at most kMaxDummiesPerBurst of
      * them. Each is charged as one dummy read.
      *
+     * A burst that hits the cap remembers the stash size it gave up
+     * at: dummies never remap, so while the position map stands they
+     * cannot get the stash below it. Later calls issue no dummies
+     * until the stash grows past that size, then drain back down to
+     * it rather than to @p lowWater. Once the stash is at @p lowWater
+     * or below when drain() is called, the memory is dropped.
+     *
      * @return number of dummy accesses issued
      */
     std::uint64_t drain(Rng &rng, std::uint64_t highWater,
@@ -136,6 +143,10 @@ class PathIo
     std::vector<Leaf> leafScratch;
     // Write-back candidates, indexed by union position.
     std::vector<std::vector<BlockId>> candidates;
+
+    /** Stash size the last capped burst stopped at (0: none, or the
+     *  stash has since reached the low water). */
+    std::uint64_t gaveUpAt = 0;
 };
 
 /**

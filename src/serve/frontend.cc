@@ -357,14 +357,6 @@ ServeFrontend::ServeFrontend(core::ShardedLaoram &engine,
 {
     if (cfg.admissionOps < 1)
         LAORAM_FATAL("frontend admissionOps must be >= 1");
-    if (engine.servingPoolSize() != engine.numShards()) {
-        LAORAM_FATAL(
-            "online serving needs one serving lane per shard "
-            "(servingThreads 0 or >= numShards): lane streams only "
-            "end at stop(), so a pool of ", engine.servingPoolSize(),
-            " over ", engine.numShards(),
-            " shards would starve the unclaimed shards");
-    }
     const std::uint64_t window =
         engine.config().pipeline.windowAccesses;
     lanes.reserve(engine.numShards());

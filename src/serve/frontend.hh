@@ -26,7 +26,7 @@
  * *arrival order* of operations. Replaying the same arrival order
  * (e.g. submitting from one thread, or joining submitter threads
  * before flush()) reproduces payload bytes, position maps and stashes
- * for any serving-pool size, prep-thread count or queue depth — the
+ * for any prep-thread count or queue depth — the
  * session-replay differential suite locks this in. Concurrent
  * sessions make arrival order (and thus window packing) racy between
  * runs, but never unsafe: results are still exact per request.
@@ -38,9 +38,8 @@
  *   flush()  — cut partial windows so everything pending completes
  *   stop()   — drain, shut down, and return the run's report
  *
- * The frontend requires servingPoolSize() == numShards: lanes only
- * end their streams at stop(), so a smaller pool would serve its
- * first shards forever and starve the rest.
+ * Lanes only end their streams at stop(); engine.serve runs every
+ * shard on its own serving thread, so no shard waits on another's.
  */
 
 #ifndef LAORAM_SERVE_FRONTEND_HH
@@ -107,7 +106,7 @@ class Session
 /**
  * Session ingress + cross-session coalescer over one ShardedLaoram
  * (see file comment). Implements ShardedServeSource: shard lane s is
- * the window stream the serving pool's lane s consumes.
+ * the window stream the engine's serving lane s consumes.
  *
  * The frontend owns the engine's touch callback while serving —
  * installing a training callback alongside online serving is not

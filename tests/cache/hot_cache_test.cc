@@ -2,8 +2,9 @@
  * @file
  * Unit tests of the trusted-client hot-embedding cache: the scheduled
  * access protocol (miss/fill, hit-in-place, coalesced flush), bounded
- * capacity with LRU/LFU eviction order, pinning, stats accounting,
- * and the checkpoint codec (round trip + strict config matching).
+ * capacity with LRU eviction order, pinning, stats accounting, and
+ * the checkpoint codec (round trip with recency + strict config
+ * matching).
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +21,10 @@ namespace {
 constexpr std::uint64_t kRow = 16;
 
 CacheConfig
-configFor(std::uint64_t rows, CachePolicy policy = CachePolicy::Lru)
+configFor(std::uint64_t rows)
 {
     CacheConfig cfg;
     cfg.capacityBytes = rows * kRow;
-    cfg.policy = policy;
     return cfg;
 }
 
@@ -77,7 +77,7 @@ TEST(HotCache, MissFillThenHitServesCachedBytes)
 
 TEST(HotCache, CapacityBoundedWithLruEvictionOrder)
 {
-    HotEmbeddingCache cache(configFor(2, CachePolicy::Lru), kRow);
+    HotEmbeddingCache cache(configFor(2), kRow);
     EXPECT_EQ(cache.capacityRows(), 2u);
 
     missAccess(cache, 1, 1);
@@ -94,35 +94,6 @@ TEST(HotCache, CapacityBoundedWithLruEvictionOrder)
     EXPECT_EQ(cache.stats().residentRows, 2u);
     EXPECT_EQ(cache.stats().evictions, 1u);
 
-    payload = rowOf(0);
-    EXPECT_EQ(cache.beginScheduledAccess(2, payload),
-              AccessOutcome::Miss);
-    payload = rowOf(0);
-    EXPECT_EQ(cache.beginScheduledAccess(1, payload),
-              AccessOutcome::HitInPlace);
-}
-
-TEST(HotCache, LfuEvictsColdRowEvenIfRecentlyTouched)
-{
-    HotEmbeddingCache cache(configFor(2, CachePolicy::Lfu), kRow);
-
-    missAccess(cache, 1, 1);
-    missAccess(cache, 2, 2);
-    // Heat up 1 (freq 3 vs freq 2 for 2).
-    for (int i = 0; i < 2; ++i) {
-        std::vector<std::uint8_t> payload = rowOf(0);
-        ASSERT_EQ(cache.beginScheduledAccess(1, payload),
-                  AccessOutcome::HitInPlace);
-        cache.completeScheduledAccess(1, payload);
-    }
-    // Touch 2 last: under LRU it would survive; under LFU its low
-    // frequency makes it the victim anyway.
-    std::vector<std::uint8_t> payload = rowOf(0);
-    ASSERT_EQ(cache.beginScheduledAccess(2, payload),
-              AccessOutcome::HitInPlace);
-    cache.completeScheduledAccess(2, payload);
-
-    missAccess(cache, 3, 3);
     payload = rowOf(0);
     EXPECT_EQ(cache.beginScheduledAccess(2, payload),
               AccessOutcome::Miss);
@@ -210,19 +181,24 @@ TEST(HotCache, PinnedRowsAreNeverEvicted)
 
 TEST(HotCache, SaveRestoreRoundTripsRowsAndCounters)
 {
-    HotEmbeddingCache cache(configFor(4, CachePolicy::Lfu), kRow);
+    HotEmbeddingCache cache(configFor(4), kRow);
     missAccess(cache, 3, 0x33);
     missAccess(cache, 9, 0x99);
+    missAccess(cache, 5, 0x55);
+    missAccess(cache, 7, 0x77);
+    // Touch 3: recency is now 9, 5, 7, 3 (oldest first), which is
+    // neither the insertion order nor the id order.
     std::vector<std::uint8_t> payload = rowOf(0);
-    ASSERT_EQ(cache.beginScheduledAccess(9, payload),
+    ASSERT_EQ(cache.beginScheduledAccess(3, payload),
               AccessOutcome::HitInPlace);
-    cache.completeScheduledAccess(9, payload);
+    payload = rowOf(0x3C);
+    cache.completeScheduledAccess(3, payload);
 
     serde::Serializer s;
     cache.save(s);
     const std::vector<std::uint8_t> bytes = s.take();
 
-    HotEmbeddingCache restored(configFor(4, CachePolicy::Lfu), kRow);
+    HotEmbeddingCache restored(configFor(4), kRow);
     serde::Deserializer d(bytes);
     restored.restore(d);
     EXPECT_TRUE(d.atEnd());
@@ -235,36 +211,43 @@ TEST(HotCache, SaveRestoreRoundTripsRowsAndCounters)
     EXPECT_EQ(a.residentRows, b.residentRows);
     EXPECT_EQ(a.residentBytes, b.residentBytes);
 
-    // Restored rows serve hits with the same bytes (9 was rewritten).
-    payload = rowOf(0);
-    ASSERT_EQ(restored.beginScheduledAccess(3, payload),
-              AccessOutcome::HitInPlace);
-    EXPECT_EQ(payload, rowOf(0x33));
+    // Recency survives restore: one row past capacity evicts the same
+    // least recently used row (9) from both caches, and the rows that
+    // stay serve the same bytes (3 was rewritten by its hit).
+    for (HotEmbeddingCache *c : {&cache, &restored}) {
+        missAccess(*c, 11, 0xBB);
+        EXPECT_EQ(c->stats().evictions, 1u);
+        payload = rowOf(0);
+        EXPECT_EQ(c->beginScheduledAccess(9, payload),
+                  AccessOutcome::Miss);
+        payload = rowOf(0);
+        ASSERT_EQ(c->beginScheduledAccess(5, payload),
+                  AccessOutcome::HitInPlace);
+        EXPECT_EQ(payload, rowOf(0x55));
+        c->completeScheduledAccess(5, payload);
+        payload = rowOf(0);
+        ASSERT_EQ(c->beginScheduledAccess(3, payload),
+                  AccessOutcome::HitInPlace);
+        EXPECT_EQ(payload, rowOf(0x3C));
+        c->completeScheduledAccess(3, payload);
+    }
 }
 
 TEST(HotCache, RestoreRejectsMismatchedConfig)
 {
-    HotEmbeddingCache cache(configFor(4, CachePolicy::Lru), kRow);
+    HotEmbeddingCache cache(configFor(4), kRow);
     missAccess(cache, 1, 1);
     serde::Serializer s;
     cache.save(s);
     const std::vector<std::uint8_t> bytes = s.take();
 
     {
-        HotEmbeddingCache wrongPolicy(configFor(4, CachePolicy::Lfu),
-                                      kRow);
-        serde::Deserializer d(bytes);
-        EXPECT_THROW(wrongPolicy.restore(d), serde::SnapshotError);
-    }
-    {
-        HotEmbeddingCache wrongCapacity(configFor(2, CachePolicy::Lru),
-                                        kRow);
+        HotEmbeddingCache wrongCapacity(configFor(2), kRow);
         serde::Deserializer d(bytes);
         EXPECT_THROW(wrongCapacity.restore(d), serde::SnapshotError);
     }
     {
-        HotEmbeddingCache wrongRow(
-            CacheConfig{4 * 2 * kRow, CachePolicy::Lru}, 2 * kRow);
+        HotEmbeddingCache wrongRow(CacheConfig{4 * 2 * kRow}, 2 * kRow);
         serde::Deserializer d(bytes);
         EXPECT_THROW(wrongRow.restore(d), serde::SnapshotError);
     }
@@ -296,18 +279,6 @@ TEST(HotCacheDeathTest, ClearWithPinnedWritebackPanics)
     // Dropping the row would discard the acknowledged deferred
     // write-back it holds — same quiesced-boundary contract as save().
     EXPECT_DEATH(cache.clear(), "deferred write-back");
-}
-
-TEST(HotCache, PolicyNamesParseAndPrint)
-{
-    EXPECT_STREQ(policyName(CachePolicy::Lru), "lru");
-    EXPECT_STREQ(policyName(CachePolicy::Lfu), "lfu");
-    CachePolicy p = CachePolicy::Lru;
-    EXPECT_TRUE(parsePolicy("lfu", &p));
-    EXPECT_EQ(p, CachePolicy::Lfu);
-    EXPECT_TRUE(parsePolicy("LRU", &p));
-    EXPECT_EQ(p, CachePolicy::Lru);
-    EXPECT_FALSE(parsePolicy("arc", &p));
 }
 
 TEST(HotCacheStats, AccumulateAndDelta)

@@ -46,8 +46,7 @@ TEST(ShardedAggregate, ElapsedWaitsAreMaxOverLanes)
     rep.shards.push_back(syntheticShard(3.0)); // the slow lane
     rep.shards.push_back(syntheticShard(2.0));
 
-    ShardedLaoram::aggregateShardReports(rep, /*concurrentLanes=*/3,
-                                         /*prepThreadsPerLane=*/2,
+    ShardedLaoram::aggregateShardReports(rep, /*prepThreadsPerLane=*/2,
                                          /*wallTotalNs=*/20000.0);
 
     // Elapsed-time waits: slowest lane, never the sum. The sums would
@@ -86,7 +85,7 @@ TEST(ShardedAggregate, StallNeverExceedsRunWallTime)
         rep.shards.push_back(sr);
     }
     const double wallTotalNs = 10000.0;
-    ShardedLaoram::aggregateShardReports(rep, 16, 1, wallTotalNs);
+    ShardedLaoram::aggregateShardReports(rep, 1, wallTotalNs);
 
     EXPECT_LE(rep.aggregate.wallStallNs + rep.aggregate.wallFillNs,
               wallTotalNs);
@@ -112,7 +111,7 @@ TEST(ShardedAggregate, HiddenFractionsArePrepWeightedAverages)
     rep.shards.push_back(a);
     rep.shards.push_back(b);
 
-    ShardedLaoram::aggregateShardReports(rep, 2, 1, 1.0);
+    ShardedLaoram::aggregateShardReports(rep, 1, 1.0);
 
     EXPECT_DOUBLE_EQ(rep.aggregate.prepHiddenFraction,
                      (1000.0 * 1.0 + 3000.0 * 0.5) / 4000.0);
@@ -124,7 +123,7 @@ TEST(ShardedAggregate, HiddenFractionsArePrepWeightedAverages)
 TEST(ShardedAggregate, EmptyShardListLeavesDefaults)
 {
     ShardedPipelineReport rep;
-    ShardedLaoram::aggregateShardReports(rep, 1, 1, 0.0);
+    ShardedLaoram::aggregateShardReports(rep, 1, 0.0);
     EXPECT_EQ(rep.aggregate.windows, 0u);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallStallNs, 0.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.prepHiddenFraction, 0.0);

@@ -201,19 +201,16 @@ TEST(ShardedLaoram, FourShardsMatchStandalonePerShardEngines)
 
 TEST(ShardedLaoram, DeterministicAcrossPoolInterleavings)
 {
-    // Pool scheduling varies run to run; per-shard ORAM state must
-    // not. Also pins down that a capped pool (2 threads for 4
-    // shards) serves every shard.
+    // Lane scheduling varies run to run; per-shard ORAM state must
+    // not.
     const auto trace = randomTrace(2000, 512, 13);
 
-    ShardedLaoramConfig cfg = shardedConfig(4);
+    const ShardedLaoramConfig cfg = shardedConfig(4);
     ShardedLaoram reference(cfg);
     reference.runTrace(trace);
 
-    for (const std::uint32_t poolThreads : {1u, 2u, 0u}) {
-        ShardedLaoramConfig capped = cfg;
-        capped.servingThreads = poolThreads;
-        ShardedLaoram engine(capped);
+    for (int run = 0; run < 3; ++run) {
+        ShardedLaoram engine(cfg);
         engine.runTrace(trace);
         for (std::uint32_t s = 0; s < 4; ++s)
             expectEnginesIdentical(reference.shard(s),

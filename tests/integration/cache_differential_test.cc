@@ -16,8 +16,8 @@
  *     counters, simulated clock) is identical — a hit serves the same
  *     bytes the ORAM path would have.
  *
- * Covered legs: standalone serial + pipelined (plain and encrypted,
- * LRU and LFU), sharded trace serving, and the online frontend with a
+ * Covered legs: standalone serial + pipelined (plain and encrypted),
+ * sharded trace serving, and the online frontend with a
  * pre-submitted session stream (admission fast path + write-back
  * coalescing active, batch results compared byte for byte).
  *
@@ -123,50 +123,43 @@ TEST(CacheDifferential, StandaloneTraceAndStateIdenticalCacheOnOff)
         reference.storageForTest().setAccessSink(nullptr);
         const EngineSnapshot refSnap = snapshotOf(reference);
 
-        for (const cache::CachePolicy policy :
-             {cache::CachePolicy::Lru, cache::CachePolicy::Lfu}) {
-            const std::string what =
-                std::string(encrypt ? "encrypted" : "plain") + "/"
-                + cache::policyName(policy);
-            SCOPED_TRACE(what);
+        const std::string what = encrypt ? "encrypted" : "plain";
+        SCOPED_TRACE(what);
 
-            // Cache sized to a fraction of the block space: hits on
-            // the hot set, evictions on the uniform tail.
-            LaoramConfig ccfg = cfg;
-            ccfg.cache.capacityBytes =
-                (cfg.base.numBlocks / 4) * cfg.base.payloadBytes;
-            ccfg.cache.policy = policy;
+        // Cache sized to a fraction of the block space: hits on the
+        // hot set, evictions on the uniform tail.
+        LaoramConfig ccfg = cfg;
+        ccfg.cache.capacityBytes =
+            (cfg.base.numBlocks / 4) * cfg.base.payloadBytes;
 
-            // Serial with cache.
-            ServerTrace serialTrace;
-            Laoram cached(ccfg);
-            recordInto(cached, &serialTrace);
-            cached.setTouchCallback(accumulatingTouch());
-            cached.runTrace(trace);
-            cached.setTouchCallback(nullptr);
-            cached.storageForTest().setAccessSink(nullptr);
-            EXPECT_GT(cached.hotCache()->stats().hits, 0u) << what;
-            EXPECT_GT(cached.hotCache()->stats().evictions, 0u)
-                << what;
-            expectSameTrace(refTrace, serialTrace, what + " serial");
-            expectMatchesSnapshot(refSnap, cached, what + " serial");
+        // Serial with cache.
+        ServerTrace serialTrace;
+        Laoram cached(ccfg);
+        recordInto(cached, &serialTrace);
+        cached.setTouchCallback(accumulatingTouch());
+        cached.runTrace(trace);
+        cached.setTouchCallback(nullptr);
+        cached.storageForTest().setAccessSink(nullptr);
+        EXPECT_GT(cached.hotCache()->stats().hits, 0u) << what;
+        EXPECT_GT(cached.hotCache()->stats().evictions, 0u) << what;
+        expectSameTrace(refTrace, serialTrace, what + " serial");
+        expectMatchesSnapshot(refSnap, cached, what + " serial");
 
-            // Concurrent pipeline with cache.
-            ServerTrace pipedTrace;
-            Laoram piped(ccfg);
-            recordInto(piped, &pipedTrace);
-            piped.setTouchCallback(accumulatingTouch());
-            PipelineConfig pc;
-            pc.windowAccesses = cfg.lookaheadWindow;
-            pc.prepThreads = 2;
-            pc.mode = PipelineMode::Concurrent;
-            BatchPipeline pipe(piped, pc);
-            pipe.run(trace);
-            piped.setTouchCallback(nullptr);
-            piped.storageForTest().setAccessSink(nullptr);
-            expectSameTrace(refTrace, pipedTrace, what + " piped");
-            expectMatchesSnapshot(refSnap, piped, what + " piped");
-        }
+        // Concurrent pipeline with cache.
+        ServerTrace pipedTrace;
+        Laoram piped(ccfg);
+        recordInto(piped, &pipedTrace);
+        piped.setTouchCallback(accumulatingTouch());
+        PipelineConfig pc;
+        pc.windowAccesses = cfg.lookaheadWindow;
+        pc.prepThreads = 2;
+        pc.mode = PipelineMode::Concurrent;
+        BatchPipeline pipe(piped, pc);
+        pipe.run(trace);
+        piped.setTouchCallback(nullptr);
+        piped.storageForTest().setAccessSink(nullptr);
+        expectSameTrace(refTrace, pipedTrace, what + " piped");
+        expectMatchesSnapshot(refSnap, piped, what + " piped");
     }
 }
 

@@ -9,10 +9,8 @@
  * thread, round-robin over the sessions, everything admitted before
  * serving starts — and replays the same per-session operation
  * sequences (derived from per-session seeds) against frontends with
- * different concurrency knobs: preprocessor-pool sizes, reorder queue
- * depths, serving-pool spellings (the frontend pins the serving pool
- * to one lane per shard, so 0 and numShards are the two spellings of
- * the same pool). Every replay must land on byte-identical payloads,
+ * different concurrency knobs: preprocessor-pool sizes and reorder
+ * queue depths. Every replay must land on byte-identical payloads,
  * position maps, stashes, traffic counters and lookup results.
  *
  * Seed control matches the differential suite (engine_snapshot.hh):
@@ -131,12 +129,11 @@ struct ReplayOutcome
  */
 ReplayOutcome
 replayOnce(const ReplayScenario &sc, std::uint32_t prepThreads,
-           std::uint64_t queueDepth, std::uint32_t servingThreads)
+           std::uint64_t queueDepth)
 {
     ShardedLaoramConfig cfg = sc.cfg;
     cfg.pipeline.prepThreads = prepThreads;
     cfg.pipeline.queueDepth = queueDepth;
-    cfg.servingThreads = servingThreads;
     ShardedLaoram engine(cfg);
 
     std::uint64_t totalOps = 0;
@@ -213,32 +210,26 @@ TEST_F(SessionReplayDeterminism, ReplayMatchesAcrossPoolSizes)
         SCOPED_TRACE("iter " + std::to_string(iter) + ": "
                      + sc.describe());
 
-        const ReplayOutcome ref = replayOnce(
-            sc, /*prepThreads=*/1, /*queueDepth=*/1,
-            /*servingThreads=*/0);
+        const ReplayOutcome ref =
+            replayOnce(sc, /*prepThreads=*/1, /*queueDepth=*/1);
 
         struct Leg
         {
             std::uint32_t prepThreads;
             std::uint64_t queueDepth;
-            std::uint32_t servingThreads;
         };
         const Leg legs[] = {
-            {1, 1, 0},                             // replay twice
-            {2, sc.queueDepth, 0},                 // prep pool of 2
-            {4, sc.queueDepth, sc.cfg.numShards},  // pool of 4,
-                                                   // explicit serving
-                                                   // pool spelling
+            {1, 1},             // replay twice
+            {2, sc.queueDepth}, // prep pool of 2
+            {4, sc.queueDepth}, // prep pool of 4
         };
         for (const Leg &leg : legs) {
             const std::string what =
                 "P=" + std::to_string(leg.prepThreads)
-                + " depth=" + std::to_string(leg.queueDepth)
-                + " serving=" + std::to_string(leg.servingThreads);
+                + " depth=" + std::to_string(leg.queueDepth);
             SCOPED_TRACE(what);
-            const ReplayOutcome got = replayOnce(
-                sc, leg.prepThreads, leg.queueDepth,
-                leg.servingThreads);
+            const ReplayOutcome got =
+                replayOnce(sc, leg.prepThreads, leg.queueDepth);
 
             ASSERT_EQ(got.lookups.size(), ref.lookups.size());
             for (std::size_t i = 0; i < ref.lookups.size(); ++i)

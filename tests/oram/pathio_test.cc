@@ -437,5 +437,52 @@ TEST_F(PathIoFixture, DrainStopsAtBurstCap)
     EXPECT_EQ(auditTree(g, store, st, pm), "");
 }
 
+TEST_F(PathIoFixture, DrainThatGaveUpWaitsForTheStashToGrow)
+{
+    // 40 blocks on one leaf whose path holds 28: at least 12 stay
+    // stashed whatever the dummies do, since dummies never remap.
+    const Leaf leaf = 5;
+    const std::uint64_t blocks = 40;
+    ASSERT_LT(geom.pathSlots(), blocks);
+    for (BlockId id = 0; id < blocks; ++id) {
+        posmap.set(id, leaf);
+        stash.put(id, leaf, payloadFor(id));
+    }
+    EXPECT_EQ(io.drain(rng, 8, 2), PathIo::kMaxDummiesPerBurst);
+    EXPECT_EQ(stash.size(), blocks - geom.pathSlots());
+
+    // At the stash size the burst gave up at, a second drain would
+    // only give up again: it issues nothing.
+    const std::uint64_t before = meter.counters().dummyReads;
+    EXPECT_EQ(io.drain(rng, 8, 2), 0u);
+    EXPECT_EQ(meter.counters().dummyReads, before);
+
+    // Once the stash grows past that size, a burst drains it back to
+    // that size instead of chasing the low water through the cap.
+    const Leaf other = geom.numLeaves() - 1;
+    posmap.set(blocks, other);
+    stash.put(blocks, other, payloadFor(blocks));
+    EXPECT_LT(io.drain(rng, 8, 2), PathIo::kMaxDummiesPerBurst);
+    EXPECT_EQ(stash.size(), blocks - geom.pathSlots());
+    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+
+    // Real accesses remap blocks away (here: dropped from the stash).
+    // A drain that finds the stash at the low water forgets the
+    // give-up, and the next burst aims at the low water again.
+    std::vector<BlockId> stashed;
+    for (const auto &[id, entry] : stash)
+        stashed.push_back(id);
+    for (BlockId id : stashed)
+        stash.erase(id);
+    EXPECT_EQ(io.drain(rng, 8, 2), 0u);
+    for (BlockId id = 0; id < 9; ++id) {
+        const BlockId fresh = blocks + 1 + id;
+        posmap.set(fresh, id * 7);
+        stash.put(fresh, id * 7, payloadFor(fresh));
+    }
+    EXPECT_GT(io.drain(rng, 8, 2), 0u);
+    EXPECT_LE(stash.size(), 2u);
+}
+
 } // namespace
 } // namespace laoram::oram

@@ -227,18 +227,5 @@ TEST(ServeFrontendDeathTest, OutOfRangeBlockIdIsFatal)
         ::testing::ExitedWithCode(1), "block space");
 }
 
-TEST(ServeFrontendDeathTest, PoolSmallerThanShardsIsFatal)
-{
-    EXPECT_EXIT(
-        {
-            core::ShardedLaoramConfig cfg = engineConfig(4, 8);
-            cfg.servingThreads = 2;
-            core::ShardedLaoram engine(cfg);
-            ServeFrontend frontend(engine);
-            (void)frontend;
-        },
-        ::testing::ExitedWithCode(1), "starve");
-}
-
 } // namespace
 } // namespace laoram::serve
