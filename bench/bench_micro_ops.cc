@@ -18,6 +18,7 @@
 #include "crypto/encryptor.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
+#include "oram/server_storage.hh"
 #include "util/rng.hh"
 #include "workload/kaggle_synth.hh"
 
@@ -166,34 +167,42 @@ BM_PreprocessorScan(benchmark::State &state)
 void
 BM_StorageVectoredPathRead(benchmark::State &state)
 {
-    // The vectored-path hot path of the AccessSink cleanup: with no
-    // sink installed the per-path read takes ONE branch for the audit
-    // tap, not one per slot. range(0) == 1 attaches a trivial sink so
-    // the no-sink fast path and the probe path are directly
-    // comparable.
-    const std::uint64_t blocks = 1 << 16;
-    oram::EngineConfig cfg;
-    cfg.numBlocks = blocks;
-    cfg.blockBytes = 128;
-    cfg.seed = 11;
-    oram::PathOram engine(cfg);
-    oram::ServerStorage &storage = engine.storageForTest();
-    const oram::TreeGeometry &geom = engine.geometry();
-
-    std::uint64_t sunk = 0;
-    if (state.range(0) == 1) {
-        storage.setAccessSink(
-            [&sunk](std::uint64_t, bool) { ++sunk; });
-    }
-
     // One whole root-to-leaf path per iteration, like a one-leaf
-    // PathIo::readPaths.
+    // PathIo::readPaths, on a 2^16-block uniform(4) tree.
+    //  - sink: 1 attaches a trivial access sink, so the no-sink fast
+    //    path (ONE branch per path for the audit tap, not one per
+    //    slot) and the probe path are directly comparable.
+    //  - encrypt: 0 stores bare 16-B headers in plaintext; 1 stores
+    //    encrypted 144-B records (128-B payload, train-kaggle's size).
+    //  - real_pct: the share of the path's slots holding a real
+    //    record. Only those are decrypted, so with encryption the
+    //    read's cost follows it (train-kaggle's paths are ~13% real).
+    const bool encrypt = state.range(1) != 0;
+    const auto realPct = static_cast<std::uint64_t>(state.range(2));
+    const oram::TreeGeometry geom(std::uint64_t{1} << 16, 128,
+                                  oram::BucketProfile::uniform(4));
+    oram::ServerStorage storage(geom, encrypt ? 128 : 0, encrypt,
+                                /*keySeed=*/11);
+
     std::vector<std::uint64_t> slots;
     for (unsigned level = 0; level < geom.numLevels(); ++level) {
         const auto node = geom.pathNode(/*leaf=*/3, level);
         const std::uint64_t base = geom.nodeSlotBase(node);
         for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
             slots.push_back(base + s);
+    }
+    // Real records spread evenly along the path.
+    const std::vector<std::uint8_t> payload(storage.payloadBytes(), 0x5a);
+    for (std::uint64_t i = 0; i < slots.size(); ++i) {
+        if ((i + 1) * realPct / 100 > i * realPct / 100)
+            storage.writeSlot(slots[i], i, 3, payload.data(),
+                              payload.size());
+    }
+
+    std::uint64_t sunk = 0;
+    if (state.range(0) == 1) {
+        storage.setAccessSink(
+            [&sunk](std::uint64_t, bool) { ++sunk; });
     }
     std::vector<oram::StoredBlock> out;
     for (auto _ : state) {
@@ -270,7 +279,14 @@ BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_LaoramTrainingBatch)->Arg(16)->Arg(18);
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_StorageVectoredPathRead)->Arg(0)->Arg(1);
+BENCHMARK(BM_StorageVectoredPathRead)
+    ->Args({0, 0, 0})
+    ->Args({1, 0, 0})
+    ->Args({0, 1, 0})
+    ->Args({0, 1, 13})
+    ->Args({0, 1, 50})
+    ->Args({0, 1, 100})
+    ->ArgNames({"sink", "encrypt", "real_pct"});
 BENCHMARK(BM_ChaCha20Records)
     ->ArgsProduct({{0, 1, 2, 3}, {80, 144}})
     ->ArgNames({"kernel", "record_bytes"});

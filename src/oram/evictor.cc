@@ -210,6 +210,10 @@ std::string
 auditTree(const TreeGeometry &geom, const ServerStorage &storage,
           const Stash &stash, const PositionMap &posmap)
 {
+    std::string occupancy = storage.auditOccupancy();
+    if (!occupancy.empty())
+        return occupancy;
+
     std::ostringstream err;
     std::unordered_set<BlockId> seen;
     StoredBlock b;

@@ -152,10 +152,11 @@ class PathIo
 /**
  * Exhaustively audit the tree + stash against the position map.
  *
- * Checks, for every real block found in server storage: its stored
- * leaf matches the position map, and the node it occupies lies on that
- * leaf's path; and that no block appears twice (tree/tree or
- * tree/stash).
+ * Checks that the storage's occupancy bitmap matches the tree
+ * (ServerStorage::auditOccupancy); then, for every real block found
+ * in server storage: its stored leaf matches the position map, and
+ * the node it occupies lies on that leaf's path; and that no block
+ * appears twice (tree/tree or tree/stash).
  *
  * @return empty string when consistent, else a description of the
  *         first violation (tests assert on empty)

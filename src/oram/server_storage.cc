@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace laoram::oram {
@@ -11,6 +13,9 @@ namespace laoram::oram {
 namespace {
 
 constexpr std::uint64_t kHeaderBytes = 16; // id (8) + leaf (8)
+
+/** Slots per backend op of the fresh-tree init and the header scan. */
+constexpr std::uint64_t kChunkSlots = 4096;
 
 inline void
 storeU64(std::uint8_t *p, std::uint64_t v)
@@ -69,6 +74,7 @@ ServerStorage::ServerStorage(
       payBytes(payloadBytes),
       recBytes(kHeaderBytes + payloadBytes),
       nSlots(geom.totalSlots()),
+      occupancy(divCeil(nSlots, 64), 0),
       store(std::move(backend)),
       enc(encrypt
               ? crypto::Encryptor(crypto::Encryptor::deriveKey(keySeed),
@@ -119,17 +125,20 @@ ServerStorage::initialise()
                 reinterpret_cast<const std::uint32_t *>(meta.data()),
                 nSlots);
         }
+        // The occupancy bitmap is client memory, so it did not
+        // survive the previous run: rebuild it from the records'
+        // headers, under the epochs just restored.
+        occupancy = scanOccupancy();
         return;
     }
 
-    // Every slot starts as a valid (encrypted) dummy record so that
-    // the first read of any path decrypts cleanly. Initialised in
-    // vectored chunks — one backend op per chunk, not per slot.
-    constexpr std::uint64_t kInitChunk = 4096;
+    // Every slot starts as a valid (encrypted) dummy record, and
+    // every occupancy bit clear. Initialised in vectored chunks — one
+    // backend op per chunk, not per slot.
     std::vector<SlotWriteOp> ops;
-    for (std::uint64_t base = 0; base < nSlots; base += kInitChunk) {
+    for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
         const std::uint64_t stop =
-            std::min(base + kInitChunk, nSlots);
+            std::min(base + kChunkSlots, nSlots);
         ops.clear();
         for (std::uint64_t s = base; s < stop; ++s) {
             SlotWriteOp op;
@@ -184,21 +193,12 @@ ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
     staging.resize(n * recBytes);
     store->readSlots(slots, n, staging.data());
 
-    // Header pass: one keystream block per slot decrypts every id and
-    // leaf, which is all the client needs to tell real from dummy.
-    headerScratch.resize(n * kHeaderBytes);
-    for (std::size_t i = 0; i < n; ++i)
-        std::memcpy(headerScratch.data() + i * kHeaderBytes,
-                    staging.data() + i * recBytes, kHeaderBytes);
-    enc.decryptSlots(slots, n, headerScratch.data(), kHeaderBytes);
-
-    // Record pass: compact the real records to the front of staging,
-    // in slot order, and decrypt only those. A dummy's payload is
-    // never decrypted or copied.
+    // Compact the occupied slots' records to the front of staging, in
+    // slot order, and decrypt only those. A dummy slot is never
+    // decrypted or copied, so its bytes are never trusted.
     slotScratch.clear();
     for (std::size_t i = 0; i < n; ++i) {
-        if (loadU64(headerScratch.data() + i * kHeaderBytes)
-            == kInvalidBlock)
+        if (!occupied(slots[i]))
             continue;
         const std::size_t real = slotScratch.size();
         if (real != i)
@@ -211,16 +211,73 @@ ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
 
     const std::uint8_t *rec = staging.data();
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t *hdr = headerScratch.data() + i * kHeaderBytes;
-        out[i].id = loadU64(hdr);
-        out[i].leaf = loadU64(hdr + 8);
-        if (out[i].isDummy()) {
+        if (!occupied(slots[i])) {
+            out[i].id = kInvalidBlock;
+            out[i].leaf = 0;
             out[i].payload.clear();
             continue;
+        }
+        out[i].id = loadU64(rec);
+        out[i].leaf = loadU64(rec + 8);
+        if (out[i].isDummy() || out[i].leaf >= geom.numLeaves()) {
+            throw std::runtime_error(
+                "slot " + std::to_string(slots[i])
+                + " holds a real record but decrypted to block "
+                + std::to_string(out[i].id) + " on leaf "
+                + std::to_string(out[i].leaf) + " (tree has "
+                + std::to_string(geom.numLeaves())
+                + " leaves); the server altered it, so refusing to "
+                  "serve it");
         }
         out[i].payload.assign(rec + kHeaderBytes, rec + recBytes);
         rec += recBytes;
     }
+}
+
+std::vector<std::uint64_t>
+ServerStorage::scanOccupancy() const
+{
+    // One backend read per chunk. Each record's 16-B header is packed
+    // to the front of staging (in place: header i moves down to
+    // i * 16) and decrypted alone, one keystream block per slot.
+    std::vector<std::uint64_t> bits(occupancy.size(), 0);
+    for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
+        const std::size_t n = std::min(kChunkSlots, nSlots - base);
+        slotScratch.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            slotScratch[i] = base + i;
+        staging.resize(n * recBytes);
+        store->readSlots(slotScratch.data(), n, staging.data());
+        for (std::size_t i = 1; i < n; ++i)
+            std::memmove(staging.data() + i * kHeaderBytes,
+                         staging.data() + i * recBytes, kHeaderBytes);
+        enc.decryptSlots(slotScratch.data(), n, staging.data(),
+                         kHeaderBytes);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t slot = base + i;
+            if (loadU64(staging.data() + i * kHeaderBytes)
+                != kInvalidBlock)
+                bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        }
+    }
+    return bits;
+}
+
+std::string
+ServerStorage::auditOccupancy() const
+{
+    const std::vector<std::uint64_t> scanned = scanOccupancy();
+    for (std::uint64_t slot = 0; slot < nSlots; ++slot) {
+        const bool inTree = (scanned[slot >> 6] >> (slot & 63)) & 1;
+        if (inTree != occupied(slot)) {
+            return "slot " + std::to_string(slot)
+                + " occupancy bit says "
+                + (inTree ? "dummy" : "real")
+                + " but the tree holds a "
+                + (inTree ? "real record" : "dummy");
+        }
+    }
+    return "";
 }
 
 void
@@ -252,6 +309,15 @@ ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
     }
     enc.encryptSlots(slotScratch.data(), n, staging.data(), recBytes);
     store->writeSlots(slotScratch.data(), n, staging.data());
+    // Only once the backend holds the new records: a write that
+    // throws above leaves the bitmap matching the tree.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t bit = std::uint64_t{1} << (ops[i].slot & 63);
+        if (ops[i].id == kInvalidBlock)
+            occupancy[ops[i].slot >> 6] &= ~bit;
+        else
+            occupancy[ops[i].slot >> 6] |= bit;
+    }
 }
 
 void

@@ -11,37 +11,51 @@
  * observer gains is *which slots* are touched — exactly the paper's
  * threat model.
  *
- * Records move through one vectored codec. readSlots has the backend
- * fill one staging buffer with the path's at-rest records, then
- * decrypts in two passes. The header pass copies every record's 16-B
- * header (id, leaf) into a packed array and decrypts it with one
- * Encryptor::decryptSlots call: one keystream block per slot, which
- * tells real records from dummies. The record pass compacts the real
- * records to the front of the staging buffer, in slot order, and
- * decrypts only those with a second decryptSlots call; a dummy's
- * payload is never decrypted or copied (with LAORAM's fat tree most
- * slots on a fetched path are dummies). writeSlots encodes every
- * record into the staging buffer, encrypts it with one
- * Encryptor::encryptSlots call and hands the whole path to one
- * backend write: every slot of a write-back, dummy or real, gets
- * fresh ciphertext. One call per pass keeps the multi-lane ChaCha20
- * kernel's lanes full (one lane per record block). The single-slot
- * readSlot / writeSlot / writeDummy calls are n = 1 uses of the same
- * codec, so the access sink, the range check and the I/O ledger see
- * every access the same way. Path engines call the vectored form
- * once per path (union), so a backend can coalesce, prefetch or issue
- * one real I/O per path, and the adversary access sink costs one
- * branch per path instead of one per slot when no sink is installed.
- * Backend time (storage.<kind>.*_ns) is pure transfer on every kind:
- * encryption runs outside it.
+ * Records move through one vectored codec. The client keeps a trusted
+ * occupancy bitmap, one bit per slot (nSlots / 8 bytes of client
+ * memory: 541 kB for a 4.33M-slot tree): writeSlots sets a slot's
+ * bit when it writes a real record there and clears it when it
+ * writes a dummy, once the backend write has returned. readSlots has
+ * the backend fill one staging buffer with the path's at-rest
+ * records, compacts the occupied slots' records to the front of it,
+ * in slot order, and decrypts only those with one
+ * Encryptor::decryptSlots call, taking each real block's (id, leaf)
+ * from its decrypted header. A dummy slot is never decrypted or
+ * copied (with LAORAM's fat tree most slots on a fetched path are
+ * dummies), and its bytes are never trusted: a server that
+ * overwrites a dummy cannot inject a block. An occupied slot whose
+ * header decrypts to no block, or to a leaf outside the tree, throws
+ * a std::runtime_error naming the slot instead of reaching the
+ * stash. writeSlots encodes every record into the staging buffer,
+ * encrypts it with one Encryptor::encryptSlots call and hands the
+ * whole path to one backend write: every slot of a write-back, dummy
+ * or real, gets fresh ciphertext. One call per pass keeps the
+ * multi-lane ChaCha20 kernel's lanes full (one lane per record
+ * block). The single-slot readSlot / writeSlot / writeDummy calls are
+ * n = 1 uses of the same codec, so the access sink, the range check
+ * and the I/O ledger see every access the same way. Path engines call
+ * the vectored form once per path (union), so a backend can coalesce,
+ * prefetch or issue one real I/O per path, and the adversary access
+ * sink costs one branch per path instead of one per slot when no sink
+ * is installed. Backend time (storage.<kind>.*_ns) is pure transfer
+ * on every kind: encryption runs outside it.
  *
- * Skipping dummy payloads makes the client's decrypt work grow with
- * the number of real records on the path, as stash absorption and
- * the eviction plan already do. The server-visible stream is
- * unchanged: every slot of a path is still fetched and every slot of
- * a write-back still rewritten, so the adversary sees the same
- * (slot, isWrite) sequence. An integrity MAC would be checked over
- * the ciphertext, which the backend still returns for every slot.
+ * The bitmap is client memory, so a reopened persistent tree (mmap,
+ * or remote over mmap, checkpoint restore included) rebuilds it at
+ * construction with one header scan: the slots in chunks through the
+ * same backend read, each record's 16-B header decrypted alone (one
+ * keystream block per slot). It mirrors a fresh tree's chunked
+ * dummy init, and it is the only place that decrypts headers on
+ * their own. auditOccupancy() reruns the scan and compares.
+ *
+ * Decrypting only real records makes the client's decrypt work grow
+ * with the number of real records on the path, as stash absorption
+ * and the eviction plan already do. The server-visible stream does
+ * not depend on occupancy: every slot of a path is still fetched, in
+ * the caller's order, and every slot of a write-back still
+ * rewritten, so the adversary sees the same (slot, isWrite)
+ * sequence. An integrity MAC would be checked over the ciphertext,
+ * which the backend still returns for every slot.
  *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
@@ -56,6 +70,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "crypto/encryptor.hh"
@@ -126,17 +141,42 @@ class ServerStorage
     /**
      * Vectored path read: fetch @p n slots as one backend operation,
      * decoding into @p out (resized to n; payload capacity reused
-     * across calls). Slot i of @p slots lands in out[i]. A real
-     * record comes back with its full payloadBytes() payload; a dummy
-     * (isDummy()) comes back with an empty payload, since its payload
-     * is never decrypted, so readers must not use a dummy's payload.
-     * Reads never change the encryption epochs.
+     * across calls). Slot i of @p slots lands in out[i]. Only the
+     * slots the occupancy bitmap marks real are decrypted: each comes
+     * back with its decrypted id, leaf and full payloadBytes()
+     * payload. Every other slot comes back as a dummy (isDummy(),
+     * leaf 0, empty payload) without its bytes being looked at, so
+     * readers must not use a dummy's payload. Reads never change the
+     * encryption epochs or the bitmap.
+     *
+     * @throws std::runtime_error naming the slot when an occupied
+     *         slot decrypts to kInvalidBlock or to a leaf at or
+     *         above geometry().numLeaves() (a forged record).
      */
     void readSlots(const std::uint64_t *slots, std::size_t n,
                    std::vector<StoredBlock> &out) const;
 
-    /** Vectored path write-back: apply @p n ops as one backend op. */
+    /**
+     * Vectored path write-back: apply @p n ops as one backend op,
+     * then mark each op's slot real (id != kInvalidBlock) or dummy in
+     * the occupancy bitmap.
+     */
     void writeSlots(const SlotWriteOp *ops, std::size_t n);
+
+    /** Occupancy bit of @p slot: true when it holds a real record. */
+    bool
+    occupied(std::uint64_t slot) const
+    {
+        return (occupancy[slot >> 6] >> (slot & 63)) & 1;
+    }
+
+    /**
+     * Rerun the reopen header scan into a scratch bitmap and compare
+     * it with the live one: "" when they agree, else a message naming
+     * the first slot where they differ. Reads the whole tree through
+     * the backend (counted in ioStats(), not shown to the sink).
+     */
+    std::string auditOccupancy() const;
 
     /**
      * Persist: save the encryption epoch table into the backend's
@@ -182,6 +222,12 @@ class ServerStorage
     void readInto(const std::uint64_t *slots, std::size_t n,
                   StoredBlock *out) const;
 
+    /**
+     * Occupancy from the tree itself: read every slot in chunks and
+     * set the bit of each slot whose header decrypts to a real block.
+     */
+    std::vector<std::uint64_t> scanOccupancy() const;
+
     /** Serialise one write op into the plaintext record @p rec. */
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
 
@@ -189,16 +235,16 @@ class ServerStorage
     std::uint64_t payBytes;
     std::uint64_t recBytes;
     std::uint64_t nSlots;
+    std::vector<std::uint64_t> occupancy; ///< one bit per slot, 1 = real
     std::unique_ptr<storage::SlotBackend> store;
     mutable crypto::Encryptor enc;
     AccessSink sink;
     bool wasReopened = false;
 
-    // Whole-path record buffer, packed header buffer and slot list
-    // (the write's slots, the read's real slots), reused across calls
+    // Whole-path record buffer and slot list (the write's slots, the
+    // read's real slots, a scan chunk's slots), reused across calls
     // to avoid per-path allocation.
     mutable std::vector<std::uint8_t> staging;
-    mutable std::vector<std::uint8_t> headerScratch;
     mutable std::vector<std::uint64_t> slotScratch;
 };
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Server-storage tests: record round trips, dummies, encryption at
- * rest, the adversary access sink, and the two-pass (header, then
- * real record) vectored read codec.
+ * rest, the adversary access sink, the vectored read codec that
+ * decrypts only the slots the occupancy bitmap marks real, and its
+ * fail-closed handling of records the server altered.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "oram/server_storage.hh"
@@ -159,7 +162,9 @@ TEST(ServerStorage, AccessSinkSeesReadsAndWrites)
 
 /**
  * Heap slot store that keeps the persisted meta blob, so a test can
- * read back the epoch table ServerStorage::flush() saves there.
+ * read back the epoch table ServerStorage::flush() saves there, and
+ * exposes its at-rest records, so a test can play a server that
+ * alters them.
  */
 class MetaDramBackend final : public storage::SlotBackend
 {
@@ -189,6 +194,13 @@ class MetaDramBackend final : public storage::SlotBackend
         return n;
     }
 
+    /** The at-rest bytes of @p slot (recordBytes long). */
+    std::uint8_t *
+    record(std::uint64_t slot)
+    {
+        return raw.data() + slot * recBytes;
+    }
+
     std::vector<std::uint8_t> meta;
 
   protected:
@@ -216,9 +228,11 @@ class MetaDramBackend final : public storage::SlotBackend
 
 TEST(ServerStorage, HeaderFirstVectoredReadMatchesPerSlotWrites)
 {
-    // 300 distinct slots in one call cross the 128-record nonce chunk
-    // of both decrypt passes (header pass over all 300, record pass
-    // over all 300 when every record is real).
+    // The occupancy read against per-slot writes: 300 distinct slots
+    // in one call cross the 128-record nonce chunk of the one decrypt
+    // call when every record is real, dummies come back with leaf 0
+    // and an empty payload without being decrypted, and neither the
+    // epochs nor anything else change on a read.
     const auto g = smallGeom();
     constexpr std::size_t kN = 300;
     std::vector<std::uint64_t> slots(kN);
@@ -290,6 +304,95 @@ TEST(ServerStorage, HeaderFirstVectoredReadMatchesPerSlotWrites)
                 }
             }
         }
+    }
+}
+
+/** XOR @p mask into the little-endian u64 at @p p. */
+void
+xorU64(std::uint8_t *p, std::uint64_t mask)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    v ^= mask;
+    std::memcpy(p, &v, sizeof(v));
+}
+
+/** The message readSlot throws for @p slot, or "" if it returns. */
+std::string
+readError(const ServerStorage &s, std::uint64_t slot)
+{
+    StoredBlock b;
+    try {
+        s.readSlot(slot, b);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ServerStorage, ForgedHeaderFailsClosed)
+{
+    // The server flips header bits of an occupied slot (ChaCha20 is
+    // malleable, so a ciphertext flip is the same plaintext flip) and
+    // scribbles a record over a dummy slot. Reads of the first must
+    // throw naming the slot; the second must still read as a dummy.
+    const auto g = smallGeom();
+    constexpr std::uint64_t kPayload = 16;
+    constexpr std::uint64_t kReal = 10;
+    constexpr std::uint64_t kDummy = 11;
+    constexpr BlockId kId = 5;
+    constexpr Leaf kLeaf = 3;
+    for (const bool encrypt : {false, true}) {
+        SCOPED_TRACE(encrypt ? "encrypted" : "plain");
+        const std::uint64_t metaBytes =
+            encrypt ? g.totalSlots() * 4 + crypto::kKeyCheckBytes : 0;
+        auto owned = std::make_unique<MetaDramBackend>(
+            g.totalSlots(), 16 + kPayload, metaBytes);
+        MetaDramBackend &backend = *owned;
+        ServerStorage s(g, kPayload, encrypt, /*keySeed=*/17,
+                        std::move(owned));
+        const std::vector<std::uint8_t> payload(kPayload, 0x6b);
+        s.writeSlot(kReal, kId, kLeaf, payload.data(), payload.size());
+        ASSERT_TRUE(s.occupied(kReal));
+        ASSERT_FALSE(s.occupied(kDummy));
+        EXPECT_EQ(s.auditOccupancy(), "");
+
+        // Header now decrypts to kInvalidBlock.
+        xorU64(backend.record(kReal), kId ^ kInvalidBlock);
+        const std::string noBlock = readError(s, kReal);
+        EXPECT_NE(noBlock.find("slot 10 "), std::string::npos) << noBlock;
+        // The whole path fails too, not just the one slot.
+        const std::vector<std::uint64_t> path = {kReal - 2, kReal, kDummy};
+        std::vector<StoredBlock> out;
+        EXPECT_THROW(s.readSlots(path.data(), path.size(), out),
+                     std::runtime_error);
+        xorU64(backend.record(kReal), kId ^ kInvalidBlock);
+
+        // Leaf now decrypts to numLeaves(), one past the last leaf.
+        xorU64(backend.record(kReal) + 8, kLeaf ^ g.numLeaves());
+        const std::string badLeaf = readError(s, kReal);
+        EXPECT_NE(badLeaf.find("slot 10 "), std::string::npos) << badLeaf;
+        xorU64(backend.record(kReal) + 8, kLeaf ^ g.numLeaves());
+
+        StoredBlock b;
+        s.readSlot(kReal, b);
+        EXPECT_EQ(b.id, kId);
+        EXPECT_EQ(b.leaf, kLeaf);
+        EXPECT_EQ(b.payload, payload);
+
+        // Copy the real record's bytes over a dummy slot (a
+        // well-formed block in plain mode; noise under slot 11's
+        // nonce when encrypted). The dummy is never decrypted, so no
+        // block is injected, but the audit scan sees a real header
+        // where the bitmap says dummy.
+        std::memcpy(backend.record(kDummy), backend.record(kReal),
+                    16 + kPayload);
+        s.readSlot(kDummy, b);
+        EXPECT_TRUE(b.isDummy());
+        EXPECT_EQ(b.leaf, 0u);
+        EXPECT_TRUE(b.payload.empty());
+        EXPECT_EQ(s.auditOccupancy().rfind("slot 11 ", 0), 0u)
+            << s.auditOccupancy();
     }
 }
 

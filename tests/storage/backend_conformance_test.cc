@@ -504,6 +504,98 @@ TEST(MmapBackend, SpentEpochFailsClosedBeforeBackend)
     EXPECT_EQ(b.payload, payload);
 }
 
+TEST(MmapBackend, ReopenRebuildsOccupancyBitmap)
+{
+    // The occupancy bitmap is client memory: a keepExisting reopen
+    // rebuilds it from the tree's headers. It must come back equal,
+    // and every path must read back identical blocks, over an mmap
+    // file and over a self-hosted remote node persisting to one.
+    auto g = smallGeom();
+    constexpr std::uint64_t kPayload = 24;
+    constexpr std::uint64_t kSeed = 31;
+    for (const BackendKind kind :
+         {BackendKind::MmapFile, BackendKind::Remote}) {
+        for (const bool encrypt : {false, true}) {
+            SCOPED_TRACE(std::string(kind == BackendKind::Remote
+                                         ? "remote"
+                                         : "mmap")
+                         + (encrypt ? ", encrypted" : ", plain"));
+            const test::ScratchDir scratch;
+            StorageConfig c;
+            c.kind = kind;
+            c.path = scratch.file("occupancy.tree");
+
+            auto readAllPaths = [&](const ServerStorage &s) {
+                std::vector<std::vector<StoredBlock>> paths;
+                for (Leaf leaf = 0; leaf < g.numLeaves(); ++leaf) {
+                    std::vector<std::uint64_t> slots;
+                    for (unsigned lvl = 0; lvl < g.numLevels(); ++lvl) {
+                        const auto node = g.pathNode(leaf, lvl);
+                        for (std::uint64_t z = 0; z < g.bucketSize(lvl);
+                             ++z)
+                            slots.push_back(g.nodeSlotBase(node) + z);
+                    }
+                    paths.emplace_back();
+                    s.readSlots(slots.data(), slots.size(), paths.back());
+                }
+                return paths;
+            };
+            auto bitmap = [&](const ServerStorage &s) {
+                std::vector<bool> bits(s.slots());
+                for (std::uint64_t slot = 0; slot < s.slots(); ++slot)
+                    bits[slot] = s.occupied(slot);
+                return bits;
+            };
+
+            std::vector<bool> bitsBefore;
+            std::vector<std::vector<StoredBlock>> pathsBefore;
+            {
+                ServerStorage s(g, kPayload, encrypt, kSeed, c);
+                ASSERT_FALSE(s.reopened());
+                // Real records over every other slot, then some of
+                // them overwritten by dummies again.
+                Rng rng(7);
+                std::vector<std::uint8_t> payload(kPayload);
+                for (std::uint64_t slot = 0; slot < s.slots();
+                     slot += 2) {
+                    for (auto &b : payload)
+                        b = static_cast<std::uint8_t>(
+                            rng.nextBounded(256));
+                    s.writeSlot(slot, 100 + slot,
+                                rng.nextBounded(g.numLeaves()),
+                                payload.data(), payload.size());
+                }
+                for (std::uint64_t slot = 0; slot < s.slots();
+                     slot += 6)
+                    s.writeDummy(slot);
+                bitsBefore = bitmap(s);
+                pathsBefore = readAllPaths(s);
+                EXPECT_EQ(s.auditOccupancy(), "");
+            } // destructor persists epochs and flushes
+
+            c.keepExisting = true;
+            ServerStorage s(g, kPayload, encrypt, kSeed, c);
+            ASSERT_TRUE(s.reopened());
+            EXPECT_EQ(bitmap(s), bitsBefore);
+            EXPECT_EQ(s.auditOccupancy(), "");
+            const auto pathsAfter = readAllPaths(s);
+            ASSERT_EQ(pathsAfter.size(), pathsBefore.size());
+            for (std::size_t p = 0; p < pathsAfter.size(); ++p) {
+                ASSERT_EQ(pathsAfter[p].size(), pathsBefore[p].size());
+                for (std::size_t i = 0; i < pathsAfter[p].size(); ++i) {
+                    const StoredBlock &a = pathsAfter[p][i];
+                    const StoredBlock &b = pathsBefore[p][i];
+                    ASSERT_EQ(a.id, b.id) << "path " << p << " slot " << i;
+                    ASSERT_EQ(a.leaf, b.leaf)
+                        << "path " << p << " slot " << i;
+                    ASSERT_EQ(a.payload, b.payload)
+                        << "path " << p << " slot " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(MmapBackend, KeepExistingOnMissingFileInitialisesFresh)
 {
     const test::ScratchDir scratch;
