@@ -62,6 +62,7 @@ runConfig(const std::string &label, std::uint64_t superblock, bool fat,
     cfg.base.stashHighWater = ~std::uint64_t{0};
     cfg.base.stashLowWater = 0;
     cfg.base.seed = 99;
+    cfg.base.treetopLevels = 0; // the paper's system: no treetop
     cfg.superblockSize = superblock;
     core::Laoram engine(cfg);
 

@@ -37,6 +37,7 @@ run(const workload::Trace &trace, std::uint64_t window,
     cfg.base.numBlocks = trace.numBlocks;
     cfg.base.blockBytes = 128;
     cfg.base.seed = 17;
+    cfg.base.treetopLevels = 0; // the paper's accounting
     cfg.base.stashHighWater = high;
     cfg.base.stashLowWater = low;
     cfg.superblockSize = 4;
@@ -120,6 +121,7 @@ main(int argc, char **argv)
             cfg.base.numBlocks = trace.numBlocks;
             cfg.base.blockBytes = 128;
             cfg.base.seed = 17;
+            cfg.base.treetopLevels = 0;
             cfg.base.stashHighWater = hw.hi;
             cfg.base.stashLowWater = hw.lo;
             cfg.superblockSize = 8; // pressure-heavy configuration

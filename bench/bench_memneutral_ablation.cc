@@ -63,6 +63,7 @@ main(int argc, char **argv)
         cfg.base.blockBytes = 128;
         cfg.base.profile = c.profile;
         cfg.base.seed = *seed;
+        cfg.base.treetopLevels = 0; // the paper's accounting
         cfg.superblockSize = *superblock;
         core::Laoram engine(cfg);
         engine.runTrace(trace.accesses);

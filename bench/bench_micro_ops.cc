@@ -77,7 +77,9 @@ BM_LaoramTrainingBatch(benchmark::State &state)
     // 128-B rows in a fat(4) tree, S = 4, one union read and one
     // write-back per 16-access batch over a Kaggle-like trace. Unlike
     // BM_LaoramBinAccess it moves real payloads through the encrypted
-    // path codec. Items are logical accesses.
+    // path codec. Items are logical accesses. treetop:0 keeps every
+    // level on the server, treetop:1 the default (top half of the
+    // levels in client memory).
     const std::uint64_t rows = std::uint64_t{1}
         << static_cast<unsigned>(state.range(0));
     core::LaoramConfig cfg;
@@ -87,6 +89,8 @@ BM_LaoramTrainingBatch(benchmark::State &state)
     cfg.base.encrypt = true;
     cfg.base.profile = oram::BucketProfile::fat(4);
     cfg.base.seed = 1;
+    if (state.range(1) == 0)
+        cfg.base.treetopLevels = 0;
     cfg.superblockSize = 4;
     cfg.batchAccesses = 16;
     core::Laoram engine(cfg);
@@ -276,7 +280,9 @@ BM_PipelineTrace(benchmark::State &state)
 
 BENCHMARK(BM_PathOramAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
-BENCHMARK(BM_LaoramTrainingBatch)->Arg(16)->Arg(18);
+BENCHMARK(BM_LaoramTrainingBatch)
+    ->ArgsProduct({{16, 18}, {0, 1}})
+    ->ArgNames({"log2_rows", "treetop"});
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_StorageVectoredPathRead)

@@ -41,6 +41,7 @@ runStream(const workload::Trace &trace, std::uint64_t seed)
     base.blockBytes = 128;
     base.seed = seed;
     base.profile = oram::BucketProfile::uniform(4);
+    base.treetopLevels = 0; // the paper's accounting: no treetop
 
     oram::PathOram path(base);
     path.runTrace(trace.accesses);

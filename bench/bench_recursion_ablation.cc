@@ -48,6 +48,7 @@ main(int argc, char **argv)
     cfg.numBlocks = *entries;
     cfg.blockBytes = 128;
     cfg.seed = *seed;
+    cfg.treetopLevels = 0; // the paper's accounting: no treetop
 
     TextTable table({"client", "map levels", "client map bytes",
                      "bytes/access", "sim us/access"});

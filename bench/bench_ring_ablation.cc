@@ -49,6 +49,7 @@ main(int argc, char **argv)
     base.numBlocks = *entries;
     base.blockBytes = 128;
     base.seed = *seed;
+    base.treetopLevels = 0; // the paper's accounting: no treetop
 
     // PathORAM baseline.
     double path_blocks_per_access = 0.0;

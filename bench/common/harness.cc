@@ -51,6 +51,7 @@ makeEngine(const EngineSpec &spec, std::uint64_t numBlocks,
     base.stashLowWater = cfg.stashLowWater;
     base.encrypt = false;
     base.seed = cfg.seed;
+    base.treetopLevels = 0; // the paper's system keeps no treetop
 
     switch (spec.kind) {
       case EngineSpec::Kind::PathOramBaseline: {

@@ -162,10 +162,14 @@ main(int argc, char **argv)
     if (*bulk > 0) {
         core::LaoramConfig lcfg;
         lcfg.base = cfg;
-        // Separate store for the scan demo: the session engine above
-        // owns the primary tree (and its backing file, if any). An
-        // empty path (DRAM, or a DRAM-backed remote node) stays
-        // empty — no stray ".bulk" file.
+        // Separate, fresh store for the scan demo: the session engine
+        // above owns the primary tree (and its backing file, if any)
+        // and the checkpoint sidecar, so the scan engine neither
+        // reopens a tree nor restores or writes a snapshot. An empty
+        // path (DRAM, or a DRAM-backed remote node) stays empty — no
+        // stray ".bulk" file.
+        lcfg.base.checkpoint = storage::CheckpointConfig{};
+        lcfg.base.storage.keepExisting = false;
         if (!lcfg.base.storage.path.empty())
             lcfg.base.storage.path += ".bulk";
         lcfg.superblockSize = 4;

@@ -27,6 +27,14 @@ shardEngineConfig(const EngineConfig &base, std::uint64_t shardBlocks,
     return cfg;
 }
 
+unsigned
+treetopLevelsFor(const EngineConfig &cfg, const TreeGeometry &geom)
+{
+    return cfg.treetopLevels == EngineConfig::kAutoTreetop
+        ? geom.numLevels() / 2
+        : cfg.treetopLevels;
+}
+
 OramEngine::OramEngine(const EngineConfig &cfg)
     : cfg(cfg),
       geom(cfg.numBlocks, cfg.blockBytes, cfg.profile),
@@ -59,7 +67,7 @@ OramEngine::runTrace(const std::vector<BlockId> &trace)
 TreeOramBase::TreeOramBase(const EngineConfig &cfg)
     : OramEngine(cfg),
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0xC0FFEE,
-               cfg.storage),
+               cfg.storage, treetopLevelsFor(cfg, geom)),
       posmap_(cfg.numBlocks, geom.numLeaves(), rng),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr)

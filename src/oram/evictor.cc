@@ -51,10 +51,17 @@ PathIo::pathUnion(const Leaf *leaves, std::size_t n)
 std::uint64_t
 PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
 {
+    // Treetop nodes come last in the union, wholly below
+    // treetopSlots(); only the slots before them reach the server.
+    const std::uint64_t top = storage.treetopSlots();
+    std::uint64_t served = 0;
     slotScratch.clear();
-    for (const UnionNode &u : pathUnion(leaves, n))
+    for (const UnionNode &u : pathUnion(leaves, n)) {
         for (std::uint64_t s = 0; s < u.z; ++s)
             slotScratch.push_back(u.base + s);
+        if (u.base >= top)
+            served += u.z;
+    }
 
     // One vectored storage op; real blocks join the stash with the
     // leaf their stored record carries.
@@ -68,7 +75,7 @@ PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
                       " found in tree while stashed");
         stash.put(b.id, b.leaf, std::move(b.payload));
     }
-    return slotScratch.size();
+    return served;
 }
 
 std::uint64_t
@@ -114,6 +121,7 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     // after it so their payload pointers stay valid for the write.
     writeScratch.clear();
     evictedScratch.clear();
+    const std::uint64_t top = storage.treetopSlots();
     std::uint64_t slots_written = 0;
     for (std::size_t p = 0; p < nodes.size(); ++p) {
         const UnionNode &u = nodes[p];
@@ -133,7 +141,8 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
         for (std::uint64_t s = filled; s < u.z; ++s)
             writeScratch.push_back({u.base + s, kInvalidBlock, 0,
                                     nullptr, 0});
-        slots_written += u.z;
+        if (u.base >= top)
+            slots_written += u.z;
 
         if (!pending.empty() && u.node != 0) {
             std::vector<BlockId> &parent = candidates[u.parent];

@@ -54,10 +54,12 @@ class PathIo
      * PrORAM merge) into the stash: each node in the union is read
      * exactly once — re-reading a shared prefix node would only fetch
      * slots the client already absorbed. Charges one path read per
-     * distinct leaf and the union's slots and bytes. Zero leaves read
-     * nothing and charge nothing.
+     * distinct leaf and the union's server slots and bytes: slots in
+     * the storage's treetop are client memory and cost no traffic.
+     * Zero leaves read nothing and charge nothing.
      *
-     * @return number of physical slots read (union size)
+     * @return number of server slots read (union size below the
+     *         treetop)
      */
     std::uint64_t readPaths(const Leaf *leaves, std::size_t n);
 
@@ -71,10 +73,12 @@ class PathIo
      * union once — instead of path-by-path — is required for
      * correctness: sequential per-path write-backs would overwrite
      * shared prefix nodes populated by the previous path. Charges one
-     * path write per distinct leaf and the union's slots and bytes.
-     * Zero leaves write nothing and leave the stash as it is.
+     * path write per distinct leaf and the union's server slots and
+     * bytes, as readPaths does. Zero leaves write nothing and leave
+     * the stash as it is.
      *
-     * @return number of physical slots written (union size)
+     * @return number of server slots written (union size below the
+     *         treetop)
      */
     std::uint64_t writePaths(const Leaf *leaves, std::size_t n);
 
@@ -117,10 +121,10 @@ class PathIo
     const std::vector<UnionNode> &pathUnion(const Leaf *leaves,
                                             std::size_t n);
 
-    /** Unmetered union read; returns the slots read. */
+    /** Unmetered union read; returns the server slots read. */
     std::uint64_t fetchUnion(const Leaf *leaves, std::size_t n);
 
-    /** Unmetered union write-back; returns the slots written. */
+    /** Unmetered union write-back; returns the server slots written. */
     std::uint64_t evictUnion(const Leaf *leaves, std::size_t n);
 
     const TreeGeometry &geom;

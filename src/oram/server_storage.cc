@@ -43,6 +43,21 @@ metaBytesFor(bool encrypt, std::uint64_t slots)
         : 0;
 }
 
+/** Every ServerStorage's treetop ledger, pulled as storage.treetop_*. */
+obs::LedgerSet<ServerStorage::TreetopStats> &
+liveTreetop()
+{
+    using S = ServerStorage::TreetopStats;
+    return obs::MetricsRegistry::instance().ledgers<S>(
+        "storage.treetop_",
+        {
+            {"slots_read", "treetop slots read from client memory",
+             &S::slotsRead},
+            {"slots_written", "treetop slots written to client memory",
+             &S::slotsWritten},
+        });
+}
+
 } // namespace
 
 ServerStorage::ServerStorage(const TreeGeometry &geom,
@@ -56,25 +71,34 @@ ServerStorage::ServerStorage(const TreeGeometry &geom,
 ServerStorage::ServerStorage(const TreeGeometry &geom,
                              std::uint64_t payloadBytes, bool encrypt,
                              std::uint64_t keySeed,
-                             const storage::StorageConfig &scfg)
+                             const storage::StorageConfig &scfg,
+                             unsigned treetopLevels)
     : ServerStorage(
           geom, payloadBytes, encrypt, keySeed,
           storage::makeBackend(scfg, geom.totalSlots(),
                                kHeaderBytes + payloadBytes,
                                metaBytesFor(encrypt,
-                                            geom.totalSlots())))
+                                            geom.totalSlots())),
+          treetopLevels)
 {
 }
 
 ServerStorage::ServerStorage(
     const TreeGeometry &geom, std::uint64_t payloadBytes, bool encrypt,
     std::uint64_t keySeed,
-    std::unique_ptr<storage::SlotBackend> backend)
+    std::unique_ptr<storage::SlotBackend> backend,
+    unsigned treetopLevels)
     : geom(geom),
       payBytes(payloadBytes),
       recBytes(kHeaderBytes + payloadBytes),
       nSlots(geom.totalSlots()),
+      topLevels(treetopLevels),
+      topSlots(treetopLevels <= geom.leafLevel()
+                   ? geom.levelFirstSlot(treetopLevels)
+                   : 0),
       occupancy(divCeil(nSlots, 64), 0),
+      treetop(topSlots * recBytes, 0),
+      liveTop(liveTreetop()),
       store(std::move(backend)),
       enc(encrypt
               ? crypto::Encryptor(crypto::Encryptor::deriveKey(keySeed),
@@ -86,12 +110,19 @@ ServerStorage::ServerStorage(
                   store->slots(), " slots, geometry needs ", nSlots);
     LAORAM_ASSERT(store->recordBytes() == recBytes, "backend records ",
                   store->recordBytes(), " B, storage needs ", recBytes);
+    LAORAM_ASSERT(treetopLevels <= geom.leafLevel(), "treetop of ",
+                  treetopLevels, " levels would hold the leaf level ",
+                  geom.leafLevel());
+    liveTop.attach(&topStats);
     initialise();
 }
 
 ServerStorage::~ServerStorage()
 {
+    // The sink may capture a caller's locals that are already gone.
+    sink = nullptr;
     flush();
+    liveTop.detach(&topStats);
 }
 
 void
@@ -125,16 +156,19 @@ ServerStorage::initialise()
                 reinterpret_cast<const std::uint32_t *>(meta.data()),
                 nSlots);
         }
-        // The occupancy bitmap is client memory, so it did not
-        // survive the previous run: rebuild it from the records'
+        // The treetop and the occupancy bitmap are client memory, so
+        // they did not survive the previous run: load the prefix its
+        // last flush wrote, then rebuild the bitmap from the records'
         // headers, under the epochs just restored.
+        loadTreetop();
         occupancy = scanOccupancy();
         return;
     }
 
     // Every slot starts as a valid (encrypted) dummy record, and
-    // every occupancy bit clear. Initialised in vectored chunks — one
-    // backend op per chunk, not per slot.
+    // every occupancy bit clear, so the bitmap needs no update.
+    // Initialised in vectored chunks — one backend op per chunk, not
+    // per slot; treetop slots start as plaintext dummies.
     std::vector<SlotWriteOp> ops;
     for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
         const std::uint64_t stop =
@@ -145,8 +179,37 @@ ServerStorage::initialise()
             op.slot = s;
             ops.push_back(op);
         }
-        writeSlots(ops.data(), ops.size());
+        writeRecords(ops.data(), ops.size());
     }
+}
+
+void
+ServerStorage::loadTreetop()
+{
+    if (topSlots == 0)
+        return;
+    fillSlotRange(0, topSlots);
+    store->readSlots(slotScratch.data(), topSlots, treetop.data());
+    enc.decryptSlots(slotScratch.data(), topSlots, treetop.data(),
+                     recBytes);
+    StoredBlock b;
+    for (std::uint64_t s = 0; s < topSlots; ++s) {
+        std::uint8_t *rec = treetop.data() + s * recBytes;
+        if (loadU64(rec) != kInvalidBlock) {
+            decodeRecord(s, rec, b); // refuses a forged record
+            continue;
+        }
+        // A dummy's bytes are never trusted: keep the canonical one.
+        encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0}, rec);
+    }
+}
+
+void
+ServerStorage::fillSlotRange(std::uint64_t base, std::size_t n) const
+{
+    slotScratch.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        slotScratch[i] = base + i;
 }
 
 void
@@ -180,72 +243,113 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
     readInto(slots, n, out.data());
 }
 
+const std::uint64_t *
+ServerStorage::farSlots(const std::uint64_t *slots, std::size_t n,
+                        std::size_t &nFar) const
+{
+    nFar = n;
+    while (nFar > 0 && slots[nFar - 1] < topSlots)
+        --nFar;
+    const std::uint64_t *mixed =
+        std::find_if(slots, slots + nFar,
+                     [this](std::uint64_t s) { return s < topSlots; });
+    if (mixed == slots + nFar)
+        return slots;
+    farScratch.assign(slots, mixed);
+    for (const std::uint64_t *s = mixed; s != slots + nFar; ++s)
+        if (*s >= topSlots)
+            farScratch.push_back(*s);
+    nFar = farScratch.size();
+    return farScratch.data();
+}
+
+void
+ServerStorage::decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
+                            StoredBlock &out) const
+{
+    out.id = loadU64(rec);
+    out.leaf = loadU64(rec + 8);
+    if (out.isDummy() || out.leaf >= geom.numLeaves()) {
+        throw std::runtime_error(
+            "slot " + std::to_string(slot)
+            + " holds a real record but decrypted to block "
+            + std::to_string(out.id) + " on leaf "
+            + std::to_string(out.leaf) + " (tree has "
+            + std::to_string(geom.numLeaves())
+            + " leaves); the server altered it, so refusing to "
+              "serve it");
+    }
+    out.payload.assign(rec + kHeaderBytes, rec + recBytes);
+}
+
 void
 ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
                         StoredBlock *out) const
 {
+    std::size_t nFar = n;
+    const std::uint64_t *far =
+        topSlots == 0 ? slots : farSlots(slots, n, nFar);
+
     // One branch per *path* when no sink is installed — the audit tap
     // only costs per-slot work while a probe is actually attached.
     if (sink) {
-        for (std::size_t i = 0; i < n; ++i)
-            sink(slots[i], false);
+        for (std::size_t i = 0; i < nFar; ++i)
+            sink(far[i], false);
     }
-    staging.resize(n * recBytes);
-    store->readSlots(slots, n, staging.data());
+    staging.resize(nFar * recBytes);
+    store->readSlots(far, nFar, staging.data());
 
     // Compact the occupied slots' records to the front of staging, in
     // slot order, and decrypt only those. A dummy slot is never
     // decrypted or copied, so its bytes are never trusted.
     slotScratch.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!occupied(slots[i]))
+    for (std::size_t i = 0; i < nFar; ++i) {
+        if (!occupied(far[i]))
             continue;
         const std::size_t real = slotScratch.size();
         if (real != i)
             std::memmove(staging.data() + real * recBytes,
                          staging.data() + i * recBytes, recBytes);
-        slotScratch.push_back(slots[i]);
+        slotScratch.push_back(far[i]);
     }
     enc.decryptSlots(slotScratch.data(), slotScratch.size(),
                      staging.data(), recBytes);
 
+    // Backend records come back in request order, so the next
+    // occupied backend slot's record is always at rec.
     const std::uint8_t *rec = staging.data();
     for (std::size_t i = 0; i < n; ++i) {
-        if (!occupied(slots[i])) {
+        const std::uint64_t slot = slots[i];
+        if (!occupied(slot)) {
             out[i].id = kInvalidBlock;
             out[i].leaf = 0;
             out[i].payload.clear();
-            continue;
+        } else if (slot < topSlots) {
+            decodeRecord(slot, treetop.data() + slot * recBytes, out[i]);
+        } else {
+            decodeRecord(slot, rec, out[i]);
+            rec += recBytes;
         }
-        out[i].id = loadU64(rec);
-        out[i].leaf = loadU64(rec + 8);
-        if (out[i].isDummy() || out[i].leaf >= geom.numLeaves()) {
-            throw std::runtime_error(
-                "slot " + std::to_string(slots[i])
-                + " holds a real record but decrypted to block "
-                + std::to_string(out[i].id) + " on leaf "
-                + std::to_string(out[i].leaf) + " (tree has "
-                + std::to_string(geom.numLeaves())
-                + " leaves); the server altered it, so refusing to "
-                  "serve it");
-        }
-        out[i].payload.assign(rec + kHeaderBytes, rec + recBytes);
-        rec += recBytes;
     }
+    topStats.slotsRead += n - nFar;
 }
 
 std::vector<std::uint64_t>
 ServerStorage::scanOccupancy() const
 {
+    std::vector<std::uint64_t> bits(occupancy.size(), 0);
+    for (std::uint64_t slot = 0; slot < topSlots; ++slot) {
+        if (loadU64(treetop.data() + slot * recBytes) != kInvalidBlock)
+            bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+
     // One backend read per chunk. Each record's 16-B header is packed
     // to the front of staging (in place: header i moves down to
     // i * 16) and decrypted alone, one keystream block per slot.
-    std::vector<std::uint64_t> bits(occupancy.size(), 0);
-    for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
+    for (std::uint64_t base = topSlots; base < nSlots;
+         base += kChunkSlots) {
         const std::size_t n = std::min(kChunkSlots, nSlots - base);
-        slotScratch.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            slotScratch[i] = base + i;
+        fillSlotRange(base, n);
         staging.resize(n * recBytes);
         store->readSlots(slotScratch.data(), n, staging.data());
         for (std::size_t i = 1; i < n; ++i)
@@ -297,32 +401,67 @@ ServerStorage::writeDummy(std::uint64_t slot)
 void
 ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
 {
-    if (sink) {
-        for (std::size_t i = 0; i < n; ++i)
-            sink(ops[i].slot, true);
+    writeRecords(ops, n);
+    // Only once the backend holds the new records: a write that
+    // throws above leaves the bitmap matching the tree. Consecutive
+    // ops on one 64-slot word update it in a register, in op order,
+    // and store it once.
+    for (std::size_t i = 0; i < n;) {
+        const std::uint64_t w = ops[i].slot >> 6;
+        std::uint64_t word = occupancy[w];
+        do {
+            const std::uint64_t bit = std::uint64_t{1}
+                << (ops[i].slot & 63);
+            word = ops[i].id == kInvalidBlock ? word & ~bit : word | bit;
+        } while (++i < n && (ops[i].slot >> 6) == w);
+        occupancy[w] = word;
     }
+}
+
+void
+ServerStorage::writeRecords(const SlotWriteOp *ops, std::size_t n)
+{
     staging.resize(n * recBytes);
     slotScratch.resize(n);
+    std::size_t nFar = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        slotScratch[i] = ops[i].slot;
-        encodeRecord(ops[i], staging.data() + i * recBytes);
+        if (ops[i].slot < topSlots)
+            continue;
+        slotScratch[nFar] = ops[i].slot;
+        encodeRecord(ops[i], staging.data() + nFar * recBytes);
+        ++nFar;
+    }
+    sealAndStore(nFar);
+    if (nFar == n)
+        return;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (ops[i].slot < topSlots)
+            encodeRecord(ops[i], treetop.data() + ops[i].slot * recBytes);
+    }
+    topStats.slotsWritten += n - nFar;
+}
+
+void
+ServerStorage::sealAndStore(std::size_t n)
+{
+    if (sink) {
+        for (std::size_t i = 0; i < n; ++i)
+            sink(slotScratch[i], true);
     }
     enc.encryptSlots(slotScratch.data(), n, staging.data(), recBytes);
     store->writeSlots(slotScratch.data(), n, staging.data());
-    // Only once the backend holds the new records: a write that
-    // throws above leaves the bitmap matching the tree.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t bit = std::uint64_t{1} << (ops[i].slot & 63);
-        if (ops[i].id == kInvalidBlock)
-            occupancy[ops[i].slot >> 6] &= ~bit;
-        else
-            occupancy[ops[i].slot >> 6] |= bit;
-    }
 }
 
 void
 ServerStorage::flush()
 {
+    if (topSlots > 0) {
+        // The prefix's one write, fixed whatever it holds: every
+        // treetop slot in slot order, under fresh epochs.
+        staging.assign(treetop.begin(), treetop.end());
+        fillSlotRange(0, topSlots);
+        sealAndStore(topSlots);
+    }
     if (enc.enabled()) {
         const std::uint64_t want = metaBytesFor(true, nSlots);
         if (store->metaCapacity() >= want) {

@@ -105,6 +105,16 @@ class TreeGeometry
     /** Index of the first physical slot of @p node. */
     std::uint64_t nodeSlotBase(NodeIndex node) const;
 
+    /**
+     * First physical slot of level @p level (0..numLevels()); slots
+     * [0, levelFirstSlot(k)) are exactly the top k levels' buckets.
+     */
+    std::uint64_t
+    levelFirstSlot(unsigned level) const
+    {
+        return levelSlotBase[level];
+    }
+
     /** Inverse of nodeSlotBase: the node owning physical slot @p slot. */
     NodeIndex slotNode(std::uint64_t slot) const;
 

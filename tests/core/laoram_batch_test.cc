@@ -204,6 +204,7 @@ TEST(LaoramBatch, TrainingShapeStreamAndAtRestBytesArePinned)
     cfg.base.seed = 11;
     cfg.base.storage.kind = storage::BackendKind::MmapFile;
     cfg.base.storage.path = path;
+    cfg.base.treetopLevels = 0; // pins the whole-path stream and file
     cfg.superblockSize = 4;
     cfg.lookaheadWindow = 512;
     cfg.batchAccesses = 16;

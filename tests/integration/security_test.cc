@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/laoram_client.hh"
@@ -129,7 +130,9 @@ TEST(Security, PathReadsTouchFullPaths)
 {
     // Every logical access must read a whole root-to-leaf slot set —
     // no shortcut reads that would leak where the block actually sat.
-    oram::PathOram oram(cfg64Leaves());
+    oram::EngineConfig cfg = cfg64Leaves();
+    cfg.treetopLevels = 0;
+    oram::PathOram oram(cfg);
     std::uint64_t reads = 0;
     oram.storageForTest().setAccessSink(
         [&](std::uint64_t, bool write) {
@@ -261,6 +264,7 @@ TEST(Security, DummyAccessesIndistinguishableFromReal)
     cfg.base = cfg64Leaves();
     cfg.base.stashHighWater = 8;
     cfg.base.stashLowWater = 2;
+    cfg.base.treetopLevels = 0;
     cfg.superblockSize = 8;
     core::Laoram oram(cfg);
 
@@ -286,6 +290,143 @@ TEST(Security, DummyAccessesIndistinguishableFromReal)
     EXPECT_EQ(reads, c.blocksRead);
     EXPECT_EQ(writes, c.blocksWritten);
     EXPECT_EQ(reads, writes);
+}
+
+/**
+ * Records the adversary's (slot, isWrite) events and checks them
+ * against the tree below a treetop of @p geom's levels < k: no event
+ * may fall in the treetop, and every event run must cover whole
+ * buckets, in slot order.
+ */
+struct TreetopProbe
+{
+    struct Event
+    {
+        std::uint64_t slot;
+        bool write;
+    };
+
+    void
+    attach(oram::ServerStorage &storage)
+    {
+        storage.setAccessSink([this](std::uint64_t slot, bool write) {
+            events.push_back({slot, write});
+        });
+    }
+
+    /** The slots of @p leaf's path at levels >= k, in union order. */
+    static std::vector<std::uint64_t>
+    lowerPath(const oram::TreeGeometry &geom, unsigned k, Leaf leaf)
+    {
+        std::vector<std::uint64_t> slots;
+        for (unsigned level = geom.leafLevel() + 1; level-- > k;) {
+            const std::uint64_t base =
+                geom.nodeSlotBase(geom.pathNode(leaf, level));
+            for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
+                slots.push_back(base + s);
+        }
+        return slots;
+    }
+
+    /** "" when every bucket the events touch is touched in full. */
+    std::string
+    wholeBucketsBelow(const oram::TreeGeometry &geom,
+                      std::uint64_t topSlots) const
+    {
+        for (std::size_t i = 0; i < events.size();) {
+            const std::uint64_t slot = events[i].slot;
+            if (slot < topSlots)
+                return "slot " + std::to_string(slot) + " is in the treetop";
+            const auto node = geom.slotNode(slot);
+            const std::uint64_t base = geom.nodeSlotBase(node);
+            if (slot != base)
+                return "bucket of slot " + std::to_string(slot)
+                    + " entered mid-way";
+            const std::uint64_t z = geom.bucketSize(geom.nodeLevel(node));
+            for (std::uint64_t s = 0; s < z; ++s, ++i) {
+                if (i == events.size() || events[i].slot != base + s
+                    || events[i].write != events[i - s].write)
+                    return "bucket at slot " + std::to_string(base)
+                        + " not touched in full";
+            }
+        }
+        return "";
+    }
+
+    std::vector<Event> events;
+};
+
+TEST(Security, PathReadsTouchFullPathsBelowTreetop)
+{
+    // At the default treetop every read and write-back of one access
+    // is exactly its path's levels >= k, in full: the server still
+    // learns nothing beyond the (uniform) leaf.
+    oram::PathOram oram(cfg64Leaves());
+    const oram::TreeGeometry &geom = oram.geometry();
+    const unsigned k = oram.storageForAudit().treetopLevels();
+    ASSERT_EQ(k, geom.numLevels() / 2);
+    ASSERT_GT(k, 0u);
+    TreetopProbe probe;
+    probe.attach(oram.storageForTest());
+    for (BlockId id : {0, 0, 5, 63}) {
+        probe.events.clear();
+        oram.touch(id);
+        // The read path is named by its one leaf-level bucket.
+        ASSERT_FALSE(probe.events.empty());
+        const auto leafNode = geom.slotNode(probe.events.front().slot);
+        ASSERT_EQ(geom.nodeLevel(leafNode), geom.leafLevel());
+        const Leaf leaf = leafNode - (geom.numLeaves() - 1);
+        const std::vector<std::uint64_t> want =
+            TreetopProbe::lowerPath(geom, k, leaf);
+        ASSERT_EQ(probe.events.size(), 2 * want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(probe.events[i].slot, want[i]);
+            EXPECT_FALSE(probe.events[i].write);
+            EXPECT_EQ(probe.events[want.size() + i].slot, want[i]);
+            EXPECT_TRUE(probe.events[want.size() + i].write);
+        }
+    }
+    EXPECT_EQ(probe.wholeBucketsBelow(geom,
+                                      oram.storageForAudit().treetopSlots()),
+              "");
+}
+
+TEST(Security, DummyAccessesIndistinguishableFromRealBelowTreetop)
+{
+    // The eviction-pressure run of DummyAccessesIndistinguishableFromReal
+    // at the default treetop: dummies and real accesses alike touch
+    // only whole buckets below the treetop, reads pair with writes,
+    // and the meter charges exactly the slots the server saw.
+    core::LaoramConfig cfg;
+    cfg.base = cfg64Leaves();
+    cfg.base.stashHighWater = 8;
+    cfg.base.stashLowWater = 2;
+    cfg.superblockSize = 8;
+    core::Laoram oram(cfg);
+    const oram::ServerStorage &storage = oram.storageForAudit();
+    ASSERT_GT(storage.treetopLevels(), 0u);
+
+    TreetopProbe probe;
+    probe.attach(oram.storageForTest());
+    Rng rng(3);
+    std::vector<BlockId> trace;
+    for (int i = 0; i < 400; ++i)
+        trace.push_back(rng.nextBounded(64));
+    oram.runTrace(trace);
+    oram.storageForTest().setAccessSink(nullptr);
+
+    std::uint64_t reads = 0, writes = 0;
+    for (const TreetopProbe::Event &e : probe.events)
+        ++(e.write ? writes : reads);
+    const auto &c = oram.meter().counters();
+    EXPECT_GT(c.dummyReads, 0u) << "test needs eviction pressure";
+    EXPECT_EQ(reads, c.blocksRead);
+    EXPECT_EQ(writes, c.blocksWritten);
+    EXPECT_EQ(reads, writes);
+    EXPECT_EQ(probe.wholeBucketsBelow(oram.geometry(),
+                                      storage.treetopSlots()),
+              "");
+    EXPECT_GT(storage.treetopStats().slotsRead, 0u);
 }
 
 } // namespace

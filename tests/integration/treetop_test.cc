@@ -1,0 +1,604 @@
+/**
+ * @file
+ * Treetop differential suite: keeping the top k tree levels in client
+ * memory (ServerStorage's treetop) must change what reaches the
+ * server and nothing else.
+ *
+ *  - Engines: the same trace through LAORAM (encrypted 128-B rows,
+ *    fat(4), mmap), PathORAM, PrORAM and recursive PathORAM at
+ *    k in {0, 1, auto, L} gives the k = 0 run's adversary stream with
+ *    the prefix slots filtered out, the same logical state, the same
+ *    decoded contents in every slot and the same at-rest bytes and
+ *    epochs below the prefix; a flush writes exactly the prefix.
+ *  - Codec: mixed slot orders (prefix slots anywhere in a request)
+ *    decode like a whole-tree storage.
+ *  - Reopen: a flushed tree reopens at the same k (and at any other)
+ *    with the prefix, the occupancy bitmap and every path intact.
+ *  - Kill/restore: a LAORAM run killed at a window boundary at the
+ *    default k finishes byte-identically to an uninterrupted one.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "../common/scratch_dir.hh"
+#include "core/laoram_client.hh"
+#include "core/pipeline.hh"
+#include "crypto/encryptor.hh"
+#include "engine_snapshot.hh"
+#include "oram/evictor.hh"
+#include "oram/path_oram.hh"
+#include "oram/pro_oram.hh"
+#include "oram/recursive_posmap.hh"
+#include "util/rng.hh"
+#include "workload/kaggle_synth.hh"
+
+namespace laoram {
+namespace {
+
+using oram::BlockId;
+using oram::EngineConfig;
+using oram::Leaf;
+using oram::ServerStorage;
+using oram::StoredBlock;
+
+struct Event
+{
+    std::uint64_t slot;
+    bool write;
+
+    bool
+    operator==(const Event &o) const
+    {
+        return slot == o.slot && write == o.write;
+    }
+};
+
+void
+record(ServerStorage &storage, std::vector<Event> &events)
+{
+    storage.setAccessSink([&events](std::uint64_t slot, bool write) {
+        events.push_back({slot, write});
+    });
+}
+
+void
+expectSameBlock(const StoredBlock &a, const StoredBlock &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.id, b.id) << what;
+    EXPECT_EQ(a.leaf, b.leaf) << what;
+    EXPECT_EQ(a.payload, b.payload) << what;
+}
+
+/** One engine of the differential, over an encrypted mmap tree. */
+struct EngineRun
+{
+    std::unique_ptr<oram::OramEngine> engine;
+    ServerStorage *storage = nullptr;
+    std::function<Leaf(BlockId)> posOf;
+};
+
+enum class Kind { Laoram, PathOram, ProOram, Recursive };
+
+const char *
+kindName(Kind kind)
+{
+    switch (kind) {
+      case Kind::Laoram:
+        return "Laoram";
+      case Kind::PathOram:
+        return "PathOram";
+      case Kind::ProOram:
+        return "ProOram";
+      case Kind::Recursive:
+        return "Recursive";
+    }
+    return "?";
+}
+
+EngineConfig
+engineConfig(Kind kind, unsigned treetopLevels, const std::string &path)
+{
+    EngineConfig cfg;
+    cfg.encrypt = true;
+    cfg.seed = 31;
+    cfg.treetopLevels = treetopLevels;
+    cfg.storage.kind = storage::BackendKind::MmapFile;
+    cfg.storage.path = path;
+    if (kind == Kind::Laoram) {
+        // The training deployment's shape, small.
+        cfg.numBlocks = 2048;
+        cfg.blockBytes = 128;
+        cfg.payloadBytes = 128;
+        cfg.profile = oram::BucketProfile::fat(4);
+    } else {
+        // Tight buckets and low marks so the dummy drain runs.
+        cfg.numBlocks = kind == Kind::Recursive ? 2048 : 512;
+        cfg.blockBytes = 64;
+        cfg.payloadBytes = 16;
+        cfg.profile = oram::BucketProfile::uniform(2);
+        cfg.stashHighWater = 4;
+        cfg.stashLowWater = 1;
+    }
+    return cfg;
+}
+
+EngineRun
+makeRun(Kind kind, const EngineConfig &cfg)
+{
+    EngineRun run;
+    switch (kind) {
+      case Kind::Laoram: {
+        core::LaoramConfig lcfg;
+        lcfg.base = cfg;
+        lcfg.superblockSize = 4;
+        lcfg.lookaheadWindow = 512;
+        lcfg.batchAccesses = 16;
+        auto e = std::make_unique<core::Laoram>(lcfg);
+        run.storage = &e->storageForTest();
+        run.posOf = [p = e.get()](BlockId id) {
+            return p->posmapForAudit().get(id);
+        };
+        run.engine = std::move(e);
+        break;
+      }
+      case Kind::PathOram: {
+        auto e = std::make_unique<oram::PathOram>(cfg);
+        run.storage = &e->storageForTest();
+        run.posOf = [p = e.get()](BlockId id) {
+            return p->posmapForAudit().get(id);
+        };
+        run.engine = std::move(e);
+        break;
+      }
+      case Kind::ProOram: {
+        oram::ProOramConfig pcfg;
+        pcfg.base = cfg;
+        auto e = std::make_unique<oram::ProOram>(pcfg);
+        run.storage = &e->storageForTest();
+        run.posOf = [p = e.get()](BlockId id) {
+            return p->posmapForAudit().get(id);
+        };
+        run.engine = std::move(e);
+        break;
+      }
+      case Kind::Recursive: {
+        oram::RecursiveConfig rcfg;
+        rcfg.packing = 8;
+        rcfg.directThreshold = 16;
+        rcfg.encrypt = true;
+        rcfg.seed = 13;
+        auto e = std::make_unique<oram::RecursivePathOram>(cfg, rcfg);
+        run.storage = &e->storageForTest();
+        run.posOf = [p = e.get()](BlockId id) {
+            return p->positionMap().peek(id);
+        };
+        run.engine = std::move(e);
+        break;
+      }
+    }
+    return run;
+}
+
+/** The one trace every k runs: writes, then reads and touches. */
+void
+drive(Kind kind, oram::OramEngine &engine)
+{
+    const std::uint64_t blocks = engine.config().numBlocks;
+    const std::size_t payload = engine.config().payloadBytes;
+    std::vector<std::uint8_t> data(payload, 0);
+    Rng rng(77);
+    if (kind == Kind::Laoram) {
+        for (BlockId id = 0; id < blocks; id += 3) {
+            for (std::size_t i = 0; i < payload; ++i)
+                data[i] = static_cast<std::uint8_t>(id * 7 + i);
+            engine.writeBlock(id, data);
+        }
+        workload::KaggleParams kp;
+        kp.numBlocks = blocks;
+        kp.accesses = 3000;
+        kp.hotSetSize = 256;
+        kp.seed = 5;
+        engine.runTrace(workload::makeKaggleTrace(kp).accesses);
+        return;
+    }
+    std::vector<std::uint8_t> out;
+    for (int i = 0; i < 2500; ++i) {
+        const BlockId id = rng.nextBounded(blocks);
+        if (i % 3 == 0) {
+            data[0] = static_cast<std::uint8_t>(id);
+            data[payload - 1] = static_cast<std::uint8_t>(i);
+            engine.writeBlock(id, data);
+        } else if (i % 3 == 1) {
+            engine.readBlock(id, out);
+        } else {
+            engine.touch(id);
+        }
+    }
+}
+
+/** Raw at-rest slot records and epoch table of a closed tree file. */
+struct AtRest
+{
+    std::vector<std::uint8_t> records;
+    std::vector<std::uint32_t> epochs;
+};
+
+AtRest
+readAtRest(const std::string &path, std::uint64_t slots,
+           std::uint64_t recordBytes)
+{
+    storage::StorageConfig sc;
+    sc.kind = storage::BackendKind::MmapFile;
+    sc.path = path;
+    sc.keepExisting = true;
+    const std::uint64_t metaBytes =
+        slots * sizeof(std::uint32_t) + crypto::kKeyCheckBytes;
+    auto backend = storage::makeBackend(sc, slots, recordBytes, metaBytes);
+    AtRest r;
+    std::vector<std::uint64_t> all(slots);
+    for (std::uint64_t s = 0; s < slots; ++s)
+        all[s] = s;
+    r.records.resize(slots * recordBytes);
+    backend->readSlots(all.data(), slots, r.records.data());
+    std::vector<std::uint8_t> meta(metaBytes);
+    EXPECT_EQ(backend->readMeta(meta.data(), metaBytes), metaBytes);
+    r.epochs.resize(slots);
+    std::memcpy(r.epochs.data(), meta.data(),
+                slots * sizeof(std::uint32_t));
+    return r;
+}
+
+class TreetopEngines : public ::testing::TestWithParam<Kind>
+{
+  protected:
+    const test::ScratchDir scratch;
+};
+
+TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
+{
+    const Kind kind = GetParam();
+
+    // The k = 0 reference.
+    const std::string refPath = scratch.file("k0.tree");
+    EngineRun ref = makeRun(kind, engineConfig(kind, 0, refPath));
+    const oram::TreeGeometry geom = ref.engine->geometry();
+    const std::uint64_t slots = geom.totalSlots();
+    const std::uint64_t recBytes = ref.storage->recordBytes();
+    std::vector<Event> refEvents;
+    record(*ref.storage, refEvents);
+    drive(kind, *ref.engine);
+    ref.storage->setAccessSink(nullptr);
+    std::vector<StoredBlock> refSlots(slots);
+    for (std::uint64_t s = 0; s < slots; ++s)
+        ref.storage->readSlot(s, refSlots[s]);
+    const mem::TrafficCounters refCounters = ref.engine->meter().counters();
+    std::vector<Leaf> refPos;
+    for (BlockId id = 0; id < geom.numBlocks(); ++id)
+        refPos.push_back(ref.posOf(id));
+    ref = EngineRun{}; // final flush
+    const AtRest refRest = readAtRest(refPath, slots, recBytes);
+
+    for (const unsigned want :
+         {1u, EngineConfig::kAutoTreetop, geom.leafLevel()}) {
+        const std::string path = scratch.file(
+            "k" + std::to_string(want) + ".tree");
+        EngineRun run = makeRun(kind, engineConfig(kind, want, path));
+        ServerStorage &storage = *run.storage;
+        const unsigned k = storage.treetopLevels();
+        const std::uint64_t top = storage.treetopSlots();
+        const std::string what = std::string(kindName(kind)) + " k "
+            + std::to_string(k);
+        ASSERT_EQ(k, want == EngineConfig::kAutoTreetop
+                         ? geom.numLevels() / 2
+                         : want)
+            << what;
+        ASSERT_EQ(top, geom.levelFirstSlot(k)) << what;
+        ASSERT_GT(top, 0u) << what;
+
+        std::vector<Event> events;
+        record(storage, events);
+        const std::uint64_t topReadsBefore = storage.treetopStats().slotsRead;
+        drive(kind, *run.engine);
+
+        // The server saw the reference stream minus the prefix.
+        std::vector<Event> filtered;
+        std::uint64_t prefixReads = 0;
+        for (const Event &e : refEvents) {
+            if (e.slot >= top)
+                filtered.push_back(e);
+            else if (!e.write)
+                ++prefixReads;
+        }
+        EXPECT_EQ(events.size(), filtered.size()) << what;
+        EXPECT_TRUE(events == filtered) << what;
+        EXPECT_EQ(storage.treetopStats().slotsRead - topReadsBefore,
+                  prefixReads)
+            << what;
+
+        // Same logical run; the meter charges only server slots.
+        const mem::TrafficCounters &c = run.engine->meter().counters();
+        EXPECT_EQ(c.logicalAccesses, refCounters.logicalAccesses) << what;
+        EXPECT_EQ(c.pathReads, refCounters.pathReads) << what;
+        EXPECT_EQ(c.dummyReads, refCounters.dummyReads) << what;
+        EXPECT_EQ(c.stashPeak, refCounters.stashPeak) << what;
+        EXPECT_EQ(c.blocksRead, refCounters.blocksRead - prefixReads)
+            << what;
+        EXPECT_EQ(c.bytesRead,
+                  refCounters.bytesRead - prefixReads * geom.blockBytes())
+            << what;
+        for (BlockId id = 0; id < geom.numBlocks(); ++id)
+            ASSERT_EQ(run.posOf(id), refPos[id]) << what << " block " << id;
+
+        // Every slot decodes as in the reference, treetop included.
+        storage.setAccessSink(nullptr);
+        StoredBlock b;
+        for (std::uint64_t s = 0; s < slots; ++s) {
+            storage.readSlot(s, b);
+            expectSameBlock(b, refSlots[s],
+                            what + " slot " + std::to_string(s));
+        }
+        EXPECT_EQ(storage.auditOccupancy(), "") << what;
+
+        // A flush writes exactly the prefix, in slot order.
+        events.clear();
+        record(storage, events);
+        storage.flush();
+        storage.setAccessSink(nullptr);
+        ASSERT_EQ(events.size(), top) << what;
+        for (std::uint64_t s = 0; s < top; ++s)
+            EXPECT_TRUE(events[s] == (Event{s, true})) << what;
+        run = EngineRun{};
+
+        // Below the prefix the file is the reference's, epochs too
+        // (flushes write only the prefix, so this is also the state
+        // before them). The prefix decodes the same (checked above);
+        // only the two flushes advanced its epochs, all alike.
+        const AtRest rest = readAtRest(path, slots, recBytes);
+        EXPECT_TRUE(std::equal(rest.records.begin() + top * recBytes,
+                               rest.records.end(),
+                               refRest.records.begin() + top * recBytes))
+            << what;
+        EXPECT_TRUE(std::equal(rest.epochs.begin() + top, rest.epochs.end(),
+                               refRest.epochs.begin() + top))
+            << what;
+        for (std::uint64_t s = 0; s < top; ++s)
+            ASSERT_EQ(rest.epochs[s], rest.epochs[0]) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Treetop, TreetopEngines,
+    ::testing::Values(Kind::Laoram, Kind::PathOram, Kind::ProOram,
+                      Kind::Recursive),
+    [](const ::testing::TestParamInfo<Kind> &i) {
+        return kindName(i.param);
+    });
+
+/** Random write ops over @p slots slots, prefix slots interleaved. */
+std::vector<ServerStorage::SlotWriteOp>
+randomOps(Rng &rng, const oram::TreeGeometry &geom, std::size_t n,
+          std::vector<std::vector<std::uint8_t>> &payloads)
+{
+    std::vector<ServerStorage::SlotWriteOp> ops(n);
+    payloads.assign(n, std::vector<std::uint8_t>(24));
+    for (std::size_t i = 0; i < n; ++i) {
+        ops[i].slot = rng.nextBounded(geom.totalSlots());
+        if (rng.nextBounded(3) == 0)
+            continue; // dummy
+        ops[i].id = rng.nextBounded(1u << 20);
+        ops[i].leaf = rng.nextBounded(geom.numLeaves());
+        for (std::uint8_t &byte : payloads[i])
+            byte = static_cast<std::uint8_t>(rng.nextBounded(256));
+        ops[i].payload = payloads[i].data();
+        ops[i].len = payloads[i].size();
+    }
+    return ops;
+}
+
+TEST(Treetop, CodecMatchesWholeTreeStorageInAnySlotOrder)
+{
+    const oram::TreeGeometry geom(256, 64, oram::BucketProfile::fat(4));
+    const unsigned k = geom.numLevels() / 2;
+    ServerStorage whole(geom, 24, true, 5, storage::StorageConfig{}, 0);
+    ServerStorage split(geom, 24, true, 5, storage::StorageConfig{}, k);
+    ASSERT_EQ(split.treetopSlots(), geom.levelFirstSlot(k));
+    std::vector<Event> wholeEvents, splitEvents;
+    record(whole, wholeEvents);
+    record(split, splitEvents);
+
+    Rng rng(12);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::vector<StoredBlock> a, b;
+    for (int round = 0; round < 200; ++round) {
+        const auto ops = randomOps(rng, geom, 1 + rng.nextBounded(40),
+                                   payloads);
+        whole.writeSlots(ops.data(), ops.size());
+        split.writeSlots(ops.data(), ops.size());
+        // Reads in arbitrary order: prefix first, last or mixed.
+        std::vector<std::uint64_t> req;
+        for (std::uint64_t n = 1 + rng.nextBounded(60); n > 0; --n)
+            req.push_back(rng.nextBounded(geom.totalSlots()));
+        if (round % 3 == 0)
+            std::sort(req.begin(), req.end());
+        else if (round % 3 == 1)
+            std::sort(req.rbegin(), req.rend());
+        whole.readSlots(req.data(), req.size(), a);
+        split.readSlots(req.data(), req.size(), b);
+        for (std::size_t i = 0; i < req.size(); ++i)
+            expectSameBlock(a[i], b[i],
+                            "round " + std::to_string(round) + " slot "
+                                + std::to_string(req[i]));
+    }
+    for (std::uint64_t s = 0; s < geom.totalSlots(); ++s)
+        ASSERT_EQ(whole.occupied(s), split.occupied(s)) << "slot " << s;
+
+    std::vector<Event> filtered;
+    for (const Event &e : wholeEvents)
+        if (e.slot >= split.treetopSlots())
+            filtered.push_back(e);
+    EXPECT_TRUE(splitEvents == filtered);
+    EXPECT_EQ(split.auditOccupancy(), "");
+    whole.setAccessSink(nullptr);
+    split.setAccessSink(nullptr);
+}
+
+/** Each leaf's path slots, deepest level first (PathIo's order). */
+std::vector<std::uint64_t>
+pathSlots(const oram::TreeGeometry &geom, Leaf leaf)
+{
+    std::vector<std::uint64_t> slots;
+    for (unsigned level = geom.numLevels(); level-- > 0;) {
+        const std::uint64_t base =
+            geom.nodeSlotBase(geom.pathNode(leaf, level));
+        for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
+            slots.push_back(base + s);
+    }
+    return slots;
+}
+
+TEST(Treetop, ReopenLoadsPrefixAndBitmap)
+{
+    const test::ScratchDir scratch;
+    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
+    const unsigned k = geom.numLevels() / 2;
+    storage::StorageConfig sc;
+    sc.kind = storage::BackendKind::MmapFile;
+    sc.path = scratch.file("reopen.tree");
+
+    std::vector<bool> bits(geom.totalSlots());
+    std::vector<StoredBlock> contents(geom.totalSlots());
+    std::vector<std::vector<StoredBlock>> paths(geom.numLeaves());
+    {
+        ServerStorage s(geom, 24, true, 8, sc, k);
+        ASSERT_FALSE(s.reopened());
+        Rng rng(4);
+        std::vector<std::vector<std::uint8_t>> payloads;
+        for (int round = 0; round < 100; ++round) {
+            const auto ops = randomOps(rng, geom, 64, payloads);
+            s.writeSlots(ops.data(), ops.size());
+        }
+        for (std::uint64_t slot = 0; slot < geom.totalSlots(); ++slot) {
+            bits[slot] = s.occupied(slot);
+            s.readSlot(slot, contents[slot]);
+        }
+        for (Leaf leaf = 0; leaf < geom.numLeaves(); ++leaf) {
+            const auto slots = pathSlots(geom, leaf);
+            s.readSlots(slots.data(), slots.size(), paths[leaf]);
+        }
+        s.flush();
+    }
+
+    // The same k, none, and every level but the leaves: the tree file
+    // does not depend on k.
+    for (const unsigned reopenK : {k, 0u, geom.leafLevel()}) {
+        const std::string what = "reopened at k " + std::to_string(reopenK);
+        sc.keepExisting = true;
+        ServerStorage s(geom, 24, true, 8, sc, reopenK);
+        ASSERT_TRUE(s.reopened()) << what;
+        EXPECT_EQ(s.auditOccupancy(), "") << what;
+        StoredBlock b;
+        for (std::uint64_t slot = 0; slot < geom.totalSlots(); ++slot) {
+            ASSERT_EQ(s.occupied(slot), bits[slot])
+                << what << " slot " << slot;
+            s.readSlot(slot, b);
+            expectSameBlock(b, contents[slot],
+                            what + " slot " + std::to_string(slot));
+        }
+        std::vector<StoredBlock> got;
+        for (Leaf leaf = 0; leaf < geom.numLeaves(); ++leaf) {
+            const auto slots = pathSlots(geom, leaf);
+            s.readSlots(slots.data(), slots.size(), got);
+            ASSERT_EQ(got.size(), paths[leaf].size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameBlock(got[i], paths[leaf][i],
+                                what + " leaf " + std::to_string(leaf));
+        }
+    }
+}
+
+TEST(Treetop, KillRestoreAtDefaultK)
+{
+    // A LAORAM run killed at a window boundary and restored over the
+    // reopened tree finishes byte-identically to one that never died,
+    // with the treetop on: the checkpoint's flush carried the prefix
+    // to the tree file and the reopen loaded it back.
+    constexpr std::uint64_t kWindow = 24;
+    constexpr std::uint64_t kWindows = 6;
+    const test::ScratchDir scratch;
+    const std::string tree = scratch.file("kill.tree");
+    const std::string sidecar = scratch.file("kill.ckpt");
+
+    core::LaoramConfig cfg;
+    cfg.base.numBlocks = 96;
+    cfg.base.blockBytes = 64;
+    cfg.base.payloadBytes = 32;
+    cfg.base.encrypt = true;
+    cfg.base.seed = 21;
+    cfg.superblockSize = 4;
+    cfg.lookaheadWindow = kWindow;
+    Rng rng(3);
+    std::vector<BlockId> trace;
+    for (std::uint64_t i = 0; i < kWindow * kWindows; ++i)
+        trace.push_back(rng.nextBounded(cfg.base.numBlocks));
+    const auto fill = [&](core::Laoram &engine) {
+        std::vector<std::uint8_t> buf(cfg.base.payloadBytes);
+        for (BlockId id = 0; id < cfg.base.numBlocks; ++id) {
+            for (std::size_t i = 0; i < buf.size(); ++i)
+                buf[i] = static_cast<std::uint8_t>(id * 131 + i * 7);
+            engine.writeBlock(id, buf);
+        }
+    };
+    const auto pipeline = [] {
+        return core::PipelineConfig{}.withWindowAccesses(kWindow);
+    };
+
+    core::Laoram reference(cfg);
+    ASSERT_GT(reference.storageForAudit().treetopLevels(), 0u);
+    fill(reference);
+    core::BatchPipeline(reference, pipeline()).run(trace);
+    const core::EngineSnapshot snap = core::snapshotOf(reference);
+
+    constexpr std::uint64_t cut = 2;
+    {
+        core::LaoramConfig vcfg = cfg;
+        vcfg.base.storage.kind = storage::BackendKind::MmapFile;
+        vcfg.base.storage.path = tree;
+        core::Laoram victim(vcfg);
+        fill(victim);
+        core::BatchPipeline(victim, pipeline())
+            .run(std::vector<BlockId>(trace.begin(),
+                                      trace.begin() + cut * kWindow));
+        victim.checkpointToFile(sidecar);
+    }
+
+    core::LaoramConfig rcfg = cfg;
+    rcfg.base.storage.kind = storage::BackendKind::MmapFile;
+    rcfg.base.storage.path = tree;
+    rcfg.base.storage.keepExisting = true;
+    rcfg.base.checkpoint.path = sidecar;
+    rcfg.base.checkpoint.restore = true;
+    core::Laoram restored(rcfg);
+    EXPECT_EQ(oram::auditTree(restored.geometry(),
+                              restored.storageForAudit(),
+                              restored.stashForAudit(),
+                              restored.posmapForAudit()),
+              "");
+    core::BatchPipeline(restored,
+                        pipeline().withFirstWindow(
+                            restored.windowsServed()))
+        .run(std::vector<BlockId>(trace.begin() + cut * kWindow,
+                                  trace.end()));
+    core::expectMatchesSnapshot(snap, restored, "restored at default k");
+}
+
+} // namespace
+} // namespace laoram

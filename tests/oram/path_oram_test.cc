@@ -111,17 +111,35 @@ TEST(PathOram, InvariantAuditAfterChurn)
 
 TEST(PathOram, MetersOnePathReadPerAccess)
 {
-    PathOram oram(smallConfig());
-    Rng rng(6);
-    for (int i = 0; i < 200; ++i)
-        oram.touch(rng.nextBounded(128));
-    const auto &c = oram.meter().counters();
-    EXPECT_EQ(c.logicalAccesses, 200u);
-    EXPECT_EQ(c.pathReads, 200u);
-    EXPECT_EQ(c.pathWrites, 200u);
-    EXPECT_EQ(c.bytesRead,
-              200u * oram.geometry().pathBytes()
-                  + c.dummyReads * oram.geometry().pathBytes());
+    // Without a treetop every access moves one whole path; with the
+    // default one, the path's levels >= k.
+    for (const bool treetop : {false, true}) {
+        EngineConfig cfg = smallConfig();
+        if (!treetop)
+            cfg.treetopLevels = 0;
+        PathOram oram(cfg);
+        Rng rng(6);
+        for (int i = 0; i < 200; ++i)
+            oram.touch(rng.nextBounded(128));
+        const TreeGeometry &g = oram.geometry();
+        const unsigned k = oram.storageForAudit().treetopLevels();
+        ASSERT_EQ(k, treetop ? g.numLevels() / 2 : 0u);
+        std::uint64_t topPathSlots = 0;
+        for (unsigned level = 0; level < k; ++level)
+            topPathSlots += g.bucketSize(level);
+        const std::uint64_t serverPathBytes =
+            g.pathBytes() - topPathSlots * g.blockBytes();
+        const auto &c = oram.meter().counters();
+        EXPECT_EQ(c.logicalAccesses, 200u);
+        EXPECT_EQ(c.pathReads, 200u);
+        EXPECT_EQ(c.pathWrites, 200u);
+        EXPECT_EQ(c.bytesRead,
+                  200u * serverPathBytes + c.dummyReads * serverPathBytes);
+        if (!treetop) {
+            EXPECT_EQ(c.bytesRead,
+                      200u * g.pathBytes() + c.dummyReads * g.pathBytes());
+        }
+    }
 }
 
 TEST(PathOram, SimulatedTimeAdvances)

@@ -62,6 +62,7 @@ smallConfig(std::uint64_t blocks)
     cfg.profile = BucketProfile::uniform(2);
     cfg.stashHighWater = 4;
     cfg.stashLowWater = 1;
+    cfg.treetopLevels = 0; // the pinned streams cover the whole path
     return cfg;
 }
 
