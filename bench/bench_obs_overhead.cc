@@ -58,6 +58,7 @@ runOnce(std::uint64_t blocks, std::uint64_t window,
     cfg.base.seed = 5;
     cfg.superblockSize = 4;
     cfg.lookaheadWindow = window;
+    cfg.lookaheadHorizon = 0; // the in-window schedule this bench prices
     core::Laoram engine(cfg);
 
     core::BatchPipeline pipe(engine,

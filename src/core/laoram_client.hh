@@ -38,11 +38,27 @@ struct LaoramConfig
 
     /**
      * Accesses preprocessed per look-ahead window; 0 means the whole
-     * trace at once ("an entire epoch", §IV-B-2). Blocks that do not
-     * reappear within a window get uniform random paths at their
-     * access, exactly like PathORAM.
+     * trace at once ("an entire epoch", §IV-B-2). Blocks whose next
+     * bin is neither in their window nor within lookaheadHorizon get
+     * uniform random paths at their access, exactly like PathORAM.
      */
     std::uint64_t lookaheadWindow = 0;
+
+    /**
+     * How far past its own window a bin member may be linked, in
+     * accesses, when the served source knows its stream in advance
+     * (trace runs: runTrace, BatchPipeline over a TraceSource,
+     * sharded traces). Each run then links every window's last
+     * occurrences to their next bin in a later window, in one
+     * backward pass when it starts (LookaheadLinks,
+     * core/preprocessor.hh), so that bin reads one path for them
+     * too. kWholeStream (default) links up to the end of the stream,
+     * the paper's whole-epoch look-ahead; 0 links inside each window
+     * only; a finite H links only next bins that start fewer than H
+     * accesses after the member's bin. Online sources, whose future
+     * is unknown, always link inside the window only.
+     */
+    std::uint64_t lookaheadHorizon = kWholeStream;
 
     /**
      * Accesses served per *training batch*: the client reads every

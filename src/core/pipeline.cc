@@ -201,15 +201,39 @@ BatchPipeline::run(ServeSource &source)
 
     const WallClock::time_point runStart = WallClock::now();
 
+    // Cross-window links, built once by whichever stage-1 call first
+    // sees the source's stream; every other call waits for them inside
+    // call_once, so the pass is part of the pipeline fill.
+    const std::uint64_t horizon = engine.laoramConfig().lookaheadHorizon;
+    std::once_flag linksBuilt;
+    LookaheadLinks links;
+    std::int64_t linkPassNs = 0;
+
     // Stage 1 for one window, on a pool thread or inline: build the
     // schedule with the window-derived path stream (order-independent
-    // by construction) and time it.
+    // by construction), link it past the window, and time it.
     auto prepareWindow = [&](const SourceWindow &sw) {
+        // A one-window stream has no later window to link to.
+        const bool linked = sw.stream != nullptr && horizon != 0
+                            && sw.stream->numWindows() > 1;
+        if (linked) {
+            std::call_once(linksBuilt, [&] {
+                const WallClock::time_point t0 = WallClock::now();
+                links = LookaheadLinks::build(
+                    prep, *sw.stream, horizon,
+                    engine.laoramConfig().base.numBlocks);
+                linkPassNs = elapsedNs(t0, WallClock::now());
+                obs::traceRecordEndingNow("link-pass", linkPassNs,
+                                          sw.windowIndex);
+            });
+        }
         PreparedWindow item;
         const WallClock::time_point t0 = WallClock::now();
         item.sched = prep.runWindow(
             sw.windowIndex, sw.traceOffset, sw.accesses.data(),
             sw.accesses.data() + sw.accesses.size());
+        if (linked)
+            links.apply(sw.windowIndex, item.sched.result);
         if (cfg.prepLoadNsPerAccess > 0.0) {
             // Emulated sample-decrypt/parse cost (see
             // PipelineConfig::prepLoadNsPerAccess): spin the window's
@@ -359,6 +383,7 @@ BatchPipeline::run(ServeSource &source)
     rep.windows = live.c.windowsServed;
     rep.wallFillNs = static_cast<double>(live.c.fillNs);
     rep.wallStallNs = static_cast<double>(live.c.stallNs);
+    rep.wallLinkPassNs = static_cast<double>(linkPassNs);
     rep.wallReorderStallNs =
         static_cast<double>(reorder.stats().headOfLineWaitNs);
 

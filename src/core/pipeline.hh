@@ -35,6 +35,14 @@
  * before serving — so every payload byte, position-map entry, and
  * stash state matches the serial Laoram::runTrace regardless of how
  * the pool's threads interleave.
+ *
+ * Cross-window links: when the source's windows carry its whole
+ * stream (SourceWindow::stream) and the engine's lookaheadHorizon is
+ * not 0, the first stage-1 call builds a LookaheadLinks table once
+ * per run (std::call_once; the other stage-1 callers wait, so the
+ * pass is pipeline fill) and every window's kNoFuturePath entries are
+ * filled from its slice. Links are a pure function of (seed, window
+ * index, window size, stream), so the contract above still holds.
  */
 
 #ifndef LAORAM_CORE_PIPELINE_HH
@@ -216,6 +224,12 @@ struct PipelineReport
      */
     double wallFillNs = 0.0;
     double wallStallNs = 0.0; ///< serve-thread waits after the fill
+    /**
+     * The one-time cross-window link pass (LookaheadLinks), part of
+     * wallFillNs; 0 when the source carries no stream, the stream is
+     * one window, or the engine's lookaheadHorizon is 0.
+     */
+    double wallLinkPassNs = 0.0;
 
     /**
      * The head-of-line share of wallStallNs: serve-thread wait for

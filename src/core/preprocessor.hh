@@ -13,7 +13,9 @@
  *      then compute, for every bin member, the path of the next bin
  *      that contains it (a single backward sweep). This
  *      (superblock -> future path) metadata is what the trainer GPU
- *      consumes.
+ *      consumes. A member whose next bin lies in a later window keeps
+ *      kNoFuturePath here; LookaheadLinks (below) fills it in from a
+ *      one-time backward pass over the whole known stream.
  *
  * Security note (paper §VI-C): the preprocessor reads only encrypted
  * training samples inside the trusted client; the entry values it
@@ -25,12 +27,20 @@
 #define LAORAM_CORE_PREPROCESSOR_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/superblock.hh"
 #include "util/rng.hh"
 
 namespace laoram::core {
+
+/**
+ * Look-ahead horizon meaning "up to the end of the known stream"
+ * (LaoramConfig::lookaheadHorizon's default).
+ */
+inline constexpr std::uint64_t kWholeStream =
+    std::numeric_limits<std::uint64_t>::max();
 
 /** Preprocessor knobs. */
 struct PreprocessorConfig
@@ -132,6 +142,91 @@ class Preprocessor
   private:
     PreprocessorConfig cfg;
     std::uint64_t baseSeed;
+};
+
+/**
+ * The access stream a source knows in advance, sliced into windows
+ * exactly as the source hands them out: stream window k covers
+ * [k * windowAccesses, min((k + 1) * windowAccesses, size)) and
+ * carries window index firstWindowIndex + k. A resumed trace passes
+ * only its remaining suffix, numbered from the window it resumes at.
+ * The data must outlive every run that serves the stream.
+ */
+struct KnownStream
+{
+    const BlockId *data = nullptr;
+    std::uint64_t size = 0;
+    std::uint64_t windowAccesses = 1;
+    std::uint64_t firstWindowIndex = 0;
+
+    std::uint64_t
+    numWindows() const
+    {
+        return (size + windowAccesses - 1) / windowAccesses;
+    }
+};
+
+/**
+ * Look-ahead links across windows: the paper's whole-epoch look-ahead
+ * (§IV-B-2), decoupled from the serving window.
+ *
+ * preprocessWindow links a bin member only to a later bin of its own
+ * window, so a member's last occurrence in window w keeps
+ * kNoFuturePath and is remapped to a uniform leaf at access. The link
+ * table gives each such entry the path of the first bin in a *later*
+ * window that holds the member: the member then waits on that bin's
+ * path, and that bin reads one path for it too.
+ *
+ * Contract:
+ *  - build() walks the stream's windows from last to first, forms
+ *    each with the same preprocessWindow and the same
+ *    Rng(windowSeed(seed, w)) as Preprocessor::runWindow at absolute
+ *    window index w (there is no second bin-formation code), and
+ *    sweeps it against one scratch array of numBlocks leaves indexed
+ *    by id, freed when the pass ends.
+ *  - Window w's slice holds one entry per kNoFuturePath member of the
+ *    window as preprocessWindow forms it, in bin then member order:
+ *    the path of the member's first bin in a later window, or
+ *    kNoFuturePath when there is none. At a finite horizon H a link
+ *    is kept only when that bin starts fewer than H accesses after
+ *    the member's own bin; in-window links are never affected.
+ *  - Links are a pure function of (seed, absolute window index, window
+ *    size, stream) and only look forward, so a resumed stream (the
+ *    suffix, numbered from where it resumes) gets the same links for
+ *    every window that remains.
+ *  - Every bin still draws its own uniform path; a link only decides
+ *    earlier which drawn path a member waits on, exactly as an
+ *    in-window link does, so the server-visible paths stay uniform.
+ */
+class LookaheadLinks
+{
+  public:
+    /** One backward pass over @p stream (see the class comment). */
+    static LookaheadLinks build(const Preprocessor &prep,
+                                const KnownStream &stream,
+                                std::uint64_t horizon,
+                                std::uint64_t numBlocks);
+
+    /**
+     * Fill window @p windowIndex's kNoFuturePath entries in @p res,
+     * which must be that window as runWindow formed it; adds the new
+     * links to res.futureLinked and returns how many there were.
+     */
+    std::uint64_t apply(std::uint64_t windowIndex,
+                        PreprocessResult &res) const;
+
+  private:
+    /** Entry of a member with no later bin (leaves fit in 32 bits). */
+    static constexpr std::uint32_t kNoLink =
+        std::numeric_limits<std::uint32_t>::max();
+
+    std::uint64_t firstWindow = 0;
+    /**
+     * The sweep appends windows last to first, so stream window k's
+     * slice is [offsets[k + 1], offsets[k]).
+     */
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint32_t> links;
 };
 
 } // namespace laoram::core

@@ -13,7 +13,8 @@ TraceSource::TraceSource(const std::vector<BlockId> &trace,
       window(windowAccesses == 0
                  ? std::max<std::uint64_t>(trace.size(), 1)
                  : windowAccesses),
-      firstWindow(firstWindowIndex)
+      firstWindow(firstWindowIndex),
+      known{trace.data(), trace.size(), window, firstWindowIndex}
 {
 }
 
@@ -43,6 +44,7 @@ TraceSource::nextWindow(SourceWindow &out)
     out.windowIndex = firstWindow + w;
     out.traceOffset = firstWindow * window + start;
     out.accesses.assign(trace.begin() + start, trace.begin() + stop);
+    out.stream = &known;
     return true;
 }
 

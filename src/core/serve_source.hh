@@ -37,6 +37,13 @@
  *    in window order, around each window's stage-2 ORAM work. They
  *    are where an online source applies request payloads (via the
  *    engine touch callback) and completes futures.
+ *  - A source that knows its whole stream in advance (TraceSource)
+ *    sets SourceWindow::stream on every window it hands out, and its
+ *    windows must be exactly that stream's slices. The pipeline then
+ *    links each window's last occurrences to their next bin in a
+ *    later window (LookaheadLinks, core/preprocessor.hh), once per
+ *    run. A source whose future is unknown (the online ingress)
+ *    leaves it null and keeps in-window linking.
  */
 
 #ifndef LAORAM_CORE_SERVE_SOURCE_HH
@@ -46,6 +53,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/preprocessor.hh"
 #include "core/superblock.hh"
 #include "util/latency_histogram.hh"
 
@@ -57,6 +65,11 @@ struct SourceWindow
     std::uint64_t windowIndex = 0; ///< contiguous stream position
     std::uint64_t traceOffset = 0; ///< first access's stream offset
     std::vector<BlockId> accesses; ///< raw ids (duplicates allowed)
+    /**
+     * The source's whole known stream, this window included, or null
+     * when the future is unknown. Owned by the source.
+     */
+    const KnownStream *stream = nullptr;
 };
 
 /** A producer of numbered look-ahead windows (see file comment). */
@@ -102,8 +115,9 @@ class ServeSource
 
 /**
  * The legacy offline path as a ServeSource: slices a pre-built trace
- * into fixed windows. Thread-safe claiming via an atomic ticket; the
- * trace must outlive the source.
+ * into fixed windows, each carrying the whole trace as its known
+ * stream. Thread-safe claiming via an atomic ticket; the trace must
+ * outlive the source and every run that serves it.
  */
 class TraceSource final : public ServeSource
 {
@@ -115,7 +129,9 @@ class TraceSource final : public ServeSource
      *        mid-stream passes its windowsServed() and hands this
      *        source only the *remaining* trace suffix, so emitted
      *        window indices (and trace offsets) continue the original
-     *        stream's numbering.
+     *        stream's numbering. Links only look forward, so the
+     *        suffix's link table matches the original run's for
+     *        every remaining window.
      */
     TraceSource(const std::vector<BlockId> &trace,
                 std::uint64_t windowAccesses,
@@ -130,6 +146,7 @@ class TraceSource final : public ServeSource
     const std::vector<BlockId> &trace;
     std::uint64_t window;
     std::uint64_t firstWindow;
+    KnownStream known; ///< the whole trace, as every window's stream
     std::atomic<std::uint64_t> nextIndex{0};
 };
 

@@ -507,6 +507,9 @@ ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
             std::max(rep.aggregate.wallFillNs, sr.pipeline.wallFillNs);
         rep.aggregate.wallStallNs = std::max(rep.aggregate.wallStallNs,
                                              sr.pipeline.wallStallNs);
+        rep.aggregate.wallLinkPassNs =
+            std::max(rep.aggregate.wallLinkPassNs,
+                     sr.pipeline.wallLinkPassNs);
         rep.aggregate.wallReorderStallNs =
             std::max(rep.aggregate.wallReorderStallNs,
                      sr.pipeline.wallReorderStallNs);

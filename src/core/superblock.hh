@@ -33,9 +33,11 @@ struct SuperblockBin
 
     /**
      * Future path per member (parallel to `members`): the path of the
-     * next bin containing that block, or kNoFuturePath when the block
-     * does not reappear inside the preprocessed window (the client
-     * then draws a uniform path, preserving obliviousness).
+     * next bin containing that block, or kNoFuturePath when no such
+     * bin is known — the block does not reappear inside the window
+     * and no link table (LookaheadLinks) reaches a later window that
+     * holds it. The client then draws a uniform path, preserving
+     * obliviousness.
      */
     std::vector<Leaf> nextPaths;
 

@@ -69,6 +69,7 @@ writePipelineReport(util::JsonWriter &w, const core::PipelineReport &rep)
     w.field("wall_total_ns", rep.wallTotalNs);
     w.field("wall_fill_ns", rep.wallFillNs);
     w.field("wall_stall_ns", rep.wallStallNs);
+    w.field("wall_link_pass_ns", rep.wallLinkPassNs);
     w.field("wall_reorder_stall_ns", rep.wallReorderStallNs);
     w.field("prep_threads",
             static_cast<std::uint64_t>(rep.prepThreads));

@@ -116,9 +116,14 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     }
 
     // Deepest-first fill; leftovers spill to the parent node, which is
-    // in the union because path unions are ancestor-closed. The union
-    // is written as one vectored storage op; stash entries are erased
-    // after it so their payload pointers stay valid for the write.
+    // in the union because path unions are ancestor-closed. A node
+    // takes its candidates in id order, not in the stash's hash-map
+    // order, so placements (and which blocks stay stashed) are a
+    // function of the stash's contents alone: a restored stash, rebuilt
+    // in another insertion order, evicts exactly as the original. The
+    // union is written as one vectored storage op; stash entries are
+    // erased after it so their payload pointers stay valid for the
+    // write.
     writeScratch.clear();
     evictedScratch.clear();
     const std::uint64_t top = storage.treetopSlots();
@@ -126,17 +131,16 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     for (std::size_t p = 0; p < nodes.size(); ++p) {
         const UnionNode &u = nodes[p];
         std::vector<BlockId> &pending = candidates[p];
-        std::uint64_t filled = 0;
-        while (filled < u.z && !pending.empty()) {
-            const BlockId id = pending.back();
-            pending.pop_back();
-            StashEntry *entry = stash.find(id);
+        std::sort(pending.begin(), pending.end());
+        const std::uint64_t filled =
+            std::min<std::uint64_t>(u.z, pending.size());
+        for (std::uint64_t s = 0; s < filled; ++s) {
+            StashEntry *entry = stash.find(pending[s]);
             LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({u.base + filled, id, entry->leaf,
+            writeScratch.push_back({u.base + s, pending[s], entry->leaf,
                                     entry->payload.data(),
                                     entry->payload.size()});
-            evictedScratch.push_back(id);
-            ++filled;
+            evictedScratch.push_back(pending[s]);
         }
         for (std::uint64_t s = filled; s < u.z; ++s)
             writeScratch.push_back({u.base + s, kInvalidBlock, 0,
@@ -144,10 +148,10 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
         if (u.base >= top)
             slots_written += u.z;
 
-        if (!pending.empty() && u.node != 0) {
+        if (filled < pending.size() && u.node != 0) {
             std::vector<BlockId> &parent = candidates[u.parent];
-            parent.insert(parent.end(), pending.begin(), pending.end());
-            pending.clear();
+            parent.insert(parent.end(), pending.begin() + filled,
+                          pending.end());
         }
         // Leftovers at the root simply stay in the stash.
     }

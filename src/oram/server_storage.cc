@@ -121,7 +121,9 @@ ServerStorage::~ServerStorage()
 {
     // The sink may capture a caller's locals that are already gone.
     sink = nullptr;
-    flush();
+    // A non-persistent store dies with this object: encrypting the
+    // treetop into it would be thrown away.
+    flush(store->persistent());
     liveTop.detach(&topStats);
 }
 
@@ -455,7 +457,13 @@ ServerStorage::sealAndStore(std::size_t n)
 void
 ServerStorage::flush()
 {
-    if (topSlots > 0) {
+    flush(true);
+}
+
+void
+ServerStorage::flush(bool withTreetop)
+{
+    if (withTreetop && topSlots > 0) {
         // The prefix's one write, fixed whatever it holds: every
         // treetop slot in slot order, under fresh epochs.
         staging.assign(treetop.begin(), treetop.end());

@@ -233,7 +233,8 @@ class ServerStorage
      * vectored write of every prefix slot, shown to the sink), save
      * the encryption epoch table into the backend's meta region
      * (persistent backends) and apply its durability policy. Called
-     * automatically on destruction.
+     * automatically on destruction, where the prefix write is skipped
+     * unless the backend is persistent: the records die with it.
      */
     void flush();
 
@@ -268,6 +269,9 @@ class ServerStorage
     void setAccessSink(AccessSink sink) { this->sink = std::move(sink); }
 
   private:
+    /** flush(), writing the treetop prefix only when @p withTreetop. */
+    void flush(bool withTreetop);
+
     void initialise();
 
     /** Read the treetop prefix back from a reopened backend. */

@@ -332,8 +332,8 @@ TEST(ConcurrentPipeline, SinglePrepThreadHasNoReorderStall)
 TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
 {
     // Serving pre-built window schedules one by one — the pipeline's
-    // serving stage used standalone — must match the one-shot serial
-    // runTrace.
+    // serving stage used standalone, with the cross-window links stage
+    // 1 would apply — must match the one-shot serial runTrace.
     const auto trace = randomTrace(1000, 256, 23);
     const std::uint64_t window = 250;
 
@@ -347,15 +347,20 @@ TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
         PreprocessorConfig{cfg.superblockSize,
                            staged.geometry().numLeaves()},
         staged.preprocessorSeed());
+    const LookaheadLinks links = LookaheadLinks::build(
+        prep, KnownStream{trace.data(), trace.size(), window, 0},
+        cfg.lookaheadHorizon, cfg.base.numBlocks);
     std::uint64_t index = 0;
     for (std::uint64_t start = 0; start < trace.size();
          start += window, ++index) {
         const std::uint64_t stop =
             std::min<std::uint64_t>(start + window, trace.size());
-        staged.serveWindow(prep.runWindow(index, start,
-                                          trace.data() + start,
-                                          trace.data() + stop)
-                               .result);
+        PreprocessResult res = prep.runWindow(index, start,
+                                              trace.data() + start,
+                                              trace.data() + stop)
+                                   .result;
+        links.apply(index, res);
+        staged.serveWindow(res);
     }
 
     expectEnginesIdentical(serial, staged);

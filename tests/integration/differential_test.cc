@@ -16,6 +16,9 @@
  *   - a sharded run checked shard-by-shard against standalone
  *     reference engines built from shardEngineConfigFor.
  *
+ * Every scenario runs at two look-ahead horizons: 0 (links inside
+ * each window only) and the default whole-stream horizon, where each
+ * run first links every window's last occurrences to later windows.
  * All paths must agree byte for byte: payloads, position map, stash,
  * traffic counters, simulated clock. This is the suite that locks in
  * the multi-preprocessor determinism contract under racy scheduling —
@@ -66,9 +69,16 @@ struct Scenario
                + " batch=" + std::to_string(cfg.batchAccesses)
                + " depth=" + std::to_string(queueDepth)
                + " trace=" + std::to_string(trace.size())
-               + " seed=" + std::to_string(cfg.base.seed);
+               + " seed=" + std::to_string(cfg.base.seed)
+               + " horizon="
+               + (cfg.lookaheadHorizon == kWholeStream
+                      ? std::string("whole")
+                      : std::to_string(cfg.lookaheadHorizon));
     }
 };
+
+/** In-window links only, and the default whole-stream links. */
+constexpr std::uint64_t kHorizons[] = {0, kWholeStream};
 
 Scenario
 drawScenario(Rng &rng)
@@ -136,72 +146,86 @@ TEST_F(DifferentialDeterminism, PipelinedMatchesSerialForAnyPoolSize)
     Rng rng(diffSeed());
     const std::uint64_t iters = diffIters();
     for (std::uint64_t iter = 0; iter < iters; ++iter) {
-        const Scenario sc = drawScenario(rng);
-        SCOPED_TRACE("iter " + std::to_string(iter) + ": "
-                     + sc.describe());
+        const Scenario drawn = drawScenario(rng);
+        // Half the iterations shape the remote leg's link so the async
+        // write window genuinely pipelines.
+        const bool shapedLink = rng.nextBool(0.5);
+        const std::uint64_t remoteDepth =
+            shapedLink ? 1 + rng.nextBounded(4) : 0;
+        std::uint64_t inWindowLinks = 0;
+        for (const std::uint64_t horizon : kHorizons) {
+            Scenario sc = drawn;
+            sc.cfg.lookaheadHorizon = horizon;
+            SCOPED_TRACE("iter " + std::to_string(iter) + ": "
+                         + sc.describe());
 
-        // One serial reference run, snapshotted: every leg below is
-        // compared against the captured state, so the reference is
-        // never re-run or mutated between legs.
-        const EngineSnapshot serial = [&sc] {
-            Laoram engine(sc.cfg);
-            engine.setTouchCallback(touchFor(sc));
-            engine.runTrace(sc.trace);
-            engine.setTouchCallback(nullptr);
-            return snapshotOf(engine);
-        }();
+            // One serial reference run, snapshotted: every leg below is
+            // compared against the captured state, so the reference is
+            // never re-run or mutated between legs.
+            const EngineSnapshot serial = [&sc] {
+                Laoram engine(sc.cfg);
+                engine.setTouchCallback(touchFor(sc));
+                engine.runTrace(sc.trace);
+                engine.setTouchCallback(nullptr);
+                return snapshotOf(engine);
+            }();
+            // Cross-window links only add to the in-window ones.
+            if (horizon == 0) {
+                inWindowLinks = serial.futureLinked;
+            } else {
+                EXPECT_GE(serial.futureLinked, inWindowLinks);
+            }
 
-        PipelineConfig pc;
-        pc.windowAccesses = sc.window;
-        pc.queueDepth = sc.queueDepth;
+            PipelineConfig pc;
+            pc.windowAccesses = sc.window;
+            pc.queueDepth = sc.queueDepth;
 
-        for (const std::size_t preps :
-             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+            for (const std::size_t preps :
+                 {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+                pc.mode = PipelineMode::Concurrent;
+                pc.prepThreads = preps;
+                Laoram piped(sc.cfg);
+                piped.setTouchCallback(touchFor(sc));
+                BatchPipeline pipe(piped, pc);
+                pipe.run(sc.trace);
+                piped.setTouchCallback(nullptr);
+
+                expectMatchesSnapshot(serial, piped,
+                                      "pipelined P="
+                                          + std::to_string(preps));
+            }
+
+            // The simulated pipeline shares the window scheme and must
+            // land on the same client state too.
+            pc.mode = PipelineMode::Simulated;
+            pc.prepThreads = 1;
+            Laoram simulated(sc.cfg);
+            simulated.setTouchCallback(touchFor(sc));
+            BatchPipeline simPipe(simulated, pc);
+            simPipe.run(sc.trace);
+            simulated.setTouchCallback(nullptr);
+            expectMatchesSnapshot(serial, simulated, "simulated");
+
+            // Remote-KV leg: the identical engine with its tree behind
+            // the batched/async RPC backend (in-process node over DRAM),
+            // served through the concurrent pipeline. Payloads, position
+            // map, stash and meters must stay byte-identical to the DRAM
+            // serial reference.
+            LaoramConfig rcfg = sc.cfg;
+            rcfg.base.storage.kind = storage::BackendKind::Remote;
+            if (shapedLink) {
+                rcfg.base.storage.remote.latencyNs = 5'000;
+                rcfg.base.storage.remote.windowDepth = remoteDepth;
+            }
             pc.mode = PipelineMode::Concurrent;
-            pc.prepThreads = preps;
-            Laoram piped(sc.cfg);
-            piped.setTouchCallback(touchFor(sc));
-            BatchPipeline pipe(piped, pc);
-            pipe.run(sc.trace);
-            piped.setTouchCallback(nullptr);
-
-            expectMatchesSnapshot(serial, piped,
-                                  "pipelined P="
-                                      + std::to_string(preps));
+            pc.prepThreads = 2;
+            Laoram remote(rcfg);
+            remote.setTouchCallback(touchFor(sc));
+            BatchPipeline remotePipe(remote, pc);
+            remotePipe.run(sc.trace);
+            remote.setTouchCallback(nullptr);
+            expectMatchesSnapshot(serial, remote, "remote-kv");
         }
-
-        // The simulated pipeline shares the window scheme and must
-        // land on the same client state too.
-        pc.mode = PipelineMode::Simulated;
-        pc.prepThreads = 1;
-        Laoram simulated(sc.cfg);
-        simulated.setTouchCallback(touchFor(sc));
-        BatchPipeline simPipe(simulated, pc);
-        simPipe.run(sc.trace);
-        simulated.setTouchCallback(nullptr);
-        expectMatchesSnapshot(serial, simulated, "simulated");
-
-        // Remote-KV leg: the identical engine with its tree behind
-        // the batched/async RPC backend (in-process node over DRAM),
-        // served through the concurrent pipeline. Payloads, position
-        // map, stash and meters must stay byte-identical to the DRAM
-        // serial reference; half the iterations shape the link so the
-        // async write window genuinely pipelines.
-        LaoramConfig rcfg = sc.cfg;
-        rcfg.base.storage.kind = storage::BackendKind::Remote;
-        if (rng.nextBool(0.5)) {
-            rcfg.base.storage.remote.latencyNs = 5'000;
-            rcfg.base.storage.remote.windowDepth =
-                1 + rng.nextBounded(4);
-        }
-        pc.mode = PipelineMode::Concurrent;
-        pc.prepThreads = 2;
-        Laoram remote(rcfg);
-        remote.setTouchCallback(touchFor(sc));
-        BatchPipeline remotePipe(remote, pc);
-        remotePipe.run(sc.trace);
-        remote.setTouchCallback(nullptr);
-        expectMatchesSnapshot(serial, remote, "remote-kv");
     }
 }
 
@@ -210,50 +234,55 @@ TEST_F(DifferentialDeterminism, ShardedMatchesStandaloneReferences)
     Rng rng(diffSeed() ^ 0x5D1FFULL);
     const std::uint64_t iters = diffIters();
     for (std::uint64_t iter = 0; iter < iters; ++iter) {
-        const Scenario sc = drawScenario(rng);
-        SCOPED_TRACE("iter " + std::to_string(iter) + ": "
-                     + sc.describe());
-
-        ShardedLaoramConfig scfg;
-        scfg.engine = sc.cfg;
-        scfg.numShards =
+        const Scenario drawn = drawScenario(rng);
+        ShardedLaoramConfig drawnCfg;
+        drawnCfg.numShards =
             2 + static_cast<std::uint32_t>(rng.nextBounded(2));
-        scfg.pipeline.windowAccesses = sc.window;
-        scfg.pipeline.queueDepth = sc.queueDepth;
-        scfg.pipeline.prepThreads = 1 + rng.nextBounded(3);
-        scfg.prepThreadBudget =
+        drawnCfg.pipeline.windowAccesses = drawn.window;
+        drawnCfg.pipeline.queueDepth = drawn.queueDepth;
+        drawnCfg.pipeline.prepThreads = 1 + rng.nextBounded(3);
+        drawnCfg.prepThreadBudget =
             static_cast<std::uint32_t>(rng.nextBounded(7)); // 0..6
+        for (const std::uint64_t horizon : kHorizons) {
+            Scenario sc = drawn;
+            sc.cfg.lookaheadHorizon = horizon;
+            SCOPED_TRACE("iter " + std::to_string(iter) + ": "
+                         + sc.describe());
 
-        ShardedLaoram sharded(scfg);
-        if (sc.cfg.base.payloadBytes > 0) {
-            sharded.setTouchCallback(
-                [](oram::BlockId global,
-                   std::vector<std::uint8_t> &payload) {
-                    payload[0] = static_cast<std::uint8_t>(
-                        payload[0] + global + 1);
-                });
-        }
-        sharded.runTrace(sc.trace);
-        sharded.setTouchCallback(nullptr);
+            ShardedLaoramConfig scfg = drawnCfg;
+            scfg.engine = sc.cfg;
 
-        const auto sub = sharded.splitter().splitTrace(sc.trace);
-        for (std::uint32_t s = 0; s < sharded.numShards(); ++s) {
-            const std::string what = "shard " + std::to_string(s);
-            Laoram reference(sharded.shardEngineConfigFor(s));
+            ShardedLaoram sharded(scfg);
             if (sc.cfg.base.payloadBytes > 0) {
-                const ShardSplitter &split = sharded.splitter();
-                reference.setTouchCallback(
-                    [s, &split](oram::BlockId local,
-                                std::vector<std::uint8_t> &payload) {
+                sharded.setTouchCallback(
+                    [](oram::BlockId global,
+                       std::vector<std::uint8_t> &payload) {
                         payload[0] = static_cast<std::uint8_t>(
-                            payload[0] + split.globalId(s, local) + 1);
+                            payload[0] + global + 1);
                     });
             }
-            reference.runTrace(sub[s]);
-            reference.setTouchCallback(nullptr);
+            sharded.runTrace(sc.trace);
+            sharded.setTouchCallback(nullptr);
 
-            expectMatchesSnapshot(snapshotOf(reference),
-                                  sharded.shard(s), what);
+            const auto sub = sharded.splitter().splitTrace(sc.trace);
+            for (std::uint32_t s = 0; s < sharded.numShards(); ++s) {
+                const std::string what = "shard " + std::to_string(s);
+                Laoram reference(sharded.shardEngineConfigFor(s));
+                if (sc.cfg.base.payloadBytes > 0) {
+                    const ShardSplitter &split = sharded.splitter();
+                    reference.setTouchCallback(
+                        [s, &split](oram::BlockId local,
+                                    std::vector<std::uint8_t> &payload) {
+                            payload[0] = static_cast<std::uint8_t>(
+                                payload[0] + split.globalId(s, local) + 1);
+                        });
+                }
+                reference.runTrace(sub[s]);
+                reference.setTouchCallback(nullptr);
+
+                expectMatchesSnapshot(snapshotOf(reference),
+                                      sharded.shard(s), what);
+            }
         }
     }
 }

@@ -10,6 +10,15 @@
  * (PipelineConfig::firstWindowIndex + windowBoundaryHook) is checked
  * to continue the original stream.
  *
+ * The first case kills the victim by giving it only the trace prefix,
+ * which is the same schedule only when links stay inside windows
+ * (lookaheadHorizon 0). The second runs at the default whole-stream
+ * horizon: the victim serves the whole trace, checkpoints at the first
+ * window boundary where its stash is non-empty and dies there by
+ * throwing from the boundary hook, so its windows carried the same
+ * cross-window links as the reference's; the restored tree must also
+ * hold every record in the reference's slot.
+ *
  * Runs over both persistent backends: mmap, and a remote-KV node with
  * a server-side tree file. Seeded via LAORAM_DIFF_SEED /
  * LAORAM_DIFF_ITERS like the differential suite.
@@ -45,6 +54,7 @@ baseConfig(bool encrypt, std::uint64_t seed)
     cfg.base.seed = seed;
     cfg.superblockSize = 4;
     cfg.lookaheadWindow = kWindow;
+    cfg.lookaheadHorizon = 0;
     return cfg;
 }
 
@@ -177,6 +187,99 @@ TEST_P(KillRestore, RestoredRunFinishesByteIdentically)
         EXPECT_EQ(restored.windowsServed(), kWindows) << what;
         expectMatchesSnapshot(snap, restored, what);
     }
+}
+
+/** What the victim's boundary hook throws once it checkpointed. */
+struct Killed
+{
+};
+
+/** Every slot of @p engine's tree, decoded (plaintext trees only). */
+std::vector<oram::StoredBlock>
+treeOf(Laoram &engine)
+{
+    const oram::ServerStorage &storage = engine.storageForAudit();
+    std::vector<oram::StoredBlock> slots(engine.geometry().totalSlots());
+    for (std::uint64_t s = 0; s < slots.size(); ++s)
+        storage.readSlot(s, slots[s]);
+    return slots;
+}
+
+TEST_P(KillRestore, RestoredRunAtDefaultHorizonKeepsStashAndTree)
+{
+    // Two-slot buckets and a hot half of the block space keep the
+    // stash non-empty at window boundaries, so the restored stash is
+    // rebuilt from the sidecar, not empty.
+    const std::uint64_t iters = diffIters();
+    std::uint64_t killedWithStash = 0;
+    for (std::uint64_t it = 0; it < iters; ++it) {
+        const std::uint64_t seed = diffSeed() + it * 7919;
+        LaoramConfig cfg = baseConfig(false, seed);
+        cfg.lookaheadHorizon = kWholeStream;
+        cfg.base.profile = oram::BucketProfile::uniform(2);
+        cfg.batchAccesses = 12;
+        constexpr std::uint64_t kLongWindows = 16;
+        const auto trace = randomTrace(
+            kWindow * kLongWindows, cfg.base.numBlocks / 2, seed + 17);
+        const std::string what = "iter " + std::to_string(it);
+        cleanup();
+
+        Laoram reference(cfg);
+        fillPayloads(reference, cfg);
+        const PipelineReport full =
+            BatchPipeline(reference, pipelineConfig()).run(trace);
+        EXPECT_GT(full.wallLinkPassNs, 0.0) << what;
+        const EngineSnapshot snap = snapshotOf(reference);
+        const std::vector<oram::StoredBlock> refTree = treeOf(reference);
+
+        // The victim serves the same stream and dies at the first
+        // boundary (before the last) that leaves blocks in its stash.
+        std::uint64_t cut = 0;
+        {
+            LaoramConfig vcfg = cfg;
+            vcfg.base.storage = persistentStorage(false);
+            Laoram victim(vcfg);
+            fillPayloads(victim, vcfg);
+            const auto hook = [&](std::uint64_t w) {
+                if (victim.stashSize() == 0 && w + 2 < kLongWindows)
+                    return;
+                cut = w + 1;
+                victim.checkpointToFile(sidecar);
+                throw Killed{};
+            };
+            EXPECT_THROW(BatchPipeline(victim,
+                                       pipelineConfig()
+                                           .withWindowBoundaryHook(hook))
+                             .run(trace),
+                         Killed)
+                << what;
+            killedWithStash += victim.stashSize() > 0 ? 1 : 0;
+        }
+
+        LaoramConfig rcfg = cfg;
+        rcfg.base.storage = persistentStorage(true);
+        rcfg.base.checkpoint.path = sidecar;
+        rcfg.base.checkpoint.restore = true;
+        Laoram restored(rcfg);
+        ASSERT_EQ(restored.windowsServed(), cut) << what;
+        const std::vector<oram::BlockId> suffix(
+            trace.begin() + cut * kWindow, trace.end());
+        BatchPipeline(restored,
+                      pipelineConfig().withFirstWindow(cut))
+            .run(suffix);
+        expectMatchesSnapshot(snap, restored,
+                              what + " cut " + std::to_string(cut));
+        const std::vector<oram::StoredBlock> tree = treeOf(restored);
+        ASSERT_EQ(tree.size(), refTree.size());
+        for (std::uint64_t s = 0; s < tree.size(); ++s) {
+            ASSERT_EQ(tree[s].id, refTree[s].id)
+                << what << ": slot " << s << " holds another block";
+            ASSERT_EQ(tree[s].leaf, refTree[s].leaf) << what;
+            ASSERT_EQ(tree[s].payload, refTree[s].payload) << what;
+        }
+    }
+    EXPECT_GT(killedWithStash, 0u)
+        << "no iteration died with a non-empty stash";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -120,6 +120,9 @@ struct ReplayOutcome
 
     /** Lookup payloads in global submission order. */
     std::vector<std::vector<std::uint8_t>> lookups;
+
+    /** The run's cross-window link pass, slowest shard lane. */
+    double linkPassNs = 0.0;
 };
 
 /**
@@ -181,11 +184,45 @@ replayOnce(const ReplayScenario &sc, std::uint32_t prepThreads,
             }
         }
     }
-    frontend.stop();
+    out.linkPassNs = frontend.stop().aggregate.wallLinkPassNs;
 
     for (std::uint32_t s = 0; s < engine.numShards(); ++s)
         out.shards.push_back(snapshotOf(engine.shard(s)));
     return out;
+}
+
+/** Two replays' outcomes match byte for byte. */
+void
+expectSameOutcome(const ReplayOutcome &ref, const ReplayOutcome &got,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.lookups.size(), ref.lookups.size());
+    for (std::size_t i = 0; i < ref.lookups.size(); ++i)
+        ASSERT_EQ(got.lookups[i], ref.lookups[i])
+            << what << ": lookup " << i << " diverges";
+
+    ASSERT_EQ(got.shards.size(), ref.shards.size());
+    // Both engines are gone by now; compare their captured snapshots
+    // field by field.
+    for (std::size_t s = 0; s < ref.shards.size(); ++s) {
+        const EngineSnapshot &a = ref.shards[s];
+        const EngineSnapshot &b = got.shards[s];
+        const std::string where = what + ": shard " + std::to_string(s);
+        EXPECT_EQ(a.counters.logicalAccesses, b.counters.logicalAccesses)
+            << where;
+        EXPECT_EQ(a.counters.pathReads, b.counters.pathReads) << where;
+        EXPECT_EQ(a.counters.pathWrites, b.counters.pathWrites) << where;
+        EXPECT_EQ(a.counters.bytesRead, b.counters.bytesRead) << where;
+        EXPECT_EQ(a.counters.bytesWritten, b.counters.bytesWritten)
+            << where;
+        EXPECT_EQ(a.counters.stashPeak, b.counters.stashPeak) << where;
+        EXPECT_DOUBLE_EQ(a.simNs, b.simNs) << where;
+        EXPECT_EQ(a.stashSize, b.stashSize) << where;
+        ASSERT_EQ(a.posmap, b.posmap) << where;
+        EXPECT_EQ(a.binsFormed, b.binsFormed) << where;
+        EXPECT_EQ(a.futureLinked, b.futureLinked) << where;
+        ASSERT_EQ(a.payloads, b.payloads) << where;
+    }
 }
 
 class SessionReplayDeterminism : public ::testing::Test
@@ -231,42 +268,29 @@ TEST_F(SessionReplayDeterminism, ReplayMatchesAcrossPoolSizes)
             const ReplayOutcome got =
                 replayOnce(sc, leg.prepThreads, leg.queueDepth);
 
-            ASSERT_EQ(got.lookups.size(), ref.lookups.size());
-            for (std::size_t i = 0; i < ref.lookups.size(); ++i)
-                ASSERT_EQ(got.lookups[i], ref.lookups[i])
-                    << what << ": lookup " << i << " diverges";
-
-            ASSERT_EQ(got.shards.size(), ref.shards.size());
-            // Both engines are gone by now; compare their captured
-            // snapshots field by field.
-            for (std::size_t s = 0; s < ref.shards.size(); ++s) {
-                const EngineSnapshot &a = ref.shards[s];
-                const EngineSnapshot &b = got.shards[s];
-                const std::string where =
-                    what + ": shard " + std::to_string(s);
-                EXPECT_EQ(a.counters.logicalAccesses,
-                          b.counters.logicalAccesses)
-                    << where;
-                EXPECT_EQ(a.counters.pathReads, b.counters.pathReads)
-                    << where;
-                EXPECT_EQ(a.counters.pathWrites,
-                          b.counters.pathWrites)
-                    << where;
-                EXPECT_EQ(a.counters.bytesRead, b.counters.bytesRead)
-                    << where;
-                EXPECT_EQ(a.counters.bytesWritten,
-                          b.counters.bytesWritten)
-                    << where;
-                EXPECT_EQ(a.counters.stashPeak, b.counters.stashPeak)
-                    << where;
-                EXPECT_DOUBLE_EQ(a.simNs, b.simNs) << where;
-                EXPECT_EQ(a.stashSize, b.stashSize) << where;
-                ASSERT_EQ(a.posmap, b.posmap) << where;
-                EXPECT_EQ(a.binsFormed, b.binsFormed) << where;
-                EXPECT_EQ(a.futureLinked, b.futureLinked) << where;
-                ASSERT_EQ(a.payloads, b.payloads) << where;
-            }
+            expectSameOutcome(ref, got, what);
         }
+    }
+}
+
+TEST_F(SessionReplayDeterminism, FrontendWindowsCarryNoStreamAtAnyHorizon)
+{
+    // Online windows are coalesced from admitted operations, so the
+    // frontend's lanes cannot see past them: their windows carry no
+    // stream, no link pass runs, and the default whole-stream horizon
+    // serves exactly the schedule of in-window links (horizon 0).
+    Rng rng(diffSeed() ^ 0x4021ULL);
+    const std::uint64_t iters = diffIters();
+    for (std::uint64_t iter = 0; iter < iters; ++iter) {
+        ReplayScenario sc = drawScenario(rng);
+        SCOPED_TRACE("iter " + std::to_string(iter) + ": "
+                     + sc.describe());
+        ASSERT_EQ(sc.cfg.engine.lookaheadHorizon, kWholeStream);
+        const ReplayOutcome whole = replayOnce(sc, 2, sc.queueDepth);
+        EXPECT_EQ(whole.linkPassNs, 0.0);
+        sc.cfg.engine.lookaheadHorizon = 0;
+        const ReplayOutcome inWindow = replayOnce(sc, 2, sc.queueDepth);
+        expectSameOutcome(inWindow, whole, "default horizon");
     }
 }
 

@@ -16,6 +16,8 @@
  *    with the prefix, the occupancy bitmap and every path intact.
  *  - Kill/restore: a LAORAM run killed at a window boundary at the
  *    default k finishes byte-identically to an uninterrupted one.
+ *  - Teardown: destroying a storage writes the prefix back only to a
+ *    persistent backend.
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +143,7 @@ makeRun(Kind kind, const EngineConfig &cfg)
         lcfg.base = cfg;
         lcfg.superblockSize = 4;
         lcfg.lookaheadWindow = 512;
+        lcfg.lookaheadHorizon = 0;
         lcfg.batchAccesses = 16;
         auto e = std::make_unique<core::Laoram>(lcfg);
         run.storage = &e->storageForTest();
@@ -545,6 +548,9 @@ TEST(Treetop, KillRestoreAtDefaultK)
     cfg.base.seed = 21;
     cfg.superblockSize = 4;
     cfg.lookaheadWindow = kWindow;
+    // The victim's stream is the trace prefix: the same schedule as
+    // the uninterrupted run only with links inside windows.
+    cfg.lookaheadHorizon = 0;
     Rng rng(3);
     std::vector<BlockId> trace;
     for (std::uint64_t i = 0; i < kWindow * kWindows; ++i)
@@ -598,6 +604,108 @@ TEST(Treetop, KillRestoreAtDefaultK)
         .run(std::vector<BlockId>(trace.begin() + cut * kWindow,
                                   trace.end()));
     core::expectMatchesSnapshot(snap, restored, "restored at default k");
+}
+
+/**
+ * A backend decorator that adds every slot written through it to a
+ * counter that outlives it, so a test can see what a storage's
+ * destructor wrote.
+ */
+class CountingBackend final : public storage::SlotBackend
+{
+  public:
+    CountingBackend(std::unique_ptr<storage::SlotBackend> inner,
+                    std::uint64_t &written)
+        : SlotBackend(inner->slots(), inner->recordBytes(), "counting"),
+          inner(std::move(inner)), written(written)
+    {
+    }
+
+    std::uint64_t residentBytes() const override
+    {
+        return inner->residentBytes();
+    }
+    bool persistent() const override { return inner->persistent(); }
+    bool openedExisting() const override
+    {
+        return inner->openedExisting();
+    }
+    std::uint64_t metaCapacity() const override
+    {
+        return inner->metaCapacity();
+    }
+    void
+    writeMeta(const std::uint8_t *src, std::uint64_t len) override
+    {
+        inner->writeMeta(src, len);
+    }
+    std::uint64_t
+    readMeta(std::uint8_t *dst, std::uint64_t len) const override
+    {
+        return inner->readMeta(dst, len);
+    }
+
+  protected:
+    void
+    doReadSlots(const std::uint64_t *slots, std::size_t n,
+                std::uint8_t *dst) override
+    {
+        inner->readSlots(slots, n, dst);
+    }
+    void
+    doWriteSlots(const std::uint64_t *slots, std::size_t n,
+                 const std::uint8_t *src) override
+    {
+        written += n;
+        inner->writeSlots(slots, n, src);
+    }
+    void doFlush() override { inner->flush(); }
+
+  private:
+    std::unique_ptr<storage::SlotBackend> inner;
+    std::uint64_t &written;
+};
+
+TEST(Treetop, TeardownWritesPrefixOnlyToPersistentStore)
+{
+    // A DRAM store dies with its storage, so the destructor's flush
+    // skips the prefix write and issues no backend write at all; an
+    // mmap store still gets every prefix slot, once.
+    const test::ScratchDir scratch;
+    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
+    const unsigned k = geom.numLevels() / 2;
+    for (const storage::BackendKind kind :
+         {storage::BackendKind::Dram, storage::BackendKind::MmapFile}) {
+        const bool persistent = kind == storage::BackendKind::MmapFile;
+        storage::StorageConfig sc;
+        sc.kind = kind;
+        sc.path = scratch.file("teardown.tree");
+        std::uint64_t written = 0;
+        std::uint64_t beforeTeardown = 0;
+        std::uint64_t prefix = 0;
+        {
+            auto inner = storage::makeBackend(
+                sc, geom.totalSlots(), 16 + 24,
+                geom.totalSlots() * sizeof(std::uint32_t)
+                    + crypto::kKeyCheckBytes);
+            ServerStorage s(
+                geom, 24, true, 8,
+                std::make_unique<CountingBackend>(std::move(inner),
+                                                  written),
+                k);
+            prefix = s.treetopSlots();
+            ASSERT_GT(prefix, 0u);
+            Rng rng(6);
+            std::vector<std::vector<std::uint8_t>> payloads;
+            for (int round = 0; round < 20; ++round) {
+                const auto ops = randomOps(rng, geom, 32, payloads);
+                s.writeSlots(ops.data(), ops.size());
+            }
+            beforeTeardown = written;
+        }
+        EXPECT_EQ(written - beforeTeardown, persistent ? prefix : 0u)
+            << (persistent ? "mmap" : "dram");
+    }
 }
 
 } // namespace

@@ -135,6 +135,47 @@ TEST_F(PathIoFixture, OverflowingBlocksStayInStash)
     EXPECT_EQ(stash.size(), staged - std::min(staged, capacity));
 }
 
+TEST_F(PathIoFixture, WriteBackIgnoresStashInsertionOrder)
+{
+    // Two stashes with the same contents, built in opposite orders and
+    // with different hash-map histories (the second one grew past its
+    // contents first, as a stash that peaked does): a write-back with
+    // more candidates than slots places the same block in every slot
+    // and leaves the same blocks stashed. A checkpoint restores a stash
+    // in id order, so this is what makes a restored run evict as the
+    // original did.
+    std::vector<std::pair<BlockId, Leaf>> blocks;
+    for (BlockId id = 0; id < geom.numBlocks(); ++id)
+        blocks.emplace_back(id, 8 + id % 4);
+
+    ServerStorage otherStorage(geom, 8, false);
+    Stash other;
+    PathIo otherIo(geom, otherStorage, other, meter);
+    for (BlockId id = 1000; id < 1600; ++id)
+        other.put(id, 0);
+    for (BlockId id = 1000; id < 1600; ++id)
+        other.erase(id);
+    for (const auto &[id, leaf] : blocks)
+        stash.put(id, leaf, payloadFor(id));
+    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+        other.put(it->first, it->second, payloadFor(it->first));
+
+    const Leaf leaves[] = {8, 11};
+    io.writePaths(leaves, 2);
+    otherIo.writePaths(leaves, 2);
+    ASSERT_GT(stash.size(), 0u) << "no node had more candidates than slots";
+    for (std::uint64_t slot = 0; slot < geom.totalSlots(); ++slot) {
+        StoredBlock a;
+        StoredBlock b;
+        storage.readSlot(slot, a);
+        otherStorage.readSlot(slot, b);
+        ASSERT_EQ(a.id, b.id) << "slot " << slot;
+    }
+    ASSERT_EQ(stash.size(), other.size());
+    for (const auto &[id, entry] : stash)
+        EXPECT_TRUE(other.contains(id)) << "block " << id;
+}
+
 TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
 {
     // Random accesses through raw PathIo keep the invariant.

@@ -131,10 +131,10 @@ TEST(SinglePathEngines, ProOramStreamAndPosmapArePinned)
               "");
     EXPECT_GT(oram.totalMerges(), 0u);
     EXPECT_GT(oram.meter().counters().dummyReads, 0u);
-    EXPECT_EQ(stream.events, 710124u);
-    EXPECT_EQ(stream.value, 0xa73ac3951af7585dULL)
+    EXPECT_EQ(stream.events, 578300u);
+    EXPECT_EQ(stream.value, 0xdf550f10a3b34525ULL)
         << std::hex << "0x" << stream.value;
-    EXPECT_EQ(posmap, 0x75568d12e163ef40ULL) << std::hex << "0x" << posmap;
+    EXPECT_EQ(posmap, 0x93ad481637b12d70ULL) << std::hex << "0x" << posmap;
 }
 
 TEST(SinglePathEngines, RecursiveStreamAndPosmapArePinned)
