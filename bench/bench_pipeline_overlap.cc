@@ -2,14 +2,12 @@
  * @file
  * Measured two-stage pipeline overlap (paper §VIII-A).
  *
- * Runs the same trace through the Simulated pipeline (stage 1 inline
- * on the serving thread; its analytic cost model is printed) and the
- * Concurrent pipeline (preprocessor pool + reorder window + serving
- * thread), and reports the modeled *and* the
- * measured wall-clock prepHiddenFraction side by side. When ORAM
- * serving dominates — the paper's regime — the measured fraction
- * approaches 1.0: preprocessing never stalls the serving thread, i.e.
- * it is genuinely off the critical path, not just modeled as such.
+ * Runs one trace through the Concurrent pipeline (preprocessor pool
+ * + reorder window + serving thread) and reports the measured
+ * wall-clock measuredPrepHiddenFraction. When ORAM serving dominates
+ * — the paper's regime — it approaches 1.0: preprocessing never
+ * stalls the serving thread, i.e. it is genuinely off the critical
+ * path.
  *
  * A queue-depth sweep shows backpressure at work: even depth 1
  * (strict lock-step hand-off) completes with identical ORAM
@@ -82,8 +80,8 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_pipeline_overlap",
-                   "Measured vs modeled preprocessing overlap of the "
-                   "two-stage pipeline");
+                   "Measured preprocessing overlap of the two-stage "
+                   "pipeline");
     auto blocks = args.addUint("blocks", "embedding rows", 1 << 14);
     auto accesses = args.addUint("accesses", "trace length", 1 << 16);
     auto window = args.addUint("window", "pipeline window accesses",
@@ -112,20 +110,11 @@ main(int argc, char **argv)
               << " blocks, window " << *window << ", S=" << *superblock
               << "\n\n";
 
-    // --- Modeled baseline: the analytic cost-model pipeline. ---
+    // The template config every run below copies.
     core::PipelineConfig simPc;
     simPc.windowAccesses = *window;
     simPc.mode = core::PipelineMode::Simulated;
-    core::Laoram simEngine(
-        engineConfig(*blocks, *superblock, *seed, *encrypt));
-    core::BatchPipeline simPipe(simEngine, simPc);
-    const auto simRep = simPipe.run(trace);
-
-    std::cout << std::fixed << std::setprecision(3)
-              << "modeled  : serial " << simRep.serialNs / 1e6
-              << " ms, pipelined " << simRep.pipelinedNs / 1e6
-              << " ms, prep hidden "
-              << simRep.prepHiddenFraction * 100.0 << "%\n\n";
+    std::cout << std::fixed << std::setprecision(3);
 
     // --- Measured: real threads, queue-depth sweep. The io column is
     // the serving thread's *measured* storage-backend time — its
@@ -133,8 +122,6 @@ main(int argc, char **argv)
     // queue stalls the prep stage is responsible for. ---
     bench::BenchJson json("pipeline_overlap");
     json.add("accesses", *accesses);
-    json.add("modeled.prep_hidden_fraction",
-             simRep.prepHiddenFraction);
     std::cout << "concurrent (measured wall clock):\n"
               << "  depth   wall ms   prep ms   serve ms   stall ms   "
                  "io ms   io/serve   prep hidden\n";

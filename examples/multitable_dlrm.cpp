@@ -164,13 +164,12 @@ main(int argc, char **argv)
               << rep.aggregate.wallReorderStallNs / 1e6
               << " ms), measured prep hidden "
               << rep.aggregate.measuredPrepHiddenFraction * 100.0
-              << "% (modeled "
-              << rep.aggregate.prepHiddenFraction * 100.0 << "%)\n";
+              << "%\n";
     for (std::uint32_t s = 0; s < numShards; ++s) {
         std::cout << "  shard " << s << ": "
                   << laoram.splitter().shardBlocks(s) << " rows, "
                   << rep.shards[s].accesses << " accesses, sim "
-                  << rep.shards[s].simNs / 1e6 << " ms\n";
+                  << rep.shards[s].pipeline.simNs / 1e6 << " ms\n";
     }
     if (scfg.engine.cache.enabled()) {
         std::cout << "hot cache: " << rep.aggregate.cache.hits

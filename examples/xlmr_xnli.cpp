@@ -89,10 +89,6 @@ main(int argc, char **argv)
               << "dummyReads per token:  " << c.dummyReadsPerAccess()
               << "\n"
               << "stash peak:            " << c.stashPeak << "\n\n"
-              << "pipeline (modeled):  serial " << rep.serialNs / 1e6
-              << " ms vs pipelined " << rep.pipelinedNs / 1e6
-              << " ms, " << rep.prepHiddenFraction * 100.0
-              << "% of hideable preprocessing hidden\n"
               << "pipeline (measured): wall " << rep.wallTotalNs / 1e6
               << " ms, serve-thread stalls " << rep.wallStallNs / 1e6
               << " ms, " << rep.measuredPrepHiddenFraction * 100.0

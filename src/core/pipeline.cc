@@ -19,13 +19,6 @@ namespace laoram::core {
 
 namespace {
 
-/**
- * Simulated preprocessing cost per scanned access (hash-set insert +
- * path draw on a CPU thread; deliberately generous). Feeds the
- * modeled report fields in both modes.
- */
-constexpr double kPreprocessNsPerAccess = 25.0;
-
 /** What travels over the reorder window: a schedule + its prep cost. */
 struct PreparedWindow
 {
@@ -116,8 +109,8 @@ PipelineConfig::validate() const
     if (mode == PipelineMode::Simulated && prepLoadNsPerAccess > 0.0) {
         LAORAM_FATAL("prepLoadNsPerAccess emulates wall-clock stage-1 "
                      "load on real preprocessor threads; Simulated "
-                     "mode spawns none and models stage 1 "
-                     "analytically");
+                     "mode spawns none and runs stage 1 inline on "
+                     "the serving thread");
     }
 }
 
@@ -138,43 +131,6 @@ BatchPipeline::run(const std::vector<BlockId> &trace)
     TraceSource source(trace, cfg.windowAccesses,
                        cfg.firstWindowIndex);
     return run(source);
-}
-
-void
-BatchPipeline::finishModeledReport(PipelineReport &rep,
-                                   const std::vector<double> &prepNs,
-                                   const std::vector<double> &accessNs)
-{
-    if (prepNs.empty())
-        return;
-    for (double ns : prepNs)
-        rep.totalPrepNs += ns;
-    for (double ns : accessNs)
-        rep.totalAccessNs += ns;
-    rep.serialNs = rep.totalPrepNs + rep.totalAccessNs;
-
-    // Two-stage pipeline makespan: prep(w0), then each step overlaps
-    // access(w_i) with prep(w_{i+1}).
-    rep.pipelinedNs = prepNs.front();
-    for (std::size_t i = 0; i < accessNs.size(); ++i) {
-        const double next_prep =
-            (i + 1 < prepNs.size()) ? prepNs[i + 1] : 0.0;
-        rep.pipelinedNs += std::max(accessNs[i], next_prep);
-    }
-
-    // Hidden fraction is measured over the *hideable* preprocessing:
-    // the first window's prep is unavoidable pipeline fill, every
-    // later window can overlap with the previous window's training.
-    // Clamped like the measured fraction: rounding in the makespan
-    // accumulation must not report hidden work outside [0, 1].
-    const double hideable = rep.totalPrepNs - prepNs.front();
-    if (hideable > 0.0) {
-        rep.prepHiddenFraction = std::clamp(
-            (rep.serialNs - rep.pipelinedNs) / hideable, 0.0, 1.0);
-    } else {
-        // Single window: nothing can overlap by construction.
-        rep.prepHiddenFraction = 0.0;
-    }
 }
 
 PipelineReport
@@ -320,9 +276,8 @@ BatchPipeline::run(ServeSource &source)
     // Stage 2 on the calling thread: serve prepared windows through
     // the engine strictly in window order. Touch callbacks therefore
     // run on the caller's thread in every mode.
-    std::vector<double> prepNsModeled;
-    std::vector<double> accessNsModeled;
     std::vector<std::int64_t> prepWall;
+    const double simStart = engine.meter().clock().nanoseconds();
     obs::traceSetThreadName("serve");
     try {
         PreparedWindow item;
@@ -347,13 +302,8 @@ BatchPipeline::run(ServeSource &source)
             slot.release();
 
             prepWall.push_back(item.prepWallNs);
-            prepNsModeled.push_back(
-                kPreprocessNsPerAccess
-                * static_cast<double>(item.sched.result.totalAccesses));
 
             source.windowServing(item.sched.windowIndex);
-            const double simBefore =
-                engine.meter().clock().nanoseconds();
             const WallClock::time_point serveStart = WallClock::now();
             engine.serveWindow(item.sched.result);
             const std::int64_t servedNs =
@@ -362,8 +312,6 @@ BatchPipeline::run(ServeSource &source)
                                       item.sched.windowIndex);
             ++live.c.windowsServed;
             rep.wallServeNs += static_cast<double>(servedNs);
-            accessNsModeled.push_back(
-                engine.meter().clock().nanoseconds() - simBefore);
             source.windowServed(item.sched.windowIndex);
             // Window boundary: the serving thread owns all engine
             // state here (stage 1 only builds schedules), so the
@@ -381,6 +329,7 @@ BatchPipeline::run(ServeSource &source)
         std::rethrow_exception(prepError);
 
     rep.windows = live.c.windowsServed;
+    rep.simNs = engine.meter().clock().nanoseconds() - simStart;
     rep.wallFillNs = static_cast<double>(live.c.fillNs);
     rep.wallStallNs = static_cast<double>(live.c.stallNs);
     rep.wallLinkPassNs = static_cast<double>(linkPassNs);
@@ -435,7 +384,6 @@ BatchPipeline::run(ServeSource &source)
             0.0, 1.0);
     }
 
-    finishModeledReport(rep, prepNsModeled, accessNsModeled);
     if (StreamingHistogram *hist = source.latencyHistogram())
         rep.latency = hist->report();
     if (const cache::HotEmbeddingCache *c = engine.hotCache())

@@ -23,11 +23,11 @@
  *    at a time, and no thread is spawned. This is the serial
  *    Laoram::runTrace and the paper-figure benches' path.
  *
- * Both modes fill every report field with the same code: the modeled
- * cost model (stage costs simulated, the pipelined makespan computed,
- * so Fig.-style numbers are exactly reproducible) and the *measured*
- * wall-clock numbers. In Simulated mode the serving thread waits out
- * every window's prep, so none of it is measured as hidden.
+ * Both modes fill every report field with the same code: the
+ * engine's simulated clock over the run (simNs, the paper's cost
+ * model of ORAM serving) and the *measured* wall-clock numbers. In
+ * Simulated mode the serving thread waits out every window's prep,
+ * so none of it is measured as hidden.
  *
  * Determinism for any prepThreads: window w's bin paths come from a
  * per-window derived RNG stream (Preprocessor::windowSeed), never
@@ -185,11 +185,11 @@ struct PipelineConfig
     /**
      * Reject incoherent knob combinations with a clear LAORAM_FATAL
      * (user error, exit 1) instead of a silent fallback: zero window
-     * or queue sizes, negative cost models, and Simulated-mode
-     * requests for machinery that only exists in Concurrent mode
-     * (a preprocessor pool, an emulated prep load). Called by
-     * BatchPipeline's constructor; callers building configs by hand
-     * can invoke it early for fail-fast CLI validation.
+     * or queue sizes, a negative emulated prep load, and
+     * Simulated-mode requests for machinery that only exists in
+     * Concurrent mode (a preprocessor pool, an emulated prep load).
+     * Called by BatchPipeline's constructor; callers building configs
+     * by hand can invoke it early for fail-fast CLI validation.
      */
     void validate() const;
 };
@@ -199,19 +199,12 @@ struct PipelineReport
 {
     std::uint64_t windows = 0; ///< windows served
 
-    // ---- Modeled (analytic cost model; identical in both modes). ----
-    double totalPrepNs = 0.0;     ///< stage-1 work, summed
-    double totalAccessNs = 0.0;   ///< stage-2 (ORAM) work, summed
-    double serialNs = 0.0;        ///< no overlap: prep + access
-    double pipelinedNs = 0.0;     ///< two-stage overlapped makespan
     /**
-     * Fraction of *hideable* preprocessing removed from the critical
-     * path by the overlap (0..1). The first window's preprocessing is
-     * pipeline fill and excluded; with ORAM access time dominating,
-     * this reaches 1.0 — the paper's "preprocessing is not on the
-     * critical training path".
+     * The engine's simulated-clock delta over the run: the modeled
+     * time of every ORAM access this run served (paper cost model).
+     * Identical in both modes.
      */
-    double prepHiddenFraction = 0.0;
+    double simNs = 0.0;
 
     // ---- Measured (wall clock; both modes). ----
     double wallPrepNs = 0.0;   ///< stage-1 work, summed
@@ -274,11 +267,11 @@ struct PipelineReport
      */
     double ioServeFraction = 0.0;
     /**
-     * Measured counterpart of prepHiddenFraction: of the wall-clock
-     * preprocessing time that *could* overlap serving (everything
-     * after the pipeline fill), the fraction that never stalled the
-     * serving thread. 1.0 means the serving thread ran back-to-back —
-     * preprocessing was entirely off the measured critical path.
+     * Of the wall-clock preprocessing time that *could* overlap
+     * serving (everything after the pipeline fill), the fraction that
+     * never stalled the serving thread. 1.0 means the serving thread
+     * ran back-to-back — preprocessing was entirely off the measured
+     * critical path.
      * Always 0 in Simulated mode, whose inline stage 1 stalls serving
      * for all of it.
      */
@@ -335,11 +328,6 @@ class BatchPipeline
     PipelineReport run(const std::vector<BlockId> &trace);
 
   private:
-    /** Fill the modeled report fields from per-window stage costs. */
-    static void finishModeledReport(PipelineReport &rep,
-                                    const std::vector<double> &prepNs,
-                                    const std::vector<double> &accessNs);
-
     Laoram &engine;
     PipelineConfig cfg;
     Preprocessor prep;

@@ -434,15 +434,11 @@ ShardedLaoram::serve(ShardedServeSource &source)
                 engines_[s]->accessesPreprocessed();
             const mem::TrafficCounters before =
                 engines_[s]->meter().counters();
-            const double simBefore =
-                engines_[s]->meter().clock().nanoseconds();
             BatchPipeline pipe(*engines_[s], shardPipeline);
             sr.pipeline = pipe.run(source.shardSource(s));
             sr.accesses =
                 engines_[s]->accessesPreprocessed() - prepBefore;
             sr.traffic = engines_[s]->meter().counters().since(before);
-            sr.simNs =
-                engines_[s]->meter().clock().nanoseconds() - simBefore;
         } catch (...) {
             std::lock_guard<std::mutex> lock(errorMu);
             if (!firstError)
@@ -468,9 +464,7 @@ ShardedLaoram::serve(ShardedServeSource &source)
             WallClock::now() - runStart)
             .count());
 
-    aggregateShardReports(
-        rep, static_cast<std::uint32_t>(shardPipeline.prepThreads),
-        wallNs);
+    aggregateShardReports(rep, wallNs);
 
     // Request latency: merge every lane's histogram (online sources
     // record one per lane; trace replay has none and leaves it zero).
@@ -486,7 +480,6 @@ ShardedLaoram::serve(ShardedServeSource &source)
 
 void
 ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
-                                     std::uint32_t prepThreadsPerLane,
                                      double wallTotalNs)
 {
     // ---- Sums for work/traffic, max for elapsed time. Serve-thread
@@ -496,11 +489,7 @@ ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
     // to report more stall time than the whole run took.
     for (const ShardReport &sr : rep.shards) {
         rep.aggregate.windows += sr.pipeline.windows;
-        rep.aggregate.totalPrepNs += sr.pipeline.totalPrepNs;
-        rep.aggregate.totalAccessNs += sr.pipeline.totalAccessNs;
-        rep.aggregate.serialNs += sr.pipeline.serialNs;
-        rep.aggregate.pipelinedNs =
-            std::max(rep.aggregate.pipelinedNs, sr.pipeline.pipelinedNs);
+        rep.aggregate.simNs += sr.pipeline.simNs;
         rep.aggregate.wallPrepNs += sr.pipeline.wallPrepNs;
         rep.aggregate.wallServeNs += sr.pipeline.wallServeNs;
         rep.aggregate.wallFillNs =
@@ -516,30 +505,24 @@ ShardedLaoram::aggregateShardReports(ShardedPipelineReport &rep,
         rep.aggregate.wallIoNs += sr.pipeline.wallIoNs;
         rep.aggregate.cache.accumulate(sr.pipeline.cache);
         rep.traffic += sr.traffic;
-        rep.simNs = std::max(rep.simNs, sr.simNs);
-        rep.simTotalNs += sr.simNs;
+        rep.simNs = std::max(rep.simNs, sr.pipeline.simNs);
+        // Prep threads live at once: every shard lane runs
+        // concurrently, and an inline (Simulated) lane runs none.
+        // Per-thread vectors stay per-shard in rep.shards[i].
+        rep.aggregate.prepThreads += sr.pipeline.prepThreads;
     }
     rep.aggregate.wallTotalNs = wallTotalNs;
-    // Prep threads live at once: every shard lane runs concurrently.
-    // Per-thread vectors stay per-shard in rep.shards[i].
-    rep.aggregate.prepThreads =
-        static_cast<std::uint32_t>(rep.shards.size()) * prepThreadsPerLane;
 
-    // Hidden fractions over the whole run: the prep-weighted average
-    // of the per-shard fractions (each already clamped to [0, 1]), so
-    // the aggregate stays in range and big shards dominate.
-    double prepWeight = 0.0, prepHidden = 0.0;
+    // Measured hidden fraction over the whole run: the prep-weighted
+    // average of the per-shard fractions (each already clamped to
+    // [0, 1]), so the aggregate stays in range and big shards
+    // dominate.
     double wallWeight = 0.0, wallHidden = 0.0;
     for (const ShardReport &sr : rep.shards) {
-        prepWeight += sr.pipeline.totalPrepNs;
-        prepHidden +=
-            sr.pipeline.totalPrepNs * sr.pipeline.prepHiddenFraction;
         wallWeight += sr.pipeline.wallPrepNs;
         wallHidden += sr.pipeline.wallPrepNs
                       * sr.pipeline.measuredPrepHiddenFraction;
     }
-    if (prepWeight > 0.0)
-        rep.aggregate.prepHiddenFraction = prepHidden / prepWeight;
     if (wallWeight > 0.0)
         rep.aggregate.measuredPrepHiddenFraction =
             wallHidden / wallWeight;

@@ -183,7 +183,6 @@ struct ShardReport
     std::uint64_t accesses = 0;       ///< sub-trace length
     PipelineReport pipeline;          ///< that shard's pipeline run
     mem::TrafficCounters traffic;     ///< delta over the run
-    double simNs = 0.0;               ///< simulated serve time delta
 };
 
 /**
@@ -194,14 +193,15 @@ struct ShardReport
 struct ShardedPipelineReport
 {
     /**
-     * Combined PipelineReport. Thread-*work* fields (windows,
-     * prep/serve/IO totals) are summed over shards; *elapsed-time*
-     * fields are not — lanes run concurrently, so wallTotalNs is the
-     * measured end-to-end wall time of all lanes, pipelinedNs and the
-     * wallFill/wallStall/wallReorderStall waits are max-over-lanes
-     * (summing concurrent waits would overstate elapsed time and make
-     * aggregate throughput math dishonest), and the hidden fractions
-     * are the prep-weighted averages of the per-shard fractions.
+     * Combined PipelineReport. Thread-*work* fields (windows, simNs,
+     * prep/serve/IO totals, prepThreads) are summed over shards;
+     * *elapsed-time* fields are not — lanes run concurrently, so
+     * wallTotalNs is the measured end-to-end wall time of all lanes,
+     * the wallFill/wallStall/wallReorderStall waits are
+     * max-over-lanes (summing concurrent waits would overstate
+     * elapsed time and make aggregate throughput math dishonest), and
+     * measuredPrepHiddenFraction is the prep-weighted average of the
+     * per-shard fractions.
      * latency merges every lane's request histogram (online sources
      * only; all-zero for trace replay).
      */
@@ -210,11 +210,11 @@ struct ShardedPipelineReport
     /** Element-wise sum of every shard's traffic counters. */
     mem::TrafficCounters traffic;
 
-    /** Max-over-shards simulated serve time (concurrent shards). */
+    /**
+     * Max-over-shards simulated serve time (concurrent shards); the
+     * sum over shards, the total ORAM work, is aggregate.simNs.
+     */
     double simNs = 0.0;
-
-    /** Sum-over-shards simulated serve time (total ORAM work). */
-    double simTotalNs = 0.0;
 
     std::vector<ShardReport> shards;
 };
@@ -279,18 +279,16 @@ class ShardedLaoram
     ShardedPipelineReport runTrace(const std::vector<BlockId> &trace);
 
     /**
-     * Fold rep.shards into rep.aggregate / rep.traffic / rep.simNs /
-     * rep.simTotalNs (expects those fields default-initialised).
+     * Fold rep.shards into rep.aggregate / rep.traffic / rep.simNs
+     * (expects those fields default-initialised).
      * Sums thread-work fields, maxes elapsed-time fields — the
      * wallFill/wallStall/wallReorderStall waits of concurrent lanes
      * overlap in time, so their aggregate is the slowest lane, not
      * the sum. Exposed for the aggregation regression tests.
      *
-     * @param prepThreadsPerLane stage-1 pool size of each lane
      * @param wallTotalNs measured end-to-end wall time of all lanes
      */
     static void aggregateShardReports(ShardedPipelineReport &rep,
-                                      std::uint32_t prepThreadsPerLane,
                                       double wallTotalNs);
 
     /**

@@ -59,11 +59,7 @@ writePipelineReport(util::JsonWriter &w, const core::PipelineReport &rep)
 {
     w.beginObject();
     w.field("windows", rep.windows);
-    w.field("total_prep_ns", rep.totalPrepNs);
-    w.field("total_access_ns", rep.totalAccessNs);
-    w.field("serial_ns", rep.serialNs);
-    w.field("pipelined_ns", rep.pipelinedNs);
-    w.field("prep_hidden_fraction", rep.prepHiddenFraction);
+    w.field("sim_ns", rep.simNs);
     w.field("wall_prep_ns", rep.wallPrepNs);
     w.field("wall_serve_ns", rep.wallServeNs);
     w.field("wall_total_ns", rep.wallTotalNs);
@@ -98,6 +94,8 @@ writePipelineReport(util::JsonWriter &w, const core::PipelineReport &rep)
 
 namespace {
 
+constexpr const char *kSchema = "laoram.run_report.v2";
+
 bool
 writeDocument(const std::string &path,
               const std::function<void(util::JsonWriter &)> &body)
@@ -127,7 +125,7 @@ writeRunReportJson(const std::string &path,
 {
     return writeDocument(path, [&](util::JsonWriter &w) {
         w.beginObject();
-        w.field("schema", "laoram.run_report.v1");
+        w.field("schema", kSchema);
         w.field("kind", "pipeline");
         w.key("pipeline");
         writePipelineReport(w, rep);
@@ -145,19 +143,17 @@ writeRunReportJson(const std::string &path,
 {
     return writeDocument(path, [&](util::JsonWriter &w) {
         w.beginObject();
-        w.field("schema", "laoram.run_report.v1");
+        w.field("schema", kSchema);
         w.field("kind", "sharded");
         w.key("pipeline");
         writePipelineReport(w, rep.aggregate);
         w.key("traffic");
         writeTrafficCounters(w, rep.traffic);
         w.field("sim_ns", rep.simNs);
-        w.field("sim_total_ns", rep.simTotalNs);
         w.key("shards").beginArray();
         for (const core::ShardReport &shard : rep.shards) {
             w.beginObject();
             w.field("accesses", shard.accesses);
-            w.field("sim_ns", shard.simNs);
             w.key("pipeline");
             writePipelineReport(w, shard.pipeline);
             w.key("traffic");

@@ -6,11 +6,12 @@
  * example invoked with --report-json feeds dashboards and scripted
  * comparisons without scraping its stdout tables.
  *
- * Schema: a top-level object with "schema" ("laoram.run_report.v1"),
+ * Schema: a top-level object with "schema" ("laoram.run_report.v2"),
  * "kind" ("pipeline" or "sharded"), a "pipeline" object mirroring
  * PipelineReport field-for-field in snake_case (with "latency"
- * nested), an optional "traffic" object of TrafficCounters, and for
- * sharded runs "sim_ns"/"sim_total_ns" plus a "shards" array.
+ * nested; its "sim_ns" is the run's simulated ORAM time), an
+ * optional "traffic" object of TrafficCounters, and for sharded runs
+ * the max-over-shards "sim_ns" plus a "shards" array.
  */
 
 #ifndef LAORAM_OBS_RUN_REPORT_HH

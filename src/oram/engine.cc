@@ -237,6 +237,7 @@ TreeOramBase::saveClientState(serde::Serializer &s) const
     OramEngine::saveClientState(s);
     posmap_.save(s);
     stash_.save(s);
+    pathIo_.save(s);
 }
 
 void
@@ -245,6 +246,7 @@ TreeOramBase::restoreClientState(serde::Deserializer &d)
     OramEngine::restoreClientState(d);
     posmap_.restore(d);
     stash_.restore(d);
+    pathIo_.restore(d);
 }
 
 void

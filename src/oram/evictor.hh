@@ -101,6 +101,14 @@ class PathIo
     std::uint64_t drain(Rng &rng, std::uint64_t highWater,
                         std::uint64_t lowWater);
 
+    /**
+     * The drain memory (the stash size the last capped burst gave up
+     * at) steers later drains, so it is trusted client state: it
+     * travels in the snapshot next to the stash it describes.
+     */
+    void save(serde::Serializer &s) const { s.u64(gaveUpAt); }
+    void restore(serde::Deserializer &d) { gaveUpAt = d.u64(); }
+
   private:
     /** One node of a path union, with its write-back parent link. */
     struct UnionNode

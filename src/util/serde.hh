@@ -43,8 +43,10 @@ class SnapshotError : public std::runtime_error
 /** Snapshot framing constants (see seal/unseal). */
 constexpr std::uint64_t kSnapshotMagic = 0x31544B434F414CULL; // "LAOCKT1"
 /** Version 2: the hot-cache section lost its policy byte and per-row
- *  frequency, so a version-1 sidecar must be refused, not misparsed. */
-constexpr std::uint32_t kSnapshotVersion = 2;
+ *  frequency, so a version-1 sidecar must be refused, not misparsed.
+ *  Version 3: the tree-ORAM section gained the evictor's drain memory
+ *  (PathIo::save) after the stash. */
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Section kinds carried in the frame header. */
 enum class SnapshotKind : std::uint32_t {

@@ -101,9 +101,7 @@ TEST(ConcurrentPipeline, MatchesSimulatedModeExactly)
 
     expectEnginesIdentical(simEngine, conEngine);
     EXPECT_EQ(simRep.windows, conRep.windows);
-    EXPECT_DOUBLE_EQ(simRep.totalPrepNs, conRep.totalPrepNs);
-    EXPECT_DOUBLE_EQ(simRep.totalAccessNs, conRep.totalAccessNs);
-    EXPECT_DOUBLE_EQ(simRep.pipelinedNs, conRep.pipelinedNs);
+    EXPECT_DOUBLE_EQ(simRep.simNs, conRep.simNs);
 }
 
 TEST(ConcurrentPipeline, MatchesSerialRunTraceByteForByte)

@@ -42,7 +42,7 @@ TEST(BatchPipeline, EmptyTrace)
     BatchPipeline pipe(engine, PipelineConfig{});
     const auto rep = pipe.run({});
     EXPECT_EQ(rep.windows, 0u);
-    EXPECT_DOUBLE_EQ(rep.pipelinedNs, 0.0);
+    EXPECT_DOUBLE_EQ(rep.simNs, 0.0);
 }
 
 TEST(BatchPipeline, WindowCount)
@@ -53,31 +53,6 @@ TEST(BatchPipeline, WindowCount)
     BatchPipeline pipe(engine, pc);
     const auto rep = pipe.run(randomTrace(950, 256, 1));
     EXPECT_EQ(rep.windows, 10u); // 9 full + 1 partial
-}
-
-TEST(BatchPipeline, PipelinedNeverExceedsSerial)
-{
-    Laoram engine(engineConfig());
-    PipelineConfig pc;
-    pc.windowAccesses = 128;
-    BatchPipeline pipe(engine, pc);
-    const auto rep = pipe.run(randomTrace(2000, 256, 2));
-    EXPECT_LE(rep.pipelinedNs, rep.serialNs + 1e-6);
-    EXPECT_GE(rep.pipelinedNs, rep.totalAccessNs - 1e-6);
-}
-
-TEST(BatchPipeline, PreprocessingIsHidden)
-{
-    // ORAM path accesses are microseconds; preprocessing is tens of
-    // nanoseconds per access — the overlap must hide almost all of it
-    // (the paper reports it entirely off the critical path).
-    Laoram engine(engineConfig());
-    PipelineConfig pc;
-    pc.windowAccesses = 256;
-    BatchPipeline pipe(engine, pc);
-    const auto rep = pipe.run(randomTrace(4096, 256, 3));
-    EXPECT_GT(rep.prepHiddenFraction, 0.95);
-    EXPECT_LE(rep.prepHiddenFraction, 1.0 + 1e-9);
 }
 
 TEST(BatchPipeline, AccessesStillServedCorrectly)
@@ -93,13 +68,19 @@ TEST(BatchPipeline, AccessesStillServedCorrectly)
 
 TEST(BatchPipeline, ReportTotalsConsistent)
 {
+    // simNs is the engine's simulated-clock delta over the run, so a
+    // second run reports exactly what the clock moved by.
     Laoram engine(engineConfig());
-    BatchPipeline pipe(engine, PipelineConfig{});
-    const auto rep = pipe.run(randomTrace(500, 256, 5));
-    EXPECT_NEAR(rep.serialNs, rep.totalPrepNs + rep.totalAccessNs,
-                1e-6);
-    EXPECT_GT(rep.totalPrepNs, 0.0);
-    EXPECT_GT(rep.totalAccessNs, 0.0);
+    PipelineConfig pc;
+    pc.windowAccesses = 128;
+    BatchPipeline pipe(engine, pc);
+    pipe.run(randomTrace(500, 256, 5));
+    const double before = engine.meter().clock().nanoseconds();
+    const auto rep = pipe.run(randomTrace(500, 256, 6));
+    EXPECT_GT(rep.simNs, 0.0);
+    EXPECT_DOUBLE_EQ(rep.simNs,
+                     engine.meter().clock().nanoseconds() - before);
+    EXPECT_EQ(rep.windows, 4u);
 }
 
 } // namespace

@@ -8,7 +8,7 @@
  * slowest lane (max), not the sum — summing used to report more stall
  * time than the whole run took. Thread-*work* fields (wallPrepNs,
  * wallServeNs, wallIoNs) stay summed: distinct threads really did
- * burn that much CPU.
+ * burn that much CPU, and so do simNs and prepThreads.
  */
 
 #include <gtest/gtest.h>
@@ -23,19 +23,15 @@ syntheticShard(double scale)
 {
     ShardReport sr;
     sr.pipeline.windows = static_cast<std::uint64_t>(10 * scale);
-    sr.pipeline.totalPrepNs = 1000.0 * scale;
-    sr.pipeline.totalAccessNs = 4000.0 * scale;
-    sr.pipeline.serialNs = 5000.0 * scale;
-    sr.pipeline.pipelinedNs = 4200.0 * scale;
+    sr.pipeline.simNs = 4000.0 * scale;
     sr.pipeline.wallPrepNs = 900.0 * scale;
     sr.pipeline.wallServeNs = 3800.0 * scale;
     sr.pipeline.wallFillNs = 100.0 * scale;
     sr.pipeline.wallStallNs = 250.0 * scale;
     sr.pipeline.wallReorderStallNs = 60.0 * scale;
     sr.pipeline.wallIoNs = 500.0 * scale;
-    sr.pipeline.prepHiddenFraction = 1.0;
     sr.pipeline.measuredPrepHiddenFraction = 1.0;
-    sr.simNs = 4000.0 * scale;
+    sr.pipeline.prepThreads = static_cast<std::uint32_t>(scale);
     return sr;
 }
 
@@ -46,27 +42,23 @@ TEST(ShardedAggregate, ElapsedWaitsAreMaxOverLanes)
     rep.shards.push_back(syntheticShard(3.0)); // the slow lane
     rep.shards.push_back(syntheticShard(2.0));
 
-    ShardedLaoram::aggregateShardReports(rep, /*prepThreadsPerLane=*/2,
-                                         /*wallTotalNs=*/20000.0);
+    ShardedLaoram::aggregateShardReports(rep, /*wallTotalNs=*/20000.0);
 
     // Elapsed-time waits: slowest lane, never the sum. The sums would
     // be 600 / 1500 / 360 — more stall than some lanes even ran.
     EXPECT_DOUBLE_EQ(rep.aggregate.wallFillNs, 300.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallStallNs, 750.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallReorderStallNs, 180.0);
-    EXPECT_DOUBLE_EQ(rep.aggregate.pipelinedNs, 4200.0 * 3.0);
 
     // Thread-work fields: genuinely parallel CPU time, summed.
     EXPECT_DOUBLE_EQ(rep.aggregate.wallPrepNs, 900.0 * 6.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallServeNs, 3800.0 * 6.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallIoNs, 500.0 * 6.0);
-    EXPECT_DOUBLE_EQ(rep.aggregate.totalPrepNs, 1000.0 * 6.0);
-    EXPECT_DOUBLE_EQ(rep.aggregate.totalAccessNs, 4000.0 * 6.0);
     EXPECT_EQ(rep.aggregate.windows, 60u);
 
     // Simulated clock keeps both views: concurrent (max) and total.
     EXPECT_DOUBLE_EQ(rep.simNs, 12000.0);
-    EXPECT_DOUBLE_EQ(rep.simTotalNs, 24000.0);
+    EXPECT_DOUBLE_EQ(rep.aggregate.simNs, 4000.0 * 6.0);
 
     EXPECT_DOUBLE_EQ(rep.aggregate.wallTotalNs, 20000.0);
     EXPECT_EQ(rep.aggregate.prepThreads, 6u);
@@ -85,7 +77,7 @@ TEST(ShardedAggregate, StallNeverExceedsRunWallTime)
         rep.shards.push_back(sr);
     }
     const double wallTotalNs = 10000.0;
-    ShardedLaoram::aggregateShardReports(rep, 1, wallTotalNs);
+    ShardedLaoram::aggregateShardReports(rep, wallTotalNs);
 
     EXPECT_LE(rep.aggregate.wallStallNs + rep.aggregate.wallFillNs,
               wallTotalNs);
@@ -99,34 +91,27 @@ TEST(ShardedAggregate, HiddenFractionsArePrepWeightedAverages)
 {
     ShardedPipelineReport rep;
     ShardReport a;
-    a.pipeline.totalPrepNs = 1000.0;
-    a.pipeline.prepHiddenFraction = 1.0;
     a.pipeline.wallPrepNs = 1000.0;
     a.pipeline.measuredPrepHiddenFraction = 0.5;
     ShardReport b;
-    b.pipeline.totalPrepNs = 3000.0;
-    b.pipeline.prepHiddenFraction = 0.5;
     b.pipeline.wallPrepNs = 1000.0;
     b.pipeline.measuredPrepHiddenFraction = 1.0;
     rep.shards.push_back(a);
     rep.shards.push_back(b);
 
-    ShardedLaoram::aggregateShardReports(rep, 1, 1.0);
+    ShardedLaoram::aggregateShardReports(rep, 1.0);
 
-    EXPECT_DOUBLE_EQ(rep.aggregate.prepHiddenFraction,
-                     (1000.0 * 1.0 + 3000.0 * 0.5) / 4000.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.measuredPrepHiddenFraction, 0.75);
-    EXPECT_GE(rep.aggregate.prepHiddenFraction, 0.0);
-    EXPECT_LE(rep.aggregate.prepHiddenFraction, 1.0);
 }
 
 TEST(ShardedAggregate, EmptyShardListLeavesDefaults)
 {
     ShardedPipelineReport rep;
-    ShardedLaoram::aggregateShardReports(rep, 1, 0.0);
+    ShardedLaoram::aggregateShardReports(rep, 0.0);
     EXPECT_EQ(rep.aggregate.windows, 0u);
+    EXPECT_EQ(rep.aggregate.prepThreads, 0u);
     EXPECT_DOUBLE_EQ(rep.aggregate.wallStallNs, 0.0);
-    EXPECT_DOUBLE_EQ(rep.aggregate.prepHiddenFraction, 0.0);
+    EXPECT_DOUBLE_EQ(rep.aggregate.measuredPrepHiddenFraction, 0.0);
     EXPECT_DOUBLE_EQ(rep.aggregate.ioServeFraction, 0.0);
 }
 
@@ -157,6 +142,34 @@ TEST(ShardedAggregate, EndToEndShardedStallBoundedByWallTime)
     EXPECT_LE(rep.aggregate.wallStallNs, rep.aggregate.wallTotalNs);
     EXPECT_LE(rep.aggregate.wallReorderStallNs,
               rep.aggregate.wallStallNs + 1.0);
+    // One prep thread per concurrent lane.
+    EXPECT_EQ(rep.aggregate.prepThreads, 4u);
+}
+
+TEST(ShardedAggregate, SimulatedLanesReportNoPrepThreads)
+{
+    // Simulated lanes run stage 1 inline and spawn no prep thread, so
+    // the aggregate must not count the configured pool size per lane.
+    ShardedLaoramConfig cfg;
+    cfg.engine.base.numBlocks = 1 << 10;
+    cfg.engine.base.seed = 78;
+    cfg.engine.superblockSize = 4;
+    cfg.numShards = 3;
+    cfg.pipeline.windowAccesses = 128;
+    cfg.pipeline.mode = PipelineMode::Simulated;
+    ShardedLaoram engine(cfg);
+
+    std::vector<BlockId> trace;
+    trace.reserve(2048);
+    for (std::uint64_t i = 0; i < 2048; ++i)
+        trace.push_back((i * 2654435761u) % cfg.engine.base.numBlocks);
+
+    const ShardedPipelineReport rep = engine.runTrace(trace);
+    ASSERT_EQ(rep.shards.size(), 3u);
+    for (const ShardReport &sr : rep.shards)
+        EXPECT_EQ(sr.pipeline.prepThreads, 0u);
+    EXPECT_EQ(rep.aggregate.prepThreads, 0u);
+    EXPECT_GT(rep.aggregate.windows, 0u);
 }
 
 } // namespace

@@ -100,31 +100,35 @@ TEST(Serde, WrongKindIsRejected)
 
 TEST(Serde, OlderFormatVersionIsRefusedByName)
 {
-    // Frame a valid payload exactly as seal() does but under format
-    // version 1, with a correct checksum: only the version is wrong,
-    // and the error must name both versions rather than misparse the
-    // older layout.
-    static_assert(kSnapshotVersion != 1);
+    // Frame a valid payload exactly as seal() does but under each
+    // older format version, with a correct checksum: only the version
+    // is wrong, and the error must name both versions rather than
+    // misparse the older layout.
+    static_assert(kSnapshotVersion == 3);
     const std::vector<std::uint8_t> payload = {1, 2, 3};
-    Serializer s;
-    s.u64(kSnapshotMagic);
-    s.u32(1);
-    s.u32(static_cast<std::uint32_t>(SnapshotKind::Engine));
-    s.u64(payload.size());
-    s.bytes(payload.data(), payload.size());
-    s.u64(fnv1a64(s.data().data(), s.data().size()));
-    const std::vector<std::uint8_t> frame = s.take();
+    for (const std::uint32_t old : {1u, 2u}) {
+        Serializer s;
+        s.u64(kSnapshotMagic);
+        s.u32(old);
+        s.u32(static_cast<std::uint32_t>(SnapshotKind::Engine));
+        s.u64(payload.size());
+        s.bytes(payload.data(), payload.size());
+        s.u64(fnv1a64(s.data().data(), s.data().size()));
+        const std::vector<std::uint8_t> frame = s.take();
 
-    try {
-        unseal(SnapshotKind::Engine, frame);
-        FAIL() << "a version-1 frame was accepted";
-    } catch (const SnapshotError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("version 1 "), std::string::npos) << what;
-        EXPECT_NE(what.find("version "
-                            + std::to_string(kSnapshotVersion)),
-                  std::string::npos)
-            << what;
+        try {
+            unseal(SnapshotKind::Engine, frame);
+            FAIL() << "a version-" << old << " frame was accepted";
+        } catch (const SnapshotError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("version " + std::to_string(old) + " "),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("version "
+                                + std::to_string(kSnapshotVersion)),
+                      std::string::npos)
+                << what;
+        }
     }
 }
 
