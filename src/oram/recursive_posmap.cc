@@ -275,82 +275,6 @@ RecursivePositionMap::serverBytes() const
     return bytes;
 }
 
-void
-RecursivePositionMap::save(serde::Serializer &s) const
-{
-    rng.save(s);
-    s.u64(clientMap.size());
-    for (Leaf leaf : clientMap)
-        s.u64(leaf);
-
-    s.u64(levels.size());
-    for (const auto &level : levels) {
-        s.u64(level->blocks);
-        level->stash.save(s);
-        // Decoded tree slots: dummies travel as the invalid id alone,
-        // real records carry leaf + packed-position payload.
-        s.u64(level->storage.slots());
-        StoredBlock b;
-        for (std::uint64_t slot = 0; slot < level->storage.slots();
-             ++slot) {
-            level->storage.readSlot(slot, b);
-            s.u64(b.id);
-            if (b.isDummy())
-                continue;
-            s.u64(b.leaf);
-            s.blob(b.payload);
-        }
-    }
-}
-
-void
-RecursivePositionMap::restore(serde::Deserializer &d)
-{
-    rng.restore(d);
-    const std::uint64_t mapSize = d.u64();
-    if (mapSize != clientMap.size())
-        throw serde::SnapshotError(
-            "recursive-map snapshot has a client map of "
-            + std::to_string(mapSize) + " entries but this chain has "
-            + std::to_string(clientMap.size()));
-    for (Leaf &leaf : clientMap)
-        leaf = d.u64();
-
-    const std::uint64_t levelCount = d.u64();
-    if (levelCount != levels.size())
-        throw serde::SnapshotError(
-            "recursive-map snapshot has " + std::to_string(levelCount)
-            + " ORAM levels but this chain has "
-            + std::to_string(levels.size()));
-    for (auto &level : levels) {
-        const std::uint64_t blocks = d.u64();
-        if (blocks != level->blocks)
-            throw serde::SnapshotError(
-                "recursive-map level covers "
-                + std::to_string(blocks)
-                + " blocks in the snapshot but "
-                + std::to_string(level->blocks) + " here");
-        level->stash.restore(d);
-        const std::uint64_t slots = d.u64();
-        if (slots != level->storage.slots())
-            throw serde::SnapshotError(
-                "recursive-map level has " + std::to_string(slots)
-                + " tree slots in the snapshot but "
-                + std::to_string(level->storage.slots()) + " here");
-        for (std::uint64_t slot = 0; slot < slots; ++slot) {
-            const BlockId id = d.u64();
-            if (id == kInvalidBlock) {
-                level->storage.writeDummy(slot);
-                continue;
-            }
-            const Leaf leaf = d.u64();
-            const std::vector<std::uint8_t> payload = d.blob();
-            level->storage.writeSlot(slot, id, leaf, payload.data(),
-                                     payload.size());
-        }
-    }
-}
-
 RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
                                      const RecursiveConfig &rcfg)
     : OramEngine(cfg),

@@ -87,17 +87,6 @@ class RecursivePositionMap
      */
     Leaf peek(BlockId id) const;
 
-    /**
-     * Checkpoint support: serialize the whole chain — client-resident
-     * innermost map, every level's stash and decoded tree slots, and
-     * the internal RNG stream. restore() refuses a snapshot whose
-     * level layout differs (wrong-geometry guard) and rewrites the
-     * level trees through their storage, so subsequent getAndSet
-     * sequences continue bit-identically.
-     */
-    void save(serde::Serializer &s) const;
-    void restore(serde::Deserializer &d);
-
   private:
     /** One ORAM in the chain. */
     struct Level

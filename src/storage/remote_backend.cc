@@ -562,11 +562,8 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
 
 RemoteKvBackend::~RemoteKvBackend()
 {
-    // Best-effort drain: anything still in flight either completes or
-    // the connection is already dead (in which case the futures die
-    // with their broken promises — we are past caring on teardown).
-    pendingWrites.clear();
-    pendingRpcs.clear();
+    // No drain: any un-acked write dies with the connection, so a
+    // caller that needs its writes durable flush()es first.
     if (fd >= 0)
         ::close(fd);
     // The self-hosted server (if any) is destroyed after the client
@@ -705,23 +702,21 @@ RemoteKvBackend::beginRequest(RemoteOp op, std::size_t payloadBytes)
     return pending.frame;
 }
 
-RemoteKvBackend::Completion
+void
 RemoteKvBackend::dispatchRequest()
 {
     PendingRpc &pending = pendingRpcs.back();
     if (obs::tracingEnabled())
         pending.dispatchNs = obs::traceNowNs();
-    Completion completion = pending.promise.get_future();
 
     // The RPC is parked *before* the send, so a send failure recovers
     // uniformly: the reconnect replay re-sends every pending frame,
     // including this one.
     if (!sendFrame(fd, pending.frame))
         recoverConnection("request send");
-    return completion;
 }
 
-void
+std::vector<std::uint8_t>
 RemoteKvBackend::harvestOne()
 {
     LAORAM_ASSERT(!pendingRpcs.empty(),
@@ -753,8 +748,7 @@ RemoteKvBackend::harvestOne()
         break;
     }
 
-    PendingRpc pending = std::move(pendingRpcs.front());
-    pendingRpcs.pop_front();
+    const PendingRpc &pending = pendingRpcs.front();
     if (pending.dispatchNs >= 0 && obs::tracingEnabled()) {
         // Full round trip, dispatch to harvest — for an async write
         // this includes the time it sat pipelined in the window.
@@ -762,32 +756,24 @@ RemoteKvBackend::harvestOne()
                          obs::traceNowNs() - pending.dispatchNs,
                          pending.seq);
     }
+    pendingRpcs.pop_front();
     frame.erase(frame.begin(), frame.begin() + 9);
-    pending.promise.set_value(std::move(frame));
+    return frame;
 }
 
 std::vector<std::uint8_t>
-RemoteKvBackend::await(Completion &c)
+RemoteKvBackend::roundTrip()
 {
-    while (c.wait_for(std::chrono::seconds(0))
-           != std::future_status::ready)
-        harvestOne();
-    return c.get();
-}
-
-void
-RemoteKvBackend::reapCompletedWrites()
-{
-    while (!pendingWrites.empty()
-           && pendingWrites.front().wait_for(std::chrono::seconds(0))
-                  == std::future_status::ready) {
-        pendingWrites.front().get(); // ack body is empty
-        pendingWrites.pop_front();
-    }
-    if (obs::metricsEnabled()) {
-        inflightWritesGauge().set(
-            static_cast<std::int64_t>(pendingWrites.size()));
-    }
+    // The request just begun is the newest RPC, queued behind every
+    // in-flight write on the ordered stream: harvesting until the log
+    // is empty acks those writes first and ends on its own response.
+    dispatchRequest();
+    std::vector<std::uint8_t> body;
+    while (!pendingRpcs.empty())
+        body = harvestOne();
+    if (obs::metricsEnabled())
+        inflightWritesGauge().set(0);
+    return body;
 }
 
 void
@@ -800,31 +786,23 @@ RemoteKvBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
     for (std::size_t i = 0; i < n; ++i)
         appendU64(frame, slots[i]);
     // The read pipelines behind any in-flight writes on the ordered
-    // stream, so it observes all of them; awaiting it resolves their
-    // completions along the way (harvested strictly in order).
-    Completion read = dispatchRequest();
-    const std::vector<std::uint8_t> body = await(read);
+    // stream, so it observes all of them.
+    const std::vector<std::uint8_t> body = roundTrip();
     if (body.size() != n * recBytes)
         connectionLost("read payload decode");
     std::memcpy(dst, body.data(), body.size());
-    reapCompletedWrites();
 }
 
 void
 RemoteKvBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
                               const std::uint8_t *src)
 {
-    // Async write: one vectored RPC for the whole path, completion
-    // parked in the bounded window. Only a full window blocks — that
-    // wait is genuine backpressure from the (shaped) link and lands in
-    // the caller's timed section.
-    reapCompletedWrites();
-    while (pendingWrites.size() >= cfg.windowDepth) {
-        Completion oldest = std::move(pendingWrites.front());
-        pendingWrites.pop_front();
-        await(oldest);
-        reapCompletedWrites();
-    }
+    // Async write: one vectored RPC for the whole path, left in the
+    // bounded window. Only a full window blocks — that wait is genuine
+    // backpressure from the (shaped) link and lands in the caller's
+    // timed section.
+    while (pendingRpcs.size() >= cfg.windowDepth)
+        harvestOne(); // a write ack: the body is empty
 
     // Serialized straight into the frame buffer: the path's records
     // are copied exactly once on their way to the socket.
@@ -835,10 +813,10 @@ RemoteKvBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
     for (std::size_t i = 0; i < n; ++i)
         appendU64(frame, slots[i]);
     frame.insert(frame.end(), src, src + n * recBytes);
-    pendingWrites.push_back(dispatchRequest());
+    dispatchRequest();
     if (obs::metricsEnabled()) {
         inflightWritesGauge().set(
-            static_cast<std::int64_t>(pendingWrites.size()));
+            static_cast<std::int64_t>(pendingRpcs.size()));
     }
 }
 
@@ -846,16 +824,9 @@ void
 RemoteKvBackend::doFlush()
 {
     // Flush is a barrier: it orders behind every outstanding write on
-    // the stream, so awaiting its ack drains the whole window.
+    // the stream, so its round trip drains the whole window.
     beginRequest(RemoteOp::Flush);
-    Completion flushed = dispatchRequest();
-    await(flushed);
-    while (!pendingWrites.empty()) {
-        pendingWrites.front().get();
-        pendingWrites.pop_front();
-    }
-    if (obs::metricsEnabled())
-        inflightWritesGauge().set(0);
+    roundTrip();
 }
 
 std::uint64_t
@@ -866,11 +837,9 @@ RemoteKvBackend::residentBytes() const
     // which is the whole point of a remote tree.
     auto *self = const_cast<RemoteKvBackend *>(this);
     self->beginRequest(RemoteOp::Stat);
-    Completion stat = self->dispatchRequest();
-    const std::vector<std::uint8_t> body = self->await(stat);
+    const std::vector<std::uint8_t> body = self->roundTrip();
     if (body.size() != sizeof(std::uint64_t))
         connectionLost("stat decode");
-    self->reapCompletedWrites();
     return readU64(body.data());
 }
 
@@ -881,9 +850,7 @@ RemoteKvBackend::writeMeta(const std::uint8_t *src, std::uint64_t len)
         beginRequest(RemoteOp::WriteMeta, sizeof(len) + len);
     appendU64(frame, len);
     frame.insert(frame.end(), src, src + len);
-    Completion ack = dispatchRequest();
-    await(ack);
-    reapCompletedWrites();
+    roundTrip();
 }
 
 std::uint64_t
@@ -891,15 +858,13 @@ RemoteKvBackend::readMeta(std::uint8_t *dst, std::uint64_t len) const
 {
     auto *self = const_cast<RemoteKvBackend *>(this);
     appendU64(self->beginRequest(RemoteOp::ReadMeta, sizeof(len)), len);
-    Completion read = self->dispatchRequest();
-    const std::vector<std::uint8_t> body = self->await(read);
+    const std::vector<std::uint8_t> body = self->roundTrip();
     if (body.size() < sizeof(std::uint64_t))
         connectionLost("meta decode");
     const std::uint64_t got = readU64(body.data());
     if (body.size() != sizeof(std::uint64_t) + got || got > len)
         connectionLost("meta decode");
     std::memcpy(dst, body.data() + 8, got);
-    self->reapCompletedWrites();
     return got;
 }
 

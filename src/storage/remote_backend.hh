@@ -20,16 +20,18 @@
  *    whole ORAM paths through the vectored readSlots/writeSlots
  *    calls (the only transfer calls any backend has), and each such
  *    call becomes exactly ONE request frame — a path is one RPC,
- *    never one RPC per slot. Writes are asynchronous: the request
- *    is sent and a completion future is parked in a bounded
- *    in-flight window (RemoteKvConfig::windowDepth), so the serving
- *    thread keeps going while the write travels. Reads are pipelined
- *    behind any outstanding writes on the same ordered stream, so a
- *    read can never observe a stale slot. The time the client *does*
- *    block — harvesting write completions when the window is full,
- *    waiting for read payloads — lands in the IoStats ledger, which
- *    is how PipelineReport::wallIoNs comes to include genuine RPC
- *    waits.
+ *    never one RPC per slot. Every request waits in one ordered
+ *    queue (the replay log) until its response arrives. Writes are
+ *    asynchronous: the request is sent and left in that queue, at
+ *    most RemoteKvConfig::windowDepth deep, so the serving thread
+ *    keeps going while the write travels. Every other call is
+ *    synchronous: its request queues behind any outstanding writes
+ *    on the same ordered stream, and the call harvests responses
+ *    until the queue is empty, so a read can never observe a stale
+ *    slot. The time the client *does* block — harvesting write acks
+ *    when the window is full, waiting for read payloads — lands in
+ *    the IoStats ledger, which is how PipelineReport::wallIoNs comes
+ *    to include genuine RPC waits.
  *
  * Wire format (all integers little-endian, like every on-disk /
  * on-wire structure in this repo):
@@ -84,7 +86,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -216,8 +217,9 @@ class RemoteKvServer
 /**
  * Client-side SlotBackend speaking the remote-KV protocol.
  * One vectored readSlots/writeSlots call = one RPC; writes pipeline
- * asynchronously through a bounded in-flight window of completion
- * futures. Single-threaded per instance, like every SlotBackend.
+ * asynchronously through a bounded window of un-acked requests, the
+ * same ordered queue a reconnect replays. Single-threaded per
+ * instance, like every SlotBackend.
  */
 class RemoteKvBackend final : public SlotBackend
 {
@@ -249,8 +251,12 @@ class RemoteKvBackend final : public SlotBackend
     std::uint64_t readMeta(std::uint8_t *dst,
                            std::uint64_t len) const override;
 
-    /** In-flight write RPCs right now (bounded by windowDepth). */
-    std::size_t inFlightWrites() const { return pendingWrites.size(); }
+    /**
+     * In-flight write RPCs right now (bounded by windowDepth). Between
+     * calls only async writes are ever un-acked, so this is the whole
+     * queue.
+     */
+    std::size_t inFlightWrites() const { return pendingRpcs.size(); }
 
   protected:
     void doReadSlots(const std::uint64_t *slots, std::size_t n,
@@ -260,8 +266,6 @@ class RemoteKvBackend final : public SlotBackend
     void doFlush() override;
 
   private:
-    using Completion = std::future<std::vector<std::uint8_t>>;
-
     /**
      * One raw Hello exchange on @p helloFd, outside the pendingRpcs
      * machinery (seq 0, never used by data RPCs) so a recovery
@@ -283,24 +287,25 @@ class RemoteKvBackend final : public SlotBackend
                                             std::size_t payloadBytes = 0);
 
     /**
-     * Send the frame built since beginRequest(); returns the
-     * completion future its response will resolve. Never blocks on
-     * the server (only on socket-buffer backpressure).
+     * Send the frame built since beginRequest(). Never blocks on the
+     * server (only on socket-buffer backpressure).
      */
-    Completion dispatchRequest();
+    void dispatchRequest();
 
     /**
-     * Receive exactly one response frame; resolve the oldest pending.
-     * A dead or hung (responseTimeoutMs exceeded) connection runs the
-     * recovery path first, then keeps harvesting the replayed stream.
+     * Receive exactly one response frame, pop the oldest pending RPC
+     * it answers, and return the response body. A dead or hung
+     * (responseTimeoutMs exceeded) connection runs the recovery path
+     * first, then keeps harvesting the replayed stream.
      */
-    void harvestOne();
+    std::vector<std::uint8_t> harvestOne();
 
-    /** Drive harvestOne() until @p c is resolved; returns its body. */
-    std::vector<std::uint8_t> await(Completion &c);
-
-    /** Drop already-resolved write completions off the window head. */
-    void reapCompletedWrites();
+    /**
+     * Synchronous RPC: send the frame built since beginRequest() and
+     * harvest until pendingRpcs is empty (acking every write queued
+     * ahead of it); returns this request's response body.
+     */
+    std::vector<std::uint8_t> roundTrip();
 
     /**
      * Fatal: retries are exhausted or a response body is malformed.
@@ -337,21 +342,20 @@ class RemoteKvBackend final : public SlotBackend
     /** Jitter source for backoff pacing (timing only, never data). */
     std::mt19937_64 jitterRng;
 
-    /** Responses arrive strictly in request order. */
+    /**
+     * Responses arrive strictly in request order, so the un-acked
+     * RPCs are a FIFO: the replay log and the async write window.
+     */
     struct PendingRpc
     {
         std::uint64_t seq = 0;
         std::uint8_t op = 0;
-        std::promise<std::vector<std::uint8_t>> promise;
         /** Tracer timestamp at dispatch (-1 = tracing was off). */
         std::int64_t dispatchNs = -1;
         /** Full request frame: what is sent, and kept for replay. */
         std::vector<std::uint8_t> frame;
     };
-    mutable std::deque<PendingRpc> pendingRpcs;
-
-    /** Outstanding async write/flush completions, oldest first. */
-    mutable std::deque<Completion> pendingWrites;
+    std::deque<PendingRpc> pendingRpcs;
 
     // Handshake-cached server facts.
     bool serverPersistent = false;

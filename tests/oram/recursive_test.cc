@@ -2,7 +2,8 @@
  * @file
  * Recursive position-map tests: chain construction, oblivious
  * lookup-and-update correctness against a shadow map, traffic
- * accounting, and the RecursivePathOram engine.
+ * accounting, and the RecursivePathOram engine (including its refusal
+ * to serve a reopened tree).
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <map>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "mem/traffic_meter.hh"
 #include "oram/path_oram.hh"
 #include "oram/recursive_posmap.hh"
@@ -191,6 +193,34 @@ TEST(RecursivePathOram, CostExceedsFlatClient)
               flat.meter().counters().totalBytes());
     EXPECT_GT(recursive.meter().clock().nanoseconds(),
               flat.meter().clock().nanoseconds());
+}
+
+/**
+ * The recursive engine has no client-state snapshot (its map levels'
+ * stashes and trees live only in this process), so a data tree
+ * reopened with storage.keepExisting must be refused by name.
+ */
+TEST(RecursivePathOram, RefusesReopenedTree)
+{
+    const test::ScratchDir scratch;
+    EngineConfig cfg;
+    cfg.numBlocks = 256;
+    cfg.blockBytes = 64;
+    cfg.payloadBytes = 8;
+    cfg.seed = 79;
+    cfg.storage.kind = storage::BackendKind::MmapFile;
+    cfg.storage.path = scratch.file("recursive.tree");
+    {
+        RecursivePathOram fresh(cfg, rcfg(4, 16));
+        fresh.writeBlock(3, std::vector<std::uint8_t>(8, 0x5A));
+    }
+    cfg.storage.keepExisting = true;
+    EXPECT_EXIT(
+        {
+            RecursivePathOram reopened(cfg, rcfg(4, 16));
+            (void)reopened;
+        },
+        ::testing::ExitedWithCode(1), "recursive PathORAM");
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * RingORAM tests: correctness, sparse-read traffic advantage,
- * deterministic eviction rate, early reshuffles, invariants.
+ * deterministic eviction rate, early reshuffles, invariants, and the
+ * refusal to serve a reopened tree.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <map>
 #include <vector>
 
+#include "../common/scratch_dir.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/rng.hh"
@@ -166,6 +168,26 @@ TEST(RingOram, RejectsOversizedBuckets)
     cfg.realZ = 200;
     cfg.dummies = 200;
     EXPECT_DEATH({ RingOram oram(cfg); (void)oram; }, "8-bit");
+}
+
+/**
+ * RingORAM has no client-state snapshot, so a tree reopened with
+ * storage.keepExisting cannot be served: its stash and position map
+ * are gone. The engine must refuse it by name, not serve stale slots.
+ */
+TEST(RingOram, RefusesReopenedTree)
+{
+    const test::ScratchDir scratch;
+    RingOramConfig cfg = ringConfig(64);
+    cfg.base.storage.kind = storage::BackendKind::MmapFile;
+    cfg.base.storage.path = scratch.file("ring.tree");
+    {
+        RingOram fresh(cfg);
+        fresh.writeBlock(3, std::vector<std::uint8_t>(8, 0x5A));
+    }
+    cfg.base.storage.keepExisting = true;
+    EXPECT_EXIT({ RingOram reopened(cfg); (void)reopened; },
+                ::testing::ExitedWithCode(1), "RingORAM");
 }
 
 } // namespace

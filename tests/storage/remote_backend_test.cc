@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -141,6 +142,61 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
         client.readSlots(&slot, 1, out.data());
         EXPECT_EQ(out, rec) << "slot " << slot;
+    }
+}
+
+/**
+ * Only async writes stay un-acked between calls: every synchronous
+ * call queues behind them on the ordered stream and returns with the
+ * window empty, and the writes it acked are visible afterwards.
+ */
+TEST(RemoteBackend, SynchronousCallsDrainTheWriteWindow)
+{
+    const test::ScratchDir scratch;
+    StorageConfig scfg;
+    scfg.kind = BackendKind::Remote;
+    scfg.path = scratch.file("drain.tree"); // mmap-inner: meta persists
+    scfg.remote.windowDepth = 8;
+    constexpr std::uint64_t kMetaBytes = 16;
+    RemoteKvBackend client(scfg, kSlots, kRecBytes, kMetaBytes);
+
+    const std::vector<std::uint8_t> meta(kMetaBytes, 0xA5);
+    std::vector<std::uint8_t> out(kRecBytes);
+    const std::vector<std::pair<const char *, std::function<void()>>>
+        calls = {
+            {"readSlots",
+             [&] {
+                 const std::uint64_t slot = kSlots - 1;
+                 client.readSlots(&slot, 1, out.data());
+             }},
+            {"residentBytes", [&] { (void)client.residentBytes(); }},
+            {"writeMeta",
+             [&] { client.writeMeta(meta.data(), meta.size()); }},
+            {"readMeta",
+             [&] {
+                 std::vector<std::uint8_t> got(kMetaBytes);
+                 EXPECT_EQ(client.readMeta(got.data(), got.size()),
+                           kMetaBytes);
+                 EXPECT_EQ(got, meta);
+             }},
+            {"flush", [&] { client.flush(); }},
+        };
+    std::uint64_t slot = 0;
+    for (const auto &[name, call] : calls) {
+        SCOPED_TRACE(name);
+        std::vector<std::uint8_t> last;
+        for (int i = 0; i < 3; ++i, ++slot) {
+            last = pattern(static_cast<std::uint8_t>(slot * 16));
+            client.writeSlots(&slot, 1, last.data());
+        }
+        EXPECT_EQ(client.inFlightWrites(), 3u);
+
+        call();
+        EXPECT_EQ(client.inFlightWrites(), 0u);
+
+        const std::uint64_t lastSlot = slot - 1;
+        client.readSlots(&lastSlot, 1, out.data());
+        EXPECT_EQ(out, last);
     }
 }
 
