@@ -61,12 +61,11 @@ runOnce(std::uint64_t blocks, std::uint64_t window,
     cfg.lookaheadHorizon = 0; // the in-window schedule this bench prices
     core::Laoram engine(cfg);
 
-    core::BatchPipeline pipe(engine,
-                             core::PipelineConfig{}
-                                 .withWindowAccesses(window)
-                                 .withPrepThreads(2)
-                                 .withMode(
-                                     core::PipelineMode::Concurrent));
+    core::PipelineConfig pc;
+    pc.windowAccesses = window;
+    pc.prepThreads = 2;
+    pc.mode = core::PipelineMode::Concurrent;
+    core::BatchPipeline pipe(engine, pc);
     core::TraceSource source(trace, window);
     RunOutcome out;
     out.rep = pipe.run(source);

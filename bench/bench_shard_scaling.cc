@@ -42,11 +42,6 @@ main(int argc, char **argv)
     auto seed = args.addUint("seed", "trace + engine seed", 1);
     auto prepThreads = args.addUint(
         "prep-threads", "preprocessor threads per shard pipeline", 1);
-    auto prepBudget = args.addUint(
-        "prep-budget",
-        "total preprocessor-thread budget split over the serving "
-        "pool (0 = use --prep-threads per shard)",
-        0);
     args.parse(argc, argv);
 
     bench::printHeader(
@@ -82,8 +77,6 @@ main(int argc, char **argv)
         cfg.pipeline.windowAccesses = *window;
         cfg.pipeline.prepThreads =
             std::max<std::uint64_t>(*prepThreads, 1);
-        cfg.prepThreadBudget =
-            static_cast<std::uint32_t>(*prepBudget);
 
         core::ShardedLaoram engine(cfg);
         const auto rep = engine.runTrace(trace.accesses);

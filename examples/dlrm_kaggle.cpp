@@ -116,9 +116,8 @@ main(int argc, char **argv)
     // --- Train through the concurrent two-stage pipeline: the
     // preprocessor thread bins the next window of samples while the
     // serving thread trains the current one, epoch by epoch. ---
-    const core::PipelineConfig pipecfg =
-        core::PipelineConfig{}.withWindowAccesses(
-            std::max<std::uint64_t>(*samples / 4, 1));
+    core::PipelineConfig pipecfg;
+    pipecfg.windowAccesses = std::max<std::uint64_t>(*samples / 4, 1);
 
     const auto t0 = oram.meter().clock().nanoseconds();
     double hidden_min = 1.0;

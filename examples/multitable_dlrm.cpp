@@ -51,11 +51,6 @@ main(int argc, char **argv)
         "preprocessor threads per shard pipeline (determinism holds "
         "for any value)",
         1);
-    auto prepBudget = args.addUint(
-        "prep-budget",
-        "total preprocessor-thread budget split over the serving "
-        "pool (0 = use --prep-threads per shard)",
-        0);
     const auto storageArgs =
         storage::addStorageArgs(args, "multitable_dlrm.tree");
     auto cacheMb = args.addUint(
@@ -123,7 +118,6 @@ main(int argc, char **argv)
         tables.numTables() * *samples / (4 * numShards), 1);
     scfg.pipeline.prepThreads =
         std::max<std::uint64_t>(*prepThreads, 1);
-    scfg.prepThreadBudget = static_cast<std::uint32_t>(*prepBudget);
 
     const auto plan = tables.shardPlan(numShards);
     core::ShardedLaoram laoram(
@@ -159,7 +153,7 @@ main(int argc, char **argv)
     }
     std::cout << "\npipeline: " << rep.aggregate.windows
               << " windows over " << numShards << " shard pipelines ("
-              << laoram.effectiveShardPipeline().prepThreads
+              << scfg.pipeline.prepThreads
               << " prep threads each, reorder stall "
               << rep.aggregate.wallReorderStallNs / 1e6
               << " ms), measured prep hidden "

@@ -186,14 +186,11 @@ main(int argc, char **argv)
         for (std::uint64_t i = 0; i < *bulk; ++i)
             scan.push_back(rng.nextBounded(*keys));
 
+        core::PipelineConfig pipecfg;
+        pipecfg.windowAccesses = lcfg.lookaheadWindow;
+        pipecfg.prepThreads = std::max<std::uint64_t>(*prepThreads, 1);
         const auto rep =
-            core::BatchPipeline(
-                scanEngine,
-                core::PipelineConfig{}
-                    .withWindowAccesses(lcfg.lookaheadWindow)
-                    .withPrepThreads(
-                        std::max<std::uint64_t>(*prepThreads, 1)))
-                .run(scan);
+            core::BatchPipeline(scanEngine, pipecfg).run(scan);
 
         std::cout << "\nbulk oblivious scan: " << *bulk
                   << " reads in " << rep.wallTotalNs / 1e6

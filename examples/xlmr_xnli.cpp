@@ -76,10 +76,9 @@ main(int argc, char **argv)
     });
 
     // Two-stage pipeline: preprocess window i+1 while serving i.
-    const auto rep =
-        core::BatchPipeline(
-            oram, core::PipelineConfig{}.withWindowAccesses(*window))
-            .run(trace.accesses);
+    core::PipelineConfig pipecfg;
+    pipecfg.windowAccesses = *window;
+    const auto rep = core::BatchPipeline(oram, pipecfg).run(trace.accesses);
 
     const auto &c = oram.meter().counters();
     std::cout << "windows:               " << rep.windows << "\n"

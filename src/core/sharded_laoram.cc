@@ -384,20 +384,6 @@ ShardedLaoram::setTouchCallback(Laoram::TouchFn fn)
     }
 }
 
-PipelineConfig
-ShardedLaoram::effectiveShardPipeline() const
-{
-    PipelineConfig pc = cfg.pipeline;
-    if (cfg.prepThreadBudget > 0) {
-        // Split the global budget over the shard lanes, which all
-        // run concurrently; every pipeline keeps at least one prep
-        // thread so no shard can starve.
-        pc.prepThreads = std::max<std::size_t>(
-            1, cfg.prepThreadBudget / cfg.numShards);
-    }
-    return pc;
-}
-
 ShardedPipelineReport
 ShardedLaoram::runTrace(const std::vector<BlockId> &trace)
 {
@@ -413,8 +399,6 @@ ShardedLaoram::serve(ShardedServeSource &source)
 
     ShardedPipelineReport rep;
     rep.shards.resize(cfg.numShards);
-
-    const PipelineConfig shardPipeline = effectiveShardPipeline();
 
     // One lane per shard: thread s runs shard s's full two-stage
     // pipeline (serving stage on the thread, preprocessing on the
@@ -434,7 +418,7 @@ ShardedLaoram::serve(ShardedServeSource &source)
                 engines_[s]->accessesPreprocessed();
             const mem::TrafficCounters before =
                 engines_[s]->meter().counters();
-            BatchPipeline pipe(*engines_[s], shardPipeline);
+            BatchPipeline pipe(*engines_[s], cfg.pipeline);
             sr.pipeline = pipe.run(source.shardSource(s));
             sr.accesses =
                 engines_[s]->accessesPreprocessed() - prepBefore;

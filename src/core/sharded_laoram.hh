@@ -8,8 +8,8 @@
  * (one tree, stash, position map and traffic meter each) and serves
  * all shards concurrently: one serving thread per shard runs that
  * shard's two-stage pipeline — preprocessor-thread pool + reorder
- * window + serving thread (§VIII-A) — with prepThreadBudget splitting
- * a global preprocessor-thread budget over the lanes.
+ * window + serving thread (§VIII-A) — so the run keeps numShards x
+ * pipeline.prepThreads preprocessor threads live.
  *
  * Sharding is deterministic and reproducible by construction: the
  * splitter is a pure function of (numBlocks, numShards, salt), every
@@ -150,19 +150,8 @@ struct ShardedLaoramConfig
     /** Number of independent ORAM trees. */
     std::uint32_t numShards = 4;
 
-    /**
-     * Total preprocessor-thread budget shared by the concurrently
-     * served shard pipelines (0 = no budget: every shard pipeline
-     * uses pipeline.prepThreads as-is). When set, each of the
-     * numShards pipelines runs max(1, budget / numShards)
-     * preprocessor threads, so the whole run keeps roughly
-     * `budget` prep threads live regardless of the shard count —
-     * the shards x preps split in one knob.
-     */
-    std::uint32_t prepThreadBudget = 0;
-
     /** Per-shard pipeline knobs (window size, queue depth, prep
-     *  threads, mode). */
+     *  threads per lane, mode). */
     PipelineConfig pipeline;
 
     /**
@@ -290,13 +279,6 @@ class ShardedLaoram
      */
     static void aggregateShardReports(ShardedPipelineReport &rep,
                                       double wallTotalNs);
-
-    /**
-     * The pipeline knobs each shard actually runs under: cfg.pipeline
-     * with prepThreads rewritten when prepThreadBudget is set (the
-     * budget divided over the shards, at least 1 per shard).
-     */
-    PipelineConfig effectiveShardPipeline() const;
 
     /**
      * Payload hook applied at bin-access time, called with the

@@ -1,41 +1,43 @@
 #include "mem/cost_model.hh"
 
-#include "util/logging.hh"
-
 namespace laoram::mem {
 
-CostModel::CostModel(const CostModelParams &params) : p(params)
-{
-    LAORAM_ASSERT(p.dramBandwidthGBps > 0.0, "DRAM bandwidth must be > 0");
-    LAORAM_ASSERT(p.linkBandwidthGBps > 0.0, "link bandwidth must be > 0");
-}
+namespace {
+
+constexpr double kDramLatencyNs = 60.0;     ///< per server request
+constexpr double kDramBandwidthGBps = 19.2; ///< DDR4-2400, one channel
+constexpr double kLinkLatencyNs = 1200.0;   ///< client<->server round trip
+constexpr double kLinkBandwidthGBps = 12.0; ///< effective PCIe 3.0 x16
+constexpr double kClientPerBlockNs = 8.0;   ///< stash/posmap work per block
 
 double
-CostModel::transferNs(std::uint64_t bytes) const
+transferNs(std::uint64_t bytes)
 {
     const double b = static_cast<double>(bytes);
     // GB/s == bytes/ns, so the division below is already in ns.
-    return b / p.dramBandwidthGBps + b / p.linkBandwidthGBps;
+    return b / kDramBandwidthGBps + b / kLinkBandwidthGBps;
 }
 
+} // namespace
+
 double
-CostModel::pathReadNs(std::uint64_t bytes, std::uint64_t blocks) const
+pathReadNs(std::uint64_t bytes, std::uint64_t blocks)
 {
-    return p.dramLatencyNs + p.linkLatencyNs + transferNs(bytes)
-        + p.clientPerBlockNs * static_cast<double>(blocks);
+    return kDramLatencyNs + kLinkLatencyNs + transferNs(bytes)
+        + kClientPerBlockNs * static_cast<double>(blocks);
 }
 
 double
-CostModel::pathWriteNs(std::uint64_t bytes, std::uint64_t blocks) const
+pathWriteNs(std::uint64_t bytes, std::uint64_t blocks)
 {
     // Write-back overlaps no client round trip (the path id is already
     // known server-side), so it pays DRAM latency + transfer only.
-    return p.dramLatencyNs + transferNs(bytes)
-        + p.clientPerBlockNs * static_cast<double>(blocks);
+    return kDramLatencyNs + transferNs(bytes)
+        + kClientPerBlockNs * static_cast<double>(blocks);
 }
 
 double
-CostModel::dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks) const
+dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks)
 {
     return pathReadNs(bytes, blocks) + pathWriteNs(bytes, blocks);
 }

@@ -9,8 +9,13 @@
  * stash bookkeeping) — and the same in reverse for the write-back
  * (§VIII-B). We model each leg with a fixed latency plus a
  * bytes/bandwidth term. Absolute numbers are approximations of the
- * paper's testbed; every reported result is a *ratio* between engines
- * run under the identical model, which is what the paper reports too.
+ * paper's testbed (DDR4-2400 + PCIe 3.0, fixed in cost_model.cc); every
+ * reported result is a *ratio* between engines run under the identical
+ * model, which is what the paper reports too.
+ *
+ * All engines (PathORAM, PrORAM, RingORAM, LAORAM) charge their server
+ * traffic through these functions (via TrafficMeter), so engine
+ * comparisons are apples to apples.
  */
 
 #ifndef LAORAM_MEM_COST_MODEL_HH
@@ -20,50 +25,20 @@
 
 namespace laoram::mem {
 
-/** Tunable latency/bandwidth parameters (defaults ≈ DDR4 + PCIe 3.0). */
-struct CostModelParams
-{
-    double dramLatencyNs = 60.0;      ///< per server request
-    double dramBandwidthGBps = 19.2;  ///< DDR4-2400, one channel
-    double linkLatencyNs = 1200.0;    ///< client<->server round trip
-    double linkBandwidthGBps = 12.0;  ///< effective PCIe 3.0 x16
-    double clientPerBlockNs = 8.0;    ///< stash/posmap work per block
-};
+/**
+ * Cost of reading one path (or a RingORAM slot set) of @p bytes
+ * spread over @p blocks blocks.
+ */
+double pathReadNs(std::uint64_t bytes, std::uint64_t blocks);
+
+/** Cost of writing a path back. Symmetric with reads on DDR4. */
+double pathWriteNs(std::uint64_t bytes, std::uint64_t blocks);
 
 /**
- * Converts ORAM traffic events into simulated nanoseconds.
- *
- * All engines (PathORAM, PrORAM, RingORAM, LAORAM) charge their server
- * traffic through one of these, so engine comparisons are apples to
- * apples.
+ * A dummy (background-eviction) access is a full read plus write of
+ * one random path.
  */
-class CostModel
-{
-  public:
-    explicit CostModel(const CostModelParams &params = {});
-
-    /**
-     * Cost of reading one path (or a RingORAM slot set) of @p bytes
-     * spread over @p blocks blocks.
-     */
-    double pathReadNs(std::uint64_t bytes, std::uint64_t blocks) const;
-
-    /** Cost of writing a path back. Symmetric with reads on DDR4. */
-    double pathWriteNs(std::uint64_t bytes, std::uint64_t blocks) const;
-
-    /**
-     * A dummy (background-eviction) access is a full read plus write of
-     * one random path.
-     */
-    double dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks) const;
-
-    const CostModelParams &params() const { return p; }
-
-  private:
-    double transferNs(std::uint64_t bytes) const;
-
-    CostModelParams p;
-};
+double dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks);
 
 } // namespace laoram::mem
 

@@ -3,6 +3,8 @@
 #include <ostream>
 #include <vector>
 
+#include "mem/cost_model.hh"
+
 namespace laoram::mem {
 
 namespace {
@@ -78,7 +80,7 @@ TrafficCounters::operator+=(const TrafficCounters &other)
     return *this;
 }
 
-TrafficMeter::TrafficMeter(const CostModel &model) : model(model)
+TrafficMeter::TrafficMeter()
 {
     liveTraffic().attach(&c);
 }
@@ -96,7 +98,7 @@ TrafficMeter::recordBatchedPathReads(std::uint64_t paths,
     c.pathReads += paths;
     c.blocksRead += blocks;
     c.bytesRead += bytes;
-    clk.advanceNs(model.pathReadNs(bytes, blocks));
+    clk.advanceNs(pathReadNs(bytes, blocks));
 }
 
 void
@@ -107,7 +109,7 @@ TrafficMeter::recordBatchedPathWrites(std::uint64_t paths,
     c.pathWrites += paths;
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
-    clk.advanceNs(model.pathWriteNs(bytes, blocks));
+    clk.advanceNs(pathWriteNs(bytes, blocks));
 }
 
 void
@@ -118,7 +120,7 @@ TrafficMeter::recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks)
     c.bytesRead += bytes;
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
-    clk.advanceNs(model.dummyAccessNs(bytes, blocks));
+    clk.advanceNs(dummyAccessNs(bytes, blocks));
 }
 
 void
@@ -132,8 +134,8 @@ TrafficMeter::recordReshuffle(std::uint64_t bytesRead,
     c.bytesRead += bytesRead;
     c.blocksWritten += blocksWritten;
     c.bytesWritten += bytesWritten;
-    clk.advanceNs(model.pathReadNs(bytesRead, blocksRead)
-                  + model.pathWriteNs(bytesWritten, blocksWritten));
+    clk.advanceNs(pathReadNs(bytesRead, blocksRead)
+                  + pathWriteNs(bytesWritten, blocksWritten));
 }
 
 void

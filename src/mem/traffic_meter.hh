@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "mem/cost_model.hh"
 #include "mem/sim_clock.hh"
 #include "obs/metrics.hh"
 
@@ -78,7 +77,8 @@ struct TrafficCounters
 };
 
 /**
- * Live meter: counters + simulated clock + cost model.
+ * Live meter: counters + simulated clock, advanced through the cost
+ * model (cost_model.hh).
  *
  * Engines call the record*() methods; harnesses read counters() and
  * elapsed time.
@@ -86,7 +86,7 @@ struct TrafficCounters
 class TrafficMeter
 {
   public:
-    explicit TrafficMeter(const CostModel &model);
+    TrafficMeter();
     ~TrafficMeter();
 
     TrafficMeter(const TrafficMeter &) = delete;
@@ -139,7 +139,6 @@ class TrafficMeter
 
     const TrafficCounters &counters() const { return c; }
     const SimClock &clock() const { return clk; }
-    const CostModel &costModel() const { return model; }
 
     /** Zero the counters and clock (live oram.* totals keep theirs). */
     void reset();
@@ -158,7 +157,6 @@ class TrafficMeter
     void printSummary(std::ostream &os, const char *label) const;
 
   private:
-    CostModel model;
     SimClock clk;
     TrafficCounters c;
 };

@@ -38,7 +38,6 @@ treetopLevelsFor(const EngineConfig &cfg, const TreeGeometry &geom)
 OramEngine::OramEngine(const EngineConfig &cfg)
     : cfg(cfg),
       geom(cfg.numBlocks, cfg.blockBytes, cfg.profile),
-      mtr(mem::CostModel(cfg.cost)),
       rng(cfg.seed)
 {
     LAORAM_ASSERT(cfg.stashLowWater <= cfg.stashHighWater,

@@ -40,7 +40,6 @@ struct EngineConfig
     std::uint64_t stashLowWater = 50;   ///< background-eviction target
     bool encrypt = false;            ///< ChaCha20 at-rest encryption
     std::uint64_t seed = 1;          ///< master RNG seed
-    mem::CostModelParams cost{};     ///< latency/bandwidth model
 
     /**
      * Where the tree's slot records physically live: DRAM (default)

@@ -8,6 +8,22 @@
 
 namespace laoram::oram {
 
+namespace {
+
+/** ProOram's co-access recency window, in accesses. */
+constexpr std::uint64_t kCoAccessWindow = 128;
+/** Group counter value that fuses a group. */
+constexpr int kMergeThreshold = 4;
+/** Group counter value that splits a fused group. */
+constexpr int kSplitThreshold = 0;
+/** Group counter saturation cap. */
+constexpr int kCounterCap = 8;
+
+static_assert(kSplitThreshold < kMergeThreshold,
+              "split threshold must sit below merge threshold");
+
+} // namespace
+
 StaticSuperblockOram::StaticSuperblockOram(
     const StaticSuperblockConfig &cfg)
     : TreeOramBase(cfg.base), sbSize(cfg.superblockSize)
@@ -66,8 +82,11 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
         }
     }
 
+    // Only S == 1 gets here with the block stashed; PathORAM counts
+    // that as a stash hit and still reads the path.
     const Leaf current = posmap_.get(id); // shared by the whole group
-
+    if (stash_.contains(id))
+        mtr.recordStashHit();
     pathIo_.readPaths(&current, 1);
 
     // The whole superblock moves together to one fresh uniform leaf;
@@ -93,8 +112,6 @@ ProOram::ProOram(const ProOramConfig &cfg)
       groups(divCeil(cfg.base.numBlocks, cfg.groupSize))
 {
     LAORAM_ASSERT(pcfg.groupSize >= 1, "group size must be >= 1");
-    LAORAM_ASSERT(pcfg.splitThreshold < pcfg.mergeThreshold,
-                  "split threshold must sit below merge threshold");
     restoreAtConstructionIfConfigured();
 }
 
@@ -176,15 +193,15 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     // Spatial-locality counter (PrORAM §4): recent activity on the
     // group raises it, silence decays it.
     if (g.everAccessed
-        && accessIndex - g.lastAccess <= pcfg.window) {
-        g.counter = std::min(g.counter + 1, pcfg.counterCap);
+        && accessIndex - g.lastAccess <= kCoAccessWindow) {
+        g.counter = std::min(g.counter + 1, kCounterCap);
     } else {
         g.counter = std::max(g.counter - 1, 0);
     }
     g.lastAccess = accessIndex;
     g.everAccessed = true;
 
-    if (g.merged && g.counter <= pcfg.splitThreshold)
+    if (g.merged && g.counter <= kSplitThreshold)
         splitGroup(id);
 
     // Superblock prefetch hit on a fused group: served client-side,
@@ -200,7 +217,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         }
     }
 
-    if (!g.merged && g.counter >= pcfg.mergeThreshold) {
+    if (!g.merged && g.counter >= kMergeThreshold) {
         // Merge performs the fetch of every member (including `id`)
         // and applies the pending operation, so the logical access
         // completes inside it.

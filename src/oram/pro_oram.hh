@@ -60,11 +60,7 @@ class StaticSuperblockOram final : public TreeOramBase
 struct ProOramConfig
 {
     EngineConfig base;
-    std::uint64_t groupSize = 4;   ///< candidate superblock width
-    std::uint64_t window = 128;    ///< co-access recency window (accesses)
-    int mergeThreshold = 4;        ///< counter value that fuses a group
-    int splitThreshold = 0;        ///< counter value that splits a group
-    int counterCap = 8;            ///< saturation cap
+    std::uint64_t groupSize = 4; ///< candidate superblock width
 };
 
 /** PrORAM with dynamic counter-driven superblock formation. */

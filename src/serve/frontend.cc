@@ -34,7 +34,8 @@ frontendMetrics()
         reg.gauge("serve.admission_depth",
                   "operations admitted but not yet coalesced"),
         reg.counter("serve.rejects",
-                    "operations refused at admission"),
+                    "operations refused at admission (submitted "
+                    "after stop)"),
         reg.histogram("serve.batch_ops",
                       "operations per submitted batch"),
         reg.histogram("serve.window_ops",
@@ -102,10 +103,8 @@ struct PendingOp
 class ServeFrontend::ShardLane final : public core::ServeSource
 {
   public:
-    ShardLane(std::uint64_t windowAccesses, std::size_t admissionOps,
-              cache::HotEmbeddingCache *cache)
-        : windowAccesses(windowAccesses), queue(admissionOps),
-          cache(cache)
+    ShardLane(std::uint64_t windowAccesses, cache::HotEmbeddingCache *cache)
+        : windowAccesses(windowAccesses), queue(kAdmissionOps), cache(cache)
     {
     }
 
@@ -351,18 +350,15 @@ Session::submit(Batch batch)
     return frontend->submit(std::move(batch));
 }
 
-ServeFrontend::ServeFrontend(core::ShardedLaoram &engine,
-                             FrontendConfig cfg)
-    : engine(engine), cfg(cfg)
+ServeFrontend::ServeFrontend(core::ShardedLaoram &engine)
+    : engine(engine)
 {
-    if (cfg.admissionOps < 1)
-        LAORAM_FATAL("frontend admissionOps must be >= 1");
     const std::uint64_t window =
         engine.config().pipeline.windowAccesses;
     lanes.reserve(engine.numShards());
     for (std::uint32_t s = 0; s < engine.numShards(); ++s)
         lanes.push_back(std::make_unique<ShardLane>(
-            window, cfg.admissionOps, engine.shard(s).hotCache()));
+            window, engine.shard(s).hotCache()));
 }
 
 ServeFrontend::~ServeFrontend()
@@ -427,15 +423,11 @@ ServeFrontend::submit(Batch batch)
 
         BoundedQueue<PendingOp> &queue =
             lanes[engine.splitter().shardOf(op.id)]->admission();
-        const bool admitted =
-            cfg.queueFullPolicy == QueueFullPolicy::Block
-                ? queue.push(std::move(pending))
-                : queue.tryPush(std::move(pending));
-        if (!admitted) {
-            // Queue full (Reject policy) or closed (submit after
-            // stop): fail the batch. Operations already admitted
-            // still serve — their side effects apply — but the
-            // rejected flag makes the last completer fail the future.
+        if (!queue.push(std::move(pending))) {
+            // Queue closed (submit after stop): fail the batch.
+            // Operations already admitted still serve — their side
+            // effects apply — but the rejected flag makes the last
+            // completer fail the future.
             if (obs::metricsEnabled())
                 frontendMetrics().rejects.add(batch.ops.size() - i);
             state->rejected.store(true, std::memory_order_release);

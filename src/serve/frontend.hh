@@ -57,20 +57,6 @@
 
 namespace laoram::serve {
 
-/** Frontend knobs. */
-struct FrontendConfig
-{
-    /**
-     * Admission-queue capacity per shard lane, in operations — the
-     * frontend's backpressure bound: at most this many operations per
-     * shard can sit between submit() and window assembly.
-     */
-    std::size_t admissionOps = 4096;
-
-    /** What submit() does when an admission queue is full. */
-    QueueFullPolicy queueFullPolicy = QueueFullPolicy::Block;
-};
-
 class ServeFrontend;
 
 /**
@@ -84,9 +70,10 @@ class Session
   public:
     /**
      * Submit a batch; the future resolves once every operation was
-     * served and written back (or fails with RejectedError under
-     * QueueFullPolicy::Reject). Safe before start(): operations queue
-     * in admission until serving begins.
+     * served and written back (or fails with RejectedError when
+     * submitted after stop()). Blocks while its shard's admission
+     * queue is full. Safe before start(): operations queue in
+     * admission until serving begins.
      */
     std::future<BatchResult> submit(Batch batch);
 
@@ -115,8 +102,15 @@ class Session
 class ServeFrontend final : public core::ShardedServeSource
 {
   public:
-    explicit ServeFrontend(core::ShardedLaoram &engine,
-                           FrontendConfig cfg = FrontendConfig{});
+    /**
+     * Admission-queue capacity per shard lane, in operations — the
+     * frontend's backpressure bound: at most this many operations per
+     * shard sit between submit() and window assembly; submit() blocks
+     * while its shard's queue is full.
+     */
+    static constexpr std::size_t kAdmissionOps = 4096;
+
+    explicit ServeFrontend(core::ShardedLaoram &engine);
     ~ServeFrontend() override;
 
     ServeFrontend(const ServeFrontend &) = delete;
@@ -146,8 +140,6 @@ class ServeFrontend final : public core::ShardedServeSource
     // ---- ShardedServeSource (consumed by engine.serve) ----
     core::ServeSource &shardSource(std::uint32_t shard) override;
 
-    const FrontendConfig &config() const { return cfg; }
-
   private:
     friend class Session;
     class ShardLane;
@@ -155,7 +147,6 @@ class ServeFrontend final : public core::ShardedServeSource
     std::future<BatchResult> submit(Batch batch);
 
     core::ShardedLaoram &engine;
-    FrontendConfig cfg;
     std::vector<std::unique_ptr<ShardLane>> lanes;
     std::thread driver;
     std::exception_ptr driverError;

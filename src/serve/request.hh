@@ -95,25 +95,18 @@ struct BatchResult
     std::vector<OpResult> results; ///< one per op, same order
 };
 
-/** What Session::submit does when admission queues are full. */
-enum class QueueFullPolicy : std::uint8_t
-{
-    Block,  ///< block the submitter until room frees up (backpressure)
-    Reject, ///< fail the batch's future with RejectedError
-};
-
 /**
- * Set on a batch's future under QueueFullPolicy::Reject when an
- * admission queue was full at submit time. Operations admitted before
- * the queue filled are still served (their side effects apply); only
- * the batch-level result is withheld.
+ * Set on a batch's future when it was submitted after the frontend's
+ * stop() closed its admission queues. Operations admitted before the
+ * close are still served (their side effects apply); only the
+ * batch-level result is withheld.
  */
 class RejectedError : public std::runtime_error
 {
   public:
     RejectedError()
         : std::runtime_error(
-              "batch rejected: serving admission queue full")
+              "batch rejected: serving frontend already stopped")
     {
     }
 };

@@ -5,9 +5,9 @@
  * sessions and the window coalescer.
  *
  * The bound is the admission backpressure: push() blocks a submitter
- * while the queue is full, tryPush() rejects instead. close() lets
- * producers signal end-of-stream; pop() then drains the remaining
- * items before reporting exhaustion.
+ * while the queue is full. close() lets producers signal
+ * end-of-stream; pop() then drains the remaining items before
+ * reporting exhaustion.
  */
 
 #ifndef LAORAM_UTIL_BOUNDED_QUEUE_HH
@@ -50,24 +50,6 @@ class BoundedQueue
             return closed || items.size() < cap;
         });
         if (closed)
-            return false;
-        items.push_back(std::move(item));
-        lock.unlock();
-        notEmpty.notify_one();
-        return true;
-    }
-
-    /**
-     * Non-blocking push for reject-style admission control: enqueue
-     * @p item only if there is room right now.
-     *
-     * @return false iff the queue was full or closed (item dropped)
-     */
-    bool
-    tryPush(T item)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        if (closed || items.size() >= cap)
             return false;
         items.push_back(std::move(item));
         lock.unlock();

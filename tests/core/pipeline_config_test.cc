@@ -1,8 +1,8 @@
 /**
  * @file
- * PipelineConfig construction and validation: the named setter-style
- * builders and the validate() pass that rejects incoherent knob
- * combinations with a clear fatal error instead of silent fallback.
+ * PipelineConfig construction and validation: the validate() pass
+ * that rejects incoherent knob combinations with a clear fatal error
+ * instead of silent fallback.
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +12,15 @@
 namespace laoram::core {
 namespace {
 
-TEST(PipelineConfig, SetterChainingBuildsExpectedConfig)
+TEST(PipelineConfig, AssignedFieldsValidate)
 {
-    const PipelineConfig pc = PipelineConfig{}
-                                  .withWindowAccesses(256)
-                                  .withQueueDepth(8)
-                                  .withPrepThreads(3)
-                                  .withPrepLoad(5.0)
-                                  .withMode(PipelineMode::Concurrent);
+    PipelineConfig pc;
+    pc.windowAccesses = 256;
+    pc.queueDepth = 8;
+    pc.prepThreads = 3;
+    pc.prepLoadNsPerAccess = 5.0;
+    pc.mode = PipelineMode::Concurrent;
+    pc.validate(); // must not exit
     EXPECT_EQ(pc.windowAccesses, 256u);
     EXPECT_EQ(pc.queueDepth, 8u);
     EXPECT_EQ(pc.prepThreads, 3u);
@@ -30,52 +31,65 @@ TEST(PipelineConfig, SetterChainingBuildsExpectedConfig)
 TEST(PipelineConfig, DefaultsValidate)
 {
     PipelineConfig{}.validate(); // must not exit
-    PipelineConfig{}.withMode(PipelineMode::Simulated).validate();
-    PipelineConfig{}.withPrepThreads(8).withQueueDepth(1).validate();
+    PipelineConfig simulated;
+    simulated.mode = PipelineMode::Simulated;
+    simulated.validate();
+    PipelineConfig deepPool;
+    deepPool.prepThreads = 8;
+    deepPool.queueDepth = 1;
+    deepPool.validate();
 }
 
 TEST(PipelineConfigDeathTest, RejectsZeroWindow)
 {
-    EXPECT_EXIT(PipelineConfig{}.withWindowAccesses(0).validate(),
-                ::testing::ExitedWithCode(1), "windowAccesses");
+    PipelineConfig pc;
+    pc.windowAccesses = 0;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "windowAccesses");
 }
 
 TEST(PipelineConfigDeathTest, RejectsZeroQueueDepth)
 {
-    EXPECT_EXIT(PipelineConfig{}.withQueueDepth(0).validate(),
-                ::testing::ExitedWithCode(1), "queueDepth");
+    PipelineConfig pc;
+    pc.queueDepth = 0;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "queueDepth");
 }
 
 TEST(PipelineConfigDeathTest, RejectsZeroPrepThreads)
 {
-    EXPECT_EXIT(PipelineConfig{}.withPrepThreads(0).validate(),
-                ::testing::ExitedWithCode(1), "prepThreads");
+    PipelineConfig pc;
+    pc.prepThreads = 0;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "prepThreads");
 }
 
 TEST(PipelineConfigDeathTest, RejectsNegativeCosts)
 {
-    EXPECT_EXIT(PipelineConfig{}.withPrepLoad(-1.0).validate(),
-                ::testing::ExitedWithCode(1), "prepLoadNsPerAccess");
+    PipelineConfig pc;
+    pc.prepLoadNsPerAccess = -1.0;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "prepLoadNsPerAccess");
 }
 
 TEST(PipelineConfigDeathTest, RejectsSimulatedWithPrepPool)
 {
     // Simulated mode spawns no threads; a pool request would be
     // silently ignored — exactly the fallback validate() forbids.
-    EXPECT_EXIT(PipelineConfig{}
-                    .withMode(PipelineMode::Simulated)
-                    .withPrepThreads(4)
-                    .validate(),
-                ::testing::ExitedWithCode(1), "Simulated");
+    PipelineConfig pc;
+    pc.mode = PipelineMode::Simulated;
+    pc.prepThreads = 4;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "Simulated");
 }
 
 TEST(PipelineConfigDeathTest, RejectsSimulatedWithPrepLoad)
 {
-    EXPECT_EXIT(PipelineConfig{}
-                    .withMode(PipelineMode::Simulated)
-                    .withPrepLoad(10.0)
-                    .validate(),
-                ::testing::ExitedWithCode(1), "prepLoadNsPerAccess");
+    PipelineConfig pc;
+    pc.mode = PipelineMode::Simulated;
+    pc.prepLoadNsPerAccess = 10.0;
+    EXPECT_EXIT(pc.validate(), ::testing::ExitedWithCode(1),
+                "prepLoadNsPerAccess");
 }
 
 TEST(PipelineConfigDeathTest, BatchPipelineValidatesOnConstruction)
@@ -84,12 +98,12 @@ TEST(PipelineConfigDeathTest, BatchPipelineValidatesOnConstruction)
     cfg.base.numBlocks = 64;
     cfg.base.seed = 3;
     Laoram engine(cfg);
+    PipelineConfig pc;
+    pc.mode = PipelineMode::Simulated;
+    pc.prepThreads = 2;
     EXPECT_EXIT(
         {
-            BatchPipeline pipe(engine, PipelineConfig{}
-                                           .withMode(
-                                               PipelineMode::Simulated)
-                                           .withPrepThreads(2));
+            BatchPipeline pipe(engine, pc);
             (void)pipe;
         },
         ::testing::ExitedWithCode(1), "Simulated");

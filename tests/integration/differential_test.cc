@@ -35,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -241,8 +242,12 @@ TEST_F(DifferentialDeterminism, ShardedMatchesStandaloneReferences)
         drawnCfg.pipeline.windowAccesses = drawn.window;
         drawnCfg.pipeline.queueDepth = drawn.queueDepth;
         drawnCfg.pipeline.prepThreads = 1 + rng.nextBounded(3);
-        drawnCfg.prepThreadBudget =
-            static_cast<std::uint32_t>(rng.nextBounded(7)); // 0..6
+        // Drawn unconditionally so a seed keeps its scenario stream;
+        // a non-zero draw sets the per-lane count to draw / shards.
+        const std::uint64_t prepDraw = rng.nextBounded(7); // 0..6
+        if (prepDraw > 0)
+            drawnCfg.pipeline.prepThreads = std::max<std::uint64_t>(
+                1, prepDraw / drawnCfg.numShards);
         for (const std::uint64_t horizon : kHorizons) {
             Scenario sc = drawn;
             sc.cfg.lookaheadHorizon = horizon;

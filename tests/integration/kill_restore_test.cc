@@ -84,10 +84,11 @@ fillPayloads(Laoram &engine, const LaoramConfig &cfg)
 PipelineConfig
 pipelineConfig()
 {
-    return PipelineConfig{}
-        .withWindowAccesses(kWindow)
-        .withPrepThreads(2)
-        .withQueueDepth(2);
+    PipelineConfig pc;
+    pc.windowAccesses = kWindow;
+    pc.prepThreads = 2;
+    pc.queueDepth = 2;
+    return pc;
 }
 
 class KillRestore
@@ -172,14 +173,12 @@ TEST_P(KillRestore, RestoredRunFinishesByteIdentically)
         std::vector<std::uint64_t> boundaries;
         const std::vector<oram::BlockId> suffix(
             trace.begin() + cut * kWindow, trace.end());
-        BatchPipeline(
-            restored,
-            pipelineConfig()
-                .withFirstWindow(restored.windowsServed())
-                .withWindowBoundaryHook([&](std::uint64_t w) {
-                    boundaries.push_back(w);
-                }))
-            .run(suffix);
+        PipelineConfig pc = pipelineConfig();
+        pc.firstWindowIndex = restored.windowsServed();
+        pc.windowBoundaryHook = [&](std::uint64_t w) {
+            boundaries.push_back(w);
+        };
+        BatchPipeline(restored, pc).run(suffix);
 
         ASSERT_EQ(boundaries.size(), kWindows - cut) << what;
         for (std::size_t i = 0; i < boundaries.size(); ++i)
@@ -247,11 +246,9 @@ TEST_P(KillRestore, RestoredRunAtDefaultHorizonKeepsStashAndTree)
                 victim.checkpointToFile(sidecar);
                 throw Killed{};
             };
-            EXPECT_THROW(BatchPipeline(victim,
-                                       pipelineConfig()
-                                           .withWindowBoundaryHook(hook))
-                             .run(trace),
-                         Killed)
+            PipelineConfig pc = pipelineConfig();
+            pc.windowBoundaryHook = hook;
+            EXPECT_THROW(BatchPipeline(victim, pc).run(trace), Killed)
                 << what;
             killedWithStash += victim.stashSize() > 0 ? 1 : 0;
         }
@@ -264,9 +261,9 @@ TEST_P(KillRestore, RestoredRunAtDefaultHorizonKeepsStashAndTree)
         ASSERT_EQ(restored.windowsServed(), cut) << what;
         const std::vector<oram::BlockId> suffix(
             trace.begin() + cut * kWindow, trace.end());
-        BatchPipeline(restored,
-                      pipelineConfig().withFirstWindow(cut))
-            .run(suffix);
+        PipelineConfig pc = pipelineConfig();
+        pc.firstWindowIndex = cut;
+        BatchPipeline(restored, pc).run(suffix);
         expectMatchesSnapshot(snap, restored,
                               what + " cut " + std::to_string(cut));
         const std::vector<oram::StoredBlock> tree = treeOf(restored);

@@ -144,11 +144,11 @@ replayOnce(const ReplayScenario &sc, std::uint32_t prepThreads,
         for (const Batch &b : batches)
             totalOps += b.ops.size();
 
-    serve::FrontendConfig fcfg;
-    // Room for every operation up front: arrival order is then fully
-    // decided before start(), independent of serving speed.
-    fcfg.admissionOps = totalOps + 16;
-    ServeFrontend frontend(engine, fcfg);
+    // Room for every operation up front (at most 640 per scenario):
+    // arrival order is then fully decided before start(), independent
+    // of serving speed.
+    EXPECT_LE(totalOps, ServeFrontend::kAdmissionOps);
+    ServeFrontend frontend(engine);
 
     std::vector<Session> sessions;
     for (std::size_t s = 0; s < sc.sessionBatches.size(); ++s)

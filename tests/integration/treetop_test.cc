@@ -563,8 +563,11 @@ TEST(Treetop, KillRestoreAtDefaultK)
             engine.writeBlock(id, buf);
         }
     };
-    const auto pipeline = [] {
-        return core::PipelineConfig{}.withWindowAccesses(kWindow);
+    const auto pipeline = [](std::uint64_t firstWindow = 0) {
+        core::PipelineConfig pc;
+        pc.windowAccesses = kWindow;
+        pc.firstWindowIndex = firstWindow;
+        return pc;
     };
 
     core::Laoram reference(cfg);
@@ -598,9 +601,7 @@ TEST(Treetop, KillRestoreAtDefaultK)
                               restored.stashForAudit(),
                               restored.posmapForAudit()),
               "");
-    core::BatchPipeline(restored,
-                        pipeline().withFirstWindow(
-                            restored.windowsServed()))
+    core::BatchPipeline(restored, pipeline(restored.windowsServed()))
         .run(std::vector<BlockId>(trace.begin() + cut * kWindow,
                                   trace.end()));
     core::expectMatchesSnapshot(snap, restored, "restored at default k");

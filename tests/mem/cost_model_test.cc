@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the latency/bandwidth cost model.
+ * Unit tests for the latency/bandwidth cost model at its fixed
+ * testbed constants.
  */
 
 #include <gtest/gtest.h>
@@ -12,64 +13,49 @@ namespace {
 
 TEST(CostModel, ZeroTrafficStillPaysLatency)
 {
-    CostModel m;
-    EXPECT_GT(m.pathReadNs(0, 0), 0.0);
-    EXPECT_GT(m.pathWriteNs(0, 0), 0.0);
+    EXPECT_GT(pathReadNs(0, 0), 0.0);
+    EXPECT_GT(pathWriteNs(0, 0), 0.0);
 }
 
 TEST(CostModel, MonotoneInBytes)
 {
-    CostModel m;
-    EXPECT_LT(m.pathReadNs(1024, 4), m.pathReadNs(4096, 4));
-    EXPECT_LT(m.pathWriteNs(1024, 4), m.pathWriteNs(4096, 4));
+    EXPECT_LT(pathReadNs(1024, 4), pathReadNs(4096, 4));
+    EXPECT_LT(pathWriteNs(1024, 4), pathWriteNs(4096, 4));
 }
 
 TEST(CostModel, MonotoneInBlocks)
 {
-    CostModel m;
-    EXPECT_LT(m.pathReadNs(1024, 4), m.pathReadNs(1024, 40));
+    EXPECT_LT(pathReadNs(1024, 4), pathReadNs(1024, 40));
 }
 
 TEST(CostModel, DummyIsReadPlusWrite)
 {
-    CostModel m;
-    EXPECT_DOUBLE_EQ(m.dummyAccessNs(2048, 16),
-                     m.pathReadNs(2048, 16) + m.pathWriteNs(2048, 16));
+    EXPECT_DOUBLE_EQ(dummyAccessNs(2048, 16),
+                     pathReadNs(2048, 16) + pathWriteNs(2048, 16));
 }
 
 TEST(CostModel, ReadIncludesLinkRoundTrip)
 {
-    CostModelParams p;
-    p.linkLatencyNs = 5000.0;
-    CostModel m(p);
-    // Reads pay the client link round trip; write-backs do not.
-    EXPECT_GT(m.pathReadNs(0, 0), m.pathWriteNs(0, 0) + 4000.0);
+    // Reads pay DRAM latency (60 ns) plus the 1200 ns client link
+    // round trip; write-backs pay DRAM latency only.
+    EXPECT_DOUBLE_EQ(pathReadNs(0, 0), 1260.0);
+    EXPECT_DOUBLE_EQ(pathWriteNs(0, 0), 60.0);
 }
 
 TEST(CostModel, BandwidthScalesTransferTerm)
 {
-    CostModelParams slow;
-    slow.dramBandwidthGBps = 1.0;
-    CostModelParams fast = slow;
-    fast.dramBandwidthGBps = 100.0;
-    CostModel ms(slow), mf(fast);
-    const double ds = ms.pathReadNs(1 << 20, 0) - ms.pathReadNs(0, 0);
-    const double df = mf.pathReadNs(1 << 20, 0) - mf.pathReadNs(0, 0);
-    EXPECT_GT(ds, df * 10);
+    // 1920 B: 100 ns over DDR4 (19.2 GB/s) + 160 ns over the link
+    // (12 GB/s), plus 8 ns of client work per block.
+    EXPECT_DOUBLE_EQ(pathReadNs(1920, 10), 1600.0);
+    EXPECT_DOUBLE_EQ(pathWriteNs(1920, 10), 400.0);
+    EXPECT_DOUBLE_EQ(dummyAccessNs(1920, 10), 2000.0);
 }
 
 TEST(CostModel, GBpsEqualsBytesPerNs)
 {
-    CostModelParams p;
-    p.dramLatencyNs = 0;
-    p.linkLatencyNs = 0;
-    p.clientPerBlockNs = 0;
-    p.dramBandwidthGBps = 2.0;
-    p.linkBandwidthGBps = 2.0;
-    CostModel m(p);
-    // 2000 bytes over 2 GB/s DRAM + 2 GB/s link = 1000 + 1000 ns... no:
-    // each leg moves the same bytes, so 2000/2 + 2000/2 = 2000 ns.
-    EXPECT_DOUBLE_EQ(m.pathReadNs(2000, 0), 2000.0);
+    // Transfer is bytes / GB/s on each leg: 1920/19.2 + 1920/12 ns.
+    EXPECT_DOUBLE_EQ(pathReadNs(1920, 0) - pathReadNs(0, 0), 260.0);
+    EXPECT_DOUBLE_EQ(pathWriteNs(1920, 0) - pathWriteNs(0, 0), 260.0);
 }
 
 } // namespace

@@ -35,7 +35,7 @@ TEST(SimClock, FractionalAccumulationIsExact)
 
 TEST(TrafficMeter, PathReadAccounting)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordPathRead(1024, 8);
     m.recordPathRead(1024, 8);
     EXPECT_EQ(m.counters().pathReads, 2u);
@@ -47,7 +47,7 @@ TEST(TrafficMeter, PathReadAccounting)
 
 TEST(TrafficMeter, DummyAccountsBothDirections)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordDummyAccess(100, 4);
     EXPECT_EQ(m.counters().dummyReads, 1u);
     EXPECT_EQ(m.counters().bytesRead, 100u);
@@ -57,7 +57,7 @@ TEST(TrafficMeter, DummyAccountsBothDirections)
 
 TEST(TrafficMeter, PerAccessRatios)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordLogicalAccesses(4);
     m.recordDummyAccess(10, 1);
     m.recordPathRead(10, 1);
@@ -67,13 +67,13 @@ TEST(TrafficMeter, PerAccessRatios)
 
 TEST(TrafficMeter, RatiosWithZeroAccesses)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     EXPECT_DOUBLE_EQ(m.counters().dummyReadsPerAccess(), 0.0);
 }
 
 TEST(TrafficMeter, StashPeakIsHighWater)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.observeStashSize(10);
     m.observeStashSize(4);
     m.observeStashSize(25);
@@ -83,7 +83,7 @@ TEST(TrafficMeter, StashPeakIsHighWater)
 
 TEST(TrafficMeter, SinceComputesInterval)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordPathRead(100, 2);
     const TrafficCounters start = m.counters();
     m.recordPathRead(100, 2);
@@ -97,7 +97,7 @@ TEST(TrafficMeter, SinceComputesInterval)
 
 TEST(TrafficMeter, ReshuffleBypassesPathCounters)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordReshuffle(64, 2, 256, 8);
     EXPECT_EQ(m.counters().reshuffles, 1u);
     EXPECT_EQ(m.counters().pathReads, 0u);
@@ -108,7 +108,7 @@ TEST(TrafficMeter, ReshuffleBypassesPathCounters)
 
 TEST(TrafficMeter, ResetClearsEverything)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     m.recordPathRead(100, 2);
     m.observeStashSize(99);
     m.reset();
@@ -119,7 +119,7 @@ TEST(TrafficMeter, ResetClearsEverything)
 
 TEST(TrafficMeter, SummaryMentionsLabel)
 {
-    TrafficMeter m{CostModel{}};
+    TrafficMeter m;
     std::ostringstream os;
     m.printSummary(os, "testlabel");
     EXPECT_NE(os.str().find("testlabel"), std::string::npos);

@@ -190,10 +190,11 @@ fillPayloads(core::Laoram &engine, const core::LaoramConfig &cfg)
 core::PipelineConfig
 pipelineConfig()
 {
-    return core::PipelineConfig{}
-        .withWindowAccesses(kWindow)
-        .withPrepThreads(2)
-        .withQueueDepth(2);
+    core::PipelineConfig pc;
+    pc.windowAccesses = kWindow;
+    pc.prepThreads = 2;
+    pc.queueDepth = 2;
+    return pc;
 }
 
 class NodeProcessTest : public ::testing::Test
@@ -289,20 +290,17 @@ TEST_F(NodeProcessTest, SigkillRestartFinishesByteIdentically)
         {
             core::Laoram engine(rcfg);
             fillPayloads(engine, rcfg);
-            core::BatchPipeline(
-                engine,
-                pipelineConfig().withWindowBoundaryHook(
-                    [&](std::uint64_t w) {
-                        if (w + 1 != cut)
-                            return;
-                        // Murder the node at the boundary and bring
-                        // it back over the same tree file; the
-                        // engine's next RPCs ride the reconnect path
-                        // while it boots.
-                        node.kill9();
-                        node.start(nodeArgs(true));
-                    }))
-                .run(trace);
+            core::PipelineConfig pc = pipelineConfig();
+            pc.windowBoundaryHook = [&](std::uint64_t w) {
+                if (w + 1 != cut)
+                    return;
+                // Murder the node at the boundary and bring it back
+                // over the same tree file; the engine's next RPCs
+                // ride the reconnect path while it boots.
+                node.kill9();
+                node.start(nodeArgs(true));
+            };
+            core::BatchPipeline(engine, pc).run(trace);
 
             core::expectMatchesSnapshot(snap, engine, what);
         } // the engine hangs up before the node is told to stop

@@ -374,7 +374,7 @@ TEST_F(ObsMetricsPull, RestoreNeverLowersExportedCounters)
     EXPECT_EQ(at(pulledSeries(), "cache.hits"),
               exportedHits + static_cast<double>(resumedHits));
 
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     meter.recordLogicalAccesses(5);
     const double beforeReset =
         at(pulledSeries(), "oram.logical_accesses");

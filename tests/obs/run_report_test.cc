@@ -104,10 +104,10 @@ TEST(RunReport, PlainReportIsV2WithSimNs)
     cfg.base.seed = 5;
     cfg.superblockSize = 4;
     core::Laoram engine(cfg);
-    const core::PipelineReport rep =
-        core::BatchPipeline(
-            engine, core::PipelineConfig{}.withWindowAccesses(64))
-            .run(sequentialTrace(512, cfg.base.numBlocks));
+    core::PipelineConfig pc;
+    pc.windowAccesses = 64;
+    const core::PipelineReport rep = core::BatchPipeline(engine, pc).run(
+        sequentialTrace(512, cfg.base.numBlocks));
     ASSERT_GT(rep.simNs, 0.0);
     ASSERT_TRUE(
         writeRunReportJson(path, rep, &engine.meter().counters()));

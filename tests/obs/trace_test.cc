@@ -184,12 +184,11 @@ TEST_F(ObsTraceTest, TracedPipelineRunEmitsValidMultiThreadTrace)
         for (int i = 0; i < 512; ++i)
             trace.push_back(rng.nextBounded(cfg.base.numBlocks));
 
-        core::BatchPipeline pipe(engine,
-                                 core::PipelineConfig{}
-                                     .withWindowAccesses(64)
-                                     .withPrepThreads(2)
-                                     .withMode(
-                                         core::PipelineMode::Concurrent));
+        core::PipelineConfig pc;
+        pc.windowAccesses = 64;
+        pc.prepThreads = 2;
+        pc.mode = core::PipelineMode::Concurrent;
+        core::BatchPipeline pipe(engine, pc);
         core::TraceSource source(trace, 64);
         pipe.run(source);
     }

@@ -25,7 +25,6 @@ struct BatchedFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(13),
           posmap(64, geom.numLeaves(), rng),
-          meter(mem::CostModel{}),
           io(geom, storage, stash, meter)
     {
     }

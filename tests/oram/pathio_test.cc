@@ -26,7 +26,6 @@ struct PathIoFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(7),
           posmap(64, geom.numLeaves(), rng),
-          meter(mem::CostModel{}),
           io(geom, storage, stash, meter)
     {
     }
@@ -382,7 +381,7 @@ TEST_F(PathIoFixture, OneLeafWriteBackMatchesPerPathGreedyReference)
         for (int round = 0; round < 200; ++round) {
             ServerStorage store(g, 8, false);
             Stash st;
-            mem::TrafficMeter m(mem::CostModel{});
+            mem::TrafficMeter m;
             PathIo pio(g, store, st, m);
 
             const std::uint64_t domain =
@@ -424,7 +423,7 @@ TEST_F(PathIoFixture, MeterChargesOneLeafReadWriteAndDrain)
     EXPECT_EQ(c.bytesWritten, geom.pathBytes());
 
     // Exactly the arithmetic of a hand-charged single path.
-    mem::TrafficMeter manual(mem::CostModel{});
+    mem::TrafficMeter manual;
     manual.recordPathRead(geom.pathBytes(), geom.pathSlots());
     manual.recordPathWrite(geom.pathBytes(), geom.pathSlots());
     EXPECT_EQ(meter.clock().picoseconds(),
@@ -463,7 +462,7 @@ TEST_F(PathIoFixture, DrainStopsAtBurstCap)
     ASSERT_EQ(g.numLeaves(), 8u);
     ServerStorage store(g, 8, false);
     Stash st;
-    mem::TrafficMeter m(mem::CostModel{});
+    mem::TrafficMeter m;
     PathIo pio(g, store, st, m);
     Rng r(3);
     PositionMap pm(100, g.numLeaves(), r);

@@ -106,20 +106,30 @@ TEST(StaticSuperblock, NeighbourAccessServedFromPrefetch)
 
 TEST(StaticSuperblock, SizeOneIsPathOram)
 {
-    // superblockSize 1 must behave exactly like PathORAM in traffic.
-    StaticSuperblockOram s(staticConfig(128, 1, 0));
-    EngineConfig pcfg = staticConfig(128, 1, 0).base;
-    PathOram p(pcfg);
+    // superblockSize 1 must behave exactly like PathORAM: every
+    // traffic counter (stash hits included) and the simulated clock.
+    // Two-slot buckets keep blocks in the stash, so some accesses
+    // find their block there before the path read: 4 of them with
+    // engine seed 37 on this trace (the default seed 31 meets none).
+    StaticSuperblockConfig scfg = staticConfig(128, 1, 0);
+    scfg.base.profile = BucketProfile::uniform(2);
+    scfg.base.seed = 37;
+    StaticSuperblockOram s(scfg);
+    PathOram p(scfg.base);
     std::vector<BlockId> trace;
     Rng rng(3);
     for (int i = 0; i < 300; ++i)
         trace.push_back(rng.nextBounded(128));
     s.runTrace(trace);
     p.runTrace(trace);
-    EXPECT_EQ(s.meter().counters().pathReads,
-              p.meter().counters().pathReads);
-    EXPECT_EQ(s.meter().counters().bytesRead,
-              p.meter().counters().bytesRead);
+    for (const mem::TrafficCounters::Field &f :
+         mem::TrafficCounters::kFields)
+        EXPECT_EQ(s.meter().counters().*f.member,
+                  p.meter().counters().*f.member)
+            << f.name;
+    EXPECT_GT(p.meter().counters().stashHits, 0u);
+    EXPECT_EQ(s.meter().clock().picoseconds(),
+              p.meter().clock().picoseconds());
 }
 
 TEST(StaticSuperblock, NameEncodesSize)
@@ -177,7 +187,7 @@ TEST(ProOram, IdleGroupSplitsAgain)
     for (int i = 0; i < 600; ++i)
         oram.touch(512 + rng.nextBounded(256));
     // Touch group 0 members sporadically (outside the window). The
-    // counter saturates at counterCap (8) during the merge phase and
+    // counter saturates at its cap (8) during the merge phase and
     // decays by one per out-of-window touch, so 12 touches are enough
     // to cross the split threshold (0).
     for (int i = 0; i < 12; ++i) {
@@ -222,14 +232,6 @@ TEST(ProOram, AuditAfterMixedWorkload)
     EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
                         oram.stashForAudit(), oram.posmapForAudit()),
               "");
-}
-
-TEST(ProOram, RejectsBadThresholds)
-{
-    ProOramConfig cfg = dynConfig(64, 4);
-    cfg.mergeThreshold = 1;
-    cfg.splitThreshold = 2;
-    EXPECT_DEATH({ ProOram oram(cfg); (void)oram; }, "threshold");
 }
 
 } // namespace

@@ -32,7 +32,7 @@ rcfg(std::uint64_t packing = 4, std::uint64_t threshold = 16)
 
 TEST(RecursivePosmap, FlatWhenSmall)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     RecursivePositionMap rpm(10, 64, rcfg(4, 1024), meter);
     EXPECT_EQ(rpm.oramLevels(), 0u);
     EXPECT_EQ(rpm.serverBytes(), 0u);
@@ -45,7 +45,7 @@ TEST(RecursivePosmap, FlatWhenSmall)
 
 TEST(RecursivePosmap, ChainDepthMatchesPacking)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     // 4096 blocks, chi=4, threshold 16:
     // level sizes 1024 -> 256 -> 64 -> 16 (fits) => 4 ORAM levels.
     RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), meter);
@@ -55,7 +55,7 @@ TEST(RecursivePosmap, ChainDepthMatchesPacking)
 
 TEST(RecursivePosmap, InitialPositionsInRange)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     RecursivePositionMap rpm(512, 512, rcfg(4, 16), meter);
     for (BlockId id = 0; id < 512; id += 7)
         EXPECT_LT(rpm.peek(id), 512u);
@@ -63,7 +63,7 @@ TEST(RecursivePosmap, InitialPositionsInRange)
 
 TEST(RecursivePosmap, GetAndSetMatchesShadowMap)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     RecursivePositionMap rpm(512, 512, rcfg(4, 16), meter);
 
     // Mirror every update in a shadow map; lookups must agree.
@@ -86,7 +86,7 @@ TEST(RecursivePosmap, GetAndSetMatchesShadowMap)
 
 TEST(RecursivePosmap, ChargesOnePathPerLevel)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), meter);
     const auto before = meter.counters();
     rpm.getAndSet(123, 45);
@@ -97,7 +97,7 @@ TEST(RecursivePosmap, ChargesOnePathPerLevel)
 
 TEST(RecursivePosmap, ClientBytesFarBelowFlatMap)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     RecursivePositionMap rpm(1 << 16, 1 << 16, rcfg(16, 256), meter);
     const std::uint64_t flat = (1 << 16) * sizeof(Leaf);
     EXPECT_LT(rpm.clientBytes(), flat / 16);
@@ -105,7 +105,7 @@ TEST(RecursivePosmap, ClientBytesFarBelowFlatMap)
 
 TEST(RecursivePosmap, RemapsAreUniform)
 {
-    mem::TrafficMeter meter{mem::CostModel{}};
+    mem::TrafficMeter meter;
     constexpr std::uint64_t kLeaves = 16;
     RecursivePositionMap rpm(256, kLeaves, rcfg(4, 16), meter);
     Rng rng(5);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Online serving frontend: session submission, cross-session
- * coalescing into look-ahead windows, read-your-writes, admission
- * policies, latency reporting, and lifecycle errors.
+ * coalescing into look-ahead windows, read-your-writes, the
+ * admission bound, latency reporting, and lifecycle errors.
  */
 
 #include <gtest/gtest.h>
@@ -163,26 +163,49 @@ TEST(ServeFrontend, ConcurrentSessionsAllCompleteWithLatencyReport)
     EXPECT_GT(rep.aggregate.windows, 0u);
 }
 
-TEST(ServeFrontend, RejectPolicyFailsBatchDeterministically)
+TEST(ServeFrontend, FullAdmissionQueueBlocksSubmitter)
 {
-    FrontendConfig fcfg;
-    fcfg.admissionOps = 2;
-    fcfg.queueFullPolicy = QueueFullPolicy::Reject;
-
+    // Before start() nothing drains the lane, so a lane holding
+    // kAdmissionOps operations is full: the next submit() must block
+    // until serving frees room, and nothing may be dropped.
+    constexpr std::size_t kOps = ServeFrontend::kAdmissionOps;
     core::ShardedLaoram engine(engineConfig(1, 8));
-    ServeFrontend frontend(engine, fcfg);
-    Session session = frontend.session();
+    ServeFrontend frontend(engine);
+    Session writer = frontend.session();
 
-    // Before start() nothing drains the lane, so the third operation
-    // finds the queue full — a deterministic rejection.
     Batch batch;
-    for (BlockId id = 0; id < 5; ++id)
-        batch.ops.push_back(Op::lookup(id));
-    std::future<BatchResult> fut = session.submit(std::move(batch));
+    for (BlockId id = 0; id < kBlocks; ++id)
+        batch.ops.push_back(
+            Op::update(id, bytesFor(static_cast<std::uint8_t>(id))));
+    for (std::size_t i = kBlocks; i < kOps; ++i)
+        batch.ops.push_back(Op::lookup(i % kBlocks));
+    std::future<BatchResult> full = writer.submit(std::move(batch));
+
+    std::atomic<bool> returned{false};
+    std::future<BatchResult> extra;
+    std::thread submitter([&] {
+        Session reader = frontend.session();
+        extra = reader.submit(Batch{{Op::lookup(5)}});
+        returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(returned.load()) << "submit() into a full lane returned";
 
     frontend.start();
+    submitter.join();
+    EXPECT_TRUE(returned.load());
+    frontend.flush();
+
+    const BatchResult res = full.get();
+    ASSERT_EQ(res.results.size(), kOps);
+    for (std::size_t i = kBlocks; i < kOps; ++i)
+        ASSERT_EQ(res.results[i].payload,
+                  bytesFor(static_cast<std::uint8_t>(i % kBlocks)))
+            << "op " << i;
+    const BatchResult late = extra.get();
+    ASSERT_EQ(late.results.size(), 1u);
+    EXPECT_EQ(late.results[0].payload, bytesFor(5));
     frontend.stop();
-    EXPECT_THROW(fut.get(), RejectedError);
 }
 
 TEST(ServeFrontend, SubmitAfterStopRejects)
