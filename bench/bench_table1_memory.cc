@@ -61,10 +61,11 @@ main(int argc, char **argv)
     TextTable table({"config", "insecure", "PathORAM", "LAORAM", "FAT",
                      "fat overhead"});
     for (const Row &r : rows) {
+        // The paper's system keeps no treetop: §V's linear fat tree.
         const TreeGeometry uniform(r.entries, r.bytes,
-                                   BucketProfile::uniform(*z));
+                                   BucketProfile::uniform(*z), 0);
         const TreeGeometry fat(r.entries, r.bytes,
-                               BucketProfile::fat(*z));
+                               BucketProfile::fat(*z), 0);
         const std::uint64_t insecure =
             TreeGeometry::insecureBytes(r.entries, r.bytes);
         const double overhead =
@@ -103,7 +104,7 @@ main(int argc, char **argv)
               << (1 << 16) << "-entry tree, 128 B payload):\n";
     {
         const TreeGeometry geom(1 << 16, 128,
-                                BucketProfile::uniform(*z));
+                                BucketProfile::uniform(*z), 0);
         const char *treeFile = "table1_resident_demo.tree";
 
         storage::StorageConfig dramCfg; // default: DRAM

@@ -27,17 +27,9 @@ shardEngineConfig(const EngineConfig &base, std::uint64_t shardBlocks,
     return cfg;
 }
 
-unsigned
-treetopLevelsFor(const EngineConfig &cfg, const TreeGeometry &geom)
-{
-    return cfg.treetopLevels == EngineConfig::kAutoTreetop
-        ? geom.numLevels() / 2
-        : cfg.treetopLevels;
-}
-
 OramEngine::OramEngine(const EngineConfig &cfg)
     : cfg(cfg),
-      geom(cfg.numBlocks, cfg.blockBytes, cfg.profile),
+      geom(cfg.numBlocks, cfg.blockBytes, cfg.profile, cfg.treetopLevels),
       rng(cfg.seed)
 {
     LAORAM_ASSERT(cfg.stashLowWater <= cfg.stashHighWater,
@@ -66,7 +58,7 @@ OramEngine::runTrace(const std::vector<BlockId> &trace)
 TreeOramBase::TreeOramBase(const EngineConfig &cfg)
     : OramEngine(cfg),
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0xC0FFEE,
-               cfg.storage, treetopLevelsFor(cfg, geom)),
+               cfg.storage, geom.treetopLevels()),
       posmap_(cfg.numBlocks, geom.numLeaves(), rng),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr)

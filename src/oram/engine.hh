@@ -47,21 +47,22 @@ struct EngineConfig
      */
     storage::StorageConfig storage{};
 
-    /** treetopLevels value that picks the level count from the tree. */
-    static constexpr unsigned kAutoTreetop = ~0u;
-
     /**
      * Tree levels whose buckets stay in trusted client memory instead
      * of on the server (treetop caching; see ServerStorage). The
      * PathORAM-family engines' path reads and write-backs then move,
-     * encrypt and meter only levels >= k. kAutoTreetop (the default)
-     * keeps the top floor(numLevels / 2) levels, about sqrt(nodes)
-     * nodes and never the leaf level: k = 10 and 0.88 MiB for a
-     * 2^19-block fat(4) tree of 144-B records. 0 turns it off, as the
-     * paper's system has none; an explicit k must be at most the leaf
-     * level. RingORAM ignores it (its bucket protocol meters its own
-     * traffic), and the recursive engine applies it to its data tree
-     * only, not to its position-map trees.
+     * encrypt and meter only levels >= k. The engine's TreeGeometry
+     * resolves it (geometry().treetopLevels()): kAutoTreetop (the
+     * default) keeps the top floor(numLevels / 2) levels, about
+     * sqrt(nodes) nodes and never the leaf level. Over a treetop a
+     * fat profile widens only those levels (TreeGeometry): for a
+     * 2^19-block fat(4) tree of 144-B records that is k = 10, 16
+     * slots per top bucket and 2.25 MiB of client memory, with 4
+     * slots per server bucket. 0 turns it off, as the paper's system
+     * has none, and keeps §V's linear fat tree; an explicit k must be
+     * at most the leaf level. RingORAM passes 0 (its bucket protocol
+     * meters its own traffic), and the recursive engine applies it to
+     * its data tree only, not to its position-map trees.
      */
     unsigned treetopLevels = kAutoTreetop;
 
@@ -89,10 +90,6 @@ struct EngineConfig
 EngineConfig shardEngineConfig(const EngineConfig &base,
                                std::uint64_t shardBlocks,
                                std::uint64_t shardSeed);
-
-/** The treetop level count @p cfg asks for on tree @p geom. */
-unsigned treetopLevelsFor(const EngineConfig &cfg,
-                          const TreeGeometry &geom);
 
 /**
  * Abstract address-hiding engine.

@@ -52,14 +52,18 @@ std::uint64_t
 PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
 {
     // Treetop nodes come last in the union, wholly below
-    // treetopSlots(); only the slots before them reach the server.
+    // treetopSlots(); only the slots before them reach the server,
+    // whole buckets. Of a treetop bucket only the occupied slots are
+    // read: the client already knows the rest hold dummies.
     const std::uint64_t top = storage.treetopSlots();
     std::uint64_t served = 0;
     slotScratch.clear();
     for (const UnionNode &u : pathUnion(leaves, n)) {
-        for (std::uint64_t s = 0; s < u.z; ++s)
-            slotScratch.push_back(u.base + s);
-        if (u.base >= top)
+        const bool far = u.base >= top;
+        for (std::uint64_t s = u.base; s < u.base + u.z; ++s)
+            if (far || storage.occupied(s))
+                slotScratch.push_back(s);
+        if (far)
             served += u.z;
     }
 
@@ -142,10 +146,13 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
                                     entry->payload.size()});
             evictedScratch.push_back(pending[s]);
         }
-        for (std::uint64_t s = filled; s < u.z; ++s)
-            writeScratch.push_back({u.base + s, kInvalidBlock, 0,
-                                    nullptr, 0});
-        if (u.base >= top)
+        // A server bucket is written whole; a treetop slot only when
+        // its record changes, since a dummy over a dummy is a no-op.
+        const bool far = u.base >= top;
+        for (std::uint64_t s = u.base + filled; s < u.base + u.z; ++s)
+            if (far || storage.occupied(s))
+                writeScratch.push_back({s, kInvalidBlock, 0, nullptr, 0});
+        if (far)
             slots_written += u.z;
 
         if (filled < pending.size() && u.node != 0) {

@@ -55,8 +55,9 @@ class PathIo
      * exactly once — re-reading a shared prefix node would only fetch
      * slots the client already absorbed. Charges one path read per
      * distinct leaf and the union's server slots and bytes: slots in
-     * the storage's treetop are client memory and cost no traffic.
-     * Zero leaves read nothing and charge nothing.
+     * the storage's treetop are client memory and cost no traffic,
+     * and of those only the occupied ones are read at all. Zero
+     * leaves read nothing and charge nothing.
      *
      * @return number of server slots read (union size below the
      *         treetop)
@@ -69,7 +70,9 @@ class PathIo
      * shares; nodes are filled deepest-level-first, and blocks that do
      * not fit spill to their parent (which is always in the union,
      * since path unions are ancestor-closed) and ultimately stay in
-     * the stash. Untaken slots become encrypted dummies. Writing the
+     * the stash. Untaken server slots become encrypted dummies, and
+     * an untaken treetop slot is written only if it held a real
+     * record (a dummy over a dummy changes nothing). Writing the
      * union once — instead of path-by-path — is required for
      * correctness: sequential per-path write-backs would overwrite
      * shared prefix nodes populated by the previous path. Charges one

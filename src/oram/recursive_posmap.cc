@@ -21,7 +21,7 @@ RecursivePositionMap::Level::Level(std::uint64_t blocks,
                                    std::uint64_t salt,
                                    mem::TrafficMeter &meter)
     : blocks(blocks),
-      geom(blocks, payloadBytes, BucketProfile::uniform(4)),
+      geom(blocks, payloadBytes, BucketProfile::uniform(4), 0),
       storage(geom, payloadBytes, cfg.encrypt, cfg.seed ^ salt),
       stash(),
       io(geom, storage, stash, meter)
@@ -279,7 +279,7 @@ RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
                                      const RecursiveConfig &rcfg)
     : OramEngine(cfg),
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0x2EC,
-               cfg.storage, treetopLevelsFor(cfg, geom)),
+               cfg.storage, geom.treetopLevels()),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr),
       rpm(cfg.numBlocks, geom.numLeaves(), rcfg, mtr)

@@ -12,9 +12,11 @@ namespace {
 EngineConfig
 withRingProfile(const RingOramConfig &rc)
 {
-    // Slot layout: every bucket physically holds realZ + dummies slots.
+    // Slot layout: every bucket physically holds realZ + dummies
+    // slots, all of them on the server.
     EngineConfig c = rc.base;
     c.profile = BucketProfile::uniform(rc.realZ + rc.dummies);
+    c.treetopLevels = 0;
     return c;
 }
 

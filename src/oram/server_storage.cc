@@ -58,6 +58,32 @@ liveTreetop()
         });
 }
 
+/**
+ * The backend @p scfg describes, sized for @p geom. A non-uniform
+ * profile's slot layout depends on the treetop level count, so a
+ * refused reopen of such a tree names the k this geometry has.
+ */
+std::unique_ptr<storage::SlotBackend>
+openBackend(const storage::StorageConfig &scfg, const TreeGeometry &geom,
+            std::uint64_t payloadBytes, bool encrypt)
+{
+    try {
+        return storage::makeBackend(
+            scfg, geom.totalSlots(), kHeaderBytes + payloadBytes,
+            metaBytesFor(encrypt, geom.totalSlots()));
+    } catch (const std::runtime_error &e) {
+        if (!scfg.keepExisting || geom.profile().isUniform())
+            throw;
+        throw std::runtime_error(
+            std::string(e.what())
+            + "; a non-uniform bucket profile's tree has a different "
+              "shape at every treetop level count, and this one is "
+              "sized for treetopLevels = "
+            + std::to_string(geom.treetopLevels())
+            + ": reopen the tree at the k it was written with");
+    }
+}
+
 } // namespace
 
 ServerStorage::ServerStorage(const TreeGeometry &geom,
@@ -73,13 +99,9 @@ ServerStorage::ServerStorage(const TreeGeometry &geom,
                              std::uint64_t keySeed,
                              const storage::StorageConfig &scfg,
                              unsigned treetopLevels)
-    : ServerStorage(
-          geom, payloadBytes, encrypt, keySeed,
-          storage::makeBackend(scfg, geom.totalSlots(),
-                               kHeaderBytes + payloadBytes,
-                               metaBytesFor(encrypt,
-                                            geom.totalSlots())),
-          treetopLevels)
+    : ServerStorage(geom, payloadBytes, encrypt, keySeed,
+                    openBackend(scfg, geom, payloadBytes, encrypt),
+                    treetopLevels)
 {
 }
 
@@ -170,7 +192,11 @@ ServerStorage::initialise()
     // Every slot starts as a valid (encrypted) dummy record, and
     // every occupancy bit clear, so the bitmap needs no update.
     // Initialised in vectored chunks — one backend op per chunk, not
-    // per slot; treetop slots start as plaintext dummies.
+    // per slot; treetop slots start as canonical plaintext dummies,
+    // so the chunks' dummy writes leave them as they are.
+    for (std::uint64_t s = 0; s < topSlots; ++s)
+        encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0},
+                     treetop.data() + s * recBytes);
     std::vector<SlotWriteOp> ops;
     for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
         const std::uint64_t stop =
@@ -436,9 +462,25 @@ ServerStorage::writeRecords(const SlotWriteOp *ops, std::size_t n)
     sealAndStore(nFar);
     if (nFar == n)
         return;
+    // Treetop records cost what they hold, not how wide the top is:
+    // a dummy over a dummy is left alone, and a real record that
+    // leaves a slot loses only its id header (flush() canonicalises
+    // the rest before anything leaves client memory). The top slots'
+    // bits change here as each op lands, so a slot that recurs
+    // within one call sees its earlier op.
     for (std::size_t i = 0; i < n; ++i) {
-        if (ops[i].slot < topSlots)
-            encodeRecord(ops[i], treetop.data() + ops[i].slot * recBytes);
+        const std::uint64_t slot = ops[i].slot;
+        if (slot >= topSlots)
+            continue;
+        std::uint8_t *rec = treetop.data() + slot * recBytes;
+        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+        if (ops[i].id != kInvalidBlock) {
+            encodeRecord(ops[i], rec);
+            occupancy[slot >> 6] |= bit;
+        } else if (occupied(slot)) {
+            storeU64(rec, kInvalidBlock);
+            occupancy[slot >> 6] &= ~bit;
+        }
     }
     topStats.slotsWritten += n - nFar;
 }
@@ -465,8 +507,15 @@ ServerStorage::flush(bool withTreetop)
 {
     if (withTreetop && topSlots > 0) {
         // The prefix's one write, fixed whatever it holds: every
-        // treetop slot in slot order, under fresh epochs.
+        // treetop slot in slot order, under fresh epochs. A dummy's
+        // record may still carry a departed block's leaf and
+        // payload, so each goes out as the canonical dummy.
         staging.assign(treetop.begin(), treetop.end());
+        for (std::uint64_t s = 0; s < topSlots; ++s) {
+            if (!occupied(s))
+                encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0},
+                             staging.data() + s * recBytes);
+        }
         fillSlotRange(0, topSlots);
         sealAndStore(topSlots);
     }

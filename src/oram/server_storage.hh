@@ -61,24 +61,31 @@
  * heap-order slot prefix [0, geometry().levelFirstSlot(k)), the
  * buckets of the top k levels, lives in trusted client memory: one
  * flat array of plaintext records, treetopSlots() * recordBytes()
- * bytes (0.88 MiB for train-kaggle's 2^19-leaf fat(4) tree at k =
- * 10), with no per-slot allocation. Every path shares these levels
- * and the fat tree's buckets are largest there, so a path read or
- * write-back moves that much less through ChaCha20 and the backend.
- * readSlots and writeSlots serve prefix slots from the array and send
- * the rest to the backend as one vectored op in the caller's order;
- * the occupancy bitmap covers both. During a run prefix slots never
+ * bytes (2.25 MiB for train-kaggle's 2^19-leaf fat(4) tree at k =
+ * 10, whose geometry widens those levels to 16 slots a bucket), with
+ * no per-slot allocation. Every path shares these levels, so a path
+ * read or write-back moves that much less through ChaCha20 and the
+ * backend. readSlots and writeSlots serve prefix slots from the array
+ * and send the rest to the backend as one vectored op in the caller's
+ * order; the occupancy bitmap covers both. A prefix write costs what
+ * the slot holds, not how wide the top is: a dummy written over a
+ * dummy changes nothing, and a real record leaving a slot has only
+ * its 8-B id header overwritten. During a run prefix slots never
  * reach the backend, the Encryptor or the access sink. The server
  * therefore sees each path's levels >= k, in full, exactly as before.
  * flush() (and so every checkpoint) first writes the whole prefix
  * through the codec: one vectored write of every prefix slot in slot
- * order, encrypted under advanced epochs and shown to the sink; the
- * pattern is fixed and independent of the data. A reopened tree loads
- * the prefix back from the backend (one read, fully decrypted) before
- * rebuilding the occupancy bitmap. The tree file, its meta layout and
- * geometry().serverBytes() do not depend on k: after a flush the
- * backend holds the whole tree, so a tree written at one k reopens at
- * any other. The destructor's flush runs with the sink detached, since
+ * order, each unoccupied one as the canonical dummy, encrypted under
+ * advanced epochs and shown to the sink; the pattern is fixed and
+ * independent of the data. A reopened tree loads the prefix back from
+ * the backend (one read, fully decrypted) before rebuilding the
+ * occupancy bitmap. For a uniform profile the tree file, its meta
+ * layout and geometry().serverBytes() do not depend on k: after a
+ * flush the backend holds the whole tree, so a tree written at one k
+ * reopens at any other. A non-uniform profile's geometry does depend
+ * on k (TreeGeometry), so such a tree reopens only at the k it was
+ * written with; any other is refused with an error naming the
+ * treetop. The destructor's flush runs with the sink detached, since
  * a test's tap may not outlive the storage. treetopStats() counts the
  * prefix slots served from client memory (storage.treetop_*).
  *
@@ -311,8 +318,9 @@ class ServerStorage
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
 
     /**
-     * writeSlots without the bitmap update: backend ops first, then
-     * the treetop slots' records into client memory.
+     * writeSlots without the bitmap update below the treetop: backend
+     * ops first, then the treetop slots' records (and their bits)
+     * into client memory.
      */
     void writeRecords(const SlotWriteOp *ops, std::size_t n);
 

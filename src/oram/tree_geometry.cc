@@ -29,7 +29,8 @@ BucketProfile::linear(std::uint64_t leafZ, std::uint64_t rootZ)
 
 TreeGeometry::TreeGeometry(std::uint64_t numBlocks,
                            std::uint64_t blockBytes,
-                           const BucketProfile &profile)
+                           const BucketProfile &profile,
+                           unsigned treetopLevels)
     : nBlocks(numBlocks), bBytes(blockBytes), prof(profile)
 {
     LAORAM_ASSERT(numBlocks >= 1, "tree needs at least one block");
@@ -38,6 +39,10 @@ TreeGeometry::TreeGeometry(std::uint64_t numBlocks,
     L = numBlocks <= 2 ? 1 : ceilLog2(numBlocks);
     leaves = std::uint64_t{1} << L;
     nodes = (std::uint64_t{2} << L) - 1;
+    topLevels = treetopLevels == kAutoTreetop ? numLevels() / 2
+                                              : treetopLevels;
+    LAORAM_ASSERT(topLevels <= L, "treetop of ", topLevels,
+                  " levels would hold the leaf level ", L);
 
     levelSlotBase.resize(L + 2, 0);
     slots = 0;
@@ -57,6 +62,9 @@ TreeGeometry::bucketSize(unsigned level) const
     LAORAM_ASSERT(level <= L, "level ", level, " beyond leaf level ", L);
     if (prof.isUniform())
         return prof.leafZ;
+    // Over a treetop the width goes to the client-held levels only.
+    if (topLevels > 0)
+        return level < topLevels ? 2 * prof.rootZ : prof.leafZ;
     // Linear decay from rootZ at level 0 to leafZ at level L, rounded
     // to the nearest integer (paper §V: 10,9,8,7,6,5 for 10->5 over six
     // levels).

@@ -14,6 +14,18 @@
  * paper's example: leaf 5, root 10, six levels → 10,9,8,7,6,5). The
  * memory-neutral study (§VIII-C) uses the general (rootZ, leafZ) form,
  * e.g. 9→5 against a uniform Z=6 tree.
+ *
+ * The geometry also fixes the treetop: the top k levels, whose
+ * buckets the client keeps in trusted memory (see ServerStorage).
+ * Over a treetop (k > 0) a non-uniform profile spends its width where
+ * it costs the server nothing: levels < k get 2 * rootZ slots (16 for
+ * fat(4)) and levels >= k get leafZ, so every server-visible bucket
+ * is uniform and only client memory absorbs the stash pressure the
+ * fat tree exists for. At k = 0 it is §V's linear decay. A uniform
+ * profile's shape does not depend on k. train-kaggle's 2^19-block
+ * fat(4) tree at the default k = 10: 16 slots in each of the 1023
+ * top buckets (16,368 slots), 40 server slots per path, 4,206,576
+ * slots in all.
  */
 
 #ifndef LAORAM_ORAM_TREE_GEOMETRY_HH
@@ -24,6 +36,9 @@
 #include "oram/types.hh"
 
 namespace laoram::oram {
+
+/** Treetop level count that resolves to floor(numLevels / 2). */
+inline constexpr unsigned kAutoTreetop = ~0u;
 
 /** Bucket-size profile: uniform (classic PathORAM) or linear fat tree. */
 struct BucketProfile
@@ -60,13 +75,18 @@ class TreeGeometry
      *                   row); independent of the payload bytes actually
      *                   materialised in simulation
      * @param profile    bucket-size profile
+     * @param treetopLevels levels kept in client memory: at most
+     *                   leafLevel(), or kAutoTreetop (the default,
+     *                   and every engine's default) for
+     *                   floor(numLevels / 2), about sqrt(nodes) nodes
      *
      * The tree gets `numLeaves = 2^ceil(log2(numBlocks))` leaves, i.e.
      * at least one leaf per block as in the PathORAM paper (and as
      * required for Table I's 8x blow-up at Z=4).
      */
     TreeGeometry(std::uint64_t numBlocks, std::uint64_t blockBytes,
-                 const BucketProfile &profile);
+                 const BucketProfile &profile,
+                 unsigned treetopLevels = kAutoTreetop);
 
     std::uint64_t numBlocks() const { return nBlocks; }
     std::uint64_t blockBytes() const { return bBytes; }
@@ -76,6 +96,9 @@ class TreeGeometry
     unsigned numLevels() const { return L + 1; }
     std::uint64_t numLeaves() const { return leaves; }
     std::uint64_t numNodes() const { return nodes; }
+
+    /** Top levels held in client memory (k, resolved; 0: none). */
+    unsigned treetopLevels() const { return topLevels; }
 
     /** Bucket size at @p level (root = level 0). */
     std::uint64_t bucketSize(unsigned level) const;
@@ -131,6 +154,7 @@ class TreeGeometry
     unsigned L;               ///< leaf level
     std::uint64_t leaves;     ///< 2^L
     std::uint64_t nodes;      ///< 2^(L+1) - 1
+    unsigned topLevels;       ///< treetop level count k
     std::uint64_t slots;      ///< total slots
     std::uint64_t slotsPerPath;
     /** slot offset of the first node of each level. */

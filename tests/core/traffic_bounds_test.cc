@@ -54,6 +54,9 @@ TEST_P(TrafficBounds, ReductionRespectsPaperBound)
     base.blockBytes = 64;
     base.seed = 9;
     base.profile = oram::BucketProfile::uniform(4);
+    // The bounds are the paper's, for its trees: whole paths on the
+    // server and §V's linear fat tree, so no treetop.
+    base.treetopLevels = 0;
     oram::PathOram path(base);
     path.runTrace(trace);
 

@@ -5,17 +5,29 @@
  * server and nothing else.
  *
  *  - Engines: the same trace through LAORAM (encrypted 128-B rows,
- *    fat(4), mmap), PathORAM, PrORAM and recursive PathORAM at
- *    k in {0, 1, auto, L} gives the k = 0 run's adversary stream with
- *    the prefix slots filtered out, the same logical state, the same
+ *    mmap), PathORAM, PrORAM and recursive PathORAM at k in
+ *    {0, 1, auto, L} gives the k = 0 run's adversary stream with the
+ *    prefix slots filtered out, the same logical state, the same
  *    decoded contents in every slot and the same at-rest bytes and
- *    epochs below the prefix; a flush writes exactly the prefix.
+ *    epochs below the prefix; the client reads only the prefix
+ *    slots that hold real records, and a flush writes exactly the
+ *    prefix. Every leg has a uniform profile, whose tree is the same
+ *    at every k (a fat tree's top widens with k, so it has no k = 0
+ *    twin).
  *  - Codec: mixed slot orders (prefix slots anywhere in a request)
  *    decode like a whole-tree storage.
- *  - Reopen: a flushed tree reopens at the same k (and at any other)
- *    with the prefix, the occupancy bitmap and every path intact.
+ *  - Reopen: a flushed tree reopens under the same geometry with
+ *    any number of its levels in client memory, with the prefix,
+ *    the occupancy bitmap and every path intact; a fat tree written
+ *    at one k is refused at another, by name.
+ *  - At-rest dummies: after a flush every unoccupied prefix record
+ *    decrypts to the canonical dummy, though the client rewrote only
+ *    the id header of a record that left its slot.
  *  - Kill/restore: a LAORAM run killed at a window boundary at the
  *    default k finishes byte-identically to an uninterrupted one.
+ *  - Stash: over a whole-horizon Kaggle-like run the wide top keeps
+ *    the stash small and empties it, where §V's linear fat tree at
+ *    k = 0 lets it grow.
  *  - Teardown: destroying a storage writes the prefix back only to a
  *    persistent backend.
  */
@@ -27,6 +39,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -116,11 +129,14 @@ engineConfig(Kind kind, unsigned treetopLevels, const std::string &path)
     cfg.storage.kind = storage::BackendKind::MmapFile;
     cfg.storage.path = path;
     if (kind == Kind::Laoram) {
-        // The training deployment's shape, small.
+        // The training deployment's rows, small. Uniform buckets: the
+        // k-differential needs a tree whose shape does not depend on
+        // k, and fat(4)'s does; the wide-top fat tree is covered by
+        // KillRestoreAtDefaultK and DifferentialDeterminism.
         cfg.numBlocks = 2048;
         cfg.blockBytes = 128;
         cfg.payloadBytes = 128;
-        cfg.profile = oram::BucketProfile::fat(4);
+        cfg.profile = oram::BucketProfile::uniform(4);
     } else {
         // Tight buckets and low marks so the dummy drain runs.
         cfg.numBlocks = kind == Kind::Recursive ? 2048 : 512;
@@ -276,8 +292,16 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
     const oram::TreeGeometry geom = ref.engine->geometry();
     const std::uint64_t slots = geom.totalSlots();
     const std::uint64_t recBytes = ref.storage->recordBytes();
+    // Beside each event, whether its slot held a real record then:
+    // the client reads a treetop slot only when it does.
     std::vector<Event> refEvents;
-    record(*ref.storage, refEvents);
+    std::vector<bool> refReal;
+    ServerStorage &refStorage = *ref.storage;
+    refStorage.setAccessSink(
+        [&refEvents, &refReal, &refStorage](std::uint64_t slot, bool write) {
+            refEvents.push_back({slot, write});
+            refReal.push_back(refStorage.occupied(slot));
+        });
     drive(kind, *ref.engine);
     ref.storage->setAccessSink(nullptr);
     std::vector<StoredBlock> refSlots(slots);
@@ -291,7 +315,7 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
     const AtRest refRest = readAtRest(refPath, slots, recBytes);
 
     for (const unsigned want :
-         {1u, EngineConfig::kAutoTreetop, geom.leafLevel()}) {
+         {1u, oram::kAutoTreetop, geom.leafLevel()}) {
         const std::string path = scratch.file(
             "k" + std::to_string(want) + ".tree");
         EngineRun run = makeRun(kind, engineConfig(kind, want, path));
@@ -300,7 +324,7 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
         const std::uint64_t top = storage.treetopSlots();
         const std::string what = std::string(kindName(kind)) + " k "
             + std::to_string(k);
-        ASSERT_EQ(k, want == EngineConfig::kAutoTreetop
+        ASSERT_EQ(k, want == oram::kAutoTreetop
                          ? geom.numLevels() / 2
                          : want)
             << what;
@@ -315,16 +339,20 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
         // The server saw the reference stream minus the prefix.
         std::vector<Event> filtered;
         std::uint64_t prefixReads = 0;
-        for (const Event &e : refEvents) {
-            if (e.slot >= top)
+        std::uint64_t prefixRealReads = 0;
+        for (std::size_t i = 0; i < refEvents.size(); ++i) {
+            const Event &e = refEvents[i];
+            if (e.slot >= top) {
                 filtered.push_back(e);
-            else if (!e.write)
+            } else if (!e.write) {
                 ++prefixReads;
+                prefixRealReads += refReal[i];
+            }
         }
         EXPECT_EQ(events.size(), filtered.size()) << what;
         EXPECT_TRUE(events == filtered) << what;
         EXPECT_EQ(storage.treetopStats().slotsRead - topReadsBefore,
-                  prefixReads)
+                  prefixRealReads)
             << what;
 
         // Same logical run; the meter charges only server slots.
@@ -500,8 +528,9 @@ TEST(Treetop, ReopenLoadsPrefixAndBitmap)
         s.flush();
     }
 
-    // The same k, none, and every level but the leaves: the tree file
-    // does not depend on k.
+    // The same k, none, and every level but the leaves: under one
+    // geometry the tree file does not depend on how many levels the
+    // storage keeps in client memory.
     for (const unsigned reopenK : {k, 0u, geom.leafLevel()}) {
         const std::string what = "reopened at k " + std::to_string(reopenK);
         sc.keepExisting = true;
@@ -526,6 +555,147 @@ TEST(Treetop, ReopenLoadsPrefixAndBitmap)
                                 what + " leaf " + std::to_string(leaf));
         }
     }
+}
+
+TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
+{
+    // A fat profile's slot layout depends on k, so a tree written at
+    // the default k cannot be served at another: the reopen fails
+    // and says why.
+    const test::ScratchDir scratch;
+    storage::StorageConfig sc;
+    sc.kind = storage::BackendKind::MmapFile;
+    sc.path = scratch.file("fat.tree");
+    const oram::TreeGeometry written(512, 64, oram::BucketProfile::fat(4));
+    ASSERT_GT(written.treetopLevels(), 0u);
+    {
+        ServerStorage s(written, 24, true, 8, sc, written.treetopLevels());
+        s.flush();
+    }
+    sc.keepExisting = true;
+    for (const unsigned k : {0u, written.treetopLevels() - 1}) {
+        const oram::TreeGeometry other(512, 64,
+                                       oram::BucketProfile::fat(4), k);
+        ASSERT_NE(other.totalSlots(), written.totalSlots());
+        try {
+            ServerStorage s(other, 24, true, 8, sc, k);
+            ADD_FAILURE() << "reopen at k " << k << " was not refused";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("treetopLevels = " + std::to_string(k)),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // At the k it was written with it reopens.
+    ServerStorage s(written, 24, true, 8, sc, written.treetopLevels());
+    EXPECT_TRUE(s.reopened());
+    EXPECT_EQ(s.auditOccupancy(), "");
+}
+
+TEST(Treetop, FlushWritesCanonicalDummiesOverTheWideTop)
+{
+    const test::ScratchDir scratch;
+    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
+    constexpr std::uint64_t kPayload = 24;
+    constexpr std::uint64_t kKeySeed = 8;
+    storage::StorageConfig sc;
+    sc.kind = storage::BackendKind::MmapFile;
+    sc.path = scratch.file("dummies.tree");
+    std::uint64_t top = 0;
+    std::vector<bool> real;
+    {
+        ServerStorage s(geom, kPayload, true, kKeySeed, sc,
+                        geom.treetopLevels());
+        top = s.treetopSlots();
+        ASSERT_EQ(top, geom.levelFirstSlot(geom.treetopLevels()));
+        // Fill every prefix slot with a real record, then move two in
+        // three of them out again: those keep a stale leaf and
+        // payload in client memory under a dummy id header.
+        std::vector<std::uint8_t> payload(kPayload, 0xAB);
+        std::vector<ServerStorage::SlotWriteOp> ops;
+        for (std::uint64_t slot = 0; slot < top; ++slot)
+            ops.push_back({slot, slot + 1, slot % geom.numLeaves(),
+                           payload.data(), payload.size()});
+        s.writeSlots(ops.data(), ops.size());
+        ops.clear();
+        for (std::uint64_t slot = 0; slot < top; ++slot)
+            if (slot % 3 != 0)
+                ops.push_back({slot, oram::kInvalidBlock, 0, nullptr, 0});
+        s.writeSlots(ops.data(), ops.size());
+        EXPECT_EQ(s.auditOccupancy(), "");
+        StoredBlock b;
+        for (std::uint64_t slot = 0; slot < top; ++slot) {
+            real.push_back(s.occupied(slot));
+            ASSERT_EQ(real.back(), slot % 3 == 0) << "slot " << slot;
+            s.readSlot(slot, b);
+            EXPECT_EQ(b.isDummy(), !real.back()) << "slot " << slot;
+        }
+        s.flush();
+    }
+
+    const AtRest rest =
+        readAtRest(sc.path, geom.totalSlots(), 16 + kPayload);
+    crypto::Encryptor enc(crypto::Encryptor::deriveKey(kKeySeed),
+                          geom.totalSlots());
+    enc.restoreEpochs(rest.epochs.data(), geom.totalSlots());
+    std::vector<std::uint8_t> dummy(16 + kPayload, 0);
+    const BlockId invalid = oram::kInvalidBlock;
+    std::memcpy(dummy.data(), &invalid, sizeof(invalid));
+    for (std::uint64_t slot = 0; slot < top; ++slot) {
+        std::vector<std::uint8_t> rec(
+            rest.records.begin() + slot * dummy.size(),
+            rest.records.begin() + (slot + 1) * dummy.size());
+        enc.decryptSlot(slot, rec.data(), rec.size());
+        if (real[slot]) {
+            BlockId id = 0;
+            std::memcpy(&id, rec.data(), sizeof(id));
+            EXPECT_EQ(id, slot + 1) << "slot " << slot;
+        } else {
+            EXPECT_EQ(rec, dummy) << "slot " << slot;
+        }
+    }
+}
+
+TEST(Treetop, WideTopHoldsWholeHorizonStash)
+{
+    // A Kaggle-like stream over 16 Ki rows, eight epochs, linked over
+    // the whole stream: the shape whose stash grew once cross-window
+    // links arrived. The wide trusted top absorbs it; §V's linear fat
+    // tree at k = 0 does not.
+    workload::KaggleParams kp;
+    kp.numBlocks = 16384;
+    kp.accesses = 8 * kp.numBlocks;
+    kp.hotSetSize = 2048;
+    kp.seed = 1;
+    const std::vector<BlockId> trace = workload::makeKaggleTrace(kp).accesses;
+
+    const auto run = [&](unsigned k) {
+        core::LaoramConfig cfg;
+        cfg.base.numBlocks = kp.numBlocks;
+        cfg.base.blockBytes = 128;
+        cfg.base.profile = oram::BucketProfile::fat(4);
+        cfg.base.treetopLevels = k;
+        cfg.superblockSize = 4;
+        cfg.lookaheadWindow = 2048;
+        cfg.batchAccesses = 16;
+        auto engine = std::make_unique<core::Laoram>(cfg);
+        engine->runTrace(trace);
+        return engine;
+    };
+
+    const auto wide = run(oram::kAutoTreetop);
+    ASSERT_EQ(wide->geometry().treetopLevels(), 7u);
+    const mem::TrafficCounters &w = wide->meter().counters();
+    EXPECT_LE(w.stashPeak, 16u);
+    EXPECT_EQ(wide->stashSize(), 0u);
+    EXPECT_EQ(w.dummyReads, 0u);
+
+    const auto linear = run(0);
+    const mem::TrafficCounters &l = linear->meter().counters();
+    EXPECT_EQ(l.pathReads, w.pathReads);
+    EXPECT_GT(l.stashPeak, 8 * w.stashPeak);
+    EXPECT_GT(linear->stashSize(), 0u);
 }
 
 TEST(Treetop, KillRestoreAtDefaultK)

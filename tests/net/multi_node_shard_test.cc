@@ -59,7 +59,8 @@ nodeFor(const core::LaoramConfig &sc)
 {
     const oram::TreeGeometry geom(sc.base.numBlocks,
                                   sc.base.blockBytes,
-                                  sc.base.profile);
+                                  sc.base.profile,
+                                  sc.base.treetopLevels);
     return std::make_unique<storage::RemoteKvServer>(
         storage::makeBackend(storage::StorageConfig{},
                              geom.totalSlots(),

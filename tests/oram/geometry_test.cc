@@ -56,8 +56,9 @@ TEST(TreeGeometry, TinyTrees)
 TEST(TreeGeometry, PaperFatExample)
 {
     // Paper §V: leaf bucket 5, six levels (leaf level 5) -> bucket
-    // sizes 10, 9, 8, 7, 6, 5 from root to leaf.
-    TreeGeometry g(32, 16, BucketProfile::fat(5));
+    // sizes 10, 9, 8, 7, 6, 5 from root to leaf. The paper's system
+    // keeps no treetop (k = 0).
+    TreeGeometry g(32, 16, BucketProfile::fat(5), 0);
     ASSERT_EQ(g.leafLevel(), 5u);
     EXPECT_EQ(g.bucketSize(0), 10u);
     EXPECT_EQ(g.bucketSize(1), 9u);
@@ -69,7 +70,7 @@ TEST(TreeGeometry, PaperFatExample)
 
 TEST(TreeGeometry, FatMonotoneNonIncreasing)
 {
-    TreeGeometry g(1 << 16, 16, BucketProfile::fat(4));
+    TreeGeometry g(1 << 16, 16, BucketProfile::fat(4), 0);
     for (unsigned l = 1; l <= g.leafLevel(); ++l)
         EXPECT_LE(g.bucketSize(l), g.bucketSize(l - 1));
     EXPECT_EQ(g.bucketSize(0), 8u);
@@ -171,7 +172,7 @@ TEST(TreeGeometry, TableOnePathOramBlowup)
 {
     // Table I: PathORAM (Z=4, one leaf per block) stores 8x the
     // insecure bytes (4 slots x ~2N nodes).
-    TreeGeometry g(8ULL << 20, 128, BucketProfile::uniform(4));
+    TreeGeometry g(8ULL << 20, 128, BucketProfile::uniform(4), 0);
     const double ratio = static_cast<double>(g.serverBytes())
         / static_cast<double>(
               TreeGeometry::insecureBytes(8ULL << 20, 128));
@@ -181,8 +182,8 @@ TEST(TreeGeometry, TableOnePathOramBlowup)
 TEST(TreeGeometry, MemoryNeutralFatSmallerThanUniform6)
 {
     // Paper §VIII-C: fat 9->5 uses ~16.6% less memory than uniform 6.
-    TreeGeometry fat(1 << 20, 128, BucketProfile::linear(5, 9));
-    TreeGeometry uni(1 << 20, 128, BucketProfile::uniform(6));
+    TreeGeometry fat(1 << 20, 128, BucketProfile::linear(5, 9), 0);
+    TreeGeometry uni(1 << 20, 128, BucketProfile::uniform(6), 0);
     EXPECT_LT(fat.serverBytes(), uni.serverBytes());
     const double saving = 1.0
         - static_cast<double>(fat.serverBytes())
@@ -195,8 +196,8 @@ TEST(TreeGeometry, MemoryNeutralFatSmallerThanUniform6)
 
 TEST(TreeGeometry, FatCostsMoreThanUniformSameLeaf)
 {
-    TreeGeometry fat(1 << 16, 128, BucketProfile::fat(4));
-    TreeGeometry uni(1 << 16, 128, BucketProfile::uniform(4));
+    TreeGeometry fat(1 << 16, 128, BucketProfile::fat(4), 0);
+    TreeGeometry uni(1 << 16, 128, BucketProfile::uniform(4), 0);
     EXPECT_GT(fat.serverBytes(), uni.serverBytes());
     EXPECT_GT(fat.pathSlots(), uni.pathSlots());
 }
@@ -239,19 +240,77 @@ class GeometrySweep : public ::testing::TestWithParam<GeomCase>
 TEST_P(GeometrySweep, SlotTotalsConsistent)
 {
     const auto p = GetParam();
-    TreeGeometry g(p.blocks, 64,
-                   BucketProfile::linear(p.leafZ, p.rootZ));
-    // Sum of per-level slot counts equals totalSlots.
-    std::uint64_t total = 0, per_path = 0;
-    for (unsigned l = 0; l <= g.leafLevel(); ++l) {
-        total += (std::uint64_t{1} << l) * g.bucketSize(l);
-        per_path += g.bucketSize(l);
+    const BucketProfile profile = BucketProfile::linear(p.leafZ, p.rootZ);
+    for (const unsigned k : {0u, kAutoTreetop}) {
+        TreeGeometry g(p.blocks, 64, profile, k);
+        // Sum of per-level slot counts equals totalSlots.
+        std::uint64_t total = 0, per_path = 0;
+        for (unsigned l = 0; l <= g.leafLevel(); ++l) {
+            EXPECT_EQ(g.levelFirstSlot(l), total) << "level " << l;
+            total += (std::uint64_t{1} << l) * g.bucketSize(l);
+            per_path += g.bucketSize(l);
+        }
+        EXPECT_EQ(total, g.totalSlots());
+        EXPECT_EQ(per_path, g.pathSlots());
+        EXPECT_EQ(g.serverBytes(), g.totalSlots() * 64);
+        EXPECT_EQ(g.bucketSize(g.leafLevel()), p.leafZ);
+        if (k == 0) {
+            EXPECT_EQ(g.treetopLevels(), 0u);
+            EXPECT_EQ(g.bucketSize(0), p.rootZ);
+        } else {
+            // Over a treetop only the client-held levels are wide.
+            ASSERT_EQ(g.treetopLevels(), g.numLevels() / 2);
+            const std::uint64_t top =
+                profile.isUniform() ? p.leafZ : 2 * p.rootZ;
+            for (unsigned l = 0; l <= g.leafLevel(); ++l)
+                EXPECT_EQ(g.bucketSize(l),
+                          l < g.treetopLevels() ? top : p.leafZ)
+                    << "level " << l;
+        }
     }
-    EXPECT_EQ(total, g.totalSlots());
-    EXPECT_EQ(per_path, g.pathSlots());
-    EXPECT_EQ(g.serverBytes(), g.totalSlots() * 64);
-    EXPECT_EQ(g.bucketSize(0), p.rootZ);
-    EXPECT_EQ(g.bucketSize(g.leafLevel()), p.leafZ);
+}
+
+/** Slots of one path on levels >= @p k, the ones the server holds. */
+std::uint64_t
+serverPathSlots(const TreeGeometry &g, unsigned k)
+{
+    std::uint64_t slots = 0;
+    for (unsigned l = k; l <= g.leafLevel(); ++l)
+        slots += g.bucketSize(l);
+    return slots;
+}
+
+TEST(TreeGeometry, WideTreetopPinsTrainingTree)
+{
+    // train-kaggle's tree: 2^19 blocks, fat(4), 128-B rows. At the
+    // default k the top 10 levels hold 16 slots a bucket and every
+    // server level holds 4.
+    const TreeGeometry g(1 << 19, 128, BucketProfile::fat(4));
+    ASSERT_EQ(g.leafLevel(), 19u);
+    ASSERT_EQ(g.treetopLevels(), 10u);
+    const unsigned k = g.treetopLevels();
+    EXPECT_EQ(serverPathSlots(g, k), 40u);
+    EXPECT_EQ(g.levelFirstSlot(k), 16368u);
+    EXPECT_EQ(g.totalSlots(), 4206576u);
+    EXPECT_EQ(g.pathSlots(), 200u);
+
+    // At k = 0 the same profile is §V's linear decay, 8 -> 4: 120
+    // slots a path, 49 of them on levels >= 10.
+    const TreeGeometry linear(1 << 19, 128, BucketProfile::fat(4), 0);
+    EXPECT_EQ(linear.treetopLevels(), 0u);
+    EXPECT_EQ(linear.bucketSize(0), 8u);
+    EXPECT_EQ(linear.pathSlots(), 120u);
+    EXPECT_EQ(linear.totalSlots(), 4329728u);
+    EXPECT_EQ(linear.levelFirstSlot(k), 6400u);
+    EXPECT_EQ(serverPathSlots(linear, k), 49u);
+
+    // A uniform profile's shape does not depend on k.
+    const TreeGeometry uniform(1 << 19, 128, BucketProfile::uniform(4));
+    const TreeGeometry uniform0(1 << 19, 128, BucketProfile::uniform(4),
+                                0);
+    EXPECT_EQ(uniform.treetopLevels(), 10u);
+    EXPECT_EQ(uniform.totalSlots(), uniform0.totalSlots());
+    EXPECT_EQ(uniform.levelFirstSlot(k), uniform0.levelFirstSlot(k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
