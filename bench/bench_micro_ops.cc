@@ -184,7 +184,7 @@ BM_StorageVectoredPathRead(benchmark::State &state)
     const bool encrypt = state.range(1) != 0;
     const auto realPct = static_cast<std::uint64_t>(state.range(2));
     const oram::TreeGeometry geom(std::uint64_t{1} << 16, 128,
-                                  oram::BucketProfile::uniform(4));
+                                  oram::BucketProfile::uniform(4), 0);
     oram::ServerStorage storage(geom, encrypt ? 128 : 0, encrypt,
                                 /*keySeed=*/11);
 

@@ -58,7 +58,7 @@ OramEngine::runTrace(const std::vector<BlockId> &trace)
 TreeOramBase::TreeOramBase(const EngineConfig &cfg)
     : OramEngine(cfg),
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0xC0FFEE,
-               cfg.storage, geom.treetopLevels()),
+               cfg.storage),
       posmap_(cfg.numBlocks, geom.numLeaves(), rng),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr)

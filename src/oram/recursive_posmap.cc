@@ -279,7 +279,7 @@ RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
                                      const RecursiveConfig &rcfg)
     : OramEngine(cfg),
       storage_(geom, cfg.payloadBytes, cfg.encrypt, cfg.seed ^ 0x2EC,
-               cfg.storage, geom.treetopLevels()),
+               cfg.storage),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr),
       rpm(cfg.numBlocks, geom.numLeaves(), rcfg, mtr)

@@ -61,7 +61,8 @@ liveTreetop()
 /**
  * The backend @p scfg describes, sized for @p geom. A non-uniform
  * profile's slot layout depends on the treetop level count, so a
- * refused reopen of such a tree names the k this geometry has.
+ * store of another size (or slot count) refused for such a tree
+ * names the k this geometry has.
  */
 std::unique_ptr<storage::SlotBackend>
 openBackend(const storage::StorageConfig &scfg, const TreeGeometry &geom,
@@ -71,14 +72,14 @@ openBackend(const storage::StorageConfig &scfg, const TreeGeometry &geom,
         return storage::makeBackend(
             scfg, geom.totalSlots(), kHeaderBytes + payloadBytes,
             metaBytesFor(encrypt, geom.totalSlots()));
-    } catch (const std::runtime_error &e) {
-        if (!scfg.keepExisting || geom.profile().isUniform())
+    } catch (const storage::ShapeMismatch &e) {
+        if (geom.profile().isUniform())
             throw;
-        throw std::runtime_error(
+        throw storage::ShapeMismatch(
             std::string(e.what())
             + "; a non-uniform bucket profile's tree has a different "
-              "shape at every treetop level count, and this one is "
-              "sized for treetopLevels = "
+              "shape at every treetop level count (at 0, the linear "
+              "fat tree), and this one is sized for treetopLevels = "
             + std::to_string(geom.treetopLevels())
             + ": reopen the tree at the k it was written with");
     }
@@ -97,27 +98,21 @@ ServerStorage::ServerStorage(const TreeGeometry &geom,
 ServerStorage::ServerStorage(const TreeGeometry &geom,
                              std::uint64_t payloadBytes, bool encrypt,
                              std::uint64_t keySeed,
-                             const storage::StorageConfig &scfg,
-                             unsigned treetopLevels)
+                             const storage::StorageConfig &scfg)
     : ServerStorage(geom, payloadBytes, encrypt, keySeed,
-                    openBackend(scfg, geom, payloadBytes, encrypt),
-                    treetopLevels)
+                    openBackend(scfg, geom, payloadBytes, encrypt))
 {
 }
 
 ServerStorage::ServerStorage(
     const TreeGeometry &geom, std::uint64_t payloadBytes, bool encrypt,
     std::uint64_t keySeed,
-    std::unique_ptr<storage::SlotBackend> backend,
-    unsigned treetopLevels)
+    std::unique_ptr<storage::SlotBackend> backend)
     : geom(geom),
       payBytes(payloadBytes),
       recBytes(kHeaderBytes + payloadBytes),
       nSlots(geom.totalSlots()),
-      topLevels(treetopLevels),
-      topSlots(treetopLevels <= geom.leafLevel()
-                   ? geom.levelFirstSlot(treetopLevels)
-                   : 0),
+      topSlots(geom.levelFirstSlot(geom.treetopLevels())),
       occupancy(divCeil(nSlots, 64), 0),
       treetop(topSlots * recBytes, 0),
       liveTop(liveTreetop()),
@@ -132,9 +127,6 @@ ServerStorage::ServerStorage(
                   store->slots(), " slots, geometry needs ", nSlots);
     LAORAM_ASSERT(store->recordBytes() == recBytes, "backend records ",
                   store->recordBytes(), " B, storage needs ", recBytes);
-    LAORAM_ASSERT(treetopLevels <= geom.leafLevel(), "treetop of ",
-                  treetopLevels, " levels would hold the leaf level ",
-                  geom.leafLevel());
     liveTop.attach(&topStats);
     initialise();
 }
@@ -463,24 +455,16 @@ ServerStorage::writeRecords(const SlotWriteOp *ops, std::size_t n)
     if (nFar == n)
         return;
     // Treetop records cost what they hold, not how wide the top is:
-    // a dummy over a dummy is left alone, and a real record that
-    // leaves a slot loses only its id header (flush() canonicalises
-    // the rest before anything leaves client memory). The top slots'
-    // bits change here as each op lands, so a slot that recurs
-    // within one call sees its earlier op.
+    // a dummy overwrites only the slot's id header (flush()
+    // canonicalises the rest before anything leaves client memory).
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t slot = ops[i].slot;
-        if (slot >= topSlots)
+        if (ops[i].slot >= topSlots)
             continue;
-        std::uint8_t *rec = treetop.data() + slot * recBytes;
-        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
-        if (ops[i].id != kInvalidBlock) {
+        std::uint8_t *rec = treetop.data() + ops[i].slot * recBytes;
+        if (ops[i].id != kInvalidBlock)
             encodeRecord(ops[i], rec);
-            occupancy[slot >> 6] |= bit;
-        } else if (occupied(slot)) {
+        else
             storeU64(rec, kInvalidBlock);
-            occupancy[slot >> 6] &= ~bit;
-        }
     }
     topStats.slotsWritten += n - nFar;
 }

@@ -57,8 +57,8 @@
  * sequence. An integrity MAC would be checked over the ciphertext,
  * which the backend still returns for every slot.
  *
- * Treetop (Ren et al., ISCA 2013). With treetopLevels = k > 0 the
- * heap-order slot prefix [0, geometry().levelFirstSlot(k)), the
+ * Treetop (Ren et al., ISCA 2013). With geometry().treetopLevels() =
+ * k > 0 the heap-order slot prefix [0, geometry().levelFirstSlot(k)), the
  * buckets of the top k levels, lives in trusted client memory: one
  * flat array of plaintext records, treetopSlots() * recordBytes()
  * bytes (2.25 MiB for train-kaggle's 2^19-leaf fat(4) tree at k =
@@ -69,8 +69,8 @@
  * and send the rest to the backend as one vectored op in the caller's
  * order; the occupancy bitmap covers both. A prefix write costs what
  * the slot holds, not how wide the top is: a dummy written over a
- * dummy changes nothing, and a real record leaving a slot has only
- * its 8-B id header overwritten. During a run prefix slots never
+ * slot overwrites only its 8-B id header (PathIo skips a dummy over a
+ * dummy altogether). During a run prefix slots never
  * reach the backend, the Encryptor or the access sink. The server
  * therefore sees each path's levels >= k, in full, exactly as before.
  * flush() (and so every checkpoint) first writes the whole prefix
@@ -130,20 +130,19 @@ class ServerStorage
                   bool encrypt, std::uint64_t keySeed = 0);
 
     /**
-     * Storage with the backend described by @p scfg, keeping the top
-     * @p treetopLevels levels (at most geom.leafLevel()) in client
-     * memory.
+     * Storage with the backend described by @p scfg. Like every
+     * constructor it keeps the top geom.treetopLevels() levels in
+     * client memory, so a geometry and its storage cannot disagree
+     * about k.
      */
     ServerStorage(const TreeGeometry &geom, std::uint64_t payloadBytes,
                   bool encrypt, std::uint64_t keySeed,
-                  const storage::StorageConfig &scfg,
-                  unsigned treetopLevels = 0);
+                  const storage::StorageConfig &scfg);
 
     /** Storage over a caller-built backend (tests, custom stores). */
     ServerStorage(const TreeGeometry &geom, std::uint64_t payloadBytes,
                   bool encrypt, std::uint64_t keySeed,
-                  std::unique_ptr<storage::SlotBackend> backend,
-                  unsigned treetopLevels = 0);
+                  std::unique_ptr<storage::SlotBackend> backend);
 
     ~ServerStorage();
 
@@ -155,7 +154,7 @@ class ServerStorage
     const TreeGeometry &geometry() const { return geom; }
 
     /** Tree levels kept in client memory (0: none). */
-    unsigned treetopLevels() const { return topLevels; }
+    unsigned treetopLevels() const { return geom.treetopLevels(); }
 
     /** Slots [0, treetopSlots()) live in client memory. */
     std::uint64_t treetopSlots() const { return topSlots; }
@@ -318,9 +317,8 @@ class ServerStorage
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
 
     /**
-     * writeSlots without the bitmap update below the treetop: backend
-     * ops first, then the treetop slots' records (and their bits)
-     * into client memory.
+     * writeSlots without the bitmap update: backend ops first, then
+     * the treetop slots' records into client memory.
      */
     void writeRecords(const SlotWriteOp *ops, std::size_t n);
 
@@ -335,7 +333,6 @@ class ServerStorage
     std::uint64_t payBytes;
     std::uint64_t recBytes;
     std::uint64_t nSlots;
-    unsigned topLevels;
     std::uint64_t topSlots;
     std::vector<std::uint64_t> occupancy; ///< one bit per slot, 1 = real
     /** Treetop prefix: topSlots plaintext records, in slot order. */

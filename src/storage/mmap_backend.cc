@@ -75,7 +75,7 @@ MmapFileBackend::MmapFileBackend(const StorageConfig &cfg,
         reopened = true;
     } else if (cfg.keepExisting && st.st_size != 0) {
         ::close(fd);
-        throw std::runtime_error(
+        throw ShapeMismatch(
             "mmap backend: '" + filePath + "' exists with size "
             + std::to_string(st.st_size) + " but this tree needs "
             + std::to_string(totalBytes)

@@ -41,7 +41,8 @@ class MmapFileBackend final : public SlotBackend
      *
      * @throws std::runtime_error when keepExisting finds an existing
      *         file whose header does not match this geometry (never
-     *         silently clobbers a tree).
+     *         silently clobbers a tree); ShapeMismatch when its size
+     *         does not.
      */
     MmapFileBackend(const StorageConfig &cfg, std::uint64_t slots,
                     std::uint64_t recordBytes, std::uint64_t metaBytes);

@@ -594,7 +594,7 @@ RemoteKvBackend::rawHello(int helloFd)
     const std::uint64_t srvSlots = readU64(body);
     const std::uint64_t srvRec = readU64(body + 8);
     if (srvSlots != nSlots || srvRec != recBytes) {
-        throw std::runtime_error(
+        throw ShapeMismatch(
             "remote-KV handshake: server stores " +
             std::to_string(srvSlots) + " slots of " +
             std::to_string(srvRec) + " B, client expects " +

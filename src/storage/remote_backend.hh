@@ -234,8 +234,8 @@ class RemoteKvBackend final : public SlotBackend
      * socketpairs. Either way the first connect runs the same
      * retry/backoff loop as a mid-run reconnect.
      *
-     * @throws std::runtime_error when the handshake reports a
-     *         different geometry than (@p slots, @p recordBytes).
+     * @throws ShapeMismatch when the handshake reports a different
+     *         geometry than (@p slots, @p recordBytes).
      */
     RemoteKvBackend(const StorageConfig &cfg, std::uint64_t slots,
                     std::uint64_t recordBytes, std::uint64_t metaBytes);

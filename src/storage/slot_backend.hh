@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hh"
@@ -287,13 +288,24 @@ class SlotBackend
 };
 
 /**
+ * A store refused because its size or slot count is not the tree's:
+ * a keepExisting mmap reopen of a file of another size, or a remote
+ * node that serves another slot count or record size.
+ */
+struct ShapeMismatch : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * Build the backend described by @p cfg for a tree of @p slots
  * records of @p recordBytes each, reserving @p metaBytes of persisted
  * metadata capacity (persistent backends only).
  *
  * Fatal on an impossible configuration (MmapFile without a path);
  * throws std::runtime_error when a keepExisting reopen finds an
- * incompatible file.
+ * incompatible file (ShapeMismatch when its size is not the tree's)
+ * or a remote node serves another geometry (ShapeMismatch).
  */
 std::unique_ptr<SlotBackend> makeBackend(const StorageConfig &cfg,
                                          std::uint64_t slots,

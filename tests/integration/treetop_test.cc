@@ -15,11 +15,12 @@
  *    at every k (a fat tree's top widens with k, so it has no k = 0
  *    twin).
  *  - Codec: mixed slot orders (prefix slots anywhere in a request)
- *    decode like a whole-tree storage.
- *  - Reopen: a flushed tree reopens under the same geometry with
- *    any number of its levels in client memory, with the prefix,
+ *    decode like a whole-tree storage of the same uniform tree.
+ *  - Reopen: a flushed uniform tree reopens with any number of its
+ *    levels in client memory, with the prefix,
  *    the occupancy bitmap and every path intact; a fat tree written
- *    at one k is refused at another, by name.
+ *    at one k is refused at another, by name, while a forged header
+ *    is refused without that hint.
  *  - At-rest dummies: after a flush every unoccupied prefix record
  *    decrypts to the canonical dummy, though the client rewrote only
  *    the id header of a record that left its slot.
@@ -37,6 +38,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -437,10 +439,15 @@ randomOps(Rng &rng, const oram::TreeGeometry &geom, std::size_t n,
 
 TEST(Treetop, CodecMatchesWholeTreeStorageInAnySlotOrder)
 {
-    const oram::TreeGeometry geom(256, 64, oram::BucketProfile::fat(4));
-    const unsigned k = geom.numLevels() / 2;
-    ServerStorage whole(geom, 24, true, 5, storage::StorageConfig{}, 0);
-    ServerStorage split(geom, 24, true, 5, storage::StorageConfig{}, k);
+    // A uniform tree has one shape at every k, so the split storage
+    // and the whole-tree one hold the same slots.
+    const oram::TreeGeometry geom(256, 64, oram::BucketProfile::uniform(4));
+    const oram::TreeGeometry wholeGeom(256, 64,
+                                       oram::BucketProfile::uniform(4), 0);
+    const unsigned k = geom.treetopLevels();
+    ASSERT_GT(k, 0u);
+    ServerStorage whole(wholeGeom, 24, true, 5);
+    ServerStorage split(geom, 24, true, 5);
     ASSERT_EQ(split.treetopSlots(), geom.levelFirstSlot(k));
     std::vector<Event> wholeEvents, splitEvents;
     record(whole, wholeEvents);
@@ -498,9 +505,12 @@ pathSlots(const oram::TreeGeometry &geom, Leaf leaf)
 
 TEST(Treetop, ReopenLoadsPrefixAndBitmap)
 {
+    // A uniform tree has one shape at every k, so its file reopens
+    // under a geometry with any other treetop.
     const test::ScratchDir scratch;
-    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
-    const unsigned k = geom.numLevels() / 2;
+    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::uniform(4));
+    const unsigned k = geom.treetopLevels();
+    ASSERT_GT(k, 0u);
     storage::StorageConfig sc;
     sc.kind = storage::BackendKind::MmapFile;
     sc.path = scratch.file("reopen.tree");
@@ -509,7 +519,7 @@ TEST(Treetop, ReopenLoadsPrefixAndBitmap)
     std::vector<StoredBlock> contents(geom.totalSlots());
     std::vector<std::vector<StoredBlock>> paths(geom.numLeaves());
     {
-        ServerStorage s(geom, 24, true, 8, sc, k);
+        ServerStorage s(geom, 24, true, 8, sc);
         ASSERT_FALSE(s.reopened());
         Rng rng(4);
         std::vector<std::vector<std::uint8_t>> payloads;
@@ -528,13 +538,17 @@ TEST(Treetop, ReopenLoadsPrefixAndBitmap)
         s.flush();
     }
 
-    // The same k, none, and every level but the leaves: under one
-    // geometry the tree file does not depend on how many levels the
-    // storage keeps in client memory.
+    // The same k, none, and every level but the leaves: the tree
+    // file does not depend on how many levels the storage keeps in
+    // client memory.
     for (const unsigned reopenK : {k, 0u, geom.leafLevel()}) {
         const std::string what = "reopened at k " + std::to_string(reopenK);
+        const oram::TreeGeometry at(512, 64,
+                                    oram::BucketProfile::uniform(4),
+                                    reopenK);
+        ASSERT_EQ(at.totalSlots(), geom.totalSlots());
         sc.keepExisting = true;
-        ServerStorage s(geom, 24, true, 8, sc, reopenK);
+        ServerStorage s(at, 24, true, 8, sc);
         ASSERT_TRUE(s.reopened()) << what;
         EXPECT_EQ(s.auditOccupancy(), "") << what;
         StoredBlock b;
@@ -569,7 +583,7 @@ TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
     const oram::TreeGeometry written(512, 64, oram::BucketProfile::fat(4));
     ASSERT_GT(written.treetopLevels(), 0u);
     {
-        ServerStorage s(written, 24, true, 8, sc, written.treetopLevels());
+        ServerStorage s(written, 24, true, 8, sc);
         s.flush();
     }
     sc.keepExisting = true;
@@ -578,9 +592,9 @@ TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
                                        oram::BucketProfile::fat(4), k);
         ASSERT_NE(other.totalSlots(), written.totalSlots());
         try {
-            ServerStorage s(other, 24, true, 8, sc, k);
+            ServerStorage s(other, 24, true, 8, sc);
             ADD_FAILURE() << "reopen at k " << k << " was not refused";
-        } catch (const std::runtime_error &e) {
+        } catch (const storage::ShapeMismatch &e) {
             const std::string what = e.what();
             EXPECT_NE(what.find("treetopLevels = " + std::to_string(k)),
                       std::string::npos)
@@ -588,9 +602,30 @@ TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
         }
     }
     // At the k it was written with it reopens.
-    ServerStorage s(written, 24, true, 8, sc, written.treetopLevels());
-    EXPECT_TRUE(s.reopened());
-    EXPECT_EQ(s.auditOccupancy(), "");
+    {
+        ServerStorage s(written, 24, true, 8, sc);
+        EXPECT_TRUE(s.reopened());
+        EXPECT_EQ(s.auditOccupancy(), "");
+    }
+    // A refusal that is not about the tree's size (here a forged
+    // header magic) says nothing about k.
+    {
+        std::fstream f(sc.path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f);
+        char first = 0;
+        f.read(&first, 1);
+        f.seekp(0);
+        first = static_cast<char>(first ^ 0xFF);
+        f.write(&first, 1);
+    }
+    try {
+        ServerStorage s(written, 24, true, 8, sc);
+        ADD_FAILURE() << "forged header was not refused";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.find("treetopLevels"), std::string::npos) << what;
+    }
 }
 
 TEST(Treetop, FlushWritesCanonicalDummiesOverTheWideTop)
@@ -605,8 +640,7 @@ TEST(Treetop, FlushWritesCanonicalDummiesOverTheWideTop)
     std::uint64_t top = 0;
     std::vector<bool> real;
     {
-        ServerStorage s(geom, kPayload, true, kKeySeed, sc,
-                        geom.treetopLevels());
+        ServerStorage s(geom, kPayload, true, kKeySeed, sc);
         top = s.treetopSlots();
         ASSERT_EQ(top, geom.levelFirstSlot(geom.treetopLevels()));
         // Fill every prefix slot with a real record, then move two in
@@ -844,7 +878,6 @@ TEST(Treetop, TeardownWritesPrefixOnlyToPersistentStore)
     // mmap store still gets every prefix slot, once.
     const test::ScratchDir scratch;
     const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
-    const unsigned k = geom.numLevels() / 2;
     for (const storage::BackendKind kind :
          {storage::BackendKind::Dram, storage::BackendKind::MmapFile}) {
         const bool persistent = kind == storage::BackendKind::MmapFile;
@@ -862,8 +895,7 @@ TEST(Treetop, TeardownWritesPrefixOnlyToPersistentStore)
             ServerStorage s(
                 geom, 24, true, 8,
                 std::make_unique<CountingBackend>(std::move(inner),
-                                                  written),
-                k);
+                                                  written));
             prefix = s.treetopSlots();
             ASSERT_GT(prefix, 0u);
             Rng rng(6);

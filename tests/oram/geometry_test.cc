@@ -115,7 +115,7 @@ TEST(TreeGeometry, NodeLevelRoundTrips)
 TEST(TreeGeometry, SlotRangesPartitionStorage)
 {
     // Every slot must belong to exactly one node.
-    TreeGeometry g(1 << 5, 16, BucketProfile::fat(3));
+    TreeGeometry g(1 << 5, 16, BucketProfile::fat(3), 0);
     std::set<std::uint64_t> seen;
     for (NodeIndex n = 0; n < g.numNodes(); ++n) {
         const std::uint64_t base = g.nodeSlotBase(n);

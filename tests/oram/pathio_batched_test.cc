@@ -21,7 +21,7 @@ namespace {
 struct BatchedFixture : public ::testing::Test
 {
     BatchedFixture()
-        : geom(64, 8, BucketProfile::uniform(2)), // tight buckets
+        : geom(64, 8, BucketProfile::uniform(2), 0), // tight buckets
           storage(geom, 8, false),
           rng(13),
           posmap(64, geom.numLeaves(), rng),
@@ -282,7 +282,7 @@ TEST_F(BatchedFixture, EmptyLeafSetTouchesNothing)
 
 TEST(SlotNode, InvertsNodeSlotBase)
 {
-    TreeGeometry geom(256, 16, BucketProfile::linear(3, 7));
+    TreeGeometry geom(256, 16, BucketProfile::linear(3, 7), 0);
     for (NodeIndex n = 0; n < geom.numNodes(); ++n) {
         const auto base = geom.nodeSlotBase(n);
         const auto z = geom.bucketSize(geom.nodeLevel(n));

@@ -22,7 +22,7 @@ namespace {
 struct PathIoFixture : public ::testing::Test
 {
     PathIoFixture()
-        : geom(64, 8, BucketProfile::uniform(4)),
+        : geom(64, 8, BucketProfile::uniform(4), 0),
           storage(geom, 8, false),
           rng(7),
           posmap(64, geom.numLeaves(), rng),
@@ -228,7 +228,7 @@ TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
 
 TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
 {
-    TreeGeometry fat_geom(64, 8, BucketProfile::fat(4));
+    TreeGeometry fat_geom(64, 8, BucketProfile::fat(4), 0);
     ServerStorage fat_storage(fat_geom, 8, false);
     Stash fat_stash;
     PathIo fat_io(fat_geom, fat_storage, fat_stash, meter);
@@ -253,7 +253,7 @@ TEST_F(PathIoFixture, BatchedUnionMatchesSortUniqueReference)
     // deepest level first, descending within a level) in that order,
     // for unsorted leaf multisets with duplicates, on both the read and
     // the write-back. A fat tree gives every level its own bucket size.
-    TreeGeometry fat(256, 8, BucketProfile::fat(4));
+    TreeGeometry fat(256, 8, BucketProfile::fat(4), 0);
     ServerStorage store(fat, 0, false);
     Stash st;
     PathIo pio(fat, store, st, meter);
@@ -377,7 +377,7 @@ TEST_F(PathIoFixture, OneLeafWriteBackMatchesPerPathGreedyReference)
     // blocks at every level and in the stash as the per-path greedy.
     for (const BucketProfile &profile :
          {BucketProfile::uniform(4), BucketProfile::fat(4)}) {
-        const TreeGeometry g(256, 8, profile);
+        const TreeGeometry g(256, 8, profile, 0);
         for (int round = 0; round < 200; ++round) {
             ServerStorage store(g, 8, false);
             Stash st;
@@ -458,7 +458,7 @@ TEST_F(PathIoFixture, DrainStopsAtBurstCap)
     // never reach a low water of 0, so the drain must give up after
     // exactly the cap, keep the overflow stashed and leave the tree
     // consistent.
-    const TreeGeometry g(8, 8, BucketProfile::uniform(4));
+    const TreeGeometry g(8, 8, BucketProfile::uniform(4), 0);
     ASSERT_EQ(g.numLeaves(), 8u);
     ServerStorage store(g, 8, false);
     Stash st;

@@ -23,7 +23,7 @@ namespace {
 TreeGeometry
 smallGeom()
 {
-    return TreeGeometry(64, 64, BucketProfile::uniform(4));
+    return TreeGeometry(64, 64, BucketProfile::uniform(4), 0);
 }
 
 TEST(ServerStorage, StartsAllDummies)

@@ -88,7 +88,7 @@ paramName(const ::testing::TestParamInfo<Param> &info)
 TreeGeometry
 smallGeom()
 {
-    return TreeGeometry(64, 64, BucketProfile::uniform(4));
+    return TreeGeometry(64, 64, BucketProfile::uniform(4), 0);
 }
 
 class BackendConformance : public ::testing::TestWithParam<Param>

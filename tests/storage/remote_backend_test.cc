@@ -401,7 +401,7 @@ TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
     scfg.path = path; // mmap-inner node: the tree survives the server
     constexpr std::uint64_t kPayload = 24;
     constexpr std::uint64_t kSeed = 5;
-    oram::TreeGeometry geom(64, 64, oram::BucketProfile::uniform(4));
+    oram::TreeGeometry geom(64, 64, oram::BucketProfile::uniform(4), 0);
 
     Rng rng(9);
     std::vector<oram::StoredBlock> expect(geom.totalSlots());
