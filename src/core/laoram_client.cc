@@ -44,7 +44,7 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
 
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
-    oram::StashEntry &entry = stashEntryFor(id, next);
+    oram::StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
     if (!cache_) {
         applyOp(entry, op, in, len, out);
     } else {
@@ -168,8 +168,8 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     // re-targeting their stash entry, so the final entry leaf matches
     // the per-member code path).
     for (std::size_t i = 0; i < scratchRemapIds.size(); ++i) {
-        oram::StashEntry &entry =
-            stashEntryFor(scratchRemapIds[i], scratchRemapLeaves[i]);
+        oram::StashEntry &entry = stash_.remap(
+            scratchRemapIds[i], scratchRemapLeaves[i], cfg.payloadBytes);
         touchMember(scratchRemapIds[i], entry.payload);
     }
 

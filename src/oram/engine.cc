@@ -151,6 +151,7 @@ OramEngine::saveClientState(serde::Serializer &s) const
     s.u64(cfg.payloadBytes);
     s.u64(geom.numLeaves());
     s.u64(geom.numNodes());
+    s.u64(geom.treetopLevels());
     s.u8(cfg.encrypt ? 1 : 0);
     s.u64(cfg.seed);
 
@@ -168,6 +169,7 @@ OramEngine::restoreClientState(serde::Deserializer &d)
     checkField("payloadBytes", cfg.payloadBytes, d.u64());
     checkField("numLeaves", geom.numLeaves(), d.u64());
     checkField("numNodes", geom.numNodes(), d.u64());
+    checkField("treetopLevels", geom.treetopLevels(), d.u64());
     checkField("encrypt", cfg.encrypt ? 1 : 0, d.u8());
     checkField("seed", cfg.seed, d.u64());
 
@@ -261,18 +263,6 @@ OramEngine::applyOp(StashEntry &entry, AccessOp op,
         break;
       }
     }
-}
-
-StashEntry &
-TreeOramBase::stashEntryFor(BlockId id, Leaf leaf)
-{
-    if (StashEntry *entry = stash_.find(id)) {
-        entry->leaf = leaf;
-        return *entry;
-    }
-    auto &entry = stash_.put(id, leaf);
-    entry.payload.assign(cfg.payloadBytes, 0);
-    return entry;
 }
 
 } // namespace laoram::oram

@@ -49,17 +49,18 @@ struct EngineConfig
 
     /**
      * Tree levels whose buckets stay in trusted client memory instead
-     * of on the server (treetop caching; see ServerStorage). The
+     * of on the server (treetop caching; see PathIo). The
      * PathORAM-family engines' path reads and write-backs then move,
      * encrypt and meter only levels >= k. The engine's TreeGeometry
      * resolves it (geometry().treetopLevels()): kAutoTreetop (the
      * default) keeps the top floor(numLevels / 2) levels, about
      * sqrt(nodes) nodes and never the leaf level. Over a treetop a
      * fat profile widens only those levels (TreeGeometry): for a
-     * 2^19-block fat(4) tree of 144-B records that is k = 10, 16
-     * slots per top bucket and 2.25 MiB of client memory, with 4
-     * slots per server bucket. 0 turns it off, as the paper's system
-     * has none, and keeps §V's linear fat tree; an explicit k must be
+     * 2^19-block fat(4) tree that is k = 10, 16 slots per top
+     * bucket (16,368 top slots, each block there a parked stash
+     * entry), with 4 slots per server bucket. 0 turns it off, as
+     * the paper's system has none, and keeps §V's linear fat tree;
+     * an explicit k must be
      * at most the leaf level. RingORAM passes 0 (its bucket protocol
      * meters its own traffic), and the recursive engine applies it to
      * its data tree only, not to its position-map trees.
@@ -234,6 +235,7 @@ class TreeOramBase : public OramEngine
     const ServerStorage &storageForAudit() const { return storage_; }
     const Stash &stashForAudit() const { return stash_; }
     const PositionMap &posmapForAudit() const { return posmap_; }
+    const PathIo &pathIoForAudit() const { return pathIo_; }
 
     /** Mutable storage access for installing test access sinks. */
     ServerStorage &storageForTest() { return storage_; }
@@ -254,13 +256,6 @@ class TreeOramBase : public OramEngine
      * in place.
      */
     void restoreAtConstructionIfConfigured();
-
-    /**
-     * Fetch @p id's stash entry, creating a zero-filled one on first
-     * touch (blocks are lazily initialised: an unwritten block reads as
-     * zeros).
-     */
-    StashEntry &stashEntryFor(BlockId id, Leaf leaf);
 
     /** Draw a uniform leaf. */
     Leaf randomLeaf() { return rng.nextBounded(geom.numLeaves()); }

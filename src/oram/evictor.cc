@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -10,7 +12,8 @@ namespace laoram::oram {
 
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
                Stash &stash, mem::TrafficMeter &meter)
-    : geom(geom), storage(storage), stash(stash), meter(meter)
+    : geom(geom), storage(storage), stash(stash), meter(meter),
+      topIds(geom.levelFirstSlot(geom.treetopLevels()), kInvalidBlock)
 {
 }
 
@@ -51,20 +54,17 @@ PathIo::pathUnion(const Leaf *leaves, std::size_t n)
 std::uint64_t
 PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
 {
-    // Treetop nodes come last in the union, wholly below
-    // treetopSlots(); only the slots before them reach the server,
-    // whole buckets. Of a treetop bucket only the occupied slots are
-    // read: the client already knows the rest hold dummies.
-    const std::uint64_t top = storage.treetopSlots();
-    std::uint64_t served = 0;
+    // Server buckets are read whole; a treetop bucket's blocks are
+    // unparked into the loose stash, leaving its slots empty.
+    const std::uint64_t top = topIds.size();
     slotScratch.clear();
     for (const UnionNode &u : pathUnion(leaves, n)) {
-        const bool far = u.base >= top;
-        for (std::uint64_t s = u.base; s < u.base + u.z; ++s)
-            if (far || storage.occupied(s))
+        for (std::uint64_t s = u.base; s < u.base + u.z; ++s) {
+            if (s >= top)
                 slotScratch.push_back(s);
-        if (far)
-            served += u.z;
+            else if (topIds[s] != kInvalidBlock)
+                stash.unpark(std::exchange(topIds[s], kInvalidBlock));
+        }
     }
 
     // One vectored storage op; real blocks join the stash with the
@@ -79,7 +79,7 @@ PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
                       " found in tree while stashed");
         stash.put(b.id, b.leaf, std::move(b.payload));
     }
-    return served;
+    return slotScratch.size();
 }
 
 std::uint64_t
@@ -125,35 +125,41 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     // order, so placements (and which blocks stay stashed) are a
     // function of the stash's contents alone: a restored stash, rebuilt
     // in another insertion order, evicts exactly as the original. The
-    // union is written as one vectored storage op; stash entries are
-    // erased after it so their payload pointers stay valid for the
-    // write.
+    // server buckets are written as one vectored storage op; their
+    // stash entries are erased after it so their payload pointers stay
+    // valid for the write. Blocks placed in treetop slots are parked
+    // at once, which moves no entry.
     writeScratch.clear();
     evictedScratch.clear();
-    const std::uint64_t top = storage.treetopSlots();
-    std::uint64_t slots_written = 0;
+    const std::uint64_t top = topIds.size();
     for (std::size_t p = 0; p < nodes.size(); ++p) {
         const UnionNode &u = nodes[p];
         std::vector<BlockId> &pending = candidates[p];
         std::sort(pending.begin(), pending.end());
         const std::uint64_t filled =
             std::min<std::uint64_t>(u.z, pending.size());
-        for (std::uint64_t s = 0; s < filled; ++s) {
-            StashEntry *entry = stash.find(pending[s]);
-            LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({u.base + s, pending[s], entry->leaf,
-                                    entry->payload.data(),
-                                    entry->payload.size()});
-            evictedScratch.push_back(pending[s]);
-        }
-        // A server bucket is written whole; a treetop slot only when
-        // its record changes, since a dummy over a dummy is a no-op.
-        const bool far = u.base >= top;
-        for (std::uint64_t s = u.base + filled; s < u.base + u.z; ++s)
-            if (far || storage.occupied(s))
+        if (u.base < top) {
+            for (std::uint64_t s = 0; s < filled; ++s) {
+                LAORAM_ASSERT(topIds[u.base + s] == kInvalidBlock,
+                              "treetop slot ", u.base + s,
+                              " written back before its union read");
+                topIds[u.base + s] = pending[s];
+                stash.park(pending[s]);
+            }
+        } else {
+            // A server bucket is written whole.
+            for (std::uint64_t s = 0; s < filled; ++s) {
+                const StashEntry *entry = stash.find(pending[s]);
+                LAORAM_ASSERT(entry,
+                              "stash entry vanished during eviction");
+                writeScratch.push_back({u.base + s, pending[s],
+                                        entry->leaf, entry->payload.data(),
+                                        entry->payload.size()});
+                evictedScratch.push_back(pending[s]);
+            }
+            for (std::uint64_t s = u.base + filled; s < u.base + u.z; ++s)
                 writeScratch.push_back({s, kInvalidBlock, 0, nullptr, 0});
-        if (far)
-            slots_written += u.z;
+        }
 
         if (filled < pending.size() && u.node != 0) {
             std::vector<BlockId> &parent = candidates[u.parent];
@@ -165,7 +171,30 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     storage.writeSlots(writeScratch.data(), writeScratch.size());
     for (BlockId id : evictedScratch)
         stash.erase(id);
-    return slots_written;
+    return writeScratch.size();
+}
+
+void
+PathIo::save(serde::Serializer &s) const
+{
+    s.u64(gaveUpAt);
+    s.u64(topIds.size());
+    for (BlockId id : topIds)
+        s.u64(id);
+}
+
+void
+PathIo::restore(serde::Deserializer &d)
+{
+    gaveUpAt = d.u64();
+    const std::uint64_t n = d.u64();
+    if (n != topIds.size())
+        throw serde::SnapshotError(
+            "snapshot has " + std::to_string(n)
+            + " treetop slots but this engine has "
+            + std::to_string(topIds.size()));
+    for (BlockId &id : topIds)
+        id = d.u64();
 }
 
 std::uint64_t
@@ -227,10 +256,11 @@ PathIo::drain(Rng &rng, std::uint64_t highWater, std::uint64_t lowWater)
 }
 
 std::string
-auditTree(const TreeGeometry &geom, const ServerStorage &storage,
-          const Stash &stash, const PositionMap &posmap)
+auditTree(const PathIo &io, const PositionMap &posmap)
 {
-    std::string occupancy = storage.auditOccupancy();
+    const TreeGeometry &geom = io.geom;
+    const Stash &stash = io.stash;
+    std::string occupancy = io.storage.auditOccupancy();
     if (!occupancy.empty())
         return occupancy;
 
@@ -243,9 +273,24 @@ auditTree(const TreeGeometry &geom, const ServerStorage &storage,
         const std::uint64_t base = geom.nodeSlotBase(node);
         const std::uint64_t z = geom.bucketSize(level);
         for (std::uint64_t s = 0; s < z; ++s) {
-            storage.readSlot(base + s, b);
-            if (b.isDummy())
-                continue;
+            const std::uint64_t slot = base + s;
+            if (slot < io.topIds.size()) {
+                // A treetop slot: its block is a parked stash entry.
+                b.id = io.topIds[slot];
+                if (b.isDummy())
+                    continue;
+                const StashEntry *parked = stash.findParked(b.id);
+                if (!parked) {
+                    err << "treetop slot " << slot << " holds block "
+                        << b.id << ", which is not parked";
+                    return err.str();
+                }
+                b.leaf = parked->leaf;
+            } else {
+                io.storage.readSlot(slot, b);
+                if (b.isDummy())
+                    continue;
+            }
             if (!seen.insert(b.id).second) {
                 err << "block " << b.id << " duplicated in tree";
                 return err.str();
@@ -268,6 +313,13 @@ auditTree(const TreeGeometry &geom, const ServerStorage &storage,
         }
     }
 
+    const std::uint64_t inTop = io.topIds.size()
+        - std::count(io.topIds.begin(), io.topIds.end(), kInvalidBlock);
+    if (stash.parkedSize() != inTop) {
+        err << stash.parkedSize() << " blocks are parked but the "
+            << "treetop slots hold " << inTop;
+        return err.str();
+    }
     for (const auto &[id, entry] : stash) {
         if (entry.leaf != posmap.get(id)) {
             err << "stashed block " << id << " leaf " << entry.leaf

@@ -8,6 +8,17 @@
  * one union read, one greedy union write-back and one bounded dummy
  * drain.
  *
+ * The trusted treetop (the top k = geometry's treetopLevels() levels,
+ * Ren et al., ISCA 2013) is client state, kept here and in the stash
+ * rather than in ServerStorage: PathIo holds one block id per treetop
+ * slot, and the block itself is a parked stash entry. A union read
+ * unparks the blocks of its treetop buckets into the loose stash and
+ * a write-back parks the blocks it assigns to treetop slots, by
+ * relinking hash nodes: no payload copy, no encode or decode and no
+ * storage op. Only the levels >= k reach the server, in whole
+ * buckets, so the adversary sees the same stream as before the
+ * treetop existed minus its slots.
+ *
  * Also hosts the tree auditor used by tests to verify the core
  * PathORAM invariant: every initialised real block lies either in the
  * stash or on the path named by its position-map leaf.
@@ -54,10 +65,9 @@ class PathIo
      * PrORAM merge) into the stash: each node in the union is read
      * exactly once — re-reading a shared prefix node would only fetch
      * slots the client already absorbed. Charges one path read per
-     * distinct leaf and the union's server slots and bytes: slots in
-     * the storage's treetop are client memory and cost no traffic,
-     * and of those only the occupied ones are read at all. Zero
-     * leaves read nothing and charge nothing.
+     * distinct leaf and the union's server slots and bytes; treetop
+     * buckets are client memory, cost no traffic and only unpark
+     * their blocks. Zero leaves read nothing and charge nothing.
      *
      * @return number of server slots read (union size below the
      *         treetop)
@@ -70,10 +80,10 @@ class PathIo
      * shares; nodes are filled deepest-level-first, and blocks that do
      * not fit spill to their parent (which is always in the union,
      * since path unions are ancestor-closed) and ultimately stay in
-     * the stash. Untaken server slots become encrypted dummies, and
-     * an untaken treetop slot is written only if it held a real
-     * record (a dummy over a dummy changes nothing). Writing the
-     * union once — instead of path-by-path — is required for
+     * the stash. Untaken server slots become encrypted dummies; a
+     * block assigned to a treetop slot is parked there (the union's
+     * treetop slots are empty after its read). Writing the union
+     * once — instead of path-by-path — is required for
      * correctness: sequential per-path write-backs would overwrite
      * shared prefix nodes populated by the previous path. Charges one
      * path write per distinct leaf and the union's server slots and
@@ -106,11 +116,19 @@ class PathIo
 
     /**
      * The drain memory (the stash size the last capped burst gave up
-     * at) steers later drains, so it is trusted client state: it
-     * travels in the snapshot next to the stash it describes.
+     * at) steers later drains and the treetop slot table places the
+     * parked blocks, so both are trusted client state: they travel
+     * in the snapshot next to the stash they describe. restore()
+     * throws serde::SnapshotError for a table of another size.
      */
-    void save(serde::Serializer &s) const { s.u64(gaveUpAt); }
-    void restore(serde::Deserializer &d) { gaveUpAt = d.u64(); }
+    void save(serde::Serializer &s) const;
+    void restore(serde::Deserializer &d);
+
+    /** Block in each treetop slot, kInvalidBlock when empty. */
+    const std::vector<BlockId> &topSlotIds() const { return topIds; }
+
+    friend std::string auditTree(const PathIo &io,
+                                 const PositionMap &posmap);
 
   private:
     /** One node of a path union, with its write-back parent link. */
@@ -159,26 +177,28 @@ class PathIo
     // Write-back candidates, indexed by union position.
     std::vector<std::vector<BlockId>> candidates;
 
+    /** Treetop slot table: slots [0, levelFirstSlot(k)). */
+    std::vector<BlockId> topIds;
+
     /** Stash size the last capped burst stopped at (0: none, or the
      *  stash has since reached the low water). */
     std::uint64_t gaveUpAt = 0;
 };
 
 /**
- * Exhaustively audit the tree + stash against the position map.
+ * Exhaustively audit @p io's tree + stash against the position map.
  *
  * Checks that the storage's occupancy bitmap matches the tree
- * (ServerStorage::auditOccupancy); then, for every real block found
- * in server storage: its stored leaf matches the position map, and
- * the node it occupies lies on that leaf's path; and that no block
- * appears twice (tree/tree or tree/stash).
+ * (ServerStorage::auditOccupancy); then, for every real block in a
+ * server slot or parked in a treetop slot: its leaf matches the
+ * position map, and the node it occupies lies on that leaf's path;
+ * that no block appears twice (tree/tree, tree/stash, parked/stash)
+ * and that every parked entry sits in a treetop slot.
  *
  * @return empty string when consistent, else a description of the
  *         first violation (tests assert on empty)
  */
-std::string auditTree(const TreeGeometry &geom,
-                      const ServerStorage &storage,
-                      const Stash &stash, const PositionMap &posmap);
+std::string auditTree(const PathIo &io, const PositionMap &posmap);
 
 } // namespace laoram::oram
 

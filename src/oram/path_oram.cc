@@ -30,7 +30,7 @@ PathOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     // the block inside trusted memory.
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
-    StashEntry &entry = stashEntryFor(id, next);
+    StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
     applyOp(entry, op, in, len, out);
 
     // (5) Greedy write-back along the path just read.

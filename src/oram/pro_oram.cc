@@ -95,7 +95,7 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
     const Leaf next = randomLeaf();
     for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
         posmap_.set(m, next);
-        StashEntry &entry = stashEntryFor(m, next);
+        StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
         if (m == id)
             applyOp(entry, op, in, len, out);
         else if (sbSize > 1)
@@ -149,7 +149,7 @@ ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
     const Leaf next = randomLeaf();
     for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
         posmap_.set(m, next);
-        StashEntry &entry = stashEntryFor(m, next);
+        StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
         if (m == id)
             applyOp(entry, op, in, len, out);
         else
@@ -240,7 +240,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         // unaccessed members stay pinned for their predicted turns.
         for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
             posmap_.set(m, next);
-            StashEntry &entry = stashEntryFor(m, next);
+            StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
             if (m == id)
                 applyOp(entry, op, in, len, out);
             else
@@ -248,7 +248,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         }
     } else {
         posmap_.set(id, next);
-        StashEntry &entry = stashEntryFor(id, next);
+        StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
         applyOp(entry, op, in, len, out);
     }
 

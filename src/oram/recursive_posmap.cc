@@ -136,16 +136,9 @@ RecursivePositionMap::accessLevel(Level &level, BlockId block, Leaf at,
                                   Leaf to)
 {
     level.io.readPaths(&at, 1);
-
-    StashEntry *entry = level.stash.find(block);
-    if (!entry) {
-        // Should not happen after bulk init; tolerate by creating a
-        // zeroed map block (positions 0 — still valid leaves).
-        entry = &level.stash.put(block, to);
-        entry->payload.assign(cfg.packing * 4, 0);
-    }
-    entry->leaf = to;
-    return entry->payload;
+    // After bulk init the block is always found; a missing one reads
+    // as a zeroed map block (positions 0 — still valid leaves).
+    return level.stash.remap(block, to, cfg.packing * 4).payload;
 }
 
 Leaf
@@ -303,13 +296,7 @@ RecursivePathOram::access(BlockId id, AccessOp op,
         mtr.recordStashHit();
     pathIo_.readPaths(&current, 1);
 
-    StashEntry *entry = stash_.find(id);
-    if (!entry) {
-        entry = &stash_.put(id, next);
-        entry->payload.assign(cfg.payloadBytes, 0);
-    }
-    entry->leaf = next;
-    applyOp(*entry, op, in, len, out);
+    applyOp(stash_.remap(id, next, cfg.payloadBytes), op, in, len, out);
 
     pathIo_.writePaths(&current, 1);
     pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
@@ -319,15 +306,28 @@ RecursivePathOram::access(BlockId id, AccessOp op,
 std::string
 RecursivePathOram::auditRecursive(std::uint64_t sampleStride) const
 {
+    const std::vector<BlockId> &top = pathIo_.topSlotIds();
     StoredBlock b;
     for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
         const unsigned level = geom.nodeLevel(node);
         const std::uint64_t base = geom.nodeSlotBase(node);
         const std::uint64_t z = geom.bucketSize(level);
         for (std::uint64_t s = 0; s < z; ++s) {
-            storage_.readSlot(base + s, b);
-            if (b.isDummy() || (b.id % sampleStride) != 0)
-                continue;
+            if (base + s < top.size()) {
+                // A treetop slot: its block is a parked stash entry.
+                b.id = top[base + s];
+                if (b.isDummy() || (b.id % sampleStride) != 0)
+                    continue;
+                const StashEntry *parked = stash_.findParked(b.id);
+                if (!parked)
+                    return "treetop block " + std::to_string(b.id)
+                        + " is not parked";
+                b.leaf = parked->leaf;
+            } else {
+                storage_.readSlot(base + s, b);
+                if (b.isDummy() || (b.id % sampleStride) != 0)
+                    continue;
+            }
             const Leaf mapped = rpm.peek(b.id);
             if (b.leaf != mapped)
                 return "block " + std::to_string(b.id)

@@ -41,18 +41,6 @@ RingOram::RingOram(const RingOramConfig &cfg)
     byLevel.resize(geom.numLevels());
 }
 
-StashEntry &
-RingOram::entryFor(BlockId id, Leaf leaf)
-{
-    if (StashEntry *entry = stash_.find(id)) {
-        entry->leaf = leaf;
-        return *entry;
-    }
-    auto &entry = stash_.put(id, leaf);
-    entry.payload.assign(cfg.payloadBytes, 0);
-    return entry;
-}
-
 std::string
 RingOram::auditRing() const
 {
@@ -268,7 +256,7 @@ RingOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
 
     const Leaf next = rng.nextBounded(geom.numLeaves());
     posmap_.set(id, next);
-    StashEntry &entry = entryFor(id, next);
+    StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
     applyOp(entry, op, in, len, out);
 
     // Deterministic eviction every A accesses.

@@ -71,8 +71,6 @@ class RingOram final : public OramEngine
         std::uint64_t unreadSlots = 0;
     };
 
-    StashEntry &entryFor(BlockId id, Leaf leaf);
-
     /**
      * Deterministic reverse-lexicographic eviction order: spreads
      * consecutive evictions across the tree (RingORAM §3.2).

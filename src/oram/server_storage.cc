@@ -43,21 +43,6 @@ metaBytesFor(bool encrypt, std::uint64_t slots)
         : 0;
 }
 
-/** Every ServerStorage's treetop ledger, pulled as storage.treetop_*. */
-obs::LedgerSet<ServerStorage::TreetopStats> &
-liveTreetop()
-{
-    using S = ServerStorage::TreetopStats;
-    return obs::MetricsRegistry::instance().ledgers<S>(
-        "storage.treetop_",
-        {
-            {"slots_read", "treetop slots read from client memory",
-             &S::slotsRead},
-            {"slots_written", "treetop slots written to client memory",
-             &S::slotsWritten},
-        });
-}
-
 /**
  * The backend @p scfg describes, sized for @p geom. A non-uniform
  * profile's slot layout depends on the treetop level count, so a
@@ -112,10 +97,7 @@ ServerStorage::ServerStorage(
       payBytes(payloadBytes),
       recBytes(kHeaderBytes + payloadBytes),
       nSlots(geom.totalSlots()),
-      topSlots(geom.levelFirstSlot(geom.treetopLevels())),
       occupancy(divCeil(nSlots, 64), 0),
-      treetop(topSlots * recBytes, 0),
-      liveTop(liveTreetop()),
       store(std::move(backend)),
       enc(encrypt
               ? crypto::Encryptor(crypto::Encryptor::deriveKey(keySeed),
@@ -127,18 +109,12 @@ ServerStorage::ServerStorage(
                   store->slots(), " slots, geometry needs ", nSlots);
     LAORAM_ASSERT(store->recordBytes() == recBytes, "backend records ",
                   store->recordBytes(), " B, storage needs ", recBytes);
-    liveTop.attach(&topStats);
     initialise();
 }
 
 ServerStorage::~ServerStorage()
 {
-    // The sink may capture a caller's locals that are already gone.
-    sink = nullptr;
-    // A non-persistent store dies with this object: encrypting the
-    // treetop into it would be thrown away.
-    flush(store->persistent());
-    liveTop.detach(&topStats);
+    flush();
 }
 
 void
@@ -172,11 +148,9 @@ ServerStorage::initialise()
                 reinterpret_cast<const std::uint32_t *>(meta.data()),
                 nSlots);
         }
-        // The treetop and the occupancy bitmap are client memory, so
-        // they did not survive the previous run: load the prefix its
-        // last flush wrote, then rebuild the bitmap from the records'
+        // The occupancy bitmap is client memory, so it did not
+        // survive the previous run: rebuild it from the records'
         // headers, under the epochs just restored.
-        loadTreetop();
         occupancy = scanOccupancy();
         return;
     }
@@ -184,11 +158,7 @@ ServerStorage::initialise()
     // Every slot starts as a valid (encrypted) dummy record, and
     // every occupancy bit clear, so the bitmap needs no update.
     // Initialised in vectored chunks — one backend op per chunk, not
-    // per slot; treetop slots start as canonical plaintext dummies,
-    // so the chunks' dummy writes leave them as they are.
-    for (std::uint64_t s = 0; s < topSlots; ++s)
-        encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0},
-                     treetop.data() + s * recBytes);
+    // per slot.
     std::vector<SlotWriteOp> ops;
     for (std::uint64_t base = 0; base < nSlots; base += kChunkSlots) {
         const std::uint64_t stop =
@@ -200,27 +170,6 @@ ServerStorage::initialise()
             ops.push_back(op);
         }
         writeRecords(ops.data(), ops.size());
-    }
-}
-
-void
-ServerStorage::loadTreetop()
-{
-    if (topSlots == 0)
-        return;
-    fillSlotRange(0, topSlots);
-    store->readSlots(slotScratch.data(), topSlots, treetop.data());
-    enc.decryptSlots(slotScratch.data(), topSlots, treetop.data(),
-                     recBytes);
-    StoredBlock b;
-    for (std::uint64_t s = 0; s < topSlots; ++s) {
-        std::uint8_t *rec = treetop.data() + s * recBytes;
-        if (loadU64(rec) != kInvalidBlock) {
-            decodeRecord(s, rec, b); // refuses a forged record
-            continue;
-        }
-        // A dummy's bytes are never trusted: keep the canonical one.
-        encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0}, rec);
     }
 }
 
@@ -263,26 +212,6 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
     readInto(slots, n, out.data());
 }
 
-const std::uint64_t *
-ServerStorage::farSlots(const std::uint64_t *slots, std::size_t n,
-                        std::size_t &nFar) const
-{
-    nFar = n;
-    while (nFar > 0 && slots[nFar - 1] < topSlots)
-        --nFar;
-    const std::uint64_t *mixed =
-        std::find_if(slots, slots + nFar,
-                     [this](std::uint64_t s) { return s < topSlots; });
-    if (mixed == slots + nFar)
-        return slots;
-    farScratch.assign(slots, mixed);
-    for (const std::uint64_t *s = mixed; s != slots + nFar; ++s)
-        if (*s >= topSlots)
-            farScratch.push_back(*s);
-    nFar = farScratch.size();
-    return farScratch.data();
-}
-
 void
 ServerStorage::decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
                             StoredBlock &out) const
@@ -306,67 +235,55 @@ void
 ServerStorage::readInto(const std::uint64_t *slots, std::size_t n,
                         StoredBlock *out) const
 {
-    std::size_t nFar = n;
-    const std::uint64_t *far =
-        topSlots == 0 ? slots : farSlots(slots, n, nFar);
-
     // One branch per *path* when no sink is installed — the audit tap
     // only costs per-slot work while a probe is actually attached.
     if (sink) {
-        for (std::size_t i = 0; i < nFar; ++i)
-            sink(far[i], false);
+        for (std::size_t i = 0; i < n; ++i)
+            sink(slots[i], false);
     }
-    staging.resize(nFar * recBytes);
-    store->readSlots(far, nFar, staging.data());
+    staging.resize(n * recBytes);
+    store->readSlots(slots, n, staging.data());
 
     // Compact the occupied slots' records to the front of staging, in
     // slot order, and decrypt only those. A dummy slot is never
     // decrypted or copied, so its bytes are never trusted.
     slotScratch.clear();
-    for (std::size_t i = 0; i < nFar; ++i) {
-        if (!occupied(far[i]))
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!occupied(slots[i]))
             continue;
         const std::size_t real = slotScratch.size();
         if (real != i)
             std::memmove(staging.data() + real * recBytes,
                          staging.data() + i * recBytes, recBytes);
-        slotScratch.push_back(far[i]);
+        slotScratch.push_back(slots[i]);
     }
     enc.decryptSlots(slotScratch.data(), slotScratch.size(),
                      staging.data(), recBytes);
 
-    // Backend records come back in request order, so the next
-    // occupied backend slot's record is always at rec.
+    // Records come back in request order, so the next occupied slot's
+    // record is always at rec.
     const std::uint8_t *rec = staging.data();
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t slot = slots[i];
-        if (!occupied(slot)) {
+        if (!occupied(slots[i])) {
             out[i].id = kInvalidBlock;
             out[i].leaf = 0;
             out[i].payload.clear();
-        } else if (slot < topSlots) {
-            decodeRecord(slot, treetop.data() + slot * recBytes, out[i]);
-        } else {
-            decodeRecord(slot, rec, out[i]);
-            rec += recBytes;
+            continue;
         }
+        decodeRecord(slots[i], rec, out[i]);
+        rec += recBytes;
     }
-    topStats.slotsRead += n - nFar;
 }
 
 std::vector<std::uint64_t>
 ServerStorage::scanOccupancy() const
 {
     std::vector<std::uint64_t> bits(occupancy.size(), 0);
-    for (std::uint64_t slot = 0; slot < topSlots; ++slot) {
-        if (loadU64(treetop.data() + slot * recBytes) != kInvalidBlock)
-            bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
 
     // One backend read per chunk. Each record's 16-B header is packed
     // to the front of staging (in place: header i moves down to
     // i * 16) and decrypted alone, one keystream block per slot.
-    for (std::uint64_t base = topSlots; base < nSlots;
+    for (std::uint64_t base = 0; base < nSlots;
          base += kChunkSlots) {
         const std::size_t n = std::min(kChunkSlots, nSlots - base);
         fillSlotRange(base, n);
@@ -443,35 +360,10 @@ ServerStorage::writeRecords(const SlotWriteOp *ops, std::size_t n)
 {
     staging.resize(n * recBytes);
     slotScratch.resize(n);
-    std::size_t nFar = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (ops[i].slot < topSlots)
-            continue;
-        slotScratch[nFar] = ops[i].slot;
-        encodeRecord(ops[i], staging.data() + nFar * recBytes);
-        ++nFar;
+        slotScratch[i] = ops[i].slot;
+        encodeRecord(ops[i], staging.data() + i * recBytes);
     }
-    sealAndStore(nFar);
-    if (nFar == n)
-        return;
-    // Treetop records cost what they hold, not how wide the top is:
-    // a dummy overwrites only the slot's id header (flush()
-    // canonicalises the rest before anything leaves client memory).
-    for (std::size_t i = 0; i < n; ++i) {
-        if (ops[i].slot >= topSlots)
-            continue;
-        std::uint8_t *rec = treetop.data() + ops[i].slot * recBytes;
-        if (ops[i].id != kInvalidBlock)
-            encodeRecord(ops[i], rec);
-        else
-            storeU64(rec, kInvalidBlock);
-    }
-    topStats.slotsWritten += n - nFar;
-}
-
-void
-ServerStorage::sealAndStore(std::size_t n)
-{
     if (sink) {
         for (std::size_t i = 0; i < n; ++i)
             sink(slotScratch[i], true);
@@ -483,26 +375,6 @@ ServerStorage::sealAndStore(std::size_t n)
 void
 ServerStorage::flush()
 {
-    flush(true);
-}
-
-void
-ServerStorage::flush(bool withTreetop)
-{
-    if (withTreetop && topSlots > 0) {
-        // The prefix's one write, fixed whatever it holds: every
-        // treetop slot in slot order, under fresh epochs. A dummy's
-        // record may still carry a departed block's leaf and
-        // payload, so each goes out as the canonical dummy.
-        staging.assign(treetop.begin(), treetop.end());
-        for (std::uint64_t s = 0; s < topSlots; ++s) {
-            if (!occupied(s))
-                encodeRecord(SlotWriteOp{s, kInvalidBlock, 0, nullptr, 0},
-                             staging.data() + s * recBytes);
-        }
-        fillSlotRange(0, topSlots);
-        sealAndStore(topSlots);
-    }
     if (enc.enabled()) {
         const std::uint64_t want = metaBytesFor(true, nSlots);
         if (store->metaCapacity() >= want) {

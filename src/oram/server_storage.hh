@@ -57,37 +57,16 @@
  * sequence. An integrity MAC would be checked over the ciphertext,
  * which the backend still returns for every slot.
  *
- * Treetop (Ren et al., ISCA 2013). With geometry().treetopLevels() =
- * k > 0 the heap-order slot prefix [0, geometry().levelFirstSlot(k)), the
- * buckets of the top k levels, lives in trusted client memory: one
- * flat array of plaintext records, treetopSlots() * recordBytes()
- * bytes (2.25 MiB for train-kaggle's 2^19-leaf fat(4) tree at k =
- * 10, whose geometry widens those levels to 16 slots a bucket), with
- * no per-slot allocation. Every path shares these levels, so a path
- * read or write-back moves that much less through ChaCha20 and the
- * backend. readSlots and writeSlots serve prefix slots from the array
- * and send the rest to the backend as one vectored op in the caller's
- * order; the occupancy bitmap covers both. A prefix write costs what
- * the slot holds, not how wide the top is: a dummy written over a
- * slot overwrites only its 8-B id header (PathIo skips a dummy over a
- * dummy altogether). During a run prefix slots never
- * reach the backend, the Encryptor or the access sink. The server
- * therefore sees each path's levels >= k, in full, exactly as before.
- * flush() (and so every checkpoint) first writes the whole prefix
- * through the codec: one vectored write of every prefix slot in slot
- * order, each unoccupied one as the canonical dummy, encrypted under
- * advanced epochs and shown to the sink; the pattern is fixed and
- * independent of the data. A reopened tree loads the prefix back from
- * the backend (one read, fully decrypted) before rebuilding the
- * occupancy bitmap. For a uniform profile the tree file, its meta
- * layout and geometry().serverBytes() do not depend on k: after a
- * flush the backend holds the whole tree, so a tree written at one k
- * reopens at any other. A non-uniform profile's geometry does depend
- * on k (TreeGeometry), so such a tree reopens only at the k it was
- * written with; any other is refused with an error naming the
- * treetop. The destructor's flush runs with the sink detached, since
- * a test's tap may not outlive the storage. treetopStats() counts the
- * prefix slots served from client memory (storage.treetop_*).
+ * The storage holds only what the server holds. The top k levels the
+ * geometry keeps in trusted client memory (Ren et al., ISCA 2013) are
+ * client state like the stash: their blocks are parked stash entries
+ * and PathIo keeps their slot table, so no slot below
+ * geometry().levelFirstSlot(k) is read or written after construction,
+ * and flush() writes only the epoch table and the key canary. The
+ * geometry still numbers those slots, so a fresh tree initialises
+ * them as dummies like every other slot; the storage needs k only to
+ * name it when a reopened non-uniform tree has another shape
+ * (storage::ShapeMismatch).
  *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
@@ -106,7 +85,6 @@
 #include <vector>
 
 #include "crypto/encryptor.hh"
-#include "obs/metrics.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
 #include "storage/slot_backend.hh"
@@ -129,12 +107,7 @@ class ServerStorage
     ServerStorage(const TreeGeometry &geom, std::uint64_t payloadBytes,
                   bool encrypt, std::uint64_t keySeed = 0);
 
-    /**
-     * Storage with the backend described by @p scfg. Like every
-     * constructor it keeps the top geom.treetopLevels() levels in
-     * client memory, so a geometry and its storage cannot disagree
-     * about k.
-     */
+    /** Storage with the backend described by @p scfg. */
     ServerStorage(const TreeGeometry &geom, std::uint64_t payloadBytes,
                   bool encrypt, std::uint64_t keySeed,
                   const storage::StorageConfig &scfg);
@@ -152,22 +125,6 @@ class ServerStorage
     std::uint64_t payloadBytes() const { return payBytes; }
     std::uint64_t recordBytes() const { return recBytes; }
     const TreeGeometry &geometry() const { return geom; }
-
-    /** Tree levels kept in client memory (0: none). */
-    unsigned treetopLevels() const { return geom.treetopLevels(); }
-
-    /** Slots [0, treetopSlots()) live in client memory. */
-    std::uint64_t treetopSlots() const { return topSlots; }
-
-    /** Prefix slots served from client memory instead of the backend. */
-    struct TreetopStats
-    {
-        obs::Relaxed<std::uint64_t> slotsRead = 0;
-        obs::Relaxed<std::uint64_t> slotsWritten = 0;
-    };
-
-    /** Monotonic treetop ledger (storage.treetop_* metrics). */
-    const TreetopStats &treetopStats() const { return topStats; }
 
     /**
      * Read slot @p slot into @p out (reuses out.payload capacity);
@@ -193,10 +150,9 @@ class ServerStorage
     };
 
     /**
-     * Vectored path read: fetch @p n slots as one backend operation
-     * (treetop slots from client memory), decoding into @p out
-     * (resized to n; payload capacity reused across calls). Slot i of
-     * @p slots lands in out[i]. Only the
+     * Vectored path read: fetch @p n slots as one backend operation,
+     * decoding into @p out (resized to n; payload capacity reused
+     * across calls). Slot i of @p slots lands in out[i]. Only the
      * slots the occupancy bitmap marks real are decrypted: each comes
      * back with its decrypted id, leaf and full payloadBytes()
      * payload. Every other slot comes back as a dummy (isDummy(),
@@ -212,9 +168,9 @@ class ServerStorage
                    std::vector<StoredBlock> &out) const;
 
     /**
-     * Vectored path write-back: apply @p n ops as one backend op
-     * (treetop slots into client memory), then mark each op's slot
-     * real (id != kInvalidBlock) or dummy in the occupancy bitmap.
+     * Vectored path write-back: apply @p n ops as one backend op,
+     * then mark each op's slot real (id != kInvalidBlock) or dummy in
+     * the occupancy bitmap.
      */
     void writeSlots(const SlotWriteOp *ops, std::size_t n);
 
@@ -228,19 +184,15 @@ class ServerStorage
     /**
      * Rerun the reopen header scan into a scratch bitmap and compare
      * it with the live one: "" when they agree, else a message naming
-     * the first slot where they differ. Reads every slot below the
-     * treetop through the backend (counted in ioStats(), not shown to
-     * the sink); treetop slots are checked against client memory.
+     * the first slot where they differ. Reads every slot through the
+     * backend (counted in ioStats(), not shown to the sink).
      */
     std::string auditOccupancy() const;
 
     /**
-     * Persist: write the treetop prefix back to the backend (one
-     * vectored write of every prefix slot, shown to the sink), save
-     * the encryption epoch table into the backend's meta region
-     * (persistent backends) and apply its durability policy. Called
-     * automatically on destruction, where the prefix write is skipped
-     * unless the backend is persistent: the records die with it.
+     * Persist: save the encryption epoch table into the backend's
+     * meta region (persistent backends) and apply its durability
+     * policy. Called automatically on destruction.
      */
     void flush();
 
@@ -275,26 +227,11 @@ class ServerStorage
     void setAccessSink(AccessSink sink) { this->sink = std::move(sink); }
 
   private:
-    /** flush(), writing the treetop prefix only when @p withTreetop. */
-    void flush(bool withTreetop);
-
     void initialise();
-
-    /** Read the treetop prefix back from a reopened backend. */
-    void loadTreetop();
 
     /** The vectored read codec: decode @p n slots into out[0..n). */
     void readInto(const std::uint64_t *slots, std::size_t n,
                   StoredBlock *out) const;
-
-    /**
-     * The backend part of a request: @p slots without its treetop
-     * slots, in order, its length in @p nFar. That is a prefix of
-     * @p slots itself when the treetop slots form the tail, as in
-     * every PathIo union; otherwise a copy in farScratch.
-     */
-    const std::uint64_t *farSlots(const std::uint64_t *slots,
-                                  std::size_t n, std::size_t &nFar) const;
 
     /**
      * Decode the plaintext record @p rec of occupied slot @p slot into
@@ -304,9 +241,8 @@ class ServerStorage
                       StoredBlock &out) const;
 
     /**
-     * Occupancy from the tree itself: the treetop from client memory,
-     * then every other slot in chunks, setting the bit of each slot
-     * whose header decrypts to a real block.
+     * Occupancy from the tree itself: every slot in chunks, setting
+     * the bit of each slot whose header decrypts to a real block.
      */
     std::vector<std::uint64_t> scanOccupancy() const;
 
@@ -316,41 +252,24 @@ class ServerStorage
     /** Serialise one write op into the plaintext record @p rec. */
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
 
-    /**
-     * writeSlots without the bitmap update: backend ops first, then
-     * the treetop slots' records into client memory.
-     */
+    /** writeSlots without the bitmap update. */
     void writeRecords(const SlotWriteOp *ops, std::size_t n);
-
-    /**
-     * Show the first @p n slots of slotScratch to the sink, encrypt
-     * staging's first @p n plaintext records under them and write
-     * them to the backend as one op.
-     */
-    void sealAndStore(std::size_t n);
 
     const TreeGeometry &geom;
     std::uint64_t payBytes;
     std::uint64_t recBytes;
     std::uint64_t nSlots;
-    std::uint64_t topSlots;
     std::vector<std::uint64_t> occupancy; ///< one bit per slot, 1 = real
-    /** Treetop prefix: topSlots plaintext records, in slot order. */
-    std::vector<std::uint8_t> treetop;
-    mutable TreetopStats topStats;
-    obs::LedgerSet<TreetopStats> &liveTop;
     std::unique_ptr<storage::SlotBackend> store;
     mutable crypto::Encryptor enc;
     AccessSink sink;
     bool wasReopened = false;
 
-    // Whole-path record buffer and slot lists (the write's slots, the
-    // read's real slots, a scan chunk's slots; the read's backend
-    // slots when they must be gathered), reused across calls to avoid
-    // per-path allocation.
+    // Whole-path record buffer and slot list (the read's real slots,
+    // a scan chunk's slots), reused across calls to avoid per-path
+    // allocation.
     mutable std::vector<std::uint8_t> staging;
     mutable std::vector<std::uint64_t> slotScratch;
-    mutable std::vector<std::uint64_t> farScratch;
 };
 
 } // namespace laoram::oram

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace laoram::oram {
 
 StashEntry *
@@ -28,11 +30,13 @@ Stash::put(BlockId id, Leaf leaf, std::vector<std::uint8_t> payload)
 }
 
 StashEntry &
-Stash::put(BlockId id, Leaf leaf)
+Stash::remap(BlockId id, Leaf leaf, std::uint64_t payloadBytes)
 {
-    auto &entry = entries[id];
-    entry.leaf = leaf;
-    return entry;
+    auto [it, fresh] = entries.try_emplace(id);
+    if (fresh)
+        it->second.payload.assign(payloadBytes, 0);
+    it->second.leaf = leaf;
+    return it->second;
 }
 
 void
@@ -49,17 +53,47 @@ Stash::unpinAll()
 }
 
 void
-Stash::save(serde::Serializer &s) const
+Stash::park(BlockId id)
+{
+    auto node = entries.extract(id);
+    LAORAM_ASSERT(!node.empty(), "parking block ", id,
+                  " that is not stashed");
+    parked.insert(std::move(node));
+}
+
+void
+Stash::unpark(BlockId id)
+{
+    auto node = parked.extract(id);
+    LAORAM_ASSERT(!node.empty(), "unparking block ", id,
+                  " that is not parked");
+    // A block must never be duplicated between tree and stash.
+    LAORAM_ASSERT(entries.insert(std::move(node)).inserted, "block ", id,
+                  " found in the treetop while stashed");
+}
+
+const StashEntry *
+Stash::findParked(BlockId id) const
+{
+    auto it = parked.find(id);
+    return it == parked.end() ? nullptr : &it->second;
+}
+
+namespace {
+
+void
+saveSorted(serde::Serializer &s,
+           const std::unordered_map<BlockId, StashEntry> &map)
 {
     std::vector<BlockId> ids;
-    ids.reserve(entries.size());
-    for (const auto &[id, entry] : entries)
+    ids.reserve(map.size());
+    for (const auto &[id, entry] : map)
         ids.push_back(id);
     std::sort(ids.begin(), ids.end());
 
     s.u64(ids.size());
     for (BlockId id : ids) {
-        const StashEntry &entry = entries.at(id);
+        const StashEntry &entry = map.at(id);
         s.u64(id);
         s.u64(entry.leaf);
         s.u8(entry.pinned ? 1 : 0);
@@ -68,17 +102,34 @@ Stash::save(serde::Serializer &s) const
 }
 
 void
-Stash::restore(serde::Deserializer &d)
+restoreInto(serde::Deserializer &d,
+            std::unordered_map<BlockId, StashEntry> &map)
 {
-    entries.clear();
+    map.clear();
     const std::uint64_t count = d.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
         const BlockId id = d.u64();
-        StashEntry &entry = entries[id];
+        StashEntry &entry = map[id];
         entry.leaf = d.u64();
         entry.pinned = d.u8() != 0;
         entry.payload = d.blob();
     }
+}
+
+} // namespace
+
+void
+Stash::save(serde::Serializer &s) const
+{
+    saveSorted(s, entries);
+    saveSorted(s, parked);
+}
+
+void
+Stash::restore(serde::Deserializer &d)
+{
+    restoreInto(d, entries);
+    restoreInto(d, parked);
 }
 
 } // namespace laoram::oram

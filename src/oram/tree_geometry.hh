@@ -16,7 +16,7 @@
  * e.g. 9→5 against a uniform Z=6 tree.
  *
  * The geometry also fixes the treetop: the top k levels, whose
- * buckets the client keeps in trusted memory (see ServerStorage).
+ * buckets the client keeps in trusted memory (see PathIo).
  * Over a treetop (k > 0) a non-uniform profile spends its width where
  * it costs the server nothing: levels < k get 2 * rootZ slots (16 for
  * fat(4)) and levels >= k get leafZ, so every server-visible bucket

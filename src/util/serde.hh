@@ -45,8 +45,11 @@ constexpr std::uint64_t kSnapshotMagic = 0x31544B434F414CULL; // "LAOCKT1"
 /** Version 2: the hot-cache section lost its policy byte and per-row
  *  frequency, so a version-1 sidecar must be refused, not misparsed.
  *  Version 3: the tree-ORAM section gained the evictor's drain memory
- *  (PathIo::save) after the stash. */
-constexpr std::uint32_t kSnapshotVersion = 3;
+ *  (PathIo::save) after the stash. Version 4: the trusted treetop
+ *  moved out of the tree file into the snapshot (the stash's parked
+ *  entries, PathIo's treetop slot table) and the geometry header
+ *  gained treetopLevels. */
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /** Section kinds carried in the frame header. */
 enum class SnapshotKind : std::uint32_t {

@@ -91,9 +91,7 @@ TEST(LaoramBatch, InvariantAuditAfterBatchedTrace)
 {
     Laoram oram(batchConfig(256, 8, 128, 8));
     oram.runTrace(randomTrace(1500, 256, 3));
-    EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                              oram.stashForAudit(),
-                              oram.posmapForAudit()),
+    EXPECT_EQ(oram::auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -126,9 +124,7 @@ TEST(LaoramBatch, DuplicateAcrossBinsInsideBatchEndsOnFinalPath)
     // S=2, batch of 8 accesses: block 5 lands in two bins.
     oram.runTrace({5, 1, 5, 2, 3, 4, 6, 7});
     EXPECT_EQ(touches[5], 2);
-    EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                              oram.stashForAudit(),
-                              oram.posmapForAudit()),
+    EXPECT_EQ(oram::auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -237,8 +233,7 @@ TEST(LaoramBatch, TrainingShapeStreamAndAtRestBytesArePinned)
                 std::memcpy(payload.data() + 8, &count, 8);
             });
         oram.runTrace(trace);
-        EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                                  oram.stashForAudit(),
+        EXPECT_EQ(oram::auditTree(oram.pathIoForAudit(),
                                   oram.posmapForAudit()),
                   "");
         oram.storageForTest().setAccessSink(nullptr);

@@ -100,9 +100,7 @@ TEST(Laoram, InvariantAuditAfterTrace)
     for (int i = 0; i < 600; ++i)
         trace.push_back(rng.nextBounded(128));
     oram.runTrace(trace);
-    EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                              oram.stashForAudit(),
-                              oram.posmapForAudit()),
+    EXPECT_EQ(oram::auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -342,9 +340,7 @@ TEST_P(LaoramSweep, ShadowTableMatches)
         EXPECT_EQ(out, std::vector<std::uint8_t>(4, v))
             << "block " << id;
     }
-    EXPECT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                              oram.stashForAudit(),
-                              oram.posmapForAudit()),
+    EXPECT_EQ(oram::auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 

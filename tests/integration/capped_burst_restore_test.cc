@@ -123,9 +123,7 @@ TEST(CappedBurstRestore, RestoredRunFinishesLikeUninterruptedRun)
         restored.touch(trace[i]);
 
     expectSameClientState(reference, restored);
-    EXPECT_EQ(auditTree(restored.geometry(), restored.storageForAudit(),
-                        restored.stashForAudit(),
-                        restored.posmapForAudit()),
+    EXPECT_EQ(auditTree(restored.pathIoForAudit(), restored.posmapForAudit()),
               "");
 }
 

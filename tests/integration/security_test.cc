@@ -363,7 +363,7 @@ TEST(Security, PathReadsTouchFullPathsBelowTreetop)
     // learns nothing beyond the (uniform) leaf.
     oram::PathOram oram(cfg64Leaves());
     const oram::TreeGeometry &geom = oram.geometry();
-    const unsigned k = oram.storageForAudit().treetopLevels();
+    const unsigned k = geom.treetopLevels();
     ASSERT_EQ(k, geom.numLevels() / 2);
     ASSERT_GT(k, 0u);
     TreetopProbe probe;
@@ -386,9 +386,7 @@ TEST(Security, PathReadsTouchFullPathsBelowTreetop)
             EXPECT_TRUE(probe.events[want.size() + i].write);
         }
     }
-    EXPECT_EQ(probe.wholeBucketsBelow(geom,
-                                      oram.storageForAudit().treetopSlots()),
-              "");
+    EXPECT_EQ(probe.wholeBucketsBelow(geom, geom.levelFirstSlot(k)), "");
 }
 
 TEST(Security, DummyAccessesIndistinguishableFromRealBelowTreetop)
@@ -403,8 +401,8 @@ TEST(Security, DummyAccessesIndistinguishableFromRealBelowTreetop)
     cfg.base.stashLowWater = 2;
     cfg.superblockSize = 8;
     core::Laoram oram(cfg);
-    const oram::ServerStorage &storage = oram.storageForAudit();
-    ASSERT_GT(storage.treetopLevels(), 0u);
+    const unsigned k = oram.geometry().treetopLevels();
+    ASSERT_GT(k, 0u);
 
     TreetopProbe probe;
     probe.attach(oram.storageForTest());
@@ -424,9 +422,10 @@ TEST(Security, DummyAccessesIndistinguishableFromRealBelowTreetop)
     EXPECT_EQ(writes, c.blocksWritten);
     EXPECT_EQ(reads, writes);
     EXPECT_EQ(probe.wholeBucketsBelow(oram.geometry(),
-                                      storage.treetopSlots()),
+                                      oram.geometry().levelFirstSlot(k)),
               "");
-    EXPECT_GT(storage.treetopStats().slotsRead, 0u);
+    // The treetop held blocks the server never saw.
+    EXPECT_GT(oram.stashForAudit().parkedSize(), 0u);
 }
 
 } // namespace

@@ -75,9 +75,7 @@ TEST_P(StressSeeds, PathOramSurvivesHostileMix)
             ASSERT_EQ(out, expect) << "step " << step;
         }
         if (step % 400 == 399) {
-            ASSERT_EQ(oram::auditTree(oram.geometry(),
-                                      oram.storageForAudit(),
-                                      oram.stashForAudit(),
+            ASSERT_EQ(oram::auditTree(oram.pathIoForAudit(),
                                       oram.posmapForAudit()),
                       "")
                 << "step " << step;
@@ -128,9 +126,7 @@ TEST_P(StressSeeds, LaoramTraceThenPointAccessesConsistent)
                 << "block " << id << " step " << step;
         }
     }
-    ASSERT_EQ(oram::auditTree(oram.geometry(), oram.storageForAudit(),
-                              oram.stashForAudit(),
-                              oram.posmapForAudit()),
+    ASSERT_EQ(oram::auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 

@@ -1,36 +1,29 @@
 /**
  * @file
  * Treetop differential suite: keeping the top k tree levels in client
- * memory (ServerStorage's treetop) must change what reaches the
- * server and nothing else.
+ * memory (parked stash entries in PathIo's treetop slots) must change
+ * what reaches the server and nothing else.
  *
  *  - Engines: the same trace through LAORAM (encrypted 128-B rows,
  *    mmap), PathORAM, PrORAM and recursive PathORAM at k in
  *    {0, 1, auto, L} gives the k = 0 run's adversary stream with the
  *    prefix slots filtered out, the same logical state, the same
- *    decoded contents in every slot and the same at-rest bytes and
- *    epochs below the prefix; the client reads only the prefix
- *    slots that hold real records, and a flush writes exactly the
+ *    block in every slot (a parked entry in a treetop slot, a decoded
+ *    record below) and the same at-rest bytes and epochs below the
  *    prefix. Every leg has a uniform profile, whose tree is the same
  *    at every k (a fat tree's top widens with k, so it has no k = 0
  *    twin).
- *  - Codec: mixed slot orders (prefix slots anywhere in a request)
- *    decode like a whole-tree storage of the same uniform tree.
- *  - Reopen: a flushed uniform tree reopens with any number of its
- *    levels in client memory, with the prefix,
- *    the occupancy bitmap and every path intact; a fat tree written
- *    at one k is refused at another, by name, while a forged header
- *    is refused without that hint.
- *  - At-rest dummies: after a flush every unoccupied prefix record
- *    decrypts to the canonical dummy, though the client rewrote only
- *    the id header of a record that left its slot.
+ *  - Backend: after construction no run, checkpoint or teardown
+ *    reads or writes a treetop slot; the tree file's top region stays
+ *    a fresh tree's.
+ *  - Reopen: a fat tree written at one k is refused at another, by
+ *    name, while a forged header is refused without that hint; a
+ *    snapshot taken at one k is refused at another, by name.
  *  - Kill/restore: a LAORAM run killed at a window boundary at the
  *    default k finishes byte-identically to an uninterrupted one.
  *  - Stash: over a whole-horizon Kaggle-like run the wide top keeps
  *    the stash small and empties it, where §V's linear fat tree at
  *    k = 0 lets it grow.
- *  - Teardown: destroying a storage writes the prefix back only to a
- *    persistent backend.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +48,7 @@
 #include "oram/pro_oram.hh"
 #include "oram/recursive_posmap.hh"
 #include "util/rng.hh"
+#include "util/serde.hh"
 #include "workload/kaggle_synth.hh"
 
 namespace laoram {
@@ -100,6 +94,8 @@ struct EngineRun
 {
     std::unique_ptr<oram::OramEngine> engine;
     ServerStorage *storage = nullptr;
+    const oram::Stash *stash = nullptr;
+    const oram::PathIo *io = nullptr;
     std::function<Leaf(BlockId)> posOf;
 };
 
@@ -165,6 +161,8 @@ makeRun(Kind kind, const EngineConfig &cfg)
         lcfg.batchAccesses = 16;
         auto e = std::make_unique<core::Laoram>(lcfg);
         run.storage = &e->storageForTest();
+        run.stash = &e->stashForAudit();
+        run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
         };
@@ -174,6 +172,8 @@ makeRun(Kind kind, const EngineConfig &cfg)
       case Kind::PathOram: {
         auto e = std::make_unique<oram::PathOram>(cfg);
         run.storage = &e->storageForTest();
+        run.stash = &e->stashForAudit();
+        run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
         };
@@ -185,6 +185,8 @@ makeRun(Kind kind, const EngineConfig &cfg)
         pcfg.base = cfg;
         auto e = std::make_unique<oram::ProOram>(pcfg);
         run.storage = &e->storageForTest();
+        run.stash = &e->stashForAudit();
+        run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
         };
@@ -199,6 +201,8 @@ makeRun(Kind kind, const EngineConfig &cfg)
         rcfg.seed = 13;
         auto e = std::make_unique<oram::RecursivePathOram>(cfg, rcfg);
         run.storage = &e->storageForTest();
+        run.stash = &e->stashForAudit();
+        run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->positionMap().peek(id);
         };
@@ -294,16 +298,8 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
     const oram::TreeGeometry geom = ref.engine->geometry();
     const std::uint64_t slots = geom.totalSlots();
     const std::uint64_t recBytes = ref.storage->recordBytes();
-    // Beside each event, whether its slot held a real record then:
-    // the client reads a treetop slot only when it does.
     std::vector<Event> refEvents;
-    std::vector<bool> refReal;
-    ServerStorage &refStorage = *ref.storage;
-    refStorage.setAccessSink(
-        [&refEvents, &refReal, &refStorage](std::uint64_t slot, bool write) {
-            refEvents.push_back({slot, write});
-            refReal.push_back(refStorage.occupied(slot));
-        });
+    record(*ref.storage, refEvents);
     drive(kind, *ref.engine);
     ref.storage->setAccessSink(nullptr);
     std::vector<StoredBlock> refSlots(slots);
@@ -322,8 +318,8 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
             "k" + std::to_string(want) + ".tree");
         EngineRun run = makeRun(kind, engineConfig(kind, want, path));
         ServerStorage &storage = *run.storage;
-        const unsigned k = storage.treetopLevels();
-        const std::uint64_t top = storage.treetopSlots();
+        const unsigned k = run.engine->geometry().treetopLevels();
+        const std::uint64_t top = run.io->topSlotIds().size();
         const std::string what = std::string(kindName(kind)) + " k "
             + std::to_string(k);
         ASSERT_EQ(k, want == oram::kAutoTreetop
@@ -335,27 +331,19 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
 
         std::vector<Event> events;
         record(storage, events);
-        const std::uint64_t topReadsBefore = storage.treetopStats().slotsRead;
         drive(kind, *run.engine);
 
         // The server saw the reference stream minus the prefix.
         std::vector<Event> filtered;
         std::uint64_t prefixReads = 0;
-        std::uint64_t prefixRealReads = 0;
-        for (std::size_t i = 0; i < refEvents.size(); ++i) {
-            const Event &e = refEvents[i];
-            if (e.slot >= top) {
+        for (const Event &e : refEvents) {
+            if (e.slot >= top)
                 filtered.push_back(e);
-            } else if (!e.write) {
+            else if (!e.write)
                 ++prefixReads;
-                prefixRealReads += refReal[i];
-            }
         }
         EXPECT_EQ(events.size(), filtered.size()) << what;
         EXPECT_TRUE(events == filtered) << what;
-        EXPECT_EQ(storage.treetopStats().slotsRead - topReadsBefore,
-                  prefixRealReads)
-            << what;
 
         // Same logical run; the meter charges only server slots.
         const mem::TrafficCounters &c = run.engine->meter().counters();
@@ -371,30 +359,32 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
         for (BlockId id = 0; id < geom.numBlocks(); ++id)
             ASSERT_EQ(run.posOf(id), refPos[id]) << what << " block " << id;
 
-        // Every slot decodes as in the reference, treetop included.
+        // Every slot holds the reference's block: a treetop slot as a
+        // parked entry, a server slot as its decoded record.
         storage.setAccessSink(nullptr);
         StoredBlock b;
         for (std::uint64_t s = 0; s < slots; ++s) {
-            storage.readSlot(s, b);
-            expectSameBlock(b, refSlots[s],
-                            what + " slot " + std::to_string(s));
+            const std::string at = what + " slot " + std::to_string(s);
+            if (s >= top) {
+                storage.readSlot(s, b);
+                expectSameBlock(b, refSlots[s], at);
+                continue;
+            }
+            b.id = run.io->topSlotIds()[s];
+            ASSERT_EQ(b.id, refSlots[s].id) << at;
+            if (b.isDummy())
+                continue;
+            const oram::StashEntry *parked = run.stash->findParked(b.id);
+            ASSERT_NE(parked, nullptr) << at;
+            EXPECT_EQ(parked->leaf, refSlots[s].leaf) << at;
+            EXPECT_EQ(parked->payload, refSlots[s].payload) << at;
         }
         EXPECT_EQ(storage.auditOccupancy(), "") << what;
-
-        // A flush writes exactly the prefix, in slot order.
-        events.clear();
-        record(storage, events);
-        storage.flush();
-        storage.setAccessSink(nullptr);
-        ASSERT_EQ(events.size(), top) << what;
-        for (std::uint64_t s = 0; s < top; ++s)
-            EXPECT_TRUE(events[s] == (Event{s, true})) << what;
         run = EngineRun{};
 
-        // Below the prefix the file is the reference's, epochs too
-        // (flushes write only the prefix, so this is also the state
-        // before them). The prefix decodes the same (checked above);
-        // only the two flushes advanced its epochs, all alike.
+        // Below the prefix the file is the reference's, epochs too.
+        // The prefix was written only by the fresh tree's init, all
+        // alike.
         const AtRest rest = readAtRest(path, slots, recBytes);
         EXPECT_TRUE(std::equal(rest.records.begin() + top * recBytes,
                                rest.records.end(),
@@ -415,161 +405,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Kind> &i) {
         return kindName(i.param);
     });
-
-/** Random write ops over @p slots slots, prefix slots interleaved. */
-std::vector<ServerStorage::SlotWriteOp>
-randomOps(Rng &rng, const oram::TreeGeometry &geom, std::size_t n,
-          std::vector<std::vector<std::uint8_t>> &payloads)
-{
-    std::vector<ServerStorage::SlotWriteOp> ops(n);
-    payloads.assign(n, std::vector<std::uint8_t>(24));
-    for (std::size_t i = 0; i < n; ++i) {
-        ops[i].slot = rng.nextBounded(geom.totalSlots());
-        if (rng.nextBounded(3) == 0)
-            continue; // dummy
-        ops[i].id = rng.nextBounded(1u << 20);
-        ops[i].leaf = rng.nextBounded(geom.numLeaves());
-        for (std::uint8_t &byte : payloads[i])
-            byte = static_cast<std::uint8_t>(rng.nextBounded(256));
-        ops[i].payload = payloads[i].data();
-        ops[i].len = payloads[i].size();
-    }
-    return ops;
-}
-
-TEST(Treetop, CodecMatchesWholeTreeStorageInAnySlotOrder)
-{
-    // A uniform tree has one shape at every k, so the split storage
-    // and the whole-tree one hold the same slots.
-    const oram::TreeGeometry geom(256, 64, oram::BucketProfile::uniform(4));
-    const oram::TreeGeometry wholeGeom(256, 64,
-                                       oram::BucketProfile::uniform(4), 0);
-    const unsigned k = geom.treetopLevels();
-    ASSERT_GT(k, 0u);
-    ServerStorage whole(wholeGeom, 24, true, 5);
-    ServerStorage split(geom, 24, true, 5);
-    ASSERT_EQ(split.treetopSlots(), geom.levelFirstSlot(k));
-    std::vector<Event> wholeEvents, splitEvents;
-    record(whole, wholeEvents);
-    record(split, splitEvents);
-
-    Rng rng(12);
-    std::vector<std::vector<std::uint8_t>> payloads;
-    std::vector<StoredBlock> a, b;
-    for (int round = 0; round < 200; ++round) {
-        const auto ops = randomOps(rng, geom, 1 + rng.nextBounded(40),
-                                   payloads);
-        whole.writeSlots(ops.data(), ops.size());
-        split.writeSlots(ops.data(), ops.size());
-        // Reads in arbitrary order: prefix first, last or mixed.
-        std::vector<std::uint64_t> req;
-        for (std::uint64_t n = 1 + rng.nextBounded(60); n > 0; --n)
-            req.push_back(rng.nextBounded(geom.totalSlots()));
-        if (round % 3 == 0)
-            std::sort(req.begin(), req.end());
-        else if (round % 3 == 1)
-            std::sort(req.rbegin(), req.rend());
-        whole.readSlots(req.data(), req.size(), a);
-        split.readSlots(req.data(), req.size(), b);
-        for (std::size_t i = 0; i < req.size(); ++i)
-            expectSameBlock(a[i], b[i],
-                            "round " + std::to_string(round) + " slot "
-                                + std::to_string(req[i]));
-    }
-    for (std::uint64_t s = 0; s < geom.totalSlots(); ++s)
-        ASSERT_EQ(whole.occupied(s), split.occupied(s)) << "slot " << s;
-
-    std::vector<Event> filtered;
-    for (const Event &e : wholeEvents)
-        if (e.slot >= split.treetopSlots())
-            filtered.push_back(e);
-    EXPECT_TRUE(splitEvents == filtered);
-    EXPECT_EQ(split.auditOccupancy(), "");
-    whole.setAccessSink(nullptr);
-    split.setAccessSink(nullptr);
-}
-
-/** Each leaf's path slots, deepest level first (PathIo's order). */
-std::vector<std::uint64_t>
-pathSlots(const oram::TreeGeometry &geom, Leaf leaf)
-{
-    std::vector<std::uint64_t> slots;
-    for (unsigned level = geom.numLevels(); level-- > 0;) {
-        const std::uint64_t base =
-            geom.nodeSlotBase(geom.pathNode(leaf, level));
-        for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
-            slots.push_back(base + s);
-    }
-    return slots;
-}
-
-TEST(Treetop, ReopenLoadsPrefixAndBitmap)
-{
-    // A uniform tree has one shape at every k, so its file reopens
-    // under a geometry with any other treetop.
-    const test::ScratchDir scratch;
-    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::uniform(4));
-    const unsigned k = geom.treetopLevels();
-    ASSERT_GT(k, 0u);
-    storage::StorageConfig sc;
-    sc.kind = storage::BackendKind::MmapFile;
-    sc.path = scratch.file("reopen.tree");
-
-    std::vector<bool> bits(geom.totalSlots());
-    std::vector<StoredBlock> contents(geom.totalSlots());
-    std::vector<std::vector<StoredBlock>> paths(geom.numLeaves());
-    {
-        ServerStorage s(geom, 24, true, 8, sc);
-        ASSERT_FALSE(s.reopened());
-        Rng rng(4);
-        std::vector<std::vector<std::uint8_t>> payloads;
-        for (int round = 0; round < 100; ++round) {
-            const auto ops = randomOps(rng, geom, 64, payloads);
-            s.writeSlots(ops.data(), ops.size());
-        }
-        for (std::uint64_t slot = 0; slot < geom.totalSlots(); ++slot) {
-            bits[slot] = s.occupied(slot);
-            s.readSlot(slot, contents[slot]);
-        }
-        for (Leaf leaf = 0; leaf < geom.numLeaves(); ++leaf) {
-            const auto slots = pathSlots(geom, leaf);
-            s.readSlots(slots.data(), slots.size(), paths[leaf]);
-        }
-        s.flush();
-    }
-
-    // The same k, none, and every level but the leaves: the tree
-    // file does not depend on how many levels the storage keeps in
-    // client memory.
-    for (const unsigned reopenK : {k, 0u, geom.leafLevel()}) {
-        const std::string what = "reopened at k " + std::to_string(reopenK);
-        const oram::TreeGeometry at(512, 64,
-                                    oram::BucketProfile::uniform(4),
-                                    reopenK);
-        ASSERT_EQ(at.totalSlots(), geom.totalSlots());
-        sc.keepExisting = true;
-        ServerStorage s(at, 24, true, 8, sc);
-        ASSERT_TRUE(s.reopened()) << what;
-        EXPECT_EQ(s.auditOccupancy(), "") << what;
-        StoredBlock b;
-        for (std::uint64_t slot = 0; slot < geom.totalSlots(); ++slot) {
-            ASSERT_EQ(s.occupied(slot), bits[slot])
-                << what << " slot " << slot;
-            s.readSlot(slot, b);
-            expectSameBlock(b, contents[slot],
-                            what + " slot " + std::to_string(slot));
-        }
-        std::vector<StoredBlock> got;
-        for (Leaf leaf = 0; leaf < geom.numLeaves(); ++leaf) {
-            const auto slots = pathSlots(geom, leaf);
-            s.readSlots(slots.data(), slots.size(), got);
-            ASSERT_EQ(got.size(), paths[leaf].size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectSameBlock(got[i], paths[leaf][i],
-                                what + " leaf " + std::to_string(leaf));
-        }
-    }
-}
 
 TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
 {
@@ -628,69 +463,6 @@ TEST(Treetop, FatTreeReopenedAtAnotherKIsRefused)
     }
 }
 
-TEST(Treetop, FlushWritesCanonicalDummiesOverTheWideTop)
-{
-    const test::ScratchDir scratch;
-    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
-    constexpr std::uint64_t kPayload = 24;
-    constexpr std::uint64_t kKeySeed = 8;
-    storage::StorageConfig sc;
-    sc.kind = storage::BackendKind::MmapFile;
-    sc.path = scratch.file("dummies.tree");
-    std::uint64_t top = 0;
-    std::vector<bool> real;
-    {
-        ServerStorage s(geom, kPayload, true, kKeySeed, sc);
-        top = s.treetopSlots();
-        ASSERT_EQ(top, geom.levelFirstSlot(geom.treetopLevels()));
-        // Fill every prefix slot with a real record, then move two in
-        // three of them out again: those keep a stale leaf and
-        // payload in client memory under a dummy id header.
-        std::vector<std::uint8_t> payload(kPayload, 0xAB);
-        std::vector<ServerStorage::SlotWriteOp> ops;
-        for (std::uint64_t slot = 0; slot < top; ++slot)
-            ops.push_back({slot, slot + 1, slot % geom.numLeaves(),
-                           payload.data(), payload.size()});
-        s.writeSlots(ops.data(), ops.size());
-        ops.clear();
-        for (std::uint64_t slot = 0; slot < top; ++slot)
-            if (slot % 3 != 0)
-                ops.push_back({slot, oram::kInvalidBlock, 0, nullptr, 0});
-        s.writeSlots(ops.data(), ops.size());
-        EXPECT_EQ(s.auditOccupancy(), "");
-        StoredBlock b;
-        for (std::uint64_t slot = 0; slot < top; ++slot) {
-            real.push_back(s.occupied(slot));
-            ASSERT_EQ(real.back(), slot % 3 == 0) << "slot " << slot;
-            s.readSlot(slot, b);
-            EXPECT_EQ(b.isDummy(), !real.back()) << "slot " << slot;
-        }
-        s.flush();
-    }
-
-    const AtRest rest =
-        readAtRest(sc.path, geom.totalSlots(), 16 + kPayload);
-    crypto::Encryptor enc(crypto::Encryptor::deriveKey(kKeySeed),
-                          geom.totalSlots());
-    enc.restoreEpochs(rest.epochs.data(), geom.totalSlots());
-    std::vector<std::uint8_t> dummy(16 + kPayload, 0);
-    const BlockId invalid = oram::kInvalidBlock;
-    std::memcpy(dummy.data(), &invalid, sizeof(invalid));
-    for (std::uint64_t slot = 0; slot < top; ++slot) {
-        std::vector<std::uint8_t> rec(
-            rest.records.begin() + slot * dummy.size(),
-            rest.records.begin() + (slot + 1) * dummy.size());
-        enc.decryptSlot(slot, rec.data(), rec.size());
-        if (real[slot]) {
-            BlockId id = 0;
-            std::memcpy(&id, rec.data(), sizeof(id));
-            EXPECT_EQ(id, slot + 1) << "slot " << slot;
-        } else {
-            EXPECT_EQ(rec, dummy) << "slot " << slot;
-        }
-    }
-}
-
 TEST(Treetop, WideTopHoldsWholeHorizonStash)
 {
     // A Kaggle-like stream over 16 Ki rows, eight epochs, linked over
@@ -736,8 +508,8 @@ TEST(Treetop, KillRestoreAtDefaultK)
 {
     // A LAORAM run killed at a window boundary and restored over the
     // reopened tree finishes byte-identically to one that never died,
-    // with the treetop on: the checkpoint's flush carried the prefix
-    // to the tree file and the reopen loaded it back.
+    // with the treetop on: the snapshot carried the parked entries and
+    // the treetop slot table.
     constexpr std::uint64_t kWindow = 24;
     constexpr std::uint64_t kWindows = 6;
     const test::ScratchDir scratch;
@@ -775,7 +547,7 @@ TEST(Treetop, KillRestoreAtDefaultK)
     };
 
     core::Laoram reference(cfg);
-    ASSERT_GT(reference.storageForAudit().treetopLevels(), 0u);
+    ASSERT_GT(reference.geometry().treetopLevels(), 0u);
     fill(reference);
     core::BatchPipeline(reference, pipeline()).run(trace);
     const core::EngineSnapshot snap = core::snapshotOf(reference);
@@ -800,9 +572,7 @@ TEST(Treetop, KillRestoreAtDefaultK)
     rcfg.base.checkpoint.path = sidecar;
     rcfg.base.checkpoint.restore = true;
     core::Laoram restored(rcfg);
-    EXPECT_EQ(oram::auditTree(restored.geometry(),
-                              restored.storageForAudit(),
-                              restored.stashForAudit(),
+    EXPECT_EQ(oram::auditTree(restored.pathIoForAudit(),
                               restored.posmapForAudit()),
               "");
     core::BatchPipeline(restored, pipeline(restored.windowsServed()))
@@ -811,104 +581,117 @@ TEST(Treetop, KillRestoreAtDefaultK)
     core::expectMatchesSnapshot(snap, restored, "restored at default k");
 }
 
-/**
- * A backend decorator that adds every slot written through it to a
- * counter that outlives it, so a test can see what a storage's
- * destructor wrote.
- */
-class CountingBackend final : public storage::SlotBackend
+TEST(Treetop, BackendNeverSeesTheTop)
 {
-  public:
-    CountingBackend(std::unique_ptr<storage::SlotBackend> inner,
-                    std::uint64_t &written)
-        : SlotBackend(inner->slots(), inner->recordBytes(), "counting"),
-          inner(std::move(inner)), written(written)
-    {
-    }
-
-    std::uint64_t residentBytes() const override
-    {
-        return inner->residentBytes();
-    }
-    bool persistent() const override { return inner->persistent(); }
-    bool openedExisting() const override
-    {
-        return inner->openedExisting();
-    }
-    std::uint64_t metaCapacity() const override
-    {
-        return inner->metaCapacity();
-    }
-    void
-    writeMeta(const std::uint8_t *src, std::uint64_t len) override
-    {
-        inner->writeMeta(src, len);
-    }
-    std::uint64_t
-    readMeta(std::uint8_t *dst, std::uint64_t len) const override
-    {
-        return inner->readMeta(dst, len);
-    }
-
-  protected:
-    void
-    doReadSlots(const std::uint64_t *slots, std::size_t n,
-                std::uint8_t *dst) override
-    {
-        inner->readSlots(slots, n, dst);
-    }
-    void
-    doWriteSlots(const std::uint64_t *slots, std::size_t n,
-                 const std::uint8_t *src) override
-    {
-        written += n;
-        inner->writeSlots(slots, n, src);
-    }
-    void doFlush() override { inner->flush(); }
-
-  private:
-    std::unique_ptr<storage::SlotBackend> inner;
-    std::uint64_t &written;
-};
-
-TEST(Treetop, TeardownWritesPrefixOnlyToPersistentStore)
-{
-    // A DRAM store dies with its storage, so the destructor's flush
-    // skips the prefix write and issues no backend write at all; an
-    // mmap store still gets every prefix slot, once.
+    // The treetop is client state: after construction no read or
+    // write of a run, its checkpoint or the teardown reaches a slot
+    // below levelFirstSlot(k). The sink sees the run and the
+    // checkpoint; the tree file shows the teardown, since its top
+    // region must still be exactly that of a tree only created and
+    // torn down.
     const test::ScratchDir scratch;
-    const oram::TreeGeometry geom(512, 64, oram::BucketProfile::fat(4));
-    for (const storage::BackendKind kind :
-         {storage::BackendKind::Dram, storage::BackendKind::MmapFile}) {
-        const bool persistent = kind == storage::BackendKind::MmapFile;
-        storage::StorageConfig sc;
-        sc.kind = kind;
-        sc.path = scratch.file("teardown.tree");
-        std::uint64_t written = 0;
-        std::uint64_t beforeTeardown = 0;
-        std::uint64_t prefix = 0;
-        {
-            auto inner = storage::makeBackend(
-                sc, geom.totalSlots(), 16 + 24,
-                geom.totalSlots() * sizeof(std::uint32_t)
-                    + crypto::kKeyCheckBytes);
-            ServerStorage s(
-                geom, 24, true, 8,
-                std::make_unique<CountingBackend>(std::move(inner),
-                                                  written));
-            prefix = s.treetopSlots();
-            ASSERT_GT(prefix, 0u);
-            Rng rng(6);
-            std::vector<std::vector<std::uint8_t>> payloads;
-            for (int round = 0; round < 20; ++round) {
-                const auto ops = randomOps(rng, geom, 32, payloads);
-                s.writeSlots(ops.data(), ops.size());
-            }
-            beforeTeardown = written;
-        }
-        EXPECT_EQ(written - beforeTeardown, persistent ? prefix : 0u)
-            << (persistent ? "mmap" : "dram");
+    core::LaoramConfig cfg;
+    cfg.base.numBlocks = 2048;
+    cfg.base.blockBytes = 128;
+    cfg.base.payloadBytes = 32;
+    cfg.base.profile = oram::BucketProfile::fat(4);
+    cfg.base.encrypt = true;
+    cfg.base.storage.kind = storage::BackendKind::MmapFile;
+    cfg.superblockSize = 4;
+    cfg.lookaheadWindow = 512;
+    cfg.batchAccesses = 16;
+    const auto at = [&](const std::string &name) {
+        core::LaoramConfig c = cfg;
+        c.base.storage.path = scratch.file(name);
+        return c;
+    };
+    {
+        core::Laoram fresh(at("fresh.tree"));
     }
+
+    std::vector<Event> events;
+    std::uint64_t top = 0;
+    std::uint64_t slots = 0;
+    std::uint64_t recBytes = 0;
+    {
+        core::Laoram engine(at("run.tree"));
+        const oram::TreeGeometry &geom = engine.geometry();
+        ASSERT_GT(geom.treetopLevels(), 0u);
+        top = geom.levelFirstSlot(geom.treetopLevels());
+        slots = geom.totalSlots();
+        recBytes = engine.storageForAudit().recordBytes();
+        record(engine.storageForTest(), events);
+
+        std::vector<std::uint8_t> row(cfg.base.payloadBytes);
+        for (BlockId id = 0; id < cfg.base.numBlocks; id += 5) {
+            row[0] = static_cast<std::uint8_t>(id);
+            engine.writeBlock(id, row);
+        }
+        workload::KaggleParams kp;
+        kp.numBlocks = cfg.base.numBlocks;
+        kp.accesses = 4096;
+        kp.hotSetSize = 256;
+        kp.seed = 9;
+        engine.runTrace(workload::makeKaggleTrace(kp).accesses);
+        engine.checkpoint();
+        EXPECT_GT(engine.stashForAudit().parkedSize(), 0u);
+        EXPECT_EQ(oram::auditTree(engine.pathIoForAudit(),
+                                  engine.posmapForAudit()),
+                  "");
+    }
+    ASSERT_FALSE(events.empty());
+    for (const Event &e : events)
+        ASSERT_GE(e.slot, top) << (e.write ? "write" : "read");
+
+    const AtRest fresh = readAtRest(scratch.file("fresh.tree"), slots,
+                                    recBytes);
+    const AtRest run = readAtRest(scratch.file("run.tree"), slots,
+                                  recBytes);
+    EXPECT_TRUE(std::equal(fresh.records.begin(),
+                           fresh.records.begin() + top * recBytes,
+                           run.records.begin()));
+    EXPECT_TRUE(std::equal(fresh.epochs.begin(),
+                           fresh.epochs.begin() + top,
+                           run.epochs.begin()));
+}
+
+TEST(Treetop, SnapshotRestoredAtAnotherKIsRefused)
+{
+    // A uniform tree has one shape at every k, but a snapshot holds
+    // the treetop of the k it was taken at: an engine with another k
+    // refuses it, by name, and one with the same k restores it.
+    EngineConfig cfg;
+    cfg.numBlocks = 256;
+    cfg.payloadBytes = 16;
+    oram::PathOram taken(cfg);
+    for (BlockId id = 0; id < cfg.numBlocks; ++id)
+        taken.touch(id);
+    ASSERT_GT(taken.stashForAudit().parkedSize(), 0u);
+    const std::vector<std::uint8_t> blob = taken.checkpoint();
+    const unsigned k = taken.geometry().treetopLevels();
+    ASSERT_GT(k, 1u);
+
+    for (const unsigned other : {0u, k - 1}) {
+        EngineConfig atOther = cfg;
+        atOther.treetopLevels = other;
+        oram::PathOram restored(atOther);
+        ASSERT_EQ(restored.geometry().totalSlots(),
+                  taken.geometry().totalSlots());
+        try {
+            restored.restoreFrom(blob);
+            ADD_FAILURE() << "restore at k " << other << " was accepted";
+        } catch (const serde::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("treetopLevels"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    oram::PathOram same(cfg);
+    same.restoreFrom(blob);
+    EXPECT_EQ(same.stashForAudit().parkedSize(),
+              taken.stashForAudit().parkedSize());
+    EXPECT_EQ(same.pathIoForAudit().topSlotIds(),
+              taken.pathIoForAudit().topSlotIds());
 }
 
 } // namespace

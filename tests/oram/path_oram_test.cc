@@ -104,8 +104,7 @@ TEST(PathOram, InvariantAuditAfterChurn)
     Rng rng(5);
     for (int i = 0; i < 500; ++i)
         oram.touch(rng.nextBounded(128));
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -122,7 +121,7 @@ TEST(PathOram, MetersOnePathReadPerAccess)
         for (int i = 0; i < 200; ++i)
             oram.touch(rng.nextBounded(128));
         const TreeGeometry &g = oram.geometry();
-        const unsigned k = oram.storageForAudit().treetopLevels();
+        const unsigned k = g.treetopLevels();
         ASSERT_EQ(k, treetop ? g.numLevels() / 2 : 0u);
         std::uint64_t topPathSlots = 0;
         for (unsigned level = 0; level < k; ++level)
@@ -211,8 +210,7 @@ TEST(PathOram, WorksOnFatTree)
         oram.readBlock(id, out);
         EXPECT_EQ(out, data);
     }
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -280,8 +278,7 @@ TEST_P(PathOramShapes, ReadYourWritesAndAudit)
         oram.readBlock(id, out);
         EXPECT_EQ(out, data);
     }
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 

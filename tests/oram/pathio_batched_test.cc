@@ -116,7 +116,7 @@ TEST_F(BatchedFixture, OverlappingWriteBackLosesNothing)
 
     // Root Z=2: both blocks must be in the tree now (not lost, not
     // duplicated) — audit verifies global consistency.
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
     std::uint64_t in_tree = 0;
     StoredBlock b;
     for (std::uint64_t s = 0; s < geom.bucketSize(0); ++s) {
@@ -167,7 +167,7 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
         readLeaves(leaves);
         writeLeaves(leaves);
 
-        ASSERT_EQ(auditTree(geom, storage, stash, posmap), "")
+        ASSERT_EQ(auditTree(io, posmap), "")
             << "round " << round;
     }
     // Every staged block is accounted for: in tree or stash.
@@ -198,7 +198,7 @@ TEST_F(BatchedFixture, SingleLeafBatchedEqualsPlainWrite)
     const std::uint64_t slots = writeLeaves({3});
     EXPECT_EQ(slots, geom.pathSlots());
     EXPECT_TRUE(stash.empty());
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
     StoredBlock b;
     std::uint64_t at_leaf = 0;
     const unsigned leaf_level = geom.leafLevel();
@@ -232,7 +232,7 @@ TEST_F(BatchedFixture, PinnedEntriesSurvivePlainWrite)
     const Leaf leaf = 6;
     io.writePaths(&leaf, 1);
     EXPECT_TRUE(stash.contains(8));
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
 }
 
 TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)

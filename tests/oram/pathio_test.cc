@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -151,7 +152,7 @@ TEST_F(PathIoFixture, WriteBackIgnoresStashInsertionOrder)
     Stash other;
     PathIo otherIo(geom, otherStorage, other, meter);
     for (BlockId id = 1000; id < 1600; ++id)
-        other.put(id, 0);
+        other.remap(id, 0, 0);
     for (BlockId id = 1000; id < 1600; ++id)
         other.erase(id);
     for (const auto &[id, leaf] : blocks)
@@ -190,7 +191,7 @@ TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
             stash.put(id, next, payloadFor(id));
         writeOne(cur);
     }
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
 }
 
 TEST_F(PathIoFixture, AuditCatchesMisplacedBlock)
@@ -202,7 +203,7 @@ TEST_F(PathIoFixture, AuditCatchesMisplacedBlock)
     auto payload = payloadFor(4);
     storage.writeSlot(geom.nodeSlotBase(wrong), 4, 0, payload.data(),
                       payload.size());
-    EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_NE(auditTree(io, posmap), "");
 }
 
 TEST_F(PathIoFixture, AuditCatchesStaleLeafField)
@@ -212,7 +213,7 @@ TEST_F(PathIoFixture, AuditCatchesStaleLeafField)
     // Stored leaf (7) disagrees with the position map (2).
     storage.writeSlot(geom.nodeSlotBase(0), 6, 7, payload.data(),
                       payload.size());
-    EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_NE(auditTree(io, posmap), "");
 }
 
 TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
@@ -223,7 +224,7 @@ TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
     storage.writeSlot(geom.nodeSlotBase(0), 8, leaf, payload.data(),
                       payload.size());
     stash.put(8, leaf, payloadFor(8));
-    EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_NE(auditTree(io, posmap), "");
 }
 
 TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
@@ -449,7 +450,7 @@ TEST_F(PathIoFixture, MeterChargesOneLeafReadWriteAndDrain)
     EXPECT_EQ(d.blocksWritten, dummies * geom.pathSlots());
     EXPECT_EQ(d.bytesRead, dummies * geom.pathBytes());
     EXPECT_EQ(d.bytesWritten, dummies * geom.pathBytes());
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
 }
 
 TEST_F(PathIoFixture, DrainStopsAtBurstCap)
@@ -474,7 +475,7 @@ TEST_F(PathIoFixture, DrainStopsAtBurstCap)
     EXPECT_EQ(pio.drain(r, 0, 0), PathIo::kMaxDummiesPerBurst);
     EXPECT_EQ(m.counters().dummyReads, PathIo::kMaxDummiesPerBurst);
     EXPECT_GE(st.size(), 100 - treeSlots);
-    EXPECT_EQ(auditTree(g, store, st, pm), "");
+    EXPECT_EQ(auditTree(pio, pm), "");
 }
 
 TEST_F(PathIoFixture, DrainThatGaveUpWaitsForTheStashToGrow)
@@ -504,7 +505,7 @@ TEST_F(PathIoFixture, DrainThatGaveUpWaitsForTheStashToGrow)
     stash.put(blocks, other, payloadFor(blocks));
     EXPECT_LT(io.drain(rng, 8, 2), PathIo::kMaxDummiesPerBurst);
     EXPECT_EQ(stash.size(), blocks - geom.pathSlots());
-    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    EXPECT_EQ(auditTree(io, posmap), "");
 
     // Real accesses remap blocks away (here: dropped from the stash).
     // A drain that finds the stash at the low water forgets the
@@ -522,6 +523,51 @@ TEST_F(PathIoFixture, DrainThatGaveUpWaitsForTheStashToGrow)
     }
     EXPECT_GT(io.drain(rng, 8, 2), 0u);
     EXPECT_LE(stash.size(), 2u);
+}
+
+TEST(PathIoTreetop, AuditChecksParkedBlocks)
+{
+    // Over a treetop the write-back parks blocks in the top slots. The
+    // audit accepts that, and catches a parked block whose leaf
+    // disagrees with the position map, a top slot whose block is not
+    // parked and a parked block that no top slot holds.
+    const TreeGeometry geom(64, 8, BucketProfile::uniform(4));
+    ASSERT_GT(geom.treetopLevels(), 0u);
+    ServerStorage storage(geom, 8, false);
+    Stash stash;
+    mem::TrafficMeter meter;
+    PathIo io(geom, storage, stash, meter);
+    Rng rng(5);
+    PositionMap posmap(65, geom.numLeaves(), rng);
+    // Sixteen blocks on each of two leaves fill their paths up into
+    // the top.
+    for (BlockId id = 0; id < 32; ++id) {
+        posmap.set(id, id % 2);
+        stash.put(id, id % 2, std::vector<std::uint8_t>(8, id));
+    }
+    const Leaf leaves[] = {0, 1};
+    io.readPaths(leaves, 2);
+    io.writePaths(leaves, 2);
+    ASSERT_GT(stash.parkedSize(), 0u);
+    EXPECT_EQ(auditTree(io, posmap), "");
+
+    const auto &top = io.topSlotIds();
+    const BlockId parked =
+        *std::find_if(top.begin(), top.end(),
+                      [](BlockId id) { return id != kInvalidBlock; });
+    const Leaf home = posmap.get(parked);
+    posmap.set(parked, home ^ 1);
+    EXPECT_NE(auditTree(io, posmap).find("posmap leaf"), std::string::npos);
+    posmap.set(parked, home);
+
+    stash.unpark(parked);
+    EXPECT_NE(auditTree(io, posmap).find("not parked"), std::string::npos);
+    stash.park(parked);
+    EXPECT_EQ(auditTree(io, posmap), "");
+
+    stash.put(64, posmap.get(64), std::vector<std::uint8_t>(8, 64));
+    stash.park(64);
+    EXPECT_NE(auditTree(io, posmap).find("are parked"), std::string::npos);
 }
 
 } // namespace

@@ -65,8 +65,7 @@ TEST(StaticSuperblock, GroupsStayColocatedUnderChurn)
         for (BlockId m = base; m < base + 4; ++m)
             EXPECT_EQ(pm.get(m), shared);
     }
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 
@@ -229,8 +228,7 @@ TEST(ProOram, AuditAfterMixedWorkload)
         else
             oram.touch(rng.nextBounded(512));
     }
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
 }
 

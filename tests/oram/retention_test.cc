@@ -17,9 +17,9 @@ namespace {
 TEST(StashPinning, UnpinAllClearsEveryPin)
 {
     Stash s;
-    s.put(1, 0).pinned = true;
-    s.put(2, 0).pinned = true;
-    s.put(3, 0);
+    s.remap(1, 0, 0).pinned = true;
+    s.remap(2, 0, 0).pinned = true;
+    s.remap(3, 0, 0);
     s.unpinAll();
     for (const auto &[id, entry] : s)
         EXPECT_FALSE(entry.pinned);

@@ -94,8 +94,7 @@ TEST(SinglePathEngines, PathOramStreamAndPosmapArePinned)
     for (BlockId id = 0; id < oram.config().numBlocks; ++id)
         posmap = fnv1a(posmap, oram.posmapForAudit().get(id));
 
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
     EXPECT_GT(oram.meter().counters().dummyReads, 0u);
     EXPECT_EQ(stream.events, 135680u);
@@ -126,8 +125,7 @@ TEST(SinglePathEngines, ProOramStreamAndPosmapArePinned)
     for (BlockId id = 0; id < oram.config().numBlocks; ++id)
         posmap = fnv1a(posmap, oram.posmapForAudit().get(id));
 
-    EXPECT_EQ(auditTree(oram.geometry(), oram.storageForAudit(),
-                        oram.stashForAudit(), oram.posmapForAudit()),
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
               "");
     EXPECT_GT(oram.totalMerges(), 0u);
     EXPECT_GT(oram.meter().counters().dummyReads, 0u);
