@@ -30,6 +30,31 @@ Laoram::name() const
         + std::to_string(lcfg.superblockSize);
 }
 
+template <typename Apply>
+void
+Laoram::withHotCache(BlockId id, std::vector<std::uint8_t> &payload,
+                     bool newOp, Apply &&apply)
+{
+    if (!cache_) {
+        apply();
+        return;
+    }
+    const cache::AccessOutcome outcome =
+        cache_->beginScheduledAccess(id, payload);
+    // Flushed: admission-time ops were already applied to the row,
+    // which beginScheduledAccess copied into the payload, and this
+    // access's path write is their coalesced write-back. A scheduled
+    // touch stops here (running touchFn again would apply them
+    // twice); a new op still applies on top of them.
+    if (outcome == cache::AccessOutcome::Flushed && !newOp)
+        return;
+    apply();
+    if (outcome == cache::AccessOutcome::Miss)
+        cache_->fill(id, payload);
+    else
+        cache_->completeScheduledAccess(id, payload);
+}
+
 void
 Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
                std::size_t len, std::vector<std::uint8_t> *out)
@@ -37,40 +62,16 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
     LAORAM_ASSERT(id < cfg.numBlocks, "block ", id, " out of range");
     mtr.recordLogicalAccess();
 
+    // The single access runs the cache protocol of a scheduled touch,
+    // so a resident row, which may carry deferred admission-time
+    // updates newer than the stash, stays the authoritative copy.
     const Leaf current = posmap_.get(id);
-    if (stash_.contains(id))
-        mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    const Leaf next = randomLeaf();
-    posmap_.set(id, next);
-    oram::StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
-    if (!cache_) {
-        applyOp(entry, op, in, len, out);
-    } else {
-        // The single-access path runs the same protocol as a
-        // scheduled touch so a resident row — which may carry
-        // deferred admission-time updates newer than the stash —
-        // stays the authoritative copy. Unlike a scheduled touch the
-        // caller's op is new, so Flushed still applies it: the
-        // deferred value was folded into the payload and this
-        // access's path write is its coalesced write-back.
-        switch (cache_->beginScheduledAccess(id, entry.payload)) {
-          case cache::AccessOutcome::Flushed:
-          case cache::AccessOutcome::HitInPlace:
-            applyOp(entry, op, in, len, out);
-            cache_->completeScheduledAccess(id, entry.payload);
-            break;
-          case cache::AccessOutcome::Miss:
-            applyOp(entry, op, in, len, out);
-            cache_->fill(id, entry.payload);
-            break;
-        }
-    }
-
-    pathIo_.writePaths(&current, 1);
-    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
-    mtr.observeStashSize(stash_.size());
+    accessPaths(id, id, id + 1, &current, 1,
+                [&](oram::StashEntry &entry) {
+                    withHotCache(id, entry.payload, true, [&] {
+                        applyOp(entry, op, in, len, out);
+                    });
+                });
 }
 
 void
@@ -168,42 +169,19 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     // re-targeting their stash entry, so the final entry leaf matches
     // the per-member code path).
     for (std::size_t i = 0; i < scratchRemapIds.size(); ++i) {
-        oram::StashEntry &entry = stash_.remap(
-            scratchRemapIds[i], scratchRemapLeaves[i], cfg.payloadBytes);
-        touchMember(scratchRemapIds[i], entry.payload);
+        const BlockId id = scratchRemapIds[i];
+        std::vector<std::uint8_t> &payload =
+            stash_.remap(id, scratchRemapLeaves[i], cfg.payloadBytes)
+                .payload;
+        withHotCache(id, payload, false, [&] {
+            if (touchFn)
+                touchFn(id, payload);
+        });
     }
 
     pathIo_.writePaths(scratchLeaves.data(), scratchLeaves.size());
     pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
     mtr.observeStashSize(stash_.size());
-}
-
-void
-Laoram::touchMember(BlockId id, std::vector<std::uint8_t> &payload)
-{
-    if (!cache_) {
-        if (touchFn)
-            touchFn(id, payload);
-        return;
-    }
-    switch (cache_->beginScheduledAccess(id, payload)) {
-      case cache::AccessOutcome::Flushed:
-        // Admission-time ops were already applied to the row; this
-        // scheduled access is their coalesced write-back (the row was
-        // copied into the stash payload above) and must NOT run
-        // touchFn again.
-        return;
-      case cache::AccessOutcome::HitInPlace:
-        if (touchFn)
-            touchFn(id, payload);
-        cache_->completeScheduledAccess(id, payload);
-        return;
-      case cache::AccessOutcome::Miss:
-        if (touchFn)
-            touchFn(id, payload);
-        cache_->fill(id, payload);
-        return;
-    }
 }
 
 void

@@ -173,12 +173,16 @@ class Laoram final : public oram::TreeOramBase
 
   private:
     /**
-     * Serve the scheduled access of one bin/batch member: run the
-     * cache protocol around touchFn so hot rows are authoritative in
-     * client DRAM while the stash payload still carries the same
-     * final bytes as a cache-off run.
+     * Run the hot-cache protocol around @p apply, which updates @p id's
+     * stash @p payload, so hot rows are authoritative in client DRAM
+     * while the stash payload still carries the same final bytes as a
+     * cache-off run. @p newOp marks the caller's op as new (a single
+     * access) rather than a scheduled bin touch: only a new op still
+     * applies after the cache flushed deferred admission-time ops.
      */
-    void touchMember(BlockId id, std::vector<std::uint8_t> &payload);
+    template <typename Apply>
+    void withHotCache(BlockId id, std::vector<std::uint8_t> &payload,
+                      bool newOp, Apply &&apply);
 
     LaoramConfig lcfg;
     TouchFn touchFn;

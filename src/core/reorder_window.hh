@@ -53,7 +53,7 @@ struct ReorderStats
     using Count = obs::Relaxed<std::uint64_t>;
     using Nanos = obs::Relaxed<std::int64_t>;
 
-    /** Total consumer wait inside pop()/popDeferred(). */
+    /** Total consumer wait inside popDeferred(). */
     Nanos popWaitNs = 0;
 
     /**
@@ -226,27 +226,11 @@ class ReorderWindow
      * (out-of-order leftovers past a gap can never be delivered
      * deterministically and are dropped with the window).
      *
-     * @return true with @p out filled, or false on exhaustion
-     */
-    bool
-    pop(T &out)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        if (!waitForNext(lock))
-            return false;
-        takeNext(out);
-        lock.unlock();
-        notFull.notify_all();
-        return true;
-    }
-
-    /**
-     * Like pop(), but defers the producer wakeup to @p token (see
-     * ReleaseToken). Splitting the two lets the consumer timestamp
-     * the hand-off before the wakeup: on a shared core, notify_all
-     * can immediately preempt the consumer in favour of a producer,
-     * and an undeferred notify would bill that producer work to the
-     * consumer's measured wait.
+     * The producer wakeup is deferred to @p token (see ReleaseToken),
+     * so the consumer can timestamp the hand-off before it: on a
+     * shared core, notify_all can immediately preempt the consumer in
+     * favour of a producer, and an undeferred notify would bill that
+     * producer work to the consumer's measured wait.
      *
      * @return true with @p out and @p token filled, or false on
      *         exhaustion (token left empty)

@@ -2,10 +2,10 @@
  * @file
  * Common engine interface and the shared tree-ORAM base class.
  *
- * Every address-hiding scheme in this repository (PathORAM, PrORAM
- * static/dynamic, RingORAM, LAORAM) implements OramEngine, so the
- * benchmark harness can run identical traces through interchangeable
- * engines and compare the traffic meters.
+ * Every address-hiding scheme in this repository (PathORAM, PrORAM,
+ * RingORAM, LAORAM) implements OramEngine, so the benchmark harness
+ * can run identical traces through interchangeable engines and
+ * compare the traffic meters.
  */
 
 #ifndef LAORAM_ORAM_ENGINE_HH
@@ -259,6 +259,43 @@ class TreeOramBase : public OramEngine
 
     /** Draw a uniform leaf. */
     Leaf randomLeaf() { return rng.nextBounded(geom.numLeaves()); }
+
+    /**
+     * The PathORAM-family access around one path union (paper §II-C,
+     * §II-E): count a stash hit for @p id, read the union of the
+     * @p n paths at @p leaves, move blocks [@p first, @p end) to one
+     * fresh uniform leaf, call @p op on @p id's stash entry and pin
+     * the other members for their predicted accesses, write the
+     * union back, drain the stash and record its peak. @p op runs
+     * before the write-back, which may evict the entry to the tree.
+     * Even a stash-resident block reads its paths, so the
+     * server-visible pattern stays independent of stash state.
+     * PathORAM is the one-block, one-leaf case ([id, id + 1), its
+     * current leaf).
+     */
+    template <typename Op>
+    void
+    accessPaths(BlockId id, BlockId first, BlockId end,
+                const Leaf *leaves, std::size_t n, Op &&op)
+    {
+        if (stash_.contains(id))
+            mtr.recordStashHit();
+        pathIo_.readPaths(leaves, n);
+
+        const Leaf next = randomLeaf();
+        for (BlockId m = first; m < end; ++m) {
+            posmap_.set(m, next);
+            StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
+            if (m == id)
+                op(entry);
+            else
+                entry.pinned = true;
+        }
+
+        pathIo_.writePaths(leaves, n);
+        pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
+        mtr.observeStashSize(stash_.size());
+    }
 
     ServerStorage storage_;
     PositionMap posmap_;

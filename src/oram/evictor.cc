@@ -6,8 +6,6 @@
 #include <utility>
 #include <unordered_set>
 
-#include "util/logging.hh"
-
 namespace laoram::oram {
 
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
@@ -222,41 +220,16 @@ PathIo::writePaths(const Leaf *leaves, std::size_t n)
 std::uint64_t
 PathIo::drain(Rng &rng, std::uint64_t highWater, std::uint64_t lowWater)
 {
-    if (stash.size() <= lowWater)
-        gaveUpAt = 0; // got there by itself: nothing holds it up now
-    if (stash.size() <= highWater)
-        return 0;
-
-    // Capacity trumps retention: prefetch pins are dropped before the
-    // client starts paying for dummy accesses.
-    stash.unpinAll();
-    if (stash.size() <= gaveUpAt)
-        return 0; // the last burst could not get below this either
-
-    // Dummies never remap, so after a give-up the low water stays out
-    // of reach until real accesses move blocks: aim where the last
-    // burst stopped instead of paying the whole cap again.
-    const std::uint64_t target = std::max(lowWater, gaveUpAt);
-    std::uint64_t issued = 0;
-    while (stash.size() > target && issued < kMaxDummiesPerBurst) {
+    return drainStash(stash, highWater, lowWater, gaveUpAt, [&] {
         const Leaf leaf = rng.nextBounded(geom.numLeaves());
         fetchUnion(&leaf, 1);
         const std::uint64_t slots = evictUnion(&leaf, 1);
         meter.recordDummyAccess(slots * geom.blockBytes(), slots);
-        ++issued;
-    }
-    if (stash.size() > target) {
-        gaveUpAt = stash.size();
-        warn("background eviction could not drain stash below ",
-             target, " (still ", stash.size(), " blocks) after ",
-             issued, " dummy accesses; later bursts wait for the "
-             "stash to grow past ", gaveUpAt, " and stop there");
-    }
-    return issued;
+    });
 }
 
 std::string
-auditTree(const PathIo &io, const PositionMap &posmap)
+auditTree(const PathIo &io, const std::function<Leaf(BlockId)> &leafOf)
 {
     const TreeGeometry &geom = io.geom;
     const Stash &stash = io.stash;
@@ -299,7 +272,7 @@ auditTree(const PathIo &io, const PositionMap &posmap)
                 err << "block " << b.id << " in both tree and stash";
                 return err.str();
             }
-            const Leaf mapped = posmap.get(b.id);
+            const Leaf mapped = leafOf(b.id);
             if (b.leaf != mapped) {
                 err << "block " << b.id << " stored leaf " << b.leaf
                     << " != posmap leaf " << mapped;
@@ -321,9 +294,10 @@ auditTree(const PathIo &io, const PositionMap &posmap)
         return err.str();
     }
     for (const auto &[id, entry] : stash) {
-        if (entry.leaf != posmap.get(id)) {
+        const Leaf mapped = leafOf(id);
+        if (entry.leaf != mapped) {
             err << "stashed block " << id << " leaf " << entry.leaf
-                << " != posmap leaf " << posmap.get(id);
+                << " != posmap leaf " << mapped;
             return err.str();
         }
     }

@@ -19,16 +19,19 @@
  * buckets, so the adversary sees the same stream as before the
  * treetop existed minus its slots.
  *
- * Also hosts the tree auditor used by tests to verify the core
- * PathORAM invariant: every initialised real block lies either in the
- * stash or on the path named by its position-map leaf.
+ * Also hosts the §II-E drain policy that PathIo and RingORAM share,
+ * and the tree auditor used by tests to verify the core PathORAM
+ * invariant: every initialised real block lies either in the stash or
+ * on the path named by its position-map leaf.
  */
 
 #ifndef LAORAM_ORAM_EVICTOR_HH
 #define LAORAM_ORAM_EVICTOR_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,6 +41,7 @@
 #include "oram/stash.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace laoram::oram {
@@ -96,18 +100,9 @@ class PathIo
     std::uint64_t writePaths(const Leaf *leaves, std::size_t n);
 
     /**
-     * Background eviction (§II-E): once the stash exceeds
-     * @p highWater, drop every retention pin and issue dummy accesses
-     * (a uniform path from @p rng, read and written back, no remap)
-     * until it is down to @p lowWater, at most kMaxDummiesPerBurst of
-     * them. Each is charged as one dummy read.
-     *
-     * A burst that hits the cap remembers the stash size it gave up
-     * at: dummies never remap, so while the position map stands they
-     * cannot get the stash below it. Later calls issue no dummies
-     * until the stash grows past that size, then drain back down to
-     * it rather than to @p lowWater. Once the stash is at @p lowWater
-     * or below when drain() is called, the memory is dropped.
+     * Background eviction (§II-E, see drainStash): each dummy access
+     * reads and writes back a uniform path from @p rng, with no
+     * remap, and is charged as one dummy read.
      *
      * @return number of dummy accesses issued
      */
@@ -127,8 +122,9 @@ class PathIo
     /** Block in each treetop slot, kInvalidBlock when empty. */
     const std::vector<BlockId> &topSlotIds() const { return topIds; }
 
-    friend std::string auditTree(const PathIo &io,
-                                 const PositionMap &posmap);
+    friend std::string
+    auditTree(const PathIo &io,
+              const std::function<Leaf(BlockId)> &leafOf);
 
   private:
     /** One node of a path union, with its write-back parent link. */
@@ -186,19 +182,78 @@ class PathIo
 };
 
 /**
- * Exhaustively audit @p io's tree + stash against the position map.
+ * The §II-E background-eviction policy: once the stash exceeds
+ * @p highWater, drop every retention pin and issue @p dummyAccess()
+ * calls until the stash is down to @p lowWater, at most
+ * PathIo::kMaxDummiesPerBurst of them.
+ *
+ * A burst that hits the cap records the stash size it gave up at in
+ * @p gaveUpAt: dummies never remap, so while the position map stands
+ * they cannot get the stash below it. Later calls issue no dummies
+ * until the stash grows past that size, then drain back down to it
+ * rather than to @p lowWater. Once the stash is at @p lowWater or
+ * below when drainStash() is called, the memory is dropped (0).
+ *
+ * @return number of dummy accesses issued
+ */
+template <typename DummyAccess>
+std::uint64_t
+drainStash(Stash &stash, std::uint64_t highWater, std::uint64_t lowWater,
+           std::uint64_t &gaveUpAt, DummyAccess &&dummyAccess)
+{
+    if (stash.size() <= lowWater)
+        gaveUpAt = 0; // got there by itself: nothing holds it up now
+    if (stash.size() <= highWater)
+        return 0;
+
+    // Capacity trumps retention: prefetch pins are dropped before the
+    // client starts paying for dummy accesses.
+    stash.unpinAll();
+    if (stash.size() <= gaveUpAt)
+        return 0; // the last burst could not get below this either
+
+    // Aim where the last burst stopped instead of paying the whole cap
+    // again.
+    const std::uint64_t target = std::max(lowWater, gaveUpAt);
+    std::uint64_t issued = 0;
+    while (stash.size() > target && issued < PathIo::kMaxDummiesPerBurst) {
+        dummyAccess();
+        ++issued;
+    }
+    if (stash.size() > target) {
+        gaveUpAt = stash.size();
+        warn("background eviction could not drain stash below ",
+             target, " (still ", stash.size(), " blocks) after ",
+             issued, " dummy accesses; later bursts wait for the "
+             "stash to grow past ", gaveUpAt, " and stop there");
+    }
+    return issued;
+}
+
+/**
+ * Exhaustively audit @p io's tree + stash against the leaves
+ * @p leafOf reports (a flat position map, or a recursive map's peek).
  *
  * Checks that the storage's occupancy bitmap matches the tree
  * (ServerStorage::auditOccupancy); then, for every real block in a
- * server slot or parked in a treetop slot: its leaf matches the
- * position map, and the node it occupies lies on that leaf's path;
- * that no block appears twice (tree/tree, tree/stash, parked/stash)
- * and that every parked entry sits in a treetop slot.
+ * server slot or parked in a treetop slot: its leaf matches
+ * @p leafOf, and the node it occupies lies on that leaf's path; that
+ * no block appears twice (tree/tree, tree/stash, parked/stash), that
+ * every parked entry sits in a treetop slot and that every loose
+ * stash entry's leaf matches @p leafOf.
  *
  * @return empty string when consistent, else a description of the
  *         first violation (tests assert on empty)
  */
-std::string auditTree(const PathIo &io, const PositionMap &posmap);
+std::string auditTree(const PathIo &io,
+                      const std::function<Leaf(BlockId)> &leafOf);
+
+/** auditTree against a flat position map. */
+inline std::string
+auditTree(const PathIo &io, const PositionMap &posmap)
+{
+    return auditTree(io, [&](BlockId id) { return posmap.get(id); });
+}
 
 } // namespace laoram::oram
 

@@ -24,89 +24,6 @@ static_assert(kSplitThreshold < kMergeThreshold,
 
 } // namespace
 
-StaticSuperblockOram::StaticSuperblockOram(
-    const StaticSuperblockConfig &cfg)
-    : TreeOramBase(cfg.base), sbSize(cfg.superblockSize)
-{
-    LAORAM_ASSERT(sbSize >= 1, "superblock size must be >= 1");
-    // Static superblocks require group-consistent initial positions:
-    // every member of an aligned group starts on the group's leaf.
-    for (BlockId base = 0; base < this->cfg.numBlocks; base += sbSize) {
-        const Leaf shared = posmap_.get(base);
-        const BlockId end =
-            std::min(base + sbSize, this->cfg.numBlocks);
-        for (BlockId m = base + 1; m < end; ++m)
-            posmap_.set(m, shared);
-    }
-    restoreAtConstructionIfConfigured();
-}
-
-std::string
-StaticSuperblockOram::name() const
-{
-    return "PrORAM-static/S" + std::to_string(sbSize);
-}
-
-BlockId
-StaticSuperblockOram::groupBase(BlockId id) const
-{
-    return (id / sbSize) * sbSize;
-}
-
-BlockId
-StaticSuperblockOram::groupEnd(BlockId id) const
-{
-    return std::min(groupBase(id) + sbSize, cfg.numBlocks);
-}
-
-void
-StaticSuperblockOram::access(BlockId id, AccessOp op,
-                             const std::uint8_t *in, std::size_t len,
-                             std::vector<std::uint8_t> *out)
-{
-    LAORAM_ASSERT(id < cfg.numBlocks, "block ", id, " out of range");
-    mtr.recordLogicalAccess();
-
-    // Superblock prefetch hit: the group fetch that brought this block
-    // in already paid the path access; serve it from trusted memory
-    // (the same accounting PrORAM and LAORAM bins use). With S == 1
-    // there is no prefetching and the engine degenerates to exact
-    // PathORAM behaviour.
-    if (sbSize > 1) {
-        if (StashEntry *entry = stash_.find(id)) {
-            mtr.recordStashHit();
-            entry->pinned = false; // pending access served
-            applyOp(*entry, op, in, len, out);
-            mtr.observeStashSize(stash_.size());
-            return;
-        }
-    }
-
-    // Only S == 1 gets here with the block stashed; PathORAM counts
-    // that as a stash hit and still reads the path.
-    const Leaf current = posmap_.get(id); // shared by the whole group
-    if (stash_.contains(id))
-        mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    // The whole superblock moves together to one fresh uniform leaf;
-    // members other than the accessed one stay pinned client-side
-    // until their expected accesses arrive (prefetch retention).
-    const Leaf next = randomLeaf();
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-        posmap_.set(m, next);
-        StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
-        if (m == id)
-            applyOp(entry, op, in, len, out);
-        else if (sbSize > 1)
-            entry.pinned = true;
-    }
-
-    pathIo_.writePaths(&current, 1);
-    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
-    mtr.observeStashSize(stash_.size());
-}
-
 ProOram::ProOram(const ProOramConfig &cfg)
     : TreeOramBase(cfg.base), pcfg(cfg),
       groups(divCeil(cfg.base.numBlocks, cfg.groupSize))
@@ -131,37 +48,6 @@ BlockId
 ProOram::groupEnd(BlockId id) const
 {
     return std::min(groupBase(id) + pcfg.groupSize, cfg.numBlocks);
-}
-
-void
-ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
-                    std::size_t len, std::vector<std::uint8_t> *out)
-{
-    // Fusing a group requires co-locating members that currently live
-    // on unrelated paths: fetch the union of member paths, then remap
-    // everyone to one fresh leaf and write the union back.
-    std::vector<Leaf> leaves;
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m)
-        leaves.push_back(posmap_.get(m));
-
-    pathIo_.readPaths(leaves.data(), leaves.size());
-
-    const Leaf next = randomLeaf();
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-        posmap_.set(m, next);
-        StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
-        if (m == id)
-            applyOp(entry, op, in, len, out);
-        else
-            entry.pinned = true; // retain for the predicted accesses
-    }
-
-    pathIo_.writePaths(leaves.data(), leaves.size());
-
-    auto &g = groups[id / pcfg.groupSize];
-    g.merged = true;
-    ++nMerged;
-    ++nMergeEvents;
 }
 
 void
@@ -217,44 +103,31 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         }
     }
 
+    const auto apply = [&](StashEntry &entry) {
+        applyOp(entry, op, in, len, out);
+    };
     if (!g.merged && g.counter >= kMergeThreshold) {
-        // Merge performs the fetch of every member (including `id`)
-        // and applies the pending operation, so the logical access
-        // completes inside it.
-        if (stash_.contains(id))
-            mtr.recordStashHit();
-        mergeGroup(id, op, in, len, out);
-        pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
-        mtr.observeStashSize(stash_.size());
+        // Fusing co-locates members that live on unrelated paths: read
+        // the union of their paths and move them all to one fresh
+        // leaf. The logical access completes inside the merge.
+        std::vector<Leaf> leaves;
+        for (BlockId m = groupBase(id); m < groupEnd(id); ++m)
+            leaves.push_back(posmap_.get(m));
+        accessPaths(id, groupBase(id), groupEnd(id), leaves.data(),
+                    leaves.size(), apply);
+        g.merged = true;
+        ++nMerged;
+        ++nMergeEvents;
         return;
     }
 
+    // A fused group shares `current` and moves together; unaccessed
+    // members stay pinned for their predicted turns.
     const Leaf current = posmap_.get(id);
-    if (stash_.contains(id))
-        mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    const Leaf next = randomLeaf();
-    if (g.merged) {
-        // Fused group: everyone shares `current` and moves together;
-        // unaccessed members stay pinned for their predicted turns.
-        for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-            posmap_.set(m, next);
-            StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
-            if (m == id)
-                applyOp(entry, op, in, len, out);
-            else
-                entry.pinned = true;
-        }
-    } else {
-        posmap_.set(id, next);
-        StashEntry &entry = stash_.remap(id, next, cfg.payloadBytes);
-        applyOp(entry, op, in, len, out);
-    }
-
-    pathIo_.writePaths(&current, 1);
-    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
-    mtr.observeStashSize(stash_.size());
+    if (g.merged)
+        accessPaths(id, groupBase(id), groupEnd(id), &current, 1, apply);
+    else
+        accessPaths(id, id, id + 1, &current, 1, apply);
 }
 
 void

@@ -303,46 +303,4 @@ RecursivePathOram::access(BlockId id, AccessOp op,
     mtr.observeStashSize(stash_.size());
 }
 
-std::string
-RecursivePathOram::auditRecursive(std::uint64_t sampleStride) const
-{
-    const std::vector<BlockId> &top = pathIo_.topSlotIds();
-    StoredBlock b;
-    for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
-        const unsigned level = geom.nodeLevel(node);
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s) {
-            if (base + s < top.size()) {
-                // A treetop slot: its block is a parked stash entry.
-                b.id = top[base + s];
-                if (b.isDummy() || (b.id % sampleStride) != 0)
-                    continue;
-                const StashEntry *parked = stash_.findParked(b.id);
-                if (!parked)
-                    return "treetop block " + std::to_string(b.id)
-                        + " is not parked";
-                b.leaf = parked->leaf;
-            } else {
-                storage_.readSlot(base + s, b);
-                if (b.isDummy() || (b.id % sampleStride) != 0)
-                    continue;
-            }
-            const Leaf mapped = rpm.peek(b.id);
-            if (b.leaf != mapped)
-                return "block " + std::to_string(b.id)
-                    + " stored leaf disagrees with recursive map";
-            if (geom.pathNode(mapped, level) != node)
-                return "block " + std::to_string(b.id)
-                    + " off its mapped path";
-        }
-    }
-    for (const auto &[id, entry] : stash_) {
-        if (entry.leaf != rpm.peek(id))
-            return "stashed block " + std::to_string(id)
-                + " disagrees with recursive map";
-    }
-    return {};
-}
-
 } // namespace laoram::oram

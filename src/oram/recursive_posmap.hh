@@ -157,16 +157,12 @@ class RecursivePathOram final : public OramEngine
     /** Mutable data-tree storage for installing test access sinks. */
     ServerStorage &storageForTest() { return storage_; }
 
-    /** Test hooks: the data tree's stash and path I/O. */
+    /**
+     * Test hooks: the data tree's stash and path I/O (audit the tree
+     * with auditTree against positionMap().peek).
+     */
     const Stash &stashForAudit() const { return stash_; }
     const PathIo &pathIoForAudit() const { return pathIo_; }
-
-    /**
-     * Invariant audit: for every data block that has been accessed at
-     * least once, it must be findable on its peeked path or in the
-     * stash.
-     */
-    std::string auditRecursive(std::uint64_t sampleStride = 1) const;
 
   private:
     ServerStorage storage_;

@@ -266,15 +266,8 @@ RingOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     }
 
     // Stash high-water safety: extra evictions billed as dummies.
-    if (stash_.size() > cfg.stashHighWater) {
-        constexpr std::uint64_t kMaxBurst = 100000;
-        std::uint64_t issued = 0;
-        while (stash_.size() > cfg.stashLowWater
-               && issued < kMaxBurst) {
-            evictPath(reverseLexLeaf(evictCounter++), true);
-            ++issued;
-        }
-    }
+    drainStash(stash_, cfg.stashHighWater, cfg.stashLowWater, gaveUpAt,
+               [this] { evictPath(reverseLexLeaf(evictCounter++), true); });
     mtr.observeStashSize(stash_.size());
 }
 

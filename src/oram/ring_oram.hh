@@ -97,6 +97,8 @@ class RingOram final : public OramEngine
     std::vector<BucketMeta> buckets;
     std::uint64_t evictCounter = 0;
     std::uint64_t sinceEvict = 0;
+    /** drainStash's give-up memory for the high-water evictions. */
+    std::uint64_t gaveUpAt = 0;
 
     // Scratch (avoids per-access allocation).
     StoredBlock scratch;

@@ -20,6 +20,18 @@
 namespace laoram::core {
 namespace {
 
+/**
+ * Pop the next item and wake blocked producers at once: popDeferred
+ * with its release token dropped on return.
+ */
+template <typename T>
+bool
+popNext(ReorderWindow<T> &window, T &out)
+{
+    typename ReorderWindow<T>::ReleaseToken token;
+    return window.popDeferred(out, token);
+}
+
 TEST(ReorderWindow, OutOfOrderArrivalDeliversInSequence)
 {
     ReorderWindow<int> window(4);
@@ -31,7 +43,7 @@ TEST(ReorderWindow, OutOfOrderArrivalDeliversInSequence)
 
     int out = 0;
     for (int seq = 0; seq < 4; ++seq) {
-        ASSERT_TRUE(window.pop(out));
+        ASSERT_TRUE(popNext(window, out));
         EXPECT_EQ(out, 100 + seq);
     }
     EXPECT_EQ(window.size(), 0u);
@@ -51,13 +63,13 @@ TEST(ReorderWindow, ConsumerBlocksOnSequenceGapUntilItArrives)
         int out = 0;
         for (int seq = 0; seq < 3; ++seq) {
             popping.store(true, std::memory_order_release);
-            ASSERT_TRUE(window.pop(out));
+            ASSERT_TRUE(popNext(window, out));
             EXPECT_EQ(out, 10 + seq);
             delivered.fetch_add(1, std::memory_order_relaxed);
         }
     });
 
-    // Handshake: wait for the consumer to reach pop(), then give it
+    // Handshake: wait for the consumer to reach popNext(), then give it
     // time to enter the gap wait (nothing is deliverable while 0 is
     // missing — that part is deterministic regardless of timing).
     while (!popping.load(std::memory_order_acquire))
@@ -96,14 +108,14 @@ TEST(ReorderWindow, FullWindowExertsBackpressure)
     EXPECT_FALSE(pushed.load(std::memory_order_acquire));
 
     int out = -1;
-    ASSERT_TRUE(window.pop(out));
+    ASSERT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 0);
     producer.join();
     EXPECT_TRUE(pushed.load());
 
-    ASSERT_TRUE(window.pop(out));
+    ASSERT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 1);
-    ASSERT_TRUE(window.pop(out));
+    ASSERT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 2);
 }
 
@@ -118,7 +130,7 @@ TEST(ReorderWindow, LowestOutstandingSequenceIsAlwaysAdmitted)
     ASSERT_TRUE(window.push(0, 0)); // must not block
     int out = -1;
     for (int seq = 0; seq < 3; ++seq) {
-        ASSERT_TRUE(window.pop(out));
+        ASSERT_TRUE(popNext(window, out));
         EXPECT_EQ(out, seq);
     }
 }
@@ -142,10 +154,10 @@ TEST(ReorderWindow, ShutdownDrainsContiguousPrefixThenStops)
     // deterministically).
     int out = -1;
     for (int seq = 0; seq < 3; ++seq) {
-        ASSERT_TRUE(window.pop(out));
+        ASSERT_TRUE(popNext(window, out));
         EXPECT_EQ(out, seq);
     }
-    EXPECT_FALSE(window.pop(out));
+    EXPECT_FALSE(popNext(window, out));
     EXPECT_EQ(window.stats().delivered, 3u);
 }
 
@@ -186,9 +198,9 @@ TEST(ReorderWindow, CloseWakesBlockedProducerAndConsumer)
 
     // Buffered sequence 0 still drains after close.
     int out = -1;
-    EXPECT_TRUE(window.pop(out));
+    EXPECT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 0);
-    EXPECT_FALSE(window.pop(out));
+    EXPECT_FALSE(popNext(window, out));
 }
 
 TEST(ReorderWindow, ReleaseTokenWakesProducerOnUnwind)
@@ -211,7 +223,7 @@ TEST(ReorderWindow, ReleaseTokenWakesProducerOnUnwind)
     // Producer unblocks only if the unwound token freed the slot.
     producer.join();
     int out = 0;
-    EXPECT_TRUE(window.pop(out));
+    EXPECT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 11);
 }
 
@@ -232,7 +244,7 @@ TEST(ReorderWindow, ReleaseTokenMoveTransfersTheWakeup)
     EXPECT_FALSE(moved.held());
 
     ASSERT_TRUE(window.push(1, 8));
-    EXPECT_TRUE(window.pop(out));
+    EXPECT_TRUE(popNext(window, out));
     EXPECT_EQ(out, 8);
 
     // Exhaustion leaves a popDeferred token empty.
@@ -272,7 +284,7 @@ TEST(ReorderWindow, ManyProducersContendedDeliveryStaysOrdered)
 
     std::uint64_t expect = 0;
     std::uint64_t out = 0;
-    while (window.pop(out)) {
+    while (popNext(window, out)) {
         ASSERT_EQ(out, expect * 3) << "out of order at " << expect;
         ++expect;
     }

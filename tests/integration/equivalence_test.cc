@@ -2,8 +2,8 @@
  * @file
  * Cross-engine functional equivalence: every ORAM engine is, to the
  * application, a plain key-value store. Identical op sequences must
- * produce identical results across PathORAM, PrORAM (static/dynamic),
- * RingORAM, and LAORAM.
+ * produce identical results across PathORAM, PrORAM, RingORAM, and
+ * LAORAM.
  */
 
 #include <gtest/gtest.h>
@@ -44,12 +44,6 @@ allEngines()
 {
     std::vector<std::unique_ptr<OramEngine>> engines;
     engines.push_back(std::make_unique<oram::PathOram>(baseConfig()));
-
-    oram::StaticSuperblockConfig scfg;
-    scfg.base = baseConfig();
-    scfg.superblockSize = 4;
-    engines.push_back(
-        std::make_unique<oram::StaticSuperblockOram>(scfg));
 
     oram::ProOramConfig pcfg;
     pcfg.base = baseConfig();

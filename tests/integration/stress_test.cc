@@ -172,9 +172,9 @@ TEST_P(StressSeeds, EnginesAgreeOnFinalState)
     base.payloadBytes = kPayload;
     base.seed = GetParam();
 
-    oram::StaticSuperblockConfig scfg;
-    scfg.base = base;
-    scfg.superblockSize = 4;
+    oram::ProOramConfig pcfg;
+    pcfg.base = base;
+    pcfg.groupSize = 4;
 
     core::LaoramConfig lcfg;
     lcfg.base = base;
@@ -182,8 +182,7 @@ TEST_P(StressSeeds, EnginesAgreeOnFinalState)
 
     std::vector<std::unique_ptr<oram::OramEngine>> engines;
     engines.push_back(std::make_unique<oram::PathOram>(base));
-    engines.push_back(
-        std::make_unique<oram::StaticSuperblockOram>(scfg));
+    engines.push_back(std::make_unique<oram::ProOram>(pcfg));
     engines.push_back(std::make_unique<core::Laoram>(lcfg));
 
     Rng rng(GetParam() * 7 + 3);

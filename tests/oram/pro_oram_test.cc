@@ -1,12 +1,11 @@
 /**
  * @file
- * PrORAM baseline tests: static superblock co-location, dynamic
- * counter merge/split behaviour, and the paper's degeneration claim.
+ * PrORAM baseline tests: counter merge/split behaviour, and the
+ * paper's degeneration claim.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "oram/evictor.hh"
@@ -16,19 +15,6 @@
 
 namespace laoram::oram {
 namespace {
-
-StaticSuperblockConfig
-staticConfig(std::uint64_t blocks, std::uint64_t sb,
-             std::uint64_t payload = 8)
-{
-    StaticSuperblockConfig cfg;
-    cfg.base.numBlocks = blocks;
-    cfg.base.blockBytes = 64;
-    cfg.base.payloadBytes = payload;
-    cfg.base.seed = 31;
-    cfg.superblockSize = sb;
-    return cfg;
-}
 
 ProOramConfig
 dynConfig(std::uint64_t blocks, std::uint64_t group)
@@ -40,101 +26,6 @@ dynConfig(std::uint64_t blocks, std::uint64_t group)
     cfg.base.seed = 37;
     cfg.groupSize = group;
     return cfg;
-}
-
-TEST(StaticSuperblock, GroupsStartColocated)
-{
-    StaticSuperblockOram oram(staticConfig(64, 4));
-    const auto &pm = oram.posmapForAudit();
-    for (BlockId base = 0; base < 64; base += 4) {
-        const Leaf shared = pm.get(base);
-        for (BlockId m = base; m < base + 4; ++m)
-            EXPECT_EQ(pm.get(m), shared) << "group of " << base;
-    }
-}
-
-TEST(StaticSuperblock, GroupsStayColocatedUnderChurn)
-{
-    StaticSuperblockOram oram(staticConfig(64, 4));
-    Rng rng(1);
-    for (int i = 0; i < 400; ++i)
-        oram.touch(rng.nextBounded(64));
-    const auto &pm = oram.posmapForAudit();
-    for (BlockId base = 0; base < 64; base += 4) {
-        const Leaf shared = pm.get(base);
-        for (BlockId m = base; m < base + 4; ++m)
-            EXPECT_EQ(pm.get(m), shared);
-    }
-    EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
-              "");
-}
-
-TEST(StaticSuperblock, ReadYourWrites)
-{
-    StaticSuperblockOram oram(staticConfig(64, 4, 8));
-    std::map<BlockId, std::vector<std::uint8_t>> ref;
-    Rng rng(2);
-    for (int i = 0; i < 300; ++i) {
-        const BlockId id = rng.nextBounded(64);
-        std::vector<std::uint8_t> data(8,
-                                       static_cast<std::uint8_t>(i));
-        oram.writeBlock(id, data);
-        ref[id] = data;
-    }
-    for (const auto &[id, data] : ref) {
-        std::vector<std::uint8_t> out;
-        oram.readBlock(id, out);
-        EXPECT_EQ(out, data);
-    }
-}
-
-TEST(StaticSuperblock, NeighbourAccessServedFromPrefetch)
-{
-    // Touching block 0 fetches its whole group (0..3) onto the
-    // client; a subsequent access to block 1 is a superblock prefetch
-    // hit and generates no server traffic.
-    StaticSuperblockOram oram(staticConfig(64, 4, 0));
-    oram.touch(0);
-    const auto before = oram.meter().counters();
-    oram.touch(1);
-    const auto d = oram.meter().counters().since(before);
-    EXPECT_EQ(d.pathReads, 0u);
-    EXPECT_EQ(d.stashHits, 1u);
-    EXPECT_EQ(d.logicalAccesses, 1u);
-}
-
-TEST(StaticSuperblock, SizeOneIsPathOram)
-{
-    // superblockSize 1 must behave exactly like PathORAM: every
-    // traffic counter (stash hits included) and the simulated clock.
-    // Two-slot buckets keep blocks in the stash, so some accesses
-    // find their block there before the path read: 4 of them with
-    // engine seed 37 on this trace (the default seed 31 meets none).
-    StaticSuperblockConfig scfg = staticConfig(128, 1, 0);
-    scfg.base.profile = BucketProfile::uniform(2);
-    scfg.base.seed = 37;
-    StaticSuperblockOram s(scfg);
-    PathOram p(scfg.base);
-    std::vector<BlockId> trace;
-    Rng rng(3);
-    for (int i = 0; i < 300; ++i)
-        trace.push_back(rng.nextBounded(128));
-    s.runTrace(trace);
-    p.runTrace(trace);
-    for (const mem::TrafficCounters::Field &f :
-         mem::TrafficCounters::kFields)
-        EXPECT_EQ(s.meter().counters().*f.member,
-                  p.meter().counters().*f.member)
-            << f.name;
-    EXPECT_GT(p.meter().counters().stashHits, 0u);
-    EXPECT_EQ(s.meter().clock().picoseconds(),
-              p.meter().clock().picoseconds());
-}
-
-TEST(StaticSuperblock, NameEncodesSize)
-{
-    StaticSuperblockOram oram(staticConfig(16, 4));
-    EXPECT_EQ(oram.name(), "PrORAM-static/S4");
 }
 
 TEST(ProOram, RandomStreamAlmostNeverMerges)

@@ -148,7 +148,11 @@ TEST(RecursivePathOram, ReadYourWrites)
             EXPECT_EQ(out, ref[id]) << "id " << id;
         }
     }
-    EXPECT_EQ(oram.auditRecursive(), "");
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(),
+                        [&](BlockId id) {
+                            return oram.positionMap().peek(id);
+                        }),
+              "");
 }
 
 TEST(RecursivePathOram, TrafficIncludesMapLevels)

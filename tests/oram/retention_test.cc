@@ -1,8 +1,9 @@
 /**
  * @file
- * Prefetch-retention (stash pinning) tests: superblock engines keep
- * fetched group members client-side until their predicted accesses
- * arrive, then release them; capacity pressure overrides retention.
+ * Prefetch-retention (stash pinning) tests: PrORAM keeps the fetched
+ * members of a fused group client-side until their predicted
+ * accesses arrive, then releases them; capacity pressure overrides
+ * retention, and a split withdraws the prediction.
  */
 
 #include <gtest/gtest.h>
@@ -25,20 +26,53 @@ TEST(StashPinning, UnpinAllClearsEveryPin)
         EXPECT_FALSE(entry.pinned);
 }
 
-StaticSuperblockConfig
-cfg(std::uint64_t blocks, std::uint64_t sb)
+ProOramConfig
+cfg(std::uint64_t blocks, std::uint64_t group)
 {
-    StaticSuperblockConfig c;
+    ProOramConfig c;
     c.base.numBlocks = blocks;
     c.base.blockBytes = 64;
     c.base.seed = 91;
-    c.superblockSize = sb;
+    c.groupSize = group;
     return c;
+}
+
+/** Stashed members of @p oram's group 0 (block ids [0, group)). */
+std::uint64_t
+stashedMembers(const ProOram &oram, std::uint64_t group)
+{
+    std::uint64_t n = 0;
+    for (BlockId m = 0; m < group; ++m)
+        n += oram.stashForAudit().contains(m) ? 1 : 0;
+    return n;
+}
+
+/**
+ * Fuse group 0 of @p oram and leave none of its members in the
+ * stash, so the next access to a member fetches the whole group.
+ * Co-access fuses it; the other members' accesses then consume their
+ * pins; traffic outside group 0 evicts them to the tree without
+ * touching the group's counter.
+ */
+void
+fuseGroupZero(ProOram &oram, std::uint64_t group)
+{
+    for (int i = 0; i < 8 && oram.mergedGroups() == 0; ++i)
+        oram.touch(0);
+    ASSERT_EQ(oram.mergedGroups(), 1u);
+    for (BlockId m = 1; m < group; ++m)
+        oram.touch(m);
+    Rng rng(13);
+    const std::uint64_t blocks = oram.config().numBlocks;
+    for (int i = 0; i < 1000 && stashedMembers(oram, group) > 0; ++i)
+        oram.touch(group + rng.nextBounded(blocks - group));
+    ASSERT_EQ(stashedMembers(oram, group), 0u);
 }
 
 TEST(Retention, GroupFetchPinsSiblings)
 {
-    StaticSuperblockOram oram(cfg(64, 4));
+    ProOram oram(cfg(64, 4));
+    ASSERT_NO_FATAL_FAILURE(fuseGroupZero(oram, 4));
     oram.touch(0);
     // Blocks 1..3 were co-fetched and must be resident and pinned.
     for (BlockId m = 1; m < 4; ++m) {
@@ -50,7 +84,8 @@ TEST(Retention, GroupFetchPinsSiblings)
 
 TEST(Retention, SiblingAccessesAreFree)
 {
-    StaticSuperblockOram oram(cfg(64, 4));
+    ProOram oram(cfg(64, 4));
+    ASSERT_NO_FATAL_FAILURE(fuseGroupZero(oram, 4));
     oram.touch(0);
     const auto before = oram.meter().counters();
     oram.touch(1);
@@ -72,7 +107,8 @@ TEST(Retention, FourAccessesOnePathRead)
 {
     // The PrORAM promise: n accesses to a formed superblock need n/S
     // path reads.
-    StaticSuperblockOram oram(cfg(64, 4));
+    ProOram oram(cfg(64, 4));
+    ASSERT_NO_FATAL_FAILURE(fuseGroupZero(oram, 4));
     const auto before = oram.meter().counters();
     for (BlockId m = 0; m < 4; ++m)
         oram.touch(m);
@@ -83,18 +119,24 @@ TEST(Retention, FourAccessesOnePathRead)
 
 TEST(Retention, CapacityPressureDropsPins)
 {
-    // Tiny high-water mark: fetching groups without consuming them
-    // must trigger eviction, which unpins and drains.
-    StaticSuperblockConfig c = cfg(512, 8);
+    // Tiny high-water mark: fusing groups without consuming their
+    // members must trigger eviction, which unpins and drains.
+    ProOramConfig c = cfg(512, 8);
     c.base.stashHighWater = 12;
     c.base.stashLowWater = 4;
-    StaticSuperblockOram oram(c);
-    Rng rng(3);
-    for (int i = 0; i < 200; ++i)
-        oram.touch(rng.nextBounded(512));
-    // The stash cannot stay above the drain target + one batch worth
-    // of pins.
-    EXPECT_LT(oram.stashSize(), 12u + 8u);
+    ProOram oram(c);
+    ASSERT_NO_FATAL_FAILURE(fuseGroupZero(oram, 8));
+    // Five co-accesses fuse each later group too, pinning its 7
+    // siblings.
+    for (BlockId base = 8; base < 512; base += 8) {
+        for (int i = 0; i < 5; ++i)
+            oram.touch(base);
+        // The stash cannot stay above the drain target + one batch
+        // worth of pins.
+        ASSERT_LT(oram.stashSize(), 12u + 8u) << "group " << base / 8;
+    }
+    EXPECT_EQ(oram.mergedGroups(), 64u);
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
 }
 
 TEST(Retention, ProOramSplitReleasesPins)
@@ -129,11 +171,15 @@ TEST(Retention, ProOramSplitReleasesPins)
 
 TEST(Retention, PinnedBlocksStillReadCorrectly)
 {
-    StaticSuperblockConfig c = cfg(64, 4);
+    ProOramConfig c = cfg(64, 4);
     c.base.payloadBytes = 8;
-    StaticSuperblockOram oram(c);
+    ProOram oram(c);
+    ASSERT_NO_FATAL_FAILURE(fuseGroupZero(oram, 4));
     std::vector<std::uint8_t> data(8, 0x5A);
     oram.writeBlock(0, data); // fetches + pins 1..3
+    const StashEntry *sibling = oram.stashForAudit().find(1);
+    ASSERT_NE(sibling, nullptr);
+    ASSERT_TRUE(sibling->pinned);
     std::vector<std::uint8_t> out;
     oram.readBlock(1, out); // pinned sibling, zero-initialised
     EXPECT_EQ(out, std::vector<std::uint8_t>(8, 0));

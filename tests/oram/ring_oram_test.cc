@@ -1,8 +1,8 @@
 /**
  * @file
  * RingORAM tests: correctness, sparse-read traffic advantage,
- * deterministic eviction rate, early reshuffles, invariants, and the
- * refusal to serve a reopened tree.
+ * deterministic eviction rate, early reshuffles, invariants, the
+ * bounded high-water drain, and the refusal to serve a reopened tree.
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +160,28 @@ TEST(RingOram, WorksWithEncryption)
     std::vector<std::uint8_t> out;
     oram.readBlock(5, out);
     EXPECT_EQ(out, data);
+}
+
+TEST(RingOram, CappedBurstIsNotRepeated)
+{
+    // One real slot per bucket holds fewer blocks than the 64 ids in
+    // use, so no burst of (non-remapping) evictions reaches the low
+    // water: the first burst hits the cap. Later bursts must stop
+    // where it gave up instead of paying the whole cap again.
+    RingOramConfig cfg = ringConfig(64, 0);
+    cfg.base.seed = 1;
+    cfg.base.stashHighWater = 2;
+    cfg.base.stashLowWater = 0;
+    cfg.realZ = 1;
+    cfg.dummies = 1;
+    RingOram oram(cfg);
+    Rng rng(7);
+    for (int i = 0; i < 400; ++i)
+        oram.touch(rng.nextBounded(64));
+    const std::uint64_t dummies = oram.meter().counters().dummyReads;
+    EXPECT_GE(dummies, PathIo::kMaxDummiesPerBurst);
+    EXPECT_LT(dummies, 2 * PathIo::kMaxDummiesPerBurst);
+    EXPECT_EQ(oram.auditRing(), "");
 }
 
 TEST(RingOram, RejectsOversizedBuckets)

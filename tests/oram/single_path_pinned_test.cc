@@ -1,7 +1,7 @@
 /**
  * @file
  * Pinned runs of the single-path engines (PathORAM, PrORAM, recursive
- * PathORAM): each hashes the adversary's (slot, isWrite) stream of
+ * PathORAM, LAORAM's single access): each hashes the adversary's (slot, isWrite) stream of
  * the data tree and the final position map, so any drift in the
  * one-leaf read order, the write-back placements, the dummy drain or
  * the RNG draws fails here. Every run crosses the stash high-water
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/laoram_client.hh"
 #include "oram/evictor.hh"
 #include "oram/path_oram.hh"
 #include "oram/pro_oram.hh"
@@ -151,12 +152,82 @@ TEST(SinglePathEngines, RecursiveStreamAndPosmapArePinned)
     for (BlockId id = 0; id < oram.config().numBlocks; ++id)
         posmap = fnv1a(posmap, oram.positionMap().peek(id));
 
-    EXPECT_EQ(oram.auditRecursive(), "");
+    EXPECT_EQ(auditTree(oram.pathIoForAudit(),
+                        [&](BlockId id) {
+                            return oram.positionMap().peek(id);
+                        }),
+              "");
     EXPECT_GT(oram.meter().counters().dummyReads, 0u);
     EXPECT_EQ(stream.events, 179664u);
     EXPECT_EQ(stream.value, 0x1f9d2c1c50078731ULL)
         << std::hex << "0x" << stream.value;
     EXPECT_EQ(posmap, 0xf4129a144a93689fULL) << std::hex << "0x" << posmap;
+}
+
+/**
+ * Drive LAORAM's single access only (no look-ahead windows): random
+ * writes, touches and reads; the read-back payloads fold into the
+ * returned hash.
+ */
+std::uint64_t
+driveSingleAccesses(core::Laoram &engine, std::uint64_t accesses,
+                    std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> data(16, 0);
+    std::vector<std::uint8_t> got;
+    std::uint64_t reads = kFnvBasis;
+    for (std::uint64_t i = 0; i < accesses; ++i) {
+        const BlockId id = rng.nextBounded(engine.config().numBlocks);
+        switch (i % 3) {
+          case 0:
+            data[0] = static_cast<std::uint8_t>(id);
+            data[1] = static_cast<std::uint8_t>(i);
+            engine.writeBlock(id, data);
+            break;
+          case 1:
+            engine.touch(id);
+            break;
+          default:
+            engine.readBlock(id, got);
+            for (std::uint8_t byte : got)
+                reads = fnv1a(reads, byte);
+            break;
+        }
+    }
+    return reads;
+}
+
+TEST(SinglePathEngines, LaoramStreamAndPosmapArePinned)
+{
+    // The hot cache is a payload-side accelerator: with it on, the
+    // stream, the map and the bytes read back are the cache-off run's.
+    for (const std::uint64_t cacheBytes : {0u, 64u * 16u}) {
+        SCOPED_TRACE(cacheBytes);
+        core::LaoramConfig cfg;
+        cfg.base = smallConfig(512);
+        cfg.cache.capacityBytes = cacheBytes;
+        core::Laoram oram(cfg);
+        ASSERT_EQ(oram.hotCache() != nullptr, cacheBytes > 0);
+        StreamHash stream(oram.storageForTest());
+        const std::uint64_t reads = driveSingleAccesses(oram, 3000, 11);
+        oram.storageForTest().setAccessSink(nullptr);
+
+        std::uint64_t posmap = kFnvBasis;
+        for (BlockId id = 0; id < oram.config().numBlocks; ++id)
+            posmap = fnv1a(posmap, oram.posmapForAudit().get(id));
+
+        EXPECT_EQ(auditTree(oram.pathIoForAudit(), oram.posmapForAudit()),
+                  "");
+        EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+        EXPECT_EQ(stream.events, 131040u);
+        EXPECT_EQ(stream.value, 0x1ca181070c566ea9ULL) << std::hex << "0x" << stream.value;
+        EXPECT_EQ(posmap, 0xdcaf63d65da8f4e4ULL) << std::hex << "0x" << posmap;
+        EXPECT_EQ(reads, 0xcbbc0428bc89c348ULL) << std::hex << "0x" << reads;
+        if (cacheBytes > 0) {
+            EXPECT_GT(oram.hotCache()->stats().hits, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -20,6 +20,18 @@
 namespace laoram {
 namespace {
 
+/**
+ * Pop the next item and wake blocked producers at once: popDeferred
+ * with its release token dropped on return.
+ */
+template <typename T>
+bool
+popNext(core::ReorderWindow<T> &window, T &out)
+{
+    typename core::ReorderWindow<T>::ReleaseToken token;
+    return window.popDeferred(out, token);
+}
+
 TEST(BoundedQueue, MultiProducerMultiConsumerDeliversEachItemOnce)
 {
     constexpr std::uint64_t kProducers = 4;
@@ -144,7 +156,7 @@ TEST(BoundedQueue, ManyProducersReorderDeliveryAndTokenUnwindStress)
     // Checker: strict sequence order out of the reorder stage.
     std::uint64_t expect = 0;
     std::uint64_t out = 0;
-    while (window.pop(out)) {
+    while (popNext(window, out)) {
         ASSERT_EQ(out, expect) << "reorder delivered out of order";
         ++expect;
     }
