@@ -22,6 +22,7 @@
 #include "oram/ring_oram.hh"
 #include "storage/storage_cli.hh"
 #include "util/cli.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 using namespace laoram;
@@ -105,13 +106,24 @@ main(int argc, char **argv)
     cfg.storage =
         storage::storageConfigFromArgs(storageArgs, &cfg.checkpoint);
 
+    // --restore requires --checkpoint-path, so this covers both flags.
+    if (*ring && !cfg.checkpoint.path.empty())
+        LAORAM_FATAL("--checkpoint-path and --restore need the PathORAM "
+                     "engine: RingORAM cannot snapshot or restore its "
+                     "trusted client state; drop --ring or the "
+                     "checkpoint flags");
+
+    // Only the PathORAM session engine can checkpoint.
     std::unique_ptr<oram::OramEngine> engine;
+    oram::PathOram *pathOram = nullptr;
     if (*ring) {
         oram::RingOramConfig rcfg;
         rcfg.base = cfg;
         engine = std::make_unique<oram::RingOram>(rcfg);
     } else {
-        engine = std::make_unique<oram::PathOram>(cfg);
+        auto p = std::make_unique<oram::PathOram>(cfg);
+        pathOram = p.get();
+        engine = std::move(p);
     }
     std::cout << "oblivious KV over " << engine->name() << ", " << *keys
               << " keys, ChaCha20 at rest, tree on "
@@ -148,7 +160,7 @@ main(int argc, char **argv)
     // Durable shutdown: snapshot the trusted client state next to the
     // persistent tree so a later --restore run resumes this store.
     if (!cfg.checkpoint.path.empty()) {
-        engine->checkpointToFile(cfg.checkpoint.path);
+        pathOram->checkpointToFile(cfg.checkpoint.path);
         std::cout << "\ncheckpointed trusted client state to "
                   << cfg.checkpoint.path
                   << " (restore with --restore --storage-keep)\n";

@@ -143,44 +143,42 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     }
     mtr.recordLogicalAccesses(raw);
 
-    pathIo_.readPaths(scratchLeaves.data(), scratchLeaves.size());
-
-    // Resolve every member's future path first — random draws happen
-    // in stream order, so the rng stream matches the per-member code
-    // this replaces — then apply the whole batch's remaps in one
-    // position-map pass. A block appearing in several bins ends up on
-    // its final future path (setBatch applies in order, last wins) —
-    // exactly as if the bins ran back-to-back.
-    scratchRemapIds.clear();
-    scratchRemapLeaves.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-        const SuperblockBin &bin = bins[b];
-        for (std::size_t j = 0; j < bin.members.size(); ++j) {
-            scratchRemapIds.push_back(bin.members[j]);
-            scratchRemapLeaves.push_back(
-                bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
-                                                  : bin.nextPaths[j]);
+    pathIo_.access(scratchLeaves.data(), scratchLeaves.size(), rng,
+                   cfg.stashHighWater, cfg.stashLowWater, [&] {
+        // Resolve every member's future path first, drawing random
+        // leaves in stream order, then apply the whole batch's remaps
+        // in one position-map pass. A block appearing in several bins
+        // ends up on its final future path (setBatch applies in order,
+        // last wins) — exactly as if the bins ran back-to-back.
+        scratchRemapIds.clear();
+        scratchRemapLeaves.clear();
+        for (std::size_t b = 0; b < count; ++b) {
+            const SuperblockBin &bin = bins[b];
+            for (std::size_t j = 0; j < bin.members.size(); ++j) {
+                scratchRemapIds.push_back(bin.members[j]);
+                scratchRemapLeaves.push_back(
+                    bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
+                                                      : bin.nextPaths[j]);
+            }
         }
-    }
-    posmap_.setBatch(scratchRemapIds.data(), scratchRemapLeaves.data(),
-                     scratchRemapIds.size());
+        posmap_.setBatch(scratchRemapIds.data(),
+                         scratchRemapLeaves.data(),
+                         scratchRemapIds.size());
 
-    // Touch every member in stream order (repeated members keep
-    // re-targeting their stash entry, so the final entry leaf matches
-    // the per-member code path).
-    for (std::size_t i = 0; i < scratchRemapIds.size(); ++i) {
-        const BlockId id = scratchRemapIds[i];
-        std::vector<std::uint8_t> &payload =
-            stash_.remap(id, scratchRemapLeaves[i], cfg.payloadBytes)
-                .payload;
-        withHotCache(id, payload, false, [&] {
-            if (touchFn)
-                touchFn(id, payload);
-        });
-    }
-
-    pathIo_.writePaths(scratchLeaves.data(), scratchLeaves.size());
-    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
+        // Touch every member in stream order (a repeated member
+        // re-targets its stash entry each time, so the entry ends on
+        // the same final future path as the position map).
+        for (std::size_t i = 0; i < scratchRemapIds.size(); ++i) {
+            const BlockId id = scratchRemapIds[i];
+            std::vector<std::uint8_t> &payload =
+                stash_.remap(id, scratchRemapLeaves[i], cfg.payloadBytes)
+                    .payload;
+            withHotCache(id, payload, false, [&] {
+                if (touchFn)
+                    touchFn(id, payload);
+            });
+        }
+    });
     mtr.observeStashSize(stash_.size());
 }
 

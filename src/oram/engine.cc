@@ -112,17 +112,19 @@ resolveRestoreOrFresh(const ServerStorage &storage,
 }
 
 void
-requireFreshStorage(const ServerStorage &storage, const char *engineName)
+requireFreshStorage(const ServerStorage &storage, const EngineConfig &cfg,
+                    const char *engineName)
 {
-    if (storage.reopened()) {
+    if (storage.reopened() || cfg.checkpoint.restore) {
         LAORAM_FATAL(
-            "storage.keepExisting reopened an existing tree, but ",
             engineName,
             " has no checkpoint/restore support for its trusted "
-            "client state; only the LAORAM/PathORAM family engines "
-            "can serve a reopened tree (checkpoint() + --restore "
-            "--checkpoint-path=<snapshot>). Drop keepExisting (or "
-            "delete the tree file) to start fresh");
+            "client state, so it can neither restore a snapshot "
+            "(--restore) nor serve a tree reopened with "
+            "storage.keepExisting; only the LAORAM/PathORAM family "
+            "engines can (checkpoint() + --restore "
+            "--checkpoint-path=<snapshot>). Drop --restore and "
+            "keepExisting (or delete the tree file) to start fresh");
     }
 }
 
@@ -142,7 +144,7 @@ checkField(const char *name, std::uint64_t want, std::uint64_t got)
 } // namespace
 
 void
-OramEngine::saveClientState(serde::Serializer &s) const
+TreeOramBase::saveClientState(serde::Serializer &s) const
 {
     // Geometry header first: restore validates every field before
     // touching any state.
@@ -159,10 +161,13 @@ OramEngine::saveClientState(serde::Serializer &s) const
         s.u64(mtr.counters().*f.member);
     s.u64(mtr.clock().picoseconds());
     rng.save(s);
+    posmap_.save(s);
+    stash_.save(s);
+    pathIo_.save(s);
 }
 
 void
-OramEngine::restoreClientState(serde::Deserializer &d)
+TreeOramBase::restoreClientState(serde::Deserializer &d)
 {
     checkField("numBlocks", cfg.numBlocks, d.u64());
     checkField("blockBytes", cfg.blockBytes, d.u64());
@@ -179,20 +184,23 @@ OramEngine::restoreClientState(serde::Deserializer &d)
     const std::uint64_t clockPs = d.u64();
     mtr.restoreState(counters, clockPs);
     rng.restore(d);
+    posmap_.restore(d);
+    stash_.restore(d);
+    pathIo_.restore(d);
 }
 
 std::vector<std::uint8_t>
-OramEngine::checkpoint()
+TreeOramBase::checkpoint()
 {
     // Land the tree and the snapshot on the same boundary.
-    quiesceStorage();
+    storage_.flush();
     serde::Serializer s;
     saveClientState(s);
     return serde::seal(serde::SnapshotKind::Engine, s.take());
 }
 
 void
-OramEngine::restoreFrom(const std::vector<std::uint8_t> &blob)
+TreeOramBase::restoreFrom(const std::vector<std::uint8_t> &blob)
 {
     const std::vector<std::uint8_t> payload =
         serde::unseal(serde::SnapshotKind::Engine, blob);
@@ -206,13 +214,13 @@ OramEngine::restoreFrom(const std::vector<std::uint8_t> &blob)
 }
 
 void
-OramEngine::checkpointToFile(const std::string &path)
+TreeOramBase::checkpointToFile(const std::string &path)
 {
     serde::writeFileAtomic(path, checkpoint());
 }
 
 void
-OramEngine::restoreFromFile(const std::string &path)
+TreeOramBase::restoreFromFile(const std::string &path)
 {
     restoreFrom(serde::readFile(path));
 }
@@ -222,24 +230,6 @@ TreeOramBase::restoreAtConstructionIfConfigured()
 {
     if (cfg.checkpoint.restore && !cfg.checkpoint.path.empty())
         restoreFromFile(cfg.checkpoint.path);
-}
-
-void
-TreeOramBase::saveClientState(serde::Serializer &s) const
-{
-    OramEngine::saveClientState(s);
-    posmap_.save(s);
-    stash_.save(s);
-    pathIo_.save(s);
-}
-
-void
-TreeOramBase::restoreClientState(serde::Deserializer &d)
-{
-    OramEngine::restoreClientState(d);
-    posmap_.restore(d);
-    stash_.restore(d);
-    pathIo_.restore(d);
 }
 
 void

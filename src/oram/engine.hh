@@ -3,9 +3,12 @@
  * Common engine interface and the shared tree-ORAM base class.
  *
  * Every address-hiding scheme in this repository (PathORAM, PrORAM,
- * RingORAM, LAORAM) implements OramEngine, so the benchmark harness
- * can run identical traces through interchangeable engines and
- * compare the traffic meters.
+ * RingORAM, recursive PathORAM, LAORAM) implements OramEngine, so the
+ * benchmark harness can run identical traces through interchangeable
+ * engines and compare the traffic meters. OramEngine is only the
+ * access interface; the client-state snapshot (checkpoint / restore)
+ * lives on TreeOramBase, whose engines (PathORAM, PrORAM, LAORAM) are
+ * the ones that can restore one.
  */
 
 #ifndef LAORAM_ORAM_ENGINE_HH
@@ -69,10 +72,12 @@ struct EngineConfig
 
     /**
      * Trusted client-state snapshot sidecar (see
-     * storage::CheckpointConfig). With restore set, the engine
-     * reloads its position map / stash / RNG streams / meter from
-     * checkpoint.path at construction instead of initialising fresh
-     * — the only way a keepExisting tree reopen is serveable.
+     * storage::CheckpointConfig). With restore set, a TreeOramBase
+     * engine reloads its position map / stash / RNG streams / meter
+     * from checkpoint.path at construction instead of initialising
+     * fresh — the only way a keepExisting tree reopen is serveable.
+     * RingORAM and the recursive engine cannot snapshot, so they
+     * refuse restore set at construction (requireFreshStorage).
      */
     storage::CheckpointConfig checkpoint{};
 };
@@ -145,12 +150,72 @@ class OramEngine
     const mem::TrafficMeter &meter() const { return mtr; }
     const EngineConfig &config() const { return cfg; }
 
+  protected:
+    /**
+     * Apply a logical operation to a stash-resident block. Payloads are
+     * kept at exactly payloadBytes (zero-padded), so reads after short
+     * writes return the padded block, mirroring fixed-size ORAM slots.
+     */
+    void applyOp(StashEntry &entry, AccessOp op, const std::uint8_t *in,
+                 std::size_t len, std::vector<std::uint8_t> *out) const;
+
+    EngineConfig cfg;
+    TreeGeometry geom;
+    mem::TrafficMeter mtr;
+    Rng rng;
+};
+
+/**
+ * The restore-or-fresh decision every storage-owning engine makes at
+ * construction. Fresh storage with no restore request: proceed. A
+ * keepExisting reopen is serveable only when a matching client-state
+ * snapshot is configured (cfg.checkpoint.restore with an existing
+ * snapshot file); otherwise — and when restore is requested against
+ * a fresh tree — this fatals with a message naming the
+ * checkpoint/restore flow and the exact CLI flags.
+ */
+void resolveRestoreOrFresh(const ServerStorage &storage,
+                           const EngineConfig &cfg);
+
+/**
+ * Fatal when @p storage attached to a previous run's tree
+ * (keepExisting), or when @p cfg asks for a restore, under an engine
+ * with no checkpoint/restore support (@p engineName: RingORAM,
+ * recursive PathORAM). Points at the LAORAM checkpoint flow instead
+ * of dead-ending.
+ */
+void requireFreshStorage(const ServerStorage &storage,
+                         const EngineConfig &cfg, const char *engineName);
+
+/**
+ * Shared machinery for the PathORAM-family engines: server storage,
+ * position map, stash and the path I/O that reads, writes back and
+ * dummy-evicts (§II-E) their paths and charges the meter for them.
+ * These are the engines whose trusted client state can be
+ * snapshotted and restored.
+ */
+class TreeOramBase : public OramEngine
+{
+  public:
+    explicit TreeOramBase(const EngineConfig &cfg);
+
+    std::uint64_t stashSize() const override { return stash_.size(); }
+
+    /** Test hooks: expose internals for invariant auditing. */
+    const ServerStorage &storageForAudit() const { return storage_; }
+    const Stash &stashForAudit() const { return stash_; }
+    const PositionMap &posmapForAudit() const { return posmap_; }
+    const PathIo &pathIoForAudit() const { return pathIo_; }
+
+    /** Mutable storage access for installing test access sinks. */
+    ServerStorage &storageForTest() { return storage_; }
+
     /**
      * Serialize all trusted client state (geometry header, meter,
-     * RNG; subclasses append position map, stash, their own
-     * counters). Call only at a quiescent point — for pipelined runs
-     * that means a window boundary, where the serving thread owns
-     * every piece of engine state (see PipelineConfig's
+     * RNG, position map, stash, path I/O; subclasses append their
+     * own counters). Call only at a quiescent point — for pipelined
+     * runs that means a window boundary, where the serving thread
+     * owns every piece of engine state (see PipelineConfig's
      * window-boundary hook).
      */
     virtual void saveClientState(serde::Serializer &s) const;
@@ -181,72 +246,6 @@ class OramEngine
     void restoreFromFile(const std::string &path);
 
   protected:
-    /** Flush hook so checkpoint() can quiesce owned server storage. */
-    virtual void quiesceStorage() {}
-
-    /**
-     * Apply a logical operation to a stash-resident block. Payloads are
-     * kept at exactly payloadBytes (zero-padded), so reads after short
-     * writes return the padded block, mirroring fixed-size ORAM slots.
-     */
-    void applyOp(StashEntry &entry, AccessOp op, const std::uint8_t *in,
-                 std::size_t len, std::vector<std::uint8_t> *out) const;
-
-    EngineConfig cfg;
-    TreeGeometry geom;
-    mem::TrafficMeter mtr;
-    Rng rng;
-};
-
-/**
- * The restore-or-fresh decision every storage-owning engine makes at
- * construction. Fresh storage with no restore request: proceed. A
- * keepExisting reopen is serveable only when a matching client-state
- * snapshot is configured (cfg.checkpoint.restore with an existing
- * snapshot file); otherwise — and when restore is requested against
- * a fresh tree — this fatals with a message naming the
- * checkpoint/restore flow and the exact CLI flags.
- */
-void resolveRestoreOrFresh(const ServerStorage &storage,
-                           const EngineConfig &cfg);
-
-/**
- * Fatal when @p storage attached to a previous run's tree
- * (keepExisting) under an engine with no checkpoint/restore support
- * (@p engineName: RingORAM, recursive PathORAM). Points at the
- * LAORAM checkpoint flow instead of dead-ending.
- */
-void requireFreshStorage(const ServerStorage &storage,
-                         const char *engineName);
-
-/**
- * Shared machinery for the PathORAM-family engines: server storage,
- * position map, stash and the path I/O that reads, writes back and
- * dummy-evicts (§II-E) their paths and charges the meter for them.
- */
-class TreeOramBase : public OramEngine
-{
-  public:
-    explicit TreeOramBase(const EngineConfig &cfg);
-
-    std::uint64_t stashSize() const override { return stash_.size(); }
-
-    /** Test hooks: expose internals for invariant auditing. */
-    const ServerStorage &storageForAudit() const { return storage_; }
-    const Stash &stashForAudit() const { return stash_; }
-    const PositionMap &posmapForAudit() const { return posmap_; }
-    const PathIo &pathIoForAudit() const { return pathIo_; }
-
-    /** Mutable storage access for installing test access sinks. */
-    ServerStorage &storageForTest() { return storage_; }
-
-    /** Adds position map + stash to the base engine sections. */
-    void saveClientState(serde::Serializer &s) const override;
-    void restoreClientState(serde::Deserializer &d) override;
-
-  protected:
-    void quiesceStorage() override { storage_.flush(); }
-
     /**
      * Final-class constructors call this as their *last* step: when
      * cfg.checkpoint.restore is configured it reloads the snapshot
@@ -261,17 +260,14 @@ class TreeOramBase : public OramEngine
     Leaf randomLeaf() { return rng.nextBounded(geom.numLeaves()); }
 
     /**
-     * The PathORAM-family access around one path union (paper §II-C,
-     * §II-E): count a stash hit for @p id, read the union of the
-     * @p n paths at @p leaves, move blocks [@p first, @p end) to one
-     * fresh uniform leaf, call @p op on @p id's stash entry and pin
-     * the other members for their predicted accesses, write the
-     * union back, drain the stash and record its peak. @p op runs
-     * before the write-back, which may evict the entry to the tree.
-     * Even a stash-resident block reads its paths, so the
-     * server-visible pattern stays independent of stash state.
-     * PathORAM is the one-block, one-leaf case ([id, id + 1), its
-     * current leaf).
+     * A single access of the PathORAM-family engines around
+     * PathIo::access: count a stash hit for @p id, and in the access's
+     * remap move blocks [@p first, @p end) to one fresh uniform leaf,
+     * call @p op on @p id's stash entry and pin the other members for
+     * their predicted accesses; then record the stash peak. @p op
+     * runs before the write-back, which may evict the entry to the
+     * tree. PathORAM is the one-block, one-leaf case ([id, id + 1),
+     * its current leaf).
      */
     template <typename Op>
     void
@@ -280,20 +276,19 @@ class TreeOramBase : public OramEngine
     {
         if (stash_.contains(id))
             mtr.recordStashHit();
-        pathIo_.readPaths(leaves, n);
-
-        const Leaf next = randomLeaf();
-        for (BlockId m = first; m < end; ++m) {
-            posmap_.set(m, next);
-            StashEntry &entry = stash_.remap(m, next, cfg.payloadBytes);
-            if (m == id)
-                op(entry);
-            else
-                entry.pinned = true;
-        }
-
-        pathIo_.writePaths(leaves, n);
-        pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
+        pathIo_.access(leaves, n, rng, cfg.stashHighWater,
+                       cfg.stashLowWater, [&] {
+            const Leaf next = randomLeaf();
+            for (BlockId m = first; m < end; ++m) {
+                posmap_.set(m, next);
+                StashEntry &entry =
+                    stash_.remap(m, next, cfg.payloadBytes);
+                if (m == id)
+                    op(entry);
+                else
+                    entry.pinned = true;
+            }
+        });
         mtr.observeStashSize(stash_.size());
     }
 

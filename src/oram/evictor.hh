@@ -6,7 +6,8 @@
  * 5, §II-E). A single path is the one-leaf case of a path union — the
  * paper's "PathORAM is LAORAM with superblock size 1" — so there is
  * one union read, one greedy union write-back and one bounded dummy
- * drain.
+ * drain, and one access body around them (PathIo::access) that every
+ * engine access, LAORAM batch and recursive map level runs.
  *
  * The trusted treetop (the top k = geometry's treetopLevels() levels,
  * Ren et al., ISCA 2013) is client state, kept here and in the stash
@@ -108,6 +109,28 @@ class PathIo
      */
     std::uint64_t drain(Rng &rng, std::uint64_t highWater,
                         std::uint64_t lowWater);
+
+    /**
+     * The PathORAM access around one path union (paper §II-C, §II-E),
+     * the one body every PathIo tree's access runs: read the union of
+     * the @p n paths at @p leaves, call @p remap(), which moves the
+     * accessed blocks in the stash to their next leaves and applies
+     * the operation, write the union back and drain() the stash with
+     * @p rng. @p remap runs before the write-back, which may evict
+     * what it touched to the tree. Even a stash-resident block reads
+     * its paths, so the server-visible pattern stays independent of
+     * stash state.
+     */
+    template <typename Remap>
+    void
+    access(const Leaf *leaves, std::size_t n, Rng &rng,
+           std::uint64_t highWater, std::uint64_t lowWater, Remap &&remap)
+    {
+        readPaths(leaves, n);
+        remap();
+        writePaths(leaves, n);
+        drain(rng, highWater, lowWater);
+    }
 
     /**
      * The drain memory (the stash size the last capped burst gave up

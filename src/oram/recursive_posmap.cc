@@ -18,11 +18,11 @@ constexpr std::uint64_t kLevelLowWater = 20;
 RecursivePositionMap::Level::Level(std::uint64_t blocks,
                                    std::uint64_t payloadBytes,
                                    const RecursiveConfig &cfg,
-                                   std::uint64_t salt,
+                                   bool encrypt, std::uint64_t salt,
                                    mem::TrafficMeter &meter)
     : blocks(blocks),
       geom(blocks, payloadBytes, BucketProfile::uniform(4), 0),
-      storage(geom, payloadBytes, cfg.encrypt, cfg.seed ^ salt),
+      storage(geom, payloadBytes, encrypt, cfg.seed ^ salt),
       stash(),
       io(geom, storage, stash, meter)
 {
@@ -31,6 +31,7 @@ RecursivePositionMap::Level::Level(std::uint64_t blocks,
 RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
                                            std::uint64_t numLeaves,
                                            const RecursiveConfig &cfg,
+                                           bool encrypt,
                                            mem::TrafficMeter &meter)
     : cfg(cfg), dataLeaves(numLeaves), rng(cfg.seed ^ 0x9eca)
 {
@@ -51,8 +52,8 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
     std::uint64_t n = divCeil(numBlocks, cfg.packing);
     std::uint64_t salt = 0x5151;
     while (true) {
-        levels.push_back(
-            std::make_unique<Level>(n, payload_bytes, cfg, salt++, meter));
+        levels.push_back(std::make_unique<Level>(n, payload_bytes, cfg,
+                                                 encrypt, salt++, meter));
         if (n <= cfg.directThreshold)
             break;
         n = divCeil(n, cfg.packing);
@@ -131,16 +132,6 @@ RecursivePositionMap::storePos(std::vector<std::uint8_t> &payload,
     std::memcpy(payload.data() + offset * 4, &v, 4);
 }
 
-std::vector<std::uint8_t> &
-RecursivePositionMap::accessLevel(Level &level, BlockId block, Leaf at,
-                                  Leaf to)
-{
-    level.io.readPaths(&at, 1);
-    // After bulk init the block is always found; a missing one reads
-    // as a zeroed map block (positions 0 — still valid leaves).
-    return level.stash.remap(block, to, cfg.packing * 4).payload;
-}
-
 Leaf
 RecursivePositionMap::getAndSet(BlockId id, Leaf next)
 {
@@ -167,36 +158,33 @@ RecursivePositionMap::getAndSet(BlockId id, Leaf next)
         rng.nextBounded(levels[k - 1]->geom.numLeaves());
     clientMap[block[k - 1]] = npos;
 
-    Leaf result = 0;
     for (std::size_t i = k; i-- > 0;) {
         Level &level = *levels[i];
-        // Mutate the packed word BEFORE write-back; the entry may be
-        // evicted into the tree by the write-back.
-        std::vector<std::uint8_t> &payload =
-            accessLevel(level, block[i], pos, npos);
-
         const std::uint64_t off = (i == 0)
                                       ? id % cfg.packing
                                       : block[i - 1] % cfg.packing;
-        const Leaf child = loadPos(payload, off);
-        Leaf child_new;
-        if (i == 0) {
-            result = child;
-            child_new = next;
-        } else {
-            child_new =
-                rng.nextBounded(levels[i - 1]->geom.numLeaves());
-        }
-        storePos(payload, off, child_new);
-
-        level.io.writePaths(&pos, 1);
-        // Keep the small map stashes bounded.
-        level.io.drain(rng, kLevelHighWater, kLevelLowWater);
-
+        Leaf child = 0;
+        Leaf child_new = next;
+        // The packed word is mutated before the write-back, which may
+        // evict the entry into the tree; the drain keeps the small map
+        // stashes bounded.
+        level.io.access(&pos, 1, rng, kLevelHighWater, kLevelLowWater, [&] {
+            // After bulk init the block is always found; a missing one
+            // reads as a zeroed map block (positions 0 — still valid
+            // leaves).
+            std::vector<std::uint8_t> &payload =
+                level.stash.remap(block[i], npos, cfg.packing * 4).payload;
+            child = loadPos(payload, off);
+            if (i > 0)
+                child_new =
+                    rng.nextBounded(levels[i - 1]->geom.numLeaves());
+            storePos(payload, off, child_new);
+        });
         pos = child;
         npos = child_new;
     }
-    return result;
+    // After the main map (level 0), pos is the data block's old leaf.
+    return pos;
 }
 
 const std::vector<std::uint8_t> *
@@ -275,9 +263,9 @@ RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
                cfg.storage),
       stash_(),
       pathIo_(geom, storage_, stash_, mtr),
-      rpm(cfg.numBlocks, geom.numLeaves(), rcfg, mtr)
+      rpm(cfg.numBlocks, geom.numLeaves(), rcfg, cfg.encrypt, mtr)
 {
-    requireFreshStorage(storage_, "recursive PathORAM");
+    requireFreshStorage(storage_, cfg, "recursive PathORAM");
 }
 
 void
@@ -294,12 +282,11 @@ RecursivePathOram::access(BlockId id, AccessOp op,
 
     if (stash_.contains(id))
         mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    applyOp(stash_.remap(id, next, cfg.payloadBytes), op, in, len, out);
-
-    pathIo_.writePaths(&current, 1);
-    pathIo_.drain(rng, cfg.stashHighWater, cfg.stashLowWater);
+    pathIo_.access(&current, 1, rng, cfg.stashHighWater,
+                   cfg.stashLowWater, [&] {
+        applyOp(stash_.remap(id, next, cfg.payloadBytes), op, in, len,
+                out);
+    });
     mtr.observeStashSize(stash_.size());
 }
 

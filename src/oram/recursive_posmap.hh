@@ -39,7 +39,6 @@ struct RecursiveConfig
 {
     std::uint64_t packing = 16;       ///< chi: positions per map block
     std::uint64_t directThreshold = 1024; ///< client-resident map size
-    bool encrypt = false;             ///< encrypt map ORAMs at rest
     std::uint64_t seed = 1;
 };
 
@@ -58,16 +57,17 @@ class RecursivePositionMap
      * @param numBlocks data blocks whose positions are tracked
      * @param numLeaves leaf domain of the *data* tree
      * @param cfg       recursion parameters
+     * @param encrypt   encrypt the map ORAMs at rest (as the data tree)
      * @param meter     traffic meter charged for every map ORAM access
      */
     RecursivePositionMap(std::uint64_t numBlocks,
                          std::uint64_t numLeaves,
-                         const RecursiveConfig &cfg,
+                         const RecursiveConfig &cfg, bool encrypt,
                          mem::TrafficMeter &meter);
 
     /**
      * Oblivious lookup-and-update: returns block @p id's current data
-     * leaf and re-points it at @p next. Costs one path access per
+     * leaf and re-points it at @p next. Costs one PathIo::access per
      * recursion level, charged to the meter.
      */
     Leaf getAndSet(BlockId id, Leaf next);
@@ -92,8 +92,8 @@ class RecursivePositionMap
     struct Level
     {
         Level(std::uint64_t blocks, std::uint64_t payloadBytes,
-              const RecursiveConfig &cfg, std::uint64_t salt,
-              mem::TrafficMeter &meter);
+              const RecursiveConfig &cfg, bool encrypt,
+              std::uint64_t salt, mem::TrafficMeter &meter);
 
         std::uint64_t blocks;
         TreeGeometry geom;
@@ -101,15 +101,6 @@ class RecursivePositionMap
         Stash stash;
         PathIo io;
     };
-
-    /**
-     * Oblivious access to @p level's block @p block located at
-     * @p at; remaps it to @p to and returns its stash entry payload
-     * for in-place mutation (valid until the level's next access).
-     */
-    std::vector<std::uint8_t> &accessLevel(Level &level,
-                                           BlockId block, Leaf at,
-                                           Leaf to);
 
     /** Read a packed 32-bit position word. */
     static Leaf loadPos(const std::vector<std::uint8_t> &payload,

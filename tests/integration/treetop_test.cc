@@ -197,7 +197,6 @@ makeRun(Kind kind, const EngineConfig &cfg)
         oram::RecursiveConfig rcfg;
         rcfg.packing = 8;
         rcfg.directThreshold = 16;
-        rcfg.encrypt = true;
         rcfg.seed = 13;
         auto e = std::make_unique<oram::RecursivePathOram>(cfg, rcfg);
         run.storage = &e->storageForTest();

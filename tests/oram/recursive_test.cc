@@ -33,7 +33,7 @@ rcfg(std::uint64_t packing = 4, std::uint64_t threshold = 16)
 TEST(RecursivePosmap, FlatWhenSmall)
 {
     mem::TrafficMeter meter;
-    RecursivePositionMap rpm(10, 64, rcfg(4, 1024), meter);
+    RecursivePositionMap rpm(10, 64, rcfg(4, 1024), false, meter);
     EXPECT_EQ(rpm.oramLevels(), 0u);
     EXPECT_EQ(rpm.serverBytes(), 0u);
     // Behaves exactly like a flat map.
@@ -48,7 +48,7 @@ TEST(RecursivePosmap, ChainDepthMatchesPacking)
     mem::TrafficMeter meter;
     // 4096 blocks, chi=4, threshold 16:
     // level sizes 1024 -> 256 -> 64 -> 16 (fits) => 4 ORAM levels.
-    RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), meter);
+    RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), false, meter);
     EXPECT_EQ(rpm.oramLevels(), 4u);
     EXPECT_GT(rpm.serverBytes(), 0u);
 }
@@ -56,7 +56,7 @@ TEST(RecursivePosmap, ChainDepthMatchesPacking)
 TEST(RecursivePosmap, InitialPositionsInRange)
 {
     mem::TrafficMeter meter;
-    RecursivePositionMap rpm(512, 512, rcfg(4, 16), meter);
+    RecursivePositionMap rpm(512, 512, rcfg(4, 16), false, meter);
     for (BlockId id = 0; id < 512; id += 7)
         EXPECT_LT(rpm.peek(id), 512u);
 }
@@ -64,7 +64,7 @@ TEST(RecursivePosmap, InitialPositionsInRange)
 TEST(RecursivePosmap, GetAndSetMatchesShadowMap)
 {
     mem::TrafficMeter meter;
-    RecursivePositionMap rpm(512, 512, rcfg(4, 16), meter);
+    RecursivePositionMap rpm(512, 512, rcfg(4, 16), false, meter);
 
     // Mirror every update in a shadow map; lookups must agree.
     std::map<BlockId, Leaf> shadow;
@@ -87,7 +87,7 @@ TEST(RecursivePosmap, GetAndSetMatchesShadowMap)
 TEST(RecursivePosmap, ChargesOnePathPerLevel)
 {
     mem::TrafficMeter meter;
-    RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), meter);
+    RecursivePositionMap rpm(4096, 4096, rcfg(4, 16), false, meter);
     const auto before = meter.counters();
     rpm.getAndSet(123, 45);
     const auto d = meter.counters().since(before);
@@ -98,7 +98,7 @@ TEST(RecursivePosmap, ChargesOnePathPerLevel)
 TEST(RecursivePosmap, ClientBytesFarBelowFlatMap)
 {
     mem::TrafficMeter meter;
-    RecursivePositionMap rpm(1 << 16, 1 << 16, rcfg(16, 256), meter);
+    RecursivePositionMap rpm(1 << 16, 1 << 16, rcfg(16, 256), false, meter);
     const std::uint64_t flat = (1 << 16) * sizeof(Leaf);
     EXPECT_LT(rpm.clientBytes(), flat / 16);
 }
@@ -107,7 +107,7 @@ TEST(RecursivePosmap, RemapsAreUniform)
 {
     mem::TrafficMeter meter;
     constexpr std::uint64_t kLeaves = 16;
-    RecursivePositionMap rpm(256, kLeaves, rcfg(4, 16), meter);
+    RecursivePositionMap rpm(256, kLeaves, rcfg(4, 16), false, meter);
     Rng rng(5);
     std::vector<std::uint64_t> hist(kLeaves, 0);
     for (int i = 0; i < 8000; ++i) {
@@ -202,7 +202,8 @@ TEST(RecursivePathOram, CostExceedsFlatClient)
 /**
  * The recursive engine has no client-state snapshot (its map levels'
  * stashes and trees live only in this process), so a data tree
- * reopened with storage.keepExisting must be refused by name.
+ * reopened with storage.keepExisting, or a restore request, must be
+ * refused by name.
  */
 TEST(RecursivePathOram, RefusesReopenedTree)
 {
@@ -223,6 +224,17 @@ TEST(RecursivePathOram, RefusesReopenedTree)
         {
             RecursivePathOram reopened(cfg, rcfg(4, 16));
             (void)reopened;
+        },
+        ::testing::ExitedWithCode(1), "recursive PathORAM");
+
+    // A restore request over a fresh tree has no snapshot to apply.
+    cfg.storage.keepExisting = false;
+    cfg.checkpoint.path = scratch.file("recursive.ckpt");
+    cfg.checkpoint.restore = true;
+    EXPECT_EXIT(
+        {
+            RecursivePathOram restored(cfg, rcfg(4, 16));
+            (void)restored;
         },
         ::testing::ExitedWithCode(1), "recursive PathORAM");
 }

@@ -2,7 +2,8 @@
  * @file
  * RingORAM tests: correctness, sparse-read traffic advantage,
  * deterministic eviction rate, early reshuffles, invariants, the
- * bounded high-water drain, and the refusal to serve a reopened tree.
+ * bounded high-water drain, and the refusal to serve a reopened tree
+ * or to restore.
  */
 
 #include <gtest/gtest.h>
@@ -195,7 +196,8 @@ TEST(RingOram, RejectsOversizedBuckets)
 /**
  * RingORAM has no client-state snapshot, so a tree reopened with
  * storage.keepExisting cannot be served: its stash and position map
- * are gone. The engine must refuse it by name, not serve stale slots.
+ * are gone. The engine must refuse it by name, not serve stale slots,
+ * and must refuse a restore request the same way, not ignore it.
  */
 TEST(RingOram, RefusesReopenedTree)
 {
@@ -209,6 +211,13 @@ TEST(RingOram, RefusesReopenedTree)
     }
     cfg.base.storage.keepExisting = true;
     EXPECT_EXIT({ RingOram reopened(cfg); (void)reopened; },
+                ::testing::ExitedWithCode(1), "RingORAM");
+
+    // A restore request over a fresh tree has no snapshot to apply.
+    cfg.base.storage.keepExisting = false;
+    cfg.base.checkpoint.path = scratch.file("ring.ckpt");
+    cfg.base.checkpoint.restore = true;
+    EXPECT_EXIT({ RingOram restored(cfg); (void)restored; },
                 ::testing::ExitedWithCode(1), "RingORAM");
 }
 

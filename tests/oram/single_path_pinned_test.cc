@@ -5,7 +5,8 @@
  * the data tree and the final position map, so any drift in the
  * one-leaf read order, the write-back placements, the dummy drain or
  * the RNG draws fails here. Every run crosses the stash high-water
- * mark, so the drain is part of the pinned stream.
+ * mark, so the drain is part of the pinned stream. The recursive run
+ * also pins its meter totals, which cover every position-map level.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/laoram_client.hh"
+#include "mem/traffic_meter.hh"
 #include "oram/evictor.hh"
 #include "oram/path_oram.hh"
 #include "oram/pro_oram.hh"
@@ -162,6 +164,13 @@ TEST(SinglePathEngines, RecursiveStreamAndPosmapArePinned)
     EXPECT_EQ(stream.value, 0x1f9d2c1c50078731ULL)
         << std::hex << "0x" << stream.value;
     EXPECT_EQ(posmap, 0xf4129a144a93689fULL) << std::hex << "0x" << posmap;
+    // The meter also charges every map level's path reads, write-backs
+    // and dummy drains, which the data tree's stream does not see.
+    const mem::TrafficCounters totals = oram.meter().counters();
+    EXPECT_EQ(totals.pathReads, 12000u);
+    EXPECT_EQ(totals.dummyReads, 743u);
+    EXPECT_EQ(totals.blocksRead, 305832u);
+    EXPECT_EQ(totals.totalBytes(), 25322496u);
 }
 
 /**
