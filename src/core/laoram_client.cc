@@ -98,14 +98,9 @@ Laoram::serveWindow(const PreprocessResult &window)
     nFutureLinked += window.futureLinked;
     ++nWindowsServed;
 
-    if (lcfg.batchAccesses == 0) {
-        for (const SuperblockBin &bin : window.bins)
-            accessBatch(&bin, 1);
-        return;
-    }
-
     // Group consecutive bins into training batches by raw access
-    // count and serve each batch with one union read/write.
+    // count and serve each batch with one union read/write. At
+    // batchAccesses 0 every bin closes its own batch.
     std::size_t first = 0;
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < window.bins.size(); ++i) {

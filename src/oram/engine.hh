@@ -60,8 +60,8 @@ struct EngineConfig
      * sqrt(nodes) nodes and never the leaf level. Over a treetop a
      * fat profile widens only those levels (TreeGeometry): for a
      * 2^19-block fat(4) tree that is k = 10, 16 slots per top
-     * bucket (16,368 top slots, each block there a parked stash
-     * entry), with 4 slots per server bucket. 0 turns it off, as
+     * bucket (16,368 top slots, each owning its block's stash
+     * node), with 4 slots per server bucket. 0 turns it off, as
      * the paper's system has none, and keeps §V's linear fat tree;
      * an explicit k must be
      * at most the leaf level. RingORAM passes 0 (its bucket protocol

@@ -11,7 +11,7 @@ namespace laoram::oram {
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
                Stash &stash, mem::TrafficMeter &meter)
     : geom(geom), storage(storage), stash(stash), meter(meter),
-      topIds(geom.levelFirstSlot(geom.treetopLevels()), kInvalidBlock)
+      top(geom.levelFirstSlot(geom.treetopLevels()))
 {
 }
 
@@ -53,15 +53,14 @@ std::uint64_t
 PathIo::fetchUnion(const Leaf *leaves, std::size_t n)
 {
     // Server buckets are read whole; a treetop bucket's blocks are
-    // unparked into the loose stash, leaving its slots empty.
-    const std::uint64_t top = topIds.size();
+    // given back to the stash, leaving its slots empty.
     slotScratch.clear();
     for (const UnionNode &u : pathUnion(leaves, n)) {
         for (std::uint64_t s = u.base; s < u.base + u.z; ++s) {
-            if (s >= top)
+            if (s >= top.size())
                 slotScratch.push_back(s);
-            else if (topIds[s] != kInvalidBlock)
-                stash.unpark(std::exchange(topIds[s], kInvalidBlock));
+            else if (!top[s].empty())
+                stash.give(std::move(top[s]));
         }
     }
 
@@ -125,24 +124,22 @@ PathIo::evictUnion(const Leaf *leaves, std::size_t n)
     // in another insertion order, evicts exactly as the original. The
     // server buckets are written as one vectored storage op; their
     // stash entries are erased after it so their payload pointers stay
-    // valid for the write. Blocks placed in treetop slots are parked
-    // at once, which moves no entry.
+    // valid for the write. Blocks placed in treetop slots are taken
+    // into them at once, which copies no entry.
     writeScratch.clear();
     evictedScratch.clear();
-    const std::uint64_t top = topIds.size();
     for (std::size_t p = 0; p < nodes.size(); ++p) {
         const UnionNode &u = nodes[p];
         std::vector<BlockId> &pending = candidates[p];
         std::sort(pending.begin(), pending.end());
         const std::uint64_t filled =
             std::min<std::uint64_t>(u.z, pending.size());
-        if (u.base < top) {
+        if (u.base < top.size()) {
             for (std::uint64_t s = 0; s < filled; ++s) {
-                LAORAM_ASSERT(topIds[u.base + s] == kInvalidBlock,
-                              "treetop slot ", u.base + s,
+                LAORAM_ASSERT(top[u.base + s].empty(), "treetop slot ",
+                              u.base + s,
                               " written back before its union read");
-                topIds[u.base + s] = pending[s];
-                stash.park(pending[s]);
+                top[u.base + s] = stash.take(pending[s]);
             }
         } else {
             // A server bucket is written whole.
@@ -176,9 +173,12 @@ void
 PathIo::save(serde::Serializer &s) const
 {
     s.u64(gaveUpAt);
-    s.u64(topIds.size());
-    for (BlockId id : topIds)
-        s.u64(id);
+    s.u64(top.size());
+    for (const Stash::Node &slot : top) {
+        s.u64(slot.empty() ? kInvalidBlock : slot.key());
+        if (!slot.empty())
+            slot.mapped().save(s);
+    }
 }
 
 void
@@ -186,13 +186,28 @@ PathIo::restore(serde::Deserializer &d)
 {
     gaveUpAt = d.u64();
     const std::uint64_t n = d.u64();
-    if (n != topIds.size())
+    if (n != top.size())
         throw serde::SnapshotError(
             "snapshot has " + std::to_string(n)
             + " treetop slots but this engine has "
-            + std::to_string(topIds.size()));
-    for (BlockId &id : topIds)
-        id = d.u64();
+            + std::to_string(top.size()));
+    // The occupants join the restored stash first and are taken from
+    // it after, so a block the stash or another slot holds is refused.
+    std::vector<BlockId> ids(n);
+    for (std::uint64_t s = 0; s < n; ++s) {
+        ids[s] = d.u64();
+        if (ids[s] == kInvalidBlock)
+            continue;
+        if (stash.contains(ids[s]))
+            throw serde::SnapshotError(
+                "snapshot holds block " + std::to_string(ids[s])
+                + " twice: in treetop slot " + std::to_string(s)
+                + " and in the stash or another treetop slot");
+        stash.put(ids[s], 0, {}).restore(d);
+    }
+    for (std::uint64_t s = 0; s < n; ++s)
+        top[s] = ids[s] == kInvalidBlock ? Stash::Node()
+                                         : stash.take(ids[s]);
 }
 
 std::uint64_t
@@ -247,18 +262,13 @@ auditTree(const PathIo &io, const std::function<Leaf(BlockId)> &leafOf)
         const std::uint64_t z = geom.bucketSize(level);
         for (std::uint64_t s = 0; s < z; ++s) {
             const std::uint64_t slot = base + s;
-            if (slot < io.topIds.size()) {
-                // A treetop slot: its block is a parked stash entry.
-                b.id = io.topIds[slot];
-                if (b.isDummy())
+            if (slot < io.top.size()) {
+                // A treetop slot: it holds its block's stash node.
+                const Stash::Node &held = io.top[slot];
+                if (held.empty())
                     continue;
-                const StashEntry *parked = stash.findParked(b.id);
-                if (!parked) {
-                    err << "treetop slot " << slot << " holds block "
-                        << b.id << ", which is not parked";
-                    return err.str();
-                }
-                b.leaf = parked->leaf;
+                b.id = held.key();
+                b.leaf = held.mapped().leaf;
             } else {
                 io.storage.readSlot(slot, b);
                 if (b.isDummy())
@@ -286,13 +296,6 @@ auditTree(const PathIo &io, const std::function<Leaf(BlockId)> &leafOf)
         }
     }
 
-    const std::uint64_t inTop = io.topIds.size()
-        - std::count(io.topIds.begin(), io.topIds.end(), kInvalidBlock);
-    if (stash.parkedSize() != inTop) {
-        err << stash.parkedSize() << " blocks are parked but the "
-            << "treetop slots hold " << inTop;
-        return err.str();
-    }
     for (const auto &[id, entry] : stash) {
         const Leaf mapped = leafOf(id);
         if (entry.leaf != mapped) {

@@ -10,12 +10,12 @@
  * engine access, LAORAM batch and recursive map level runs.
  *
  * The trusted treetop (the top k = geometry's treetopLevels() levels,
- * Ren et al., ISCA 2013) is client state, kept here and in the stash
- * rather than in ServerStorage: PathIo holds one block id per treetop
- * slot, and the block itself is a parked stash entry. A union read
- * unparks the blocks of its treetop buckets into the loose stash and
- * a write-back parks the blocks it assigns to treetop slots, by
- * relinking hash nodes: no payload copy, no encode or decode and no
+ * Ren et al., ISCA 2013) is client state, kept here rather than in
+ * ServerStorage: each treetop slot owns its block as a stash node
+ * taken out of the stash map (Stash::Node). A union read gives the
+ * blocks of its treetop buckets back to the stash and a write-back
+ * takes the blocks it assigns to treetop slots, one hash-node insert
+ * or extract each: no payload copy, no encode or decode and no
  * storage op. Only the levels >= k reach the server, in whole
  * buckets, so the adversary sees the same stream as before the
  * treetop existed minus its slots.
@@ -71,8 +71,9 @@ class PathIo
      * exactly once — re-reading a shared prefix node would only fetch
      * slots the client already absorbed. Charges one path read per
      * distinct leaf and the union's server slots and bytes; treetop
-     * buckets are client memory, cost no traffic and only unpark
-     * their blocks. Zero leaves read nothing and charge nothing.
+     * buckets are client memory, cost no traffic and only give
+     * their blocks back to the stash. Zero leaves read nothing and
+     * charge nothing.
      *
      * @return number of server slots read (union size below the
      *         treetop)
@@ -86,14 +87,14 @@ class PathIo
      * not fit spill to their parent (which is always in the union,
      * since path unions are ancestor-closed) and ultimately stay in
      * the stash. Untaken server slots become encrypted dummies; a
-     * block assigned to a treetop slot is parked there (the union's
-     * treetop slots are empty after its read). Writing the union
-     * once — instead of path-by-path — is required for
-     * correctness: sequential per-path write-backs would overwrite
-     * shared prefix nodes populated by the previous path. Charges one
-     * path write per distinct leaf and the union's server slots and
-     * bytes, as readPaths does. Zero leaves write nothing and leave
-     * the stash as it is.
+     * block assigned to a treetop slot is taken out of the stash
+     * into it (the union's treetop slots are empty after its read).
+     * Writing the union once — instead of path-by-path — is required
+     * for correctness: sequential per-path write-backs would
+     * overwrite shared prefix nodes populated by the previous path.
+     * Charges one path write per distinct leaf and the union's server
+     * slots and bytes, as readPaths does. Zero leaves write nothing
+     * and leave the stash as it is.
      *
      * @return number of server slots written (union size below the
      *         treetop)
@@ -134,16 +135,19 @@ class PathIo
 
     /**
      * The drain memory (the stash size the last capped burst gave up
-     * at) steers later drains and the treetop slot table places the
-     * parked blocks, so both are trusted client state: they travel
-     * in the snapshot next to the stash they describe. restore()
-     * throws serde::SnapshotError for a table of another size.
+     * at) steers later drains and the treetop slots hold blocks, so
+     * both are trusted client state: they travel in the snapshot
+     * after the stash, each slot as its block id (kInvalidBlock when
+     * empty) and an occupant's StashEntry fields. restore() must run
+     * after the stash's; it throws serde::SnapshotError for a table
+     * of another size or for a block held twice (by the stash or by
+     * two slots).
      */
     void save(serde::Serializer &s) const;
     void restore(serde::Deserializer &d);
 
-    /** Block in each treetop slot, kInvalidBlock when empty. */
-    const std::vector<BlockId> &topSlotIds() const { return topIds; }
+    /** The treetop slot table: slot s's block, empty when none. */
+    const std::vector<Stash::Node> &topSlots() const { return top; }
 
     friend std::string
     auditTree(const PathIo &io,
@@ -197,7 +201,7 @@ class PathIo
     std::vector<std::vector<BlockId>> candidates;
 
     /** Treetop slot table: slots [0, levelFirstSlot(k)). */
-    std::vector<BlockId> topIds;
+    std::vector<Stash::Node> top;
 
     /** Stash size the last capped burst stopped at (0: none, or the
      *  stash has since reached the low water). */
@@ -259,11 +263,10 @@ drainStash(Stash &stash, std::uint64_t highWater, std::uint64_t lowWater,
  *
  * Checks that the storage's occupancy bitmap matches the tree
  * (ServerStorage::auditOccupancy); then, for every real block in a
- * server slot or parked in a treetop slot: its leaf matches
- * @p leafOf, and the node it occupies lies on that leaf's path; that
- * no block appears twice (tree/tree, tree/stash, parked/stash), that
- * every parked entry sits in a treetop slot and that every loose
- * stash entry's leaf matches @p leafOf.
+ * server or treetop slot: its leaf matches @p leafOf, and the node it
+ * occupies lies on that leaf's path; that no block appears twice
+ * (tree/tree, tree/stash) and that every stash entry's leaf matches
+ * @p leafOf.
  *
  * @return empty string when consistent, else a description of the
  *         first violation (tests assert on empty)

@@ -45,8 +45,6 @@ class RingOram final : public OramEngine
 
     std::uint64_t stashSize() const override { return stash_.size(); }
 
-    const RingOramConfig &ringConfig() const { return rcfg; }
-
     /** Mutable storage access for installing test access sinks. */
     ServerStorage &storageForTest() { return storage_; }
 

@@ -59,8 +59,8 @@
  *
  * The storage holds only what the server holds. The top k levels the
  * geometry keeps in trusted client memory (Ren et al., ISCA 2013) are
- * client state like the stash: their blocks are parked stash entries
- * and PathIo keeps their slot table, so no slot below
+ * client state like the stash: PathIo's treetop slot table holds
+ * their blocks, so no slot below
  * geometry().levelFirstSlot(k) is read or written after construction,
  * and flush() writes only the epoch table and the key canary. The
  * geometry still numbers those slots, so a fresh tree initialises

@@ -1,6 +1,7 @@
 #include "oram/stash.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -52,84 +53,65 @@ Stash::unpinAll()
         entry.pinned = false;
 }
 
-void
-Stash::park(BlockId id)
+Stash::Node
+Stash::take(BlockId id)
 {
-    auto node = entries.extract(id);
-    LAORAM_ASSERT(!node.empty(), "parking block ", id,
+    Node node = entries.extract(id);
+    LAORAM_ASSERT(!node.empty(), "taking block ", id,
                   " that is not stashed");
-    parked.insert(std::move(node));
+    return node;
 }
 
 void
-Stash::unpark(BlockId id)
+Stash::give(Node node)
 {
-    auto node = parked.extract(id);
-    LAORAM_ASSERT(!node.empty(), "unparking block ", id,
-                  " that is not parked");
+    const BlockId id = node.key();
     // A block must never be duplicated between tree and stash.
     LAORAM_ASSERT(entries.insert(std::move(node)).inserted, "block ", id,
                   " found in the treetop while stashed");
 }
 
-const StashEntry *
-Stash::findParked(BlockId id) const
+void
+StashEntry::save(serde::Serializer &s) const
 {
-    auto it = parked.find(id);
-    return it == parked.end() ? nullptr : &it->second;
+    s.u64(leaf);
+    s.u8(pinned ? 1 : 0);
+    s.blob(payload);
 }
 
-namespace {
+void
+StashEntry::restore(serde::Deserializer &d)
+{
+    leaf = d.u64();
+    pinned = d.u8() != 0;
+    payload = d.blob();
+}
 
 void
-saveSorted(serde::Serializer &s,
-           const std::unordered_map<BlockId, StashEntry> &map)
+Stash::save(serde::Serializer &s) const
 {
     std::vector<BlockId> ids;
-    ids.reserve(map.size());
-    for (const auto &[id, entry] : map)
+    ids.reserve(entries.size());
+    for (const auto &[id, entry] : entries)
         ids.push_back(id);
     std::sort(ids.begin(), ids.end());
 
     s.u64(ids.size());
     for (BlockId id : ids) {
-        const StashEntry &entry = map.at(id);
         s.u64(id);
-        s.u64(entry.leaf);
-        s.u8(entry.pinned ? 1 : 0);
-        s.blob(entry.payload);
+        entries.at(id).save(s);
     }
-}
-
-void
-restoreInto(serde::Deserializer &d,
-            std::unordered_map<BlockId, StashEntry> &map)
-{
-    map.clear();
-    const std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const BlockId id = d.u64();
-        StashEntry &entry = map[id];
-        entry.leaf = d.u64();
-        entry.pinned = d.u8() != 0;
-        entry.payload = d.blob();
-    }
-}
-
-} // namespace
-
-void
-Stash::save(serde::Serializer &s) const
-{
-    saveSorted(s, entries);
-    saveSorted(s, parked);
 }
 
 void
 Stash::restore(serde::Deserializer &d)
 {
-    restoreInto(d, entries);
-    restoreInto(d, parked);
+    entries.clear();
+    const std::uint64_t count = d.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const BlockId id = d.u64();
+        entries[id].restore(d);
+    }
 }
 
 } // namespace laoram::oram

@@ -5,14 +5,13 @@
  * paper's deployment; accesses to it are invisible to the adversary.
  *
  * The trusted treetop (the top k tree levels, Ren et al., ISCA 2013)
- * is client state of the same kind, so its blocks live here too, as
- * *parked* entries: PathIo parks a block it evicts into a treetop slot
- * and unparks it when a path read crosses that slot. Both moves
- * relink the entry's hash node between two maps, so a block's leaf and
- * payload never move and nothing is allocated. size(), contains(),
- * find() and iteration see only the loose stash, the blocks that
- * overflowed the tree: the quantity §II-E's drain and the stash peak
- * are about.
+ * is client state of the same kind, so its blocks are stash entries
+ * too, held outside the map: PathIo take()s the hash node of a block
+ * it evicts into a treetop slot and keeps it in that slot, and give()s
+ * it back when a path read crosses the slot. Neither move copies the
+ * leaf or payload or allocates. size(), contains(), find() and
+ * iteration see only the map, the blocks that overflowed the tree:
+ * the quantity §II-E's drain and the stash peak are about.
  */
 
 #ifndef LAORAM_ORAM_STASH_HH
@@ -38,6 +37,10 @@ struct StashEntry
      */
     bool pinned = false;
     std::vector<std::uint8_t> payload;
+
+    /** Snapshot fields (leaf, pin, payload); the id is the caller's. */
+    void save(serde::Serializer &s) const;
+    void restore(serde::Deserializer &d);
 };
 
 /**
@@ -45,7 +48,13 @@ struct StashEntry
  */
 class Stash
 {
+    using Map = std::unordered_map<BlockId, StashEntry>;
+
   public:
+    /** A detached entry: the block id (key()) and its StashEntry
+     *  (mapped()), or empty. */
+    using Node = Map::node_type;
+
     /** @return entry for @p id or nullptr. */
     StashEntry *find(BlockId id);
     const StashEntry *find(BlockId id) const;
@@ -74,16 +83,11 @@ class Stash
     /** Clear every pin (used when stash pressure trumps retention). */
     void unpinAll();
 
-    /** Move loose entry @p id to the parked map. */
-    void park(BlockId id);
+    /** Detach entry @p id, which must be stashed, without a copy. */
+    Node take(BlockId id);
 
-    /** Move parked entry @p id back into the loose stash. */
-    void unpark(BlockId id);
-
-    /** @return parked entry for @p id or nullptr. */
-    const StashEntry *findParked(BlockId id) const;
-
-    std::uint64_t parkedSize() const { return parked.size(); }
+    /** Put a taken entry back; its id must not be stashed. */
+    void give(Node node);
 
     std::uint64_t size() const { return entries.size(); }
     bool empty() const { return entries.empty(); }
@@ -101,17 +105,16 @@ class Stash
     }
 
     /**
-     * Checkpoint support: the loose entries, then the parked ones,
-     * each sorted by block id, so a given stash state always produces
-     * identical snapshot bytes regardless of hash-map iteration
-     * order. restore() replaces the current contents.
+     * Checkpoint support: the entries sorted by block id, so a given
+     * stash state always produces identical snapshot bytes regardless
+     * of hash-map iteration order. restore() replaces the current
+     * contents.
      */
     void save(serde::Serializer &s) const;
     void restore(serde::Deserializer &d);
 
   private:
-    std::unordered_map<BlockId, StashEntry> entries;
-    std::unordered_map<BlockId, StashEntry> parked;
+    Map entries;
 };
 
 } // namespace laoram::oram

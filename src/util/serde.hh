@@ -48,8 +48,9 @@ constexpr std::uint64_t kSnapshotMagic = 0x31544B434F414CULL; // "LAOCKT1"
  *  (PathIo::save) after the stash. Version 4: the trusted treetop
  *  moved out of the tree file into the snapshot (the stash's parked
  *  entries, PathIo's treetop slot table) and the geometry header
- *  gained treetopLevels. */
-constexpr std::uint32_t kSnapshotVersion = 4;
+ *  gained treetopLevels. Version 5: the treetop's blocks left the
+ *  stash section for PathIo's, each slot carrying its occupant. */
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /** Section kinds carried in the frame header. */
 enum class SnapshotKind : std::uint32_t {

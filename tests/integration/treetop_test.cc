@@ -1,14 +1,14 @@
 /**
  * @file
  * Treetop differential suite: keeping the top k tree levels in client
- * memory (parked stash entries in PathIo's treetop slots) must change
+ * memory (PathIo's treetop slots, each owning its block) must change
  * what reaches the server and nothing else.
  *
  *  - Engines: the same trace through LAORAM (encrypted 128-B rows,
  *    mmap), PathORAM, PrORAM and recursive PathORAM at k in
  *    {0, 1, auto, L} gives the k = 0 run's adversary stream with the
  *    prefix slots filtered out, the same logical state, the same
- *    block in every slot (a parked entry in a treetop slot, a decoded
+ *    block in every slot (a treetop slot's own entry, a decoded
  *    record below) and the same at-rest bytes and epochs below the
  *    prefix. Every leg has a uniform profile, whose tree is the same
  *    at every k (a fat tree's top widens with k, so it has no k = 0
@@ -94,12 +94,30 @@ struct EngineRun
 {
     std::unique_ptr<oram::OramEngine> engine;
     ServerStorage *storage = nullptr;
-    const oram::Stash *stash = nullptr;
     const oram::PathIo *io = nullptr;
     std::function<Leaf(BlockId)> posOf;
 };
 
 enum class Kind { Laoram, PathOram, ProOram, Recursive };
+
+/** The id of the block in each treetop slot, kInvalidBlock if none. */
+std::vector<BlockId>
+topIds(const oram::PathIo &io)
+{
+    std::vector<BlockId> ids;
+    for (const oram::Stash::Node &slot : io.topSlots())
+        ids.push_back(slot.empty() ? oram::kInvalidBlock : slot.key());
+    return ids;
+}
+
+/** Treetop slots that hold a block. */
+std::uint64_t
+topBlocks(const oram::PathIo &io)
+{
+    const std::vector<BlockId> ids = topIds(io);
+    return ids.size() - std::count(ids.begin(), ids.end(),
+                                   oram::kInvalidBlock);
+}
 
 const char *
 kindName(Kind kind)
@@ -161,7 +179,6 @@ makeRun(Kind kind, const EngineConfig &cfg)
         lcfg.batchAccesses = 16;
         auto e = std::make_unique<core::Laoram>(lcfg);
         run.storage = &e->storageForTest();
-        run.stash = &e->stashForAudit();
         run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
@@ -172,7 +189,6 @@ makeRun(Kind kind, const EngineConfig &cfg)
       case Kind::PathOram: {
         auto e = std::make_unique<oram::PathOram>(cfg);
         run.storage = &e->storageForTest();
-        run.stash = &e->stashForAudit();
         run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
@@ -185,7 +201,6 @@ makeRun(Kind kind, const EngineConfig &cfg)
         pcfg.base = cfg;
         auto e = std::make_unique<oram::ProOram>(pcfg);
         run.storage = &e->storageForTest();
-        run.stash = &e->stashForAudit();
         run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->posmapForAudit().get(id);
@@ -200,7 +215,6 @@ makeRun(Kind kind, const EngineConfig &cfg)
         rcfg.seed = 13;
         auto e = std::make_unique<oram::RecursivePathOram>(cfg, rcfg);
         run.storage = &e->storageForTest();
-        run.stash = &e->stashForAudit();
         run.io = &e->pathIoForAudit();
         run.posOf = [p = e.get()](BlockId id) {
             return p->positionMap().peek(id);
@@ -318,7 +332,7 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
         EngineRun run = makeRun(kind, engineConfig(kind, want, path));
         ServerStorage &storage = *run.storage;
         const unsigned k = run.engine->geometry().treetopLevels();
-        const std::uint64_t top = run.io->topSlotIds().size();
+        const std::uint64_t top = run.io->topSlots().size();
         const std::string what = std::string(kindName(kind)) + " k "
             + std::to_string(k);
         ASSERT_EQ(k, want == oram::kAutoTreetop
@@ -358,8 +372,8 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
         for (BlockId id = 0; id < geom.numBlocks(); ++id)
             ASSERT_EQ(run.posOf(id), refPos[id]) << what << " block " << id;
 
-        // Every slot holds the reference's block: a treetop slot as a
-        // parked entry, a server slot as its decoded record.
+        // Every slot holds the reference's block: a treetop slot as its
+        // own entry, a server slot as its decoded record.
         storage.setAccessSink(nullptr);
         StoredBlock b;
         for (std::uint64_t s = 0; s < slots; ++s) {
@@ -369,14 +383,13 @@ TEST_P(TreetopEngines, MatchWholeTreeRunAtEveryK)
                 expectSameBlock(b, refSlots[s], at);
                 continue;
             }
-            b.id = run.io->topSlotIds()[s];
-            ASSERT_EQ(b.id, refSlots[s].id) << at;
-            if (b.isDummy())
+            const oram::Stash::Node &held = run.io->topSlots()[s];
+            ASSERT_EQ(held.empty(), refSlots[s].isDummy()) << at;
+            if (held.empty())
                 continue;
-            const oram::StashEntry *parked = run.stash->findParked(b.id);
-            ASSERT_NE(parked, nullptr) << at;
-            EXPECT_EQ(parked->leaf, refSlots[s].leaf) << at;
-            EXPECT_EQ(parked->payload, refSlots[s].payload) << at;
+            EXPECT_EQ(held.key(), refSlots[s].id) << at;
+            EXPECT_EQ(held.mapped().leaf, refSlots[s].leaf) << at;
+            EXPECT_EQ(held.mapped().payload, refSlots[s].payload) << at;
         }
         EXPECT_EQ(storage.auditOccupancy(), "") << what;
         run = EngineRun{};
@@ -507,8 +520,8 @@ TEST(Treetop, KillRestoreAtDefaultK)
 {
     // A LAORAM run killed at a window boundary and restored over the
     // reopened tree finishes byte-identically to one that never died,
-    // with the treetop on: the snapshot carried the parked entries and
-    // the treetop slot table.
+    // with the treetop on: the snapshot carried the treetop slot table
+    // and the blocks it holds.
     constexpr std::uint64_t kWindow = 24;
     constexpr std::uint64_t kWindows = 6;
     const test::ScratchDir scratch;
@@ -633,7 +646,7 @@ TEST(Treetop, BackendNeverSeesTheTop)
         kp.seed = 9;
         engine.runTrace(workload::makeKaggleTrace(kp).accesses);
         engine.checkpoint();
-        EXPECT_GT(engine.stashForAudit().parkedSize(), 0u);
+        EXPECT_GT(topBlocks(engine.pathIoForAudit()), 0u);
         EXPECT_EQ(oram::auditTree(engine.pathIoForAudit(),
                                   engine.posmapForAudit()),
                   "");
@@ -665,7 +678,7 @@ TEST(Treetop, SnapshotRestoredAtAnotherKIsRefused)
     oram::PathOram taken(cfg);
     for (BlockId id = 0; id < cfg.numBlocks; ++id)
         taken.touch(id);
-    ASSERT_GT(taken.stashForAudit().parkedSize(), 0u);
+    ASSERT_GT(topBlocks(taken.pathIoForAudit()), 0u);
     const std::vector<std::uint8_t> blob = taken.checkpoint();
     const unsigned k = taken.geometry().treetopLevels();
     ASSERT_GT(k, 1u);
@@ -687,10 +700,9 @@ TEST(Treetop, SnapshotRestoredAtAnotherKIsRefused)
     }
     oram::PathOram same(cfg);
     same.restoreFrom(blob);
-    EXPECT_EQ(same.stashForAudit().parkedSize(),
-              taken.stashForAudit().parkedSize());
-    EXPECT_EQ(same.pathIoForAudit().topSlotIds(),
-              taken.pathIoForAudit().topSlotIds());
+    EXPECT_EQ(topIds(same.pathIoForAudit()),
+              topIds(taken.pathIoForAudit()));
+    EXPECT_EQ(same.checkpoint(), blob);
 }
 
 } // namespace

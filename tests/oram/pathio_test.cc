@@ -525,49 +525,137 @@ TEST_F(PathIoFixture, DrainThatGaveUpWaitsForTheStashToGrow)
     EXPECT_LE(stash.size(), 2u);
 }
 
-TEST(PathIoTreetop, AuditChecksParkedBlocks)
+/** A tree with the default treetop whose top slots hold blocks. */
+struct PathIoTreetop : public ::testing::Test
 {
-    // Over a treetop the write-back parks blocks in the top slots. The
-    // audit accepts that, and catches a parked block whose leaf
-    // disagrees with the position map, a top slot whose block is not
-    // parked and a parked block that no top slot holds.
-    const TreeGeometry geom(64, 8, BucketProfile::uniform(4));
-    ASSERT_GT(geom.treetopLevels(), 0u);
-    ServerStorage storage(geom, 8, false);
+    PathIoTreetop()
+        : geom(64, 8, BucketProfile::uniform(4)),
+          storage(geom, 8, false),
+          io(geom, storage, stash, meter),
+          rng(5),
+          posmap(65, geom.numLeaves(), rng)
+    {
+        // Sixteen blocks on each of two leaves fill their paths up
+        // into the top.
+        for (BlockId id = 0; id < 32; ++id) {
+            posmap.set(id, id % 2);
+            stash.put(id, id % 2, std::vector<std::uint8_t>(8, id));
+        }
+        io.readPaths(leaves, 2);
+        io.writePaths(leaves, 2);
+    }
+
+    /** The first occupied treetop slot. */
+    std::uint64_t
+    firstHeldSlot() const
+    {
+        const auto &top = io.topSlots();
+        return std::find_if(top.begin(), top.end(),
+                            [](const Stash::Node &n) { return !n.empty(); })
+            - top.begin();
+    }
+
+    const Leaf leaves[2] = {0, 1};
+    const TreeGeometry geom;
+    ServerStorage storage;
     Stash stash;
     mem::TrafficMeter meter;
-    PathIo io(geom, storage, stash, meter);
-    Rng rng(5);
-    PositionMap posmap(65, geom.numLeaves(), rng);
-    // Sixteen blocks on each of two leaves fill their paths up into
-    // the top.
-    for (BlockId id = 0; id < 32; ++id) {
-        posmap.set(id, id % 2);
-        stash.put(id, id % 2, std::vector<std::uint8_t>(8, id));
-    }
-    const Leaf leaves[] = {0, 1};
-    io.readPaths(leaves, 2);
-    io.writePaths(leaves, 2);
-    ASSERT_GT(stash.parkedSize(), 0u);
+    PathIo io;
+    Rng rng;
+    PositionMap posmap;
+};
+
+TEST_F(PathIoTreetop, AuditChecksParkedBlocks)
+{
+    // Over a treetop the write-back puts blocks in the top slots. The
+    // audit accepts that, and catches a top block whose leaf
+    // disagrees with the position map.
+    ASSERT_GT(geom.treetopLevels(), 0u);
+    const std::uint64_t slot = firstHeldSlot();
+    ASSERT_LT(slot, io.topSlots().size());
     EXPECT_EQ(auditTree(io, posmap), "");
 
-    const auto &top = io.topSlotIds();
-    const BlockId parked =
-        *std::find_if(top.begin(), top.end(),
-                      [](BlockId id) { return id != kInvalidBlock; });
-    const Leaf home = posmap.get(parked);
-    posmap.set(parked, home ^ 1);
+    const BlockId held = io.topSlots()[slot].key();
+    const Leaf home = posmap.get(held);
+    posmap.set(held, home ^ 1);
     EXPECT_NE(auditTree(io, posmap).find("posmap leaf"), std::string::npos);
-    posmap.set(parked, home);
-
-    stash.unpark(parked);
-    EXPECT_NE(auditTree(io, posmap).find("not parked"), std::string::npos);
-    stash.park(parked);
+    posmap.set(held, home);
     EXPECT_EQ(auditTree(io, posmap), "");
+}
 
-    stash.put(64, posmap.get(64), std::vector<std::uint8_t>(8, 64));
-    stash.park(64);
-    EXPECT_NE(auditTree(io, posmap).find("are parked"), std::string::npos);
+TEST_F(PathIoTreetop, TopBlockKeepsItsPayloadAcrossAnAccess)
+{
+    // A read gives a top block back to the stash and the write-back
+    // returns it to the same slot, its payload never copied.
+    const std::uint64_t slot = firstHeldSlot();
+    ASSERT_LT(slot, io.topSlots().size());
+    const BlockId held = io.topSlots()[slot].key();
+    const std::uint8_t *bytes = io.topSlots()[slot].mapped().payload.data();
+
+    io.readPaths(leaves, 2);
+    EXPECT_TRUE(io.topSlots()[slot].empty());
+    ASSERT_TRUE(stash.contains(held));
+    EXPECT_EQ(stash.find(held)->payload.data(), bytes);
+
+    io.writePaths(leaves, 2);
+    EXPECT_FALSE(stash.contains(held));
+    ASSERT_FALSE(io.topSlots()[slot].empty());
+    EXPECT_EQ(io.topSlots()[slot].key(), held);
+    EXPECT_EQ(io.topSlots()[slot].mapped().payload.data(), bytes);
+    EXPECT_EQ(auditTree(io, posmap), "");
+}
+
+TEST_F(PathIoTreetop, RestoreRefusesABlockHeldTwice)
+{
+    // A snapshot whose treetop slot holds a block the stash holds too
+    // (or another slot does) is refused by name; one that holds it
+    // once restores it into the slot.
+    const auto snapshot = [&](BlockId stashed, BlockId slot0,
+                              BlockId slot1) {
+        serde::Serializer s;
+        s.u64(1); // stash: one entry
+        s.u64(stashed);
+        StashEntry{3, false, {1}}.save(s);
+        s.u64(0); // PathIo: drain memory, then the slot table
+        s.u64(io.topSlots().size());
+        for (std::uint64_t t = 0; t < io.topSlots().size(); ++t) {
+            const BlockId id = t == 0 ? slot0 : t == 1 ? slot1
+                                                       : kInvalidBlock;
+            s.u64(id);
+            if (id != kInvalidBlock)
+                StashEntry{3, false, {2}}.save(s);
+        }
+        return s.data();
+    };
+    const auto restore = [&](const std::vector<std::uint8_t> &bytes) {
+        serde::Deserializer d(bytes);
+        stash.restore(d);
+        io.restore(d);
+        EXPECT_TRUE(d.atEnd());
+    };
+
+    for (const auto &[slot0, slot1] :
+         {std::pair<BlockId, BlockId>{7, kInvalidBlock}, {8, 8}}) {
+        try {
+            restore(snapshot(7, slot0, slot1));
+            ADD_FAILURE() << "block " << slot0 << " held twice restored";
+        } catch (const serde::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "block " + std::to_string(slot0) + " twice"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    restore(snapshot(7, 8, kInvalidBlock));
+    EXPECT_EQ(stash.size(), 1u);
+    EXPECT_FALSE(stash.contains(8));
+    ASSERT_FALSE(io.topSlots()[0].empty());
+    EXPECT_EQ(io.topSlots()[0].key(), 8u);
+    EXPECT_EQ(io.topSlots()[0].mapped().payload,
+              std::vector<std::uint8_t>{2});
+    for (std::uint64_t t = 1; t < io.topSlots().size(); ++t)
+        EXPECT_TRUE(io.topSlots()[t].empty()) << t;
 }
 
 } // namespace

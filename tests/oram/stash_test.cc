@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "oram/stash.hh"
 
 namespace laoram::oram {
@@ -96,36 +99,38 @@ TEST(Stash, RemapCreatesZeroFilledOrRetargets)
     EXPECT_EQ(again.payload, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
-TEST(Stash, ParkedEntriesMoveWithoutCopyAndStayOutOfSize)
+TEST(Stash, TakenEntryMovesWithoutCopyAndLeavesTheMap)
 {
     Stash s;
     s.put(1, 2, {5, 6});
     s.put(3, 4, {7});
     const std::uint8_t *bytes = s.find(1)->payload.data();
-    s.park(1);
+    Stash::Node node = s.take(1);
+    ASSERT_FALSE(node.empty());
+    EXPECT_EQ(node.key(), 1u);
+    EXPECT_EQ(node.mapped().leaf, 2u);
+    EXPECT_EQ(node.mapped().payload.data(), bytes);
     EXPECT_EQ(s.size(), 1u);
     EXPECT_FALSE(s.contains(1));
     EXPECT_EQ(s.find(1), nullptr);
-    EXPECT_EQ(s.parkedSize(), 1u);
-    ASSERT_NE(s.findParked(1), nullptr);
-    EXPECT_EQ(s.findParked(1)->payload.data(), bytes);
     for (const auto &[id, entry] : s)
         EXPECT_EQ(id, 3u);
 
-    s.unpark(1);
-    EXPECT_EQ(s.parkedSize(), 0u);
+    s.give(std::move(node));
+    EXPECT_TRUE(node.empty());
+    EXPECT_EQ(s.size(), 2u);
     ASSERT_TRUE(s.contains(1));
     EXPECT_EQ(s.find(1)->leaf, 2u);
     EXPECT_EQ(s.find(1)->payload.data(), bytes);
 }
 
-TEST(Stash, SnapshotCarriesParkedEntries)
+TEST(Stash, SnapshotLeavesTakenEntriesOut)
 {
     Stash s;
     for (BlockId id = 0; id < 6; ++id)
         s.put(id, id + 10, {static_cast<std::uint8_t>(id)});
-    s.park(4);
-    s.park(1);
+    const Stash::Node four = s.take(4);
+    const Stash::Node one = s.take(1);
     serde::Serializer out;
     s.save(out);
 
@@ -136,11 +141,12 @@ TEST(Stash, SnapshotCarriesParkedEntries)
     EXPECT_TRUE(in.atEnd());
     EXPECT_EQ(back.size(), 4u);
     EXPECT_FALSE(back.contains(99));
-    ASSERT_EQ(back.parkedSize(), 2u);
-    for (const BlockId id : {1u, 4u}) {
-        ASSERT_NE(back.findParked(id), nullptr);
-        EXPECT_EQ(back.findParked(id)->leaf, id + 10);
-        EXPECT_FALSE(back.contains(id));
+    EXPECT_FALSE(back.contains(1));
+    EXPECT_FALSE(back.contains(4));
+    for (const auto &[id, entry] : back) {
+        EXPECT_EQ(entry.leaf, id + 10);
+        EXPECT_EQ(entry.payload, std::vector<std::uint8_t>{
+                                     static_cast<std::uint8_t>(id)});
     }
 
     // The same contents save to the same bytes, whatever the history.

@@ -104,9 +104,9 @@ TEST(Serde, OlderFormatVersionIsRefusedByName)
     // older format version, with a correct checksum: only the version
     // is wrong, and the error must name both versions rather than
     // misparse the older layout.
-    static_assert(kSnapshotVersion == 4);
+    static_assert(kSnapshotVersion == 5);
     const std::vector<std::uint8_t> payload = {1, 2, 3};
-    for (const std::uint32_t old : {1u, 2u, 3u}) {
+    for (const std::uint32_t old : {1u, 2u, 3u, 4u}) {
         Serializer s;
         s.u64(kSnapshotMagic);
         s.u32(old);
